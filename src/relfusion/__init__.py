@@ -42,8 +42,8 @@ from .metrics import (
     vrd_recall,
 )
 from .semantic import FrequencyTable, fit_frequency, semantic_logits
-from .spatial import box_delta, normalized_coords, spatial_feature, spatial_logits
+from .spatial import box_delta, normalized_coords, spatial_feature
 from .synth import SynthConfig, bayes_accuracy, generate
-from .visual import AttributeHead, VisualBranch, attribute_logits, predicate_feature, visual_logits
+from .visual import AttributeHead, VisualBranch, predicate_feature
 
 __version__ = "0.1.0"

@@ -218,16 +218,21 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def cmd_train(args) -> int:
-    vocab = load_vocabulary(args.vocab)
-    dataset = load_dataset(args.train_path, vocab)
+def _training_setup(args, vocab, dataset):
+    """Mode views of a training set, its feature dim and the fitted prior."""
     views = [gt_substitution(r, args.mode) for r in dataset]
     feature_dim = next(
         (d.feature.shape[0] for r in views for d in r.detections), None
     )
     if feature_dim is None:
         raise DataError("training dataset contains no detections")
-    freq = fit_frequency(dataset, vocab, smoothing=args.smoothing)
+    return views, feature_dim, fit_frequency(dataset, vocab, smoothing=args.smoothing)
+
+
+def cmd_train(args) -> int:
+    vocab = load_vocabulary(args.vocab)
+    dataset = load_dataset(args.train_path, vocab)
+    views, feature_dim, freq = _training_setup(args, vocab, dataset)
     rng = np.random.default_rng(args.seed)
     model = init_fusion_model(
         freq, feature_dim, vocab, rng, mask=parse_branches(args.branches)
@@ -302,14 +307,8 @@ def cmd_ablate(args) -> int:
     vocab = load_vocabulary(args.vocab)
     train_set = load_dataset(args.train_path, vocab)
     test_set = load_dataset(args.test_path, vocab)
-    train_views = [gt_substitution(r, args.mode) for r in train_set]
+    train_views, feature_dim, freq = _training_setup(args, vocab, train_set)
     test_views = [gt_substitution(r, args.mode) for r in test_set]
-    feature_dim = next(
-        (d.feature.shape[0] for r in train_views for d in r.detections), None
-    )
-    if feature_dim is None:
-        raise DataError("training dataset contains no detections")
-    freq = fit_frequency(train_set, vocab, smoothing=args.smoothing)
     cfg = _train_config(args)
     spec = MatchSpec(graph_constraint=args.graph_constraint == "on")
 

@@ -240,10 +240,20 @@ def save_vocabulary(vocab: Vocabulary, path: str | os.PathLike) -> None:
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Replace ``path`` with ``text`` by renaming a temp file of this call's own.
+
+    The temp file sits next to ``path``, gets the mode a plain ``open`` gives
+    (0666 less the umask) and is removed if the write fails.
+    """
+    tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _parse_box(raw, where: str) -> Box:

@@ -6,13 +6,19 @@ at the end. The frequency branch is frozen; the spatial MLP and visual
 heads train against softmax cross-entropy where matched ground-truth
 triplets provide positive labels and sampled unmatched pairs carry the
 no-relationship class.
+
+A branch is defined in one place, the :data:`BRANCHES` table: the
+per-pair inputs it reads, its forward and backward pass and its
+parameters. The table's order is both the summation order of the fused
+logits and the order of :func:`trainable_params`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -23,6 +29,7 @@ from .datamodel import (
     ImageRecord,
     PredictedTriplet,
     Vocabulary,
+    atomic_write_text,
     iou,
 )
 from . import numcore
@@ -51,7 +58,7 @@ class BranchMask:
     visual_subobj: bool = True
 
     def __post_init__(self):
-        if not (self.semantic or self.spatial or self.visual_spo or self.visual_subobj):
+        if not any(astuple(self)):
             raise ValueError("at least one branch must be enabled")
 
 
@@ -122,137 +129,135 @@ def pair_proposals(record: ImageRecord) -> list[tuple[int, int]]:
 
 @dataclass
 class PairInputs:
-    """Per-pair branch inputs, stacked over N pairs."""
+    """Per-pair inputs of the enabled branches by name, stacked over N pairs."""
 
-    sem: np.ndarray | None
-    spat: np.ndarray | None
-    v_sub: np.ndarray | None
-    v_pred: np.ndarray | None
-    v_obj: np.ndarray | None
+    arrays: dict[str, np.ndarray]
     targets: np.ndarray | None = None
 
     def __len__(self) -> int:
-        for arr in (self.sem, self.spat, self.v_sub):
-            if arr is not None:
-                return arr.shape[0]
-        return 0
+        return next(iter(self.arrays.values())).shape[0]
+
+    def take(self, idx: np.ndarray) -> PairInputs:
+        """The rows ``idx`` of every input and of the targets."""
+        return PairInputs(
+            {name: arr[idx] for name, arr in self.arrays.items()},
+            None if self.targets is None else self.targets[idx],
+        )
+
+
+@dataclass(frozen=True)
+class Branch:
+    """One fusion branch: the per-pair inputs it reads and how it scores them.
+
+    ``forward(model, *inputs)`` gives the (N, P+1) logits and a cache, and
+    ``backward(model, cache, dlogits)`` one (dW, db) per ``layers(model)``.
+    """
+
+    name: str  # the BranchMask field that enables it
+    inputs: tuple[str, ...]
+    forward: Callable
+    backward: Callable = lambda model, cache, dlogits: []
+    layers: Callable = lambda model: []
+
+
+def _mlp_branch(name: str, inputs: tuple[str, ...], net: Callable) -> Branch:
+    """A branch that feeds its inputs, side by side, to the MLP ``net(model)``."""
+    return Branch(
+        name,
+        inputs,
+        lambda model, *xs: forward(net(model), np.concatenate(xs, axis=1)),
+        lambda model, cache, dlogits: numcore.backward(net(model), cache, dlogits)[0],
+        lambda model: net(model).layers,
+    )
+
+
+def _subobj_forward(model: FusionModel, v_sub: np.ndarray, v_obj: np.ndarray):
+    out = layer_forward(model.visual.sub_head, v_sub) + layer_forward(
+        model.visual.obj_head, v_obj
+    )
+    return out, (v_sub, v_obj)
+
+
+def _subobj_backward(model: FusionModel, cache, dlogits: np.ndarray):
+    return [(dlogits.T @ v, dlogits.sum(axis=0)) for v in cache]
+
+
+BRANCHES = (
+    Branch("semantic", ("sem",), lambda model, sem: (sem, None)),
+    _mlp_branch("spatial", ("spat",), lambda model: model.spatial_mlp),
+    _mlp_branch("visual_spo", ("v_sub", "v_pred", "v_obj"), lambda model: model.visual.spo_head),
+    Branch(
+        "visual_subobj",
+        ("v_sub", "v_obj"),
+        _subobj_forward,
+        _subobj_backward,
+        lambda model: [model.visual.sub_head, model.visual.obj_head],
+    ),
+)
+
+
+def _layer_params(layers) -> list[np.ndarray]:
+    return [p for layer in layers for p in (layer.weights, layer.bias)]
+
+
+def enabled_branches(mask: BranchMask) -> list[Branch]:
+    """The branches the mask switches on, in table order."""
+    return [branch for branch in BRANCHES if getattr(mask, branch.name)]
 
 
 def pair_inputs(
     model: FusionModel, record: ImageRecord, pairs: list[tuple[int, int]]
 ) -> PairInputs:
-    """Assemble the enabled branches' inputs for a list of proposals."""
-    mask = model.mask
+    """Assemble the enabled branches' inputs for a non-empty list of proposals."""
     dets = record.detections
-    sem = spat = v_sub = v_pred = v_obj = None
-    if mask.semantic:
-        sem = np.stack(
-            [semantic_logits(model.freq, dets[i].label, dets[j].label) for i, j in pairs]
-        ) if pairs else np.zeros((0, model.num_predicates + 1))
-    if mask.spatial:
-        spat = np.stack(
-            [
-                spatial_feature(dets[i].box, dets[j].box, record.width, record.height)
-                for i, j in pairs
-            ]
-        ) if pairs else np.zeros((0, 22))
-    if mask.visual_spo or mask.visual_subobj:
-        v_sub = np.stack([dets[i].feature for i, _ in pairs]) if pairs else np.zeros(
-            (0, model.feature_dim)
-        )
-        v_obj = np.stack([dets[j].feature for _, j in pairs]) if pairs else np.zeros(
-            (0, model.feature_dim)
-        )
-    if mask.visual_spo:
-        v_pred = np.stack(
-            [
-                predicate_feature(dets[i].feature, dets[j].feature, record, (i, j))
-                for i, j in pairs
-            ]
-        ) if pairs else np.zeros((0, model.feature_dim))
-    return PairInputs(sem=sem, spat=spat, v_sub=v_sub, v_pred=v_pred, v_obj=v_obj)
+    rows = {
+        "sem": lambda i, j: semantic_logits(model.freq, dets[i].label, dets[j].label),
+        "spat": lambda i, j: spatial_feature(
+            dets[i].box, dets[j].box, record.width, record.height
+        ),
+        "v_sub": lambda i, j: dets[i].feature,
+        "v_pred": lambda i, j: predicate_feature(
+            dets[i].feature, dets[j].feature, record, (i, j)
+        ),
+        "v_obj": lambda i, j: dets[j].feature,
+    }
+    arrays: dict[str, np.ndarray] = {}
+    for branch in enabled_branches(model.mask):
+        for name in branch.inputs:
+            if name not in arrays:
+                arrays[name] = np.stack([rows[name](i, j) for i, j in pairs])
+    return PairInputs(arrays)
 
 
-def _accumulate(vectors: list[np.ndarray], shape) -> np.ndarray:
+def batch_logits(model: FusionModel, inputs: PairInputs) -> tuple[np.ndarray, list]:
+    """Fused logits for a batch of pairs plus the per-branch caches backward needs."""
+    vectors: list[np.ndarray] = []
+    caches: list = []
+    for branch in enabled_branches(model.mask):
+        out, cache = branch.forward(model, *(inputs.arrays[name] for name in branch.inputs))
+        vectors.append(out)
+        caches.append(cache)
     # Right fold so that peeling branches off the front of the canonical
     # order splits the sum without any re-rounding.
-    acc = np.zeros(shape)
-    for v in reversed(vectors):
-        acc = v + acc
-    return acc
-
-
-def batch_logits(model: FusionModel, inputs: PairInputs) -> tuple[np.ndarray, dict]:
-    """Fused logits for a batch of pairs plus the caches backward needs."""
-    mask = model.mask
-    n = len(inputs)
-    vectors: list[np.ndarray] = []
-    caches: dict = {}
-    if mask.semantic:
-        vectors.append(inputs.sem)
-    if mask.spatial:
-        out, cache = forward(model.spatial_mlp, inputs.spat)
-        vectors.append(out)
-        caches["spatial"] = cache
-    if mask.visual_spo:
-        concat = np.concatenate([inputs.v_sub, inputs.v_pred, inputs.v_obj], axis=1)
-        out, cache = forward(model.visual.spo_head, concat)
-        vectors.append(out)
-        caches["spo"] = cache
-    if mask.visual_subobj:
-        vectors.append(
-            layer_forward(model.visual.sub_head, inputs.v_sub)
-            + layer_forward(model.visual.obj_head, inputs.v_obj)
-        )
-    return _accumulate(vectors, (n, model.num_predicates + 1)), caches
+    logits = np.zeros((len(inputs), model.num_predicates + 1))
+    for out in reversed(vectors):
+        logits = out + logits
+    return logits, caches
 
 
 def pair_logits(
     model: FusionModel, record: ImageRecord, pair: tuple[int, int]
 ) -> np.ndarray:
     """Fused (P+1)-vector for one ordered detection pair."""
-    i, j = pair
-    dets = record.detections
-    mask = model.mask
-    vectors: list[np.ndarray] = []
-    if mask.semantic:
-        vectors.append(semantic_logits(model.freq, dets[i].label, dets[j].label))
-    if mask.spatial:
-        feat = spatial_feature(dets[i].box, dets[j].box, record.width, record.height)
-        out, _ = forward(model.spatial_mlp, feat)
-        vectors.append(out)
-    if mask.visual_spo:
-        v_pred = predicate_feature(dets[i].feature, dets[j].feature, record, pair)
-        concat = np.concatenate([dets[i].feature, v_pred, dets[j].feature])
-        out, _ = forward(model.visual.spo_head, concat)
-        vectors.append(out)
-    if mask.visual_subobj:
-        vectors.append(
-            layer_forward(model.visual.sub_head, dets[i].feature)
-            + layer_forward(model.visual.obj_head, dets[j].feature)
-        )
-    return _accumulate(vectors, model.num_predicates + 1)
+    logits, _ = batch_logits(model, pair_inputs(model, record, [pair]))
+    return logits[0]
 
 
 def trainable_params(model: FusionModel) -> list[np.ndarray]:
     """Parameter arrays of the enabled trainable branches, canonical order."""
-    params: list[np.ndarray] = []
-    if model.mask.spatial:
-        for layer in model.spatial_mlp.layers:
-            params.extend([layer.weights, layer.bias])
-    if model.mask.visual_spo:
-        for layer in model.visual.spo_head.layers:
-            params.extend([layer.weights, layer.bias])
-    if model.mask.visual_subobj:
-        params.extend(
-            [
-                model.visual.sub_head.weights,
-                model.visual.sub_head.bias,
-                model.visual.obj_head.weights,
-                model.visual.obj_head.bias,
-            ]
-        )
-    return params
+    return _layer_params(
+        layer for branch in enabled_branches(model.mask) for layer in branch.layers(model)
+    )
 
 
 def loss_and_grads(
@@ -268,23 +273,9 @@ def loss_and_grads(
     loss = float(losses.mean())
     dlogits = dlogits / n
     grads: list[np.ndarray] = []
-    if model.mask.spatial:
-        layer_grads, _ = numcore.backward(model.spatial_mlp, caches["spatial"], dlogits)
-        for dw, db in layer_grads:
-            grads.extend([dw, db])
-    if model.mask.visual_spo:
-        layer_grads, _ = numcore.backward(model.visual.spo_head, caches["spo"], dlogits)
-        for dw, db in layer_grads:
-            grads.extend([dw, db])
-    if model.mask.visual_subobj:
-        grads.extend(
-            [
-                dlogits.T @ inputs.v_sub,
-                dlogits.sum(axis=0),
-                dlogits.T @ inputs.v_obj,
-                dlogits.sum(axis=0),
-            ]
-        )
+    for branch, cache in zip(enabled_branches(model.mask), caches):
+        for dw_db in branch.backward(model, cache, dlogits):
+            grads.extend(dw_db)
     return loss, grads
 
 
@@ -340,30 +331,38 @@ def build_training_inputs(
     if total_positives == 0:
         raise DataError("no positive training pairs: detections never match ground truth")
 
-    def cat(pick):
-        arrays = [pick(p) for p in per_record]
-        return np.concatenate(arrays) if arrays[0] is not None else None
-
     return PairInputs(
-        sem=cat(lambda p: p.sem),
-        spat=cat(lambda p: p.spat),
-        v_sub=cat(lambda p: p.v_sub),
-        v_pred=cat(lambda p: p.v_pred),
-        v_obj=cat(lambda p: p.v_obj),
+        {
+            name: np.concatenate([p.arrays[name] for p in per_record])
+            for name in per_record[0].arrays
+        },
         targets=np.concatenate([p.targets for p in per_record]),
     )
 
 
-def _slice_inputs(inputs: PairInputs, idx: np.ndarray) -> PairInputs:
-    take = lambda a: None if a is None else a[idx]
-    return PairInputs(
-        sem=take(inputs.sem),
-        spat=take(inputs.spat),
-        v_sub=take(inputs.v_sub),
-        v_pred=take(inputs.v_pred),
-        v_obj=take(inputs.v_obj),
-        targets=take(inputs.targets),
-    )
+def _sgd_epochs(
+    step, n: int, params: list[np.ndarray], cfg: TrainConfig, rng: np.random.Generator, what: str
+) -> list[float]:
+    """Shuffled mini-batch momentum SGD; returns the per-epoch mean loss.
+
+    ``step(idx)`` gives the mean loss of examples ``idx`` and its gradients
+    aligned with ``params``; ``what`` names the loss if it turns non-finite.
+    """
+    state = OptimizerState(learning_rate=cfg.learning_rate, momentum=cfg.momentum)
+    history: list[float] = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            loss, grads = step(idx)
+            if not np.isfinite(loss):
+                raise NumericError(f"{what} loss became non-finite ({loss})")
+            epoch_loss += loss * len(idx)
+            if params:
+                sgd_step(params, grads, state)
+        history.append(epoch_loss / n)
+    return history
 
 
 def train(
@@ -376,22 +375,11 @@ def train(
     """
     rng = np.random.default_rng(cfg.seed)
     inputs = build_training_inputs(model, dataset, cfg, rng)
-    n = len(inputs)
-    params = trainable_params(model)
-    state = OptimizerState(learning_rate=cfg.learning_rate, momentum=cfg.momentum)
-    history: list[float] = []
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            batch = _slice_inputs(inputs, order[start : start + cfg.batch_size])
-            loss, grads = loss_and_grads(model, batch)
-            if not np.isfinite(loss):
-                raise NumericError(f"training loss became non-finite ({loss})")
-            epoch_loss += loss * len(batch)
-            if params:
-                sgd_step(params, grads, state)
-        history.append(epoch_loss / n)
+
+    def step(idx):
+        return loss_and_grads(model, inputs.take(idx))
+
+    history = _sgd_epochs(step, len(inputs), trainable_params(model), cfg, rng, "training")
     return model, history
 
 
@@ -514,28 +502,14 @@ def train_attribute_head(
     """Separate single-object training pass for the attribute classifier."""
     rng = np.random.default_rng(cfg.seed)
     feats, targets = _attribute_examples(dataset)
-    n = feats.shape[0]
-    params: list[np.ndarray] = []
-    for layer in head.mlp.layers:
-        params.extend([layer.weights, layer.bias])
-    state = OptimizerState(learning_rate=cfg.learning_rate, momentum=cfg.momentum)
-    history: list[float] = []
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            out, cache = forward(head.mlp, feats[idx])
-            losses, dlogits = numcore.softmax_xent(out, targets[idx])
-            loss = float(losses.mean())
-            if not np.isfinite(loss):
-                raise NumericError(f"attribute loss became non-finite ({loss})")
-            epoch_loss += loss * len(idx)
-            layer_grads, _ = numcore.backward(head.mlp, cache, dlogits / len(idx))
-            grads = [g for dw_db in layer_grads for g in dw_db]
-            sgd_step(params, grads, state)
-        history.append(epoch_loss / n)
-    return history
+
+    def step(idx):
+        out, cache = forward(head.mlp, feats[idx])
+        losses, dlogits = numcore.softmax_xent(out, targets[idx])
+        layer_grads, _ = numcore.backward(head.mlp, cache, dlogits / len(idx))
+        return float(losses.mean()), [g for dw_db in layer_grads for g in dw_db]
+
+    return _sgd_epochs(step, feats.shape[0], _layer_params(head.mlp.layers), cfg, rng, "attribute")
 
 
 def predict_attributes(
@@ -553,21 +527,12 @@ def predict_attributes(
 # --- checkpoint and prediction files ----------------------------------------
 
 
-def _mask_to_json(mask: BranchMask) -> dict:
-    return {
-        "semantic": mask.semantic,
-        "spatial": mask.spatial,
-        "visual_spo": mask.visual_spo,
-        "visual_subobj": mask.visual_subobj,
-    }
-
-
 def save_checkpoint(model: FusionModel, path: str | os.PathLike) -> None:
     payload = {
         "format": CHECKPOINT_FORMAT,
         "vocab_hash": model.vocab_hash,
         "feature_dim": model.feature_dim,
-        "branch_mask": _mask_to_json(model.mask),
+        "branch_mask": asdict(model.mask),
         "frequency": table_to_json(model.freq),
         "spatial_mlp": numcore.mlp_to_json(model.spatial_mlp),
         "visual": {
@@ -579,11 +544,7 @@ def save_checkpoint(model: FusionModel, path: str | os.PathLike) -> None:
             numcore.mlp_to_json(model.attribute_head.mlp) if model.attribute_head else None
         ),
     }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path: str | os.PathLike) -> FusionModel:
@@ -631,10 +592,7 @@ def save_predictions(
         if is_triplets and image_id in is_triplets:
             row["is_triplets"] = is_triplets[image_id]
         lines.append(json.dumps(row))
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("".join(line + "\n" for line in lines))
-    os.replace(tmp, path)
+    atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
 def load_predictions(path: str | os.PathLike) -> dict[str, list[PredictedTriplet]]:

@@ -117,6 +117,25 @@ def _greedy_matched(
     return hits
 
 
+def _mean_recall(
+    predictions: dict[str, list[PredictedTriplet]],
+    ground_truth: dict[str, list[ResolvedTriplet]],
+    k: int,
+    k_per_pair: int | None,
+    spec: MatchSpec,
+) -> float:
+    """Mean per-image recall of the top k, after a per-pair budget unless None."""
+    recalls = []
+    for image_id, gts in ground_truth.items():
+        if not gts:
+            continue
+        preds = _sorted_desc(predictions.get(image_id, []))
+        if k_per_pair is not None:
+            preds = _per_pair_topk(preds, k_per_pair)
+        recalls.append(_greedy_matched(preds[:k], gts, spec) / len(gts))
+    return sum(recalls) / len(recalls) if recalls else 0.0
+
+
 def recall_at_k(
     predictions: dict[str, list[PredictedTriplet]],
     ground_truth: dict[str, list[ResolvedTriplet]],
@@ -126,15 +145,9 @@ def recall_at_k(
     """Mean per-image fraction of ground-truth triplets found in the top k."""
     if k <= 0:
         raise ValueError("k must be positive")
-    recalls = []
-    for image_id, gts in ground_truth.items():
-        if not gts:
-            continue
-        preds = _sorted_desc(predictions.get(image_id, []))
-        if spec.graph_constraint:
-            preds = _per_pair_topk(preds, 1)
-        recalls.append(_greedy_matched(preds[:k], gts, spec) / len(gts))
-    return sum(recalls) / len(recalls) if recalls else 0.0
+    return _mean_recall(
+        predictions, ground_truth, k, 1 if spec.graph_constraint else None, spec
+    )
 
 
 def vrd_recall(
@@ -162,13 +175,7 @@ def vrd_recall(
         )
     if not isinstance(k_per_pair, int) or k_per_pair < 1:
         raise ValueError(f"k_per_pair must be a positive integer or 'free', got {k_per_pair!r}")
-    recalls = []
-    for image_id, gts in ground_truth.items():
-        if not gts:
-            continue
-        preds = _per_pair_topk(_sorted_desc(predictions.get(image_id, [])), k_per_pair)
-        recalls.append(_greedy_matched(preds[:k], gts, spec) / len(gts))
-    return sum(recalls) / len(recalls) if recalls else 0.0
+    return _mean_recall(predictions, ground_truth, k, k_per_pair, spec)
 
 
 def average_precision(

@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 from .datamodel import Box, union_box
-from .numcore import Mlp, forward
 
 SPATIAL_DIM = 22
 
@@ -65,11 +64,3 @@ def spatial_feature(b_sub: Box, b_obj: Box, width: float, height: float) -> np.n
             normalized_coords(b_obj, width, height),
         ]
     )
-
-
-def spatial_logits(mlp: Mlp, feature: np.ndarray) -> np.ndarray:
-    """Predicate logits from the spatial MLP; accepts one feature or a batch."""
-    if mlp.in_dim != SPATIAL_DIM:
-        raise ValueError(f"spatial mlp input dim {mlp.in_dim} != {SPATIAL_DIM}")
-    out, _ = forward(mlp, feature)
-    return out

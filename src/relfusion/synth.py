@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .datamodel import (
     GtObject,
     ImageRecord,
     Vocabulary,
+    atomic_write_text,
 )
 
 IMAGE_SIZE = 1000
@@ -395,58 +396,23 @@ def bayes_accuracy(oracle: OracleTables, dataset: list[ImageRecord]) -> float:
 
 
 def save_oracle(oracle: OracleTables, path: str | os.PathLike) -> None:
-    payload = {
-        "num_classes": oracle.num_classes,
-        "num_predicates": oracle.num_predicates,
-        "feature_dim": oracle.feature_dim,
-        "semantic_signal": oracle.semantic_signal,
-        "spatial_signal": oracle.spatial_signal,
-        "visual_signal": oracle.visual_signal,
-        "noise": oracle.noise,
-        "rule_weight": oracle.rule_weight,
-        "appearance_weight": oracle.appearance_weight,
-        "existence_weight": oracle.existence_weight,
-        "on_class": oracle.on_class,
-        "under_class": oracle.under_class,
-        "table": oracle.table.tolist() if oracle.table is not None else None,
-        "cluster_means": (
-            oracle.cluster_means.tolist() if oracle.cluster_means is not None else None
-        ),
-        "sub_weights": oracle.sub_weights.tolist() if oracle.sub_weights is not None else None,
-        "obj_weights": oracle.obj_weights.tolist() if oracle.obj_weights is not None else None,
-        "exist_sub": oracle.exist_sub.tolist() if oracle.exist_sub is not None else None,
-        "exist_obj": oracle.exist_obj.tolist() if oracle.exist_obj is not None else None,
-        "attr_means": oracle.attr_means.tolist() if oracle.attr_means is not None else None,
-    }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    payload = {}
+    for f in fields(OracleTables):
+        value = getattr(oracle, f.name)
+        payload[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    atomic_write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_oracle(path: str | os.PathLike) -> OracleTables:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    arr = lambda x: np.asarray(x, dtype=np.float64) if x is not None else None
-    return OracleTables(
-        num_classes=raw["num_classes"],
-        num_predicates=raw["num_predicates"],
-        feature_dim=raw["feature_dim"],
-        semantic_signal=raw["semantic_signal"],
-        spatial_signal=raw["spatial_signal"],
-        visual_signal=raw["visual_signal"],
-        noise=raw["noise"],
-        rule_weight=raw["rule_weight"],
-        appearance_weight=raw.get("appearance_weight", 0.0),
-        existence_weight=raw.get("existence_weight", 0.0),
-        table=arr(raw["table"]),
-        cluster_means=arr(raw["cluster_means"]),
-        sub_weights=arr(raw.get("sub_weights")),
-        obj_weights=arr(raw.get("obj_weights")),
-        exist_sub=arr(raw.get("exist_sub")),
-        exist_obj=arr(raw.get("exist_obj")),
-        attr_means=arr(raw["attr_means"]),
-        on_class=raw["on_class"],
-        under_class=raw["under_class"],
-    )
+    # Keys that older files lack keep the field default.
+    values = {}
+    for f in fields(OracleTables):
+        if f.name not in raw:
+            continue
+        value = raw[f.name]
+        if isinstance(value, list):
+            value = np.asarray(value, dtype=np.float64)
+        values[f.name] = value
+    return OracleTables(**values)

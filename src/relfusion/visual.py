@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import ImageRecord
-from .numcore import DenseLayer, Mlp, forward, init_layer, init_mlp, layer_forward
+from .numcore import DenseLayer, Mlp, init_layer, init_mlp
 
 
 @dataclass
@@ -77,21 +77,3 @@ def predicate_feature(
     if provided is not None:
         return provided
     return 0.5 * (v_sub + v_obj)
-
-
-def visual_logits(
-    branch: VisualBranch,
-    v_sub: np.ndarray,
-    v_pred: np.ndarray,
-    v_obj: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three separate logit vectors (spo, sub, obj); summing happens at fusion."""
-    concat = np.concatenate([v_sub, v_pred, v_obj], axis=-1)
-    spo, _ = forward(branch.spo_head, concat)
-    return spo, layer_forward(branch.sub_head, v_sub), layer_forward(branch.obj_head, v_obj)
-
-
-def attribute_logits(head: AttributeHead, v: np.ndarray) -> np.ndarray:
-    """Attribute logits for one object feature (or a batch of them)."""
-    out, _ = forward(head.mlp, v)
-    return out

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from relfusion.datamodel import (
     Box,
     DataError,
     Vocabulary,
+    atomic_write_text,
     iou,
     load_dataset,
     load_vocabulary,
@@ -98,6 +101,32 @@ class TestVocabulary:
         loaded = load_vocabulary(tmp_path / "vocab.json")
         assert loaded == v
         assert loaded.digest() == v.digest()
+
+
+class TestAtomicWriteText:
+    def test_temp_name_is_not_shared(self, tmp_path):
+        # A directory at the once-fixed temp name "{path}.tmp" must not matter.
+        path = tmp_path / "out.txt"
+        (tmp_path / "out.txt.tmp").mkdir()
+        atomic_write_text(path, "new\n")
+        assert path.read_text() == "new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "out.txt.tmp"]
+
+    def test_failed_write_keeps_old_file_and_removes_temp(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(path, "\ud800")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_mode_is_that_of_a_plain_open(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            atomic_write_text(tmp_path / "out.txt", "x")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "out.txt").st_mode) == 0o640
 
 
 def _valid_line(image_id="a", dim=3):

@@ -19,7 +19,6 @@ from relfusion.spatial import (
     box_delta,
     normalized_coords,
     spatial_feature,
-    spatial_logits,
 )
 
 from util import box, random_box
@@ -148,18 +147,19 @@ class TestSpatialLogits:
         mlp.layers[-1].weights[:] = 0.0
         mlp.layers[-1].bias[:] = 0.0
         feat = spatial_feature(box(0, 0, 10, 10), box(5, 5, 20, 20), 50, 50)
-        assert np.array_equal(spatial_logits(mlp, feat), np.zeros(5))
+        assert np.array_equal(forward(mlp, feat)[0], np.zeros(5))
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         mlp = init_mlp([22, 16, 4], rng)
         feat = spatial_feature(box(0, 0, 10, 10), box(5, 5, 20, 20), 50, 50)
-        assert np.array_equal(spatial_logits(mlp, feat), spatial_logits(mlp, feat))
+        assert np.array_equal(forward(mlp, feat)[0], forward(mlp, feat)[0])
 
     def test_wrong_input_dim_rejected(self):
         mlp = init_mlp([21, 4], np.random.default_rng(6))
+        feat = spatial_feature(box(0, 0, 10, 10), box(5, 5, 20, 20), 50, 50)
         with pytest.raises(ValueError):
-            spatial_logits(mlp, np.zeros(21))
+            forward(mlp, feat)
 
     def test_swapping_boxes_flips_learned_vertical_relation(self):
         """Train on above->class1 / below->class2; swapping must flip."""
@@ -189,8 +189,8 @@ class TestSpatialLogits:
         trials = 50
         for _ in range(trials):
             top, bottom = sample_pair()
-            up = spatial_logits(mlp, spatial_feature(top, bottom, 120, 120))
-            down = spatial_logits(mlp, spatial_feature(bottom, top, 120, 120))
+            up, _ = forward(mlp, spatial_feature(top, bottom, 120, 120))
+            down, _ = forward(mlp, spatial_feature(bottom, top, 120, 120))
             if np.argmax(up[1:]) == 0 and np.argmax(down[1:]) == 1:
                 flips += 1
         assert flips >= int(0.9 * trials)

@@ -1,17 +1,12 @@
 """Visual heads over precomputed ROI features, plus the attribute head."""
 
 import numpy as np
+import pytest
 
 from relfusion.fusion import TrainConfig, train_attribute_head, predict_attributes
-from relfusion.numcore import fd_gradient, softmax
+from relfusion.numcore import NumericError, fd_gradient, forward, layer_forward, softmax
 from relfusion.synth import SynthConfig, generate
-from relfusion.visual import (
-    attribute_logits,
-    init_attribute_head,
-    init_visual_branch,
-    predicate_feature,
-    visual_logits,
-)
+from relfusion.visual import init_attribute_head, init_visual_branch, predicate_feature
 
 from util import make_record
 
@@ -27,6 +22,12 @@ def _spo_oracle(branch, v):
     return h
 
 
+def _head_logits(branch, v_sub, v_pred, v_obj):
+    """The three heads' separate logit vectors (spo, sub, obj)."""
+    spo, _ = forward(branch.spo_head, np.concatenate([v_sub, v_pred, v_obj]))
+    return spo, layer_forward(branch.sub_head, v_sub), layer_forward(branch.obj_head, v_obj)
+
+
 class TestVisualLogits:
     def test_zero_weights_zero_logits(self):
         branch = init_visual_branch(4, 3, np.random.default_rng(0), spo_hidden=(6, 6))
@@ -35,7 +36,7 @@ class TestVisualLogits:
             mlp_layer.bias[:] = 0
         branch.sub_head.weights[:] = 0
         branch.obj_head.weights[:] = 0
-        spo, sub, obj = visual_logits(branch, np.ones(4), np.ones(4), np.ones(4))
+        spo, sub, obj = _head_logits(branch, np.ones(4), np.ones(4), np.ones(4))
         assert np.array_equal(spo, np.zeros(4))
         assert np.array_equal(sub, np.zeros(4))
         assert np.array_equal(obj, np.zeros(4))
@@ -44,23 +45,23 @@ class TestVisualLogits:
         rng = np.random.default_rng(1)
         branch = init_visual_branch(5, 4, rng, spo_hidden=(8, 8))
         v_s, v_p = rng.normal(size=5), rng.normal(size=5)
-        _, sub_a, _ = visual_logits(branch, v_s, v_p, rng.normal(size=5))
-        _, sub_b, _ = visual_logits(branch, v_s, v_p, rng.normal(size=5))
+        _, sub_a, _ = _head_logits(branch, v_s, v_p, rng.normal(size=5))
+        _, sub_b, _ = _head_logits(branch, v_s, v_p, rng.normal(size=5))
         assert np.array_equal(sub_a, sub_b)
 
     def test_obj_head_ignores_subject_feature(self):
         rng = np.random.default_rng(2)
         branch = init_visual_branch(5, 4, rng, spo_hidden=(8, 8))
         v_p, v_o = rng.normal(size=5), rng.normal(size=5)
-        _, _, obj_a = visual_logits(branch, rng.normal(size=5), v_p, v_o)
-        _, _, obj_b = visual_logits(branch, rng.normal(size=5), v_p, v_o)
+        _, _, obj_a = _head_logits(branch, rng.normal(size=5), v_p, v_o)
+        _, _, obj_b = _head_logits(branch, rng.normal(size=5), v_p, v_o)
         assert np.array_equal(obj_a, obj_b)
 
     def test_spo_matches_independent_oracle(self):
         rng = np.random.default_rng(3)
         branch = init_visual_branch(6, 5, rng, spo_hidden=(10, 7))
         v_s, v_p, v_o = rng.normal(size=(3, 6))
-        spo, _, _ = visual_logits(branch, v_s, v_p, v_o)
+        spo, _, _ = _head_logits(branch, v_s, v_p, v_o)
         assert np.allclose(spo, _spo_oracle(branch, np.concatenate([v_s, v_p, v_o])), atol=1e-12)
 
     def test_separability_by_finite_differences(self):
@@ -70,12 +71,12 @@ class TestVisualLogits:
         v_o = rng.normal(size=4)
 
         def sub_component():
-            return float(visual_logits(branch, v_s, v_p, v_o)[1][0])
+            return float(_head_logits(branch, v_s, v_p, v_o)[1][0])
 
         assert np.all(fd_gradient(sub_component, v_o) == 0.0)
 
         def obj_component():
-            return float(visual_logits(branch, v_s, v_p, v_o)[2][0])
+            return float(_head_logits(branch, v_s, v_p, v_o)[2][0])
 
         assert np.all(fd_gradient(obj_component, v_s) == 0.0)
 
@@ -104,12 +105,12 @@ class TestAttributeHead:
         for layer in head.mlp.layers:
             layer.weights[:] = 0
             layer.bias[:] = 0
-        assert np.array_equal(attribute_logits(head, np.ones(4)), np.zeros(3))
+        assert np.array_equal(forward(head.mlp, np.ones(4))[0], np.zeros(3))
 
     def test_softmax_normalizes(self):
         rng = np.random.default_rng(6)
         head = init_attribute_head(4, 5, rng)
-        probs = softmax(attribute_logits(head, rng.normal(size=4)))
+        probs = softmax(forward(head.mlp, rng.normal(size=4))[0])
         assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_trained_accuracy_beats_majority(self):
@@ -128,3 +129,12 @@ class TestAttributeHead:
                 total += 1
         majority = counts.max() / total
         assert hits / total > majority
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_the_attribute_loss(self):
+        cfg = SynthConfig(seed=5, num_images=20)
+        result = generate(cfg)
+        head = init_attribute_head(cfg.feature_dim, cfg.num_attributes, np.random.default_rng(5))
+        diverging = TrainConfig(seed=5, epochs=12, learning_rate=1e9)
+        with pytest.raises(NumericError, match="attribute loss"):
+            train_attribute_head(head, result.train, diverging)

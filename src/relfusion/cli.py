@@ -1,9 +1,9 @@
 """Command-line front end: gen-synth, train, predict, eval, ablate.
 
-Every subcommand is a thin wrapper over the library calls. Flags may be
-preloaded from a JSON config file via --config; explicitly passed flags
-win. Exit codes: 0 success, 1 usage error, 2 data validation error,
-3 numeric failure.
+Every subcommand is a thin wrapper over the library calls. A JSON config
+file (--config) sets the chosen subcommand's flag defaults: its values
+are parsed like flags, and explicitly passed flags win. Exit codes:
+0 success, 1 usage error, 2 data validation error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .datamodel import (
     atomic_write_text,
     load_dataset,
     load_vocabulary,
+    read_json,
     save_dataset,
     save_vocabulary,
 )
@@ -72,16 +73,9 @@ def parse_branches(text: str) -> BranchMask:
     return BranchMask(**fields)
 
 
-def _parse_k_per_pair(text: str):
-    if text == "free":
-        return "free"
-    try:
-        value = int(text)
-    except ValueError:
-        raise UsageError(f"--k-per-pair expects an integer or 'free', got {text!r}")
-    if value < 1:
-        raise UsageError("--k-per-pair must be at least 1")
-    return value
+def k_per_pair(text: str):
+    """The --k-per-pair type: 'free' or an integer; MatchSpec checks the range."""
+    return text if text == "free" else int(text)
 
 
 def _add_train_flags(sub):
@@ -147,7 +141,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--out", required=True, help="report JSON path")
     ev.add_argument("--mode", choices=("prdcls", "sgcls", "sgdet"), default="sgdet")
     ev.add_argument("--graph-constraint", choices=("on", "off"), default="off")
-    ev.add_argument("--k-per-pair", default=None, help="per-pair budget: integer or 'free'")
+    ev.add_argument("--k-per-pair", type=k_per_pair, help="per-pair budget: integer or 'free'")
     ev.add_argument("--iou-threshold", type=float, default=0.5)
 
     ab = subs.add_parser("ablate", help="train and score the four branch configurations")
@@ -160,20 +154,31 @@ def build_parser() -> _Parser:
     ab.add_argument("--top-n", type=int, default=100)
     ab.add_argument("--graph-constraint", choices=("on", "off"), default="off")
     _add_train_flags(ab)
+    parser.subcommands = subs.choices  # name -> subparser, for --config
     return parser
 
 
-def _apply_config(args: argparse.Namespace, config_path: str, argv: list[str]) -> None:
-    with open(config_path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise UsageError(f"{config_path}: config file must hold a JSON object")
+def _apply_config(parser: _Parser, args: argparse.Namespace, argv: list[str]):
+    """Parse argv again with the config file's values as the subcommand's defaults.
+
+    So explicit flags win and every value goes through its flag's type. A
+    key that is not one of the subcommand's flags (``command`` and
+    ``config`` included) is a usage error.
+    """
+    try:
+        config = read_json(args.config)
+    except DataError as exc:
+        raise UsageError(f"config {exc}") from exc
+    flags = set(vars(args)) - {"command", "config"}
     for key, value in config.items():
-        flag = "--" + key.replace("_", "-")
-        if not hasattr(args, key):
-            raise UsageError(f"{config_path}: unknown config key {key!r}")
-        if flag not in argv:
-            setattr(args, key, value)
+        if key not in flags:
+            raise UsageError(f"{args.config}: {key!r} is not a flag of {args.command}")
+        if not isinstance(value, (str, int, float)):  # bool is an int
+            raise UsageError(f"{args.config}: {key!r} must be a string, number or boolean")
+    # argparse applies a flag's type to string defaults only.
+    defaults = {k: str(v) if type(v) in (int, float) else v for k, v in config.items()}
+    parser.subcommands[args.command].set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def cmd_gen_synth(args) -> int:
@@ -287,7 +292,7 @@ def cmd_eval(args) -> int:
     spec = MatchSpec(
         iou_threshold=args.iou_threshold,
         graph_constraint=args.graph_constraint == "on",
-        k_per_pair=_parse_k_per_pair(args.k_per_pair) if args.k_per_pair else None,
+        k_per_pair=args.k_per_pair,
     )
     report = evaluate(predictions, dataset, vocab, mode=args.mode, spec=spec)
     atomic_write_text(args.out, json.dumps(report.to_json(vocab), indent=2) + "\n")
@@ -355,21 +360,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            _apply_config(args, args.config, argv)
+            args = _apply_config(parser, args, argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
+    except DataError as exc:  # a ValueError, so caught first
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (UsageError, FileNotFoundError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

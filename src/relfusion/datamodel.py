@@ -217,9 +217,34 @@ class Vocabulary:
 NO_RELATIONSHIP = "__no_rel__"
 
 
-def load_vocabulary(path: str | os.PathLike) -> Vocabulary:
+def _decode_object(text: str, path, line: int) -> dict:
+    """One JSON object whose text starts on ``line`` of ``path``."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}:{line + exc.lineno - 1}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(raw, dict):
+        raise DataError(f"{path}:{line}: expected a JSON object")
+    return raw
+
+
+def read_json(path: str | os.PathLike) -> dict:
+    """A JSON object file; malformed content is a DataError naming the line."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        return _decode_object(fh.read(), path, 1)
+
+
+def read_jsonl(path: str | os.PathLike):
+    """Yield (line number, object) for each non-blank line of a JSONL file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line:
+                yield lineno, _decode_object(line, path, lineno)
+
+
+def load_vocabulary(path: str | os.PathLike) -> Vocabulary:
+    raw = read_json(path)
     try:
         return Vocabulary(
             object_classes=tuple(raw["objects"]),
@@ -266,6 +291,7 @@ def _parse_box(raw, where: str) -> Box:
 
 
 def _parse_feature(raw, expected_dim: int | None, where: str) -> np.ndarray:
+    """A finite flat feature, of length ``expected_dim`` unless that is None."""
     feat = np.asarray(raw, dtype=np.float64)
     if feat.ndim != 1:
         raise DataError(f"{where}: feature must be a flat list")
@@ -298,8 +324,7 @@ def _parse_record(raw: dict, vocab: Vocabulary, feature_dim: int | None) -> tupl
     for i, d in enumerate(raw.get("detections", [])):
         box = _parse_box(d.get("box"), f"{where} detection {i}")
         feat = _parse_feature(d.get("feature"), feature_dim, f"{where} detection {i}")
-        if feature_dim is None:
-            feature_dim = feat.shape[0]
+        feature_dim = feat.shape[0]
         label = d.get("label")
         if not isinstance(label, int) or not (0 <= label < num_objects):
             raise DataError(f"{where} detection {i}: label {label!r} outside vocabulary")
@@ -319,8 +344,7 @@ def _parse_record(raw: dict, vocab: Vocabulary, feature_dim: int | None) -> tupl
         feat = None
         if g.get("feature") is not None:
             feat = _parse_feature(g["feature"], feature_dim, f"{where} gt box {i}")
-            if feature_dim is None:
-                feature_dim = feat.shape[0]
+            feature_dim = feat.shape[0]
         if box.is_degenerate():
             zero_area += 1
         gt_boxes.append(GtObject(label=label, box=box, feature=feat))
@@ -357,8 +381,7 @@ def _parse_record(raw: dict, vocab: Vocabulary, feature_dim: int | None) -> tupl
         if not (0 <= sub < len(detections)) or not (0 <= obj < len(detections)) or sub == obj:
             raise DataError(f"{where} pair feature {i}: invalid detection pair ({sub}, {obj})")
         feat = _parse_feature(p.get("feature"), feature_dim, f"{where} pair feature {i}")
-        if feature_dim is None:
-            feature_dim = feat.shape[0]
+        feature_dim = feat.shape[0]
         pair_features[(sub, obj)] = feat
 
     if zero_area:
@@ -386,20 +409,12 @@ def load_dataset(path: str | os.PathLike, vocab: Vocabulary) -> list[ImageRecord
     """
     records = []
     feature_dim: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            try:
-                record, feature_dim = _parse_record(raw, vocab, feature_dim)
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            records.append(record)
+    for lineno, raw in read_jsonl(path):
+        try:
+            record, feature_dim = _parse_record(raw, vocab, feature_dim)
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        records.append(record)
     return records
 
 

@@ -31,11 +31,13 @@ from .datamodel import (
     Vocabulary,
     atomic_write_text,
     iou,
+    read_json,
+    read_jsonl,
 )
 from . import numcore
 from .numcore import Mlp, NumericError, OptimizerState, forward, layer_forward, sgd_step, softmax
 from .semantic import FrequencyTable, semantic_logits, table_from_json, table_to_json
-from .spatial import spatial_feature
+from .spatial import SPATIAL_DIM, spatial_feature
 from .visual import (
     AttributeHead,
     VisualBranch,
@@ -70,7 +72,6 @@ class TrainConfig:
     momentum: float = 0.9
     negative_ratio: float = 3.0
     seed: int = 0
-    iou_threshold: float = 0.5
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size <= 0:
@@ -110,7 +111,7 @@ def init_fusion_model(
 ) -> FusionModel:
     """Randomly initialize the trainable branches around a fitted prior."""
     out = freq.num_predicates + 1
-    spatial_mlp = numcore.init_mlp([22, *spatial_hidden, out], rng)
+    spatial_mlp = numcore.init_mlp([SPATIAL_DIM, *spatial_hidden, out], rng)
     visual = init_visual_branch(feature_dim, freq.num_predicates, rng, spo_hidden)
     return FusionModel(
         freq=freq,
@@ -312,7 +313,7 @@ def build_training_inputs(
     per_record: list[PairInputs] = []
     total_positives = 0
     for record in dataset:
-        positives = match_positive_pairs(record, cfg.iou_threshold)
+        positives = match_positive_pairs(record)
         total_positives += len(positives)
         matched = {pair for pair, _ in positives}
         unmatched = [p for p in pair_proposals(record) if p not in matched]
@@ -548,23 +549,25 @@ def save_checkpoint(model: FusionModel, path: str | os.PathLike) -> None:
 
 
 def load_checkpoint(path: str | os.PathLike) -> FusionModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     if raw.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     attr = raw.get("attribute_head")
-    return FusionModel(
-        freq=table_from_json(raw["frequency"]),
-        spatial_mlp=numcore.mlp_from_json(raw["spatial_mlp"]),
-        visual=VisualBranch(
-            spo_head=numcore.mlp_from_json(raw["visual"]["spo_head"]),
-            sub_head=numcore.layer_from_json(raw["visual"]["sub_head"]),
-            obj_head=numcore.layer_from_json(raw["visual"]["obj_head"]),
-        ),
-        mask=BranchMask(**raw["branch_mask"]),
-        vocab_hash=raw["vocab_hash"],
-        attribute_head=AttributeHead(numcore.mlp_from_json(attr)) if attr else None,
-    )
+    try:
+        return FusionModel(
+            freq=table_from_json(raw["frequency"]),
+            spatial_mlp=numcore.mlp_from_json(raw["spatial_mlp"]),
+            visual=VisualBranch(
+                spo_head=numcore.mlp_from_json(raw["visual"]["spo_head"]),
+                sub_head=numcore.layer_from_json(raw["visual"]["sub_head"]),
+                obj_head=numcore.layer_from_json(raw["visual"]["obj_head"]),
+            ),
+            mask=BranchMask(**raw["branch_mask"]),
+            vocab_hash=raw["vocab_hash"],
+            attribute_head=AttributeHead(numcore.mlp_from_json(attr)) if attr else None,
+        )
+    except KeyError as exc:
+        raise DataError(f"checkpoint file {path} missing key {exc}") from exc
 
 
 def save_predictions(
@@ -597,26 +600,18 @@ def save_predictions(
 
 def load_predictions(path: str | os.PathLike) -> dict[str, list[PredictedTriplet]]:
     out: dict[str, list[PredictedTriplet]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            triplets = []
-            for t in raw.get("triplets", []):
-                triplets.append(
-                    PredictedTriplet(
-                        sub_box=Box(*[float(v) for v in t["sub_box"]]),
-                        sub_label=int(t["sub_label"]),
-                        predicate=int(t["predicate"]),
-                        obj_box=Box(*[float(v) for v in t["obj_box"]]),
-                        obj_label=int(t["obj_label"]),
-                        score=float(t["score"]),
-                    )
+    for _, raw in read_jsonl(path):
+        triplets = []
+        for t in raw.get("triplets", []):
+            triplets.append(
+                PredictedTriplet(
+                    sub_box=Box(*[float(v) for v in t["sub_box"]]),
+                    sub_label=int(t["sub_label"]),
+                    predicate=int(t["predicate"]),
+                    obj_box=Box(*[float(v) for v in t["obj_box"]]),
+                    obj_label=int(t["obj_label"]),
+                    score=float(t["score"]),
                 )
-            out[raw["image_id"]] = triplets
+            )
+        out[raw["image_id"]] = triplets
     return out

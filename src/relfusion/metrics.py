@@ -6,13 +6,13 @@ Matching rules, pinned so results are reproducible bit for bit:
   and both boxes overlap their counterparts with IoU >= threshold
   (inclusive). Phrase-mode matching replaces the two box tests with one
   IoU test on the enclosing boxes.
-- Matching is greedy in score order; each ground-truth triplet is
-  consumed at most once; a prediction takes the first unmatched
-  ground-truth entry (annotation order) it can match.
-- The graph constraint keeps only the highest-scoring predicate per
-  ordered localization pair (same subject box+label and object
-  box+label); the variable-k protocol generalizes this to the top k
-  predicates per pair, and free-k reports the best fixed k in 1..P.
+- One greedy matcher serves R@K, free-k and both AP box modes: in score
+  order (stable), each prediction takes the first unmatched ground-truth
+  entry (annotation order) it can match, and consumes that entry.
+- The variable-k protocol keeps the top k predicates per ordered
+  localization pair (same subject box+label and object box+label);
+  free-k reports the best fixed k in 1..P. The graph constraint is the
+  per-pair budget 1, so it takes no other budget.
 - Average precision integrates the precision envelope over all recall
   points; predicates without ground truth are excluded from the mean.
 """
@@ -47,6 +47,8 @@ class MatchSpec:
             raise ValueError("k per pair must be >= 1")
         if isinstance(self.k_per_pair, str) and self.k_per_pair != "free":
             raise ValueError("k per pair must be an integer or 'free'")
+        if self.graph_constraint and self.k_per_pair is not None:
+            raise ValueError("the graph constraint is the per-pair budget 1; set no k per pair")
 
 
 def triplet_match(pred: PredictedTriplet, gt: ResolvedTriplet, spec: MatchSpec) -> bool:
@@ -70,11 +72,6 @@ def _phrase_match(pred: PredictedTriplet, gt: ResolvedTriplet, spec: MatchSpec) 
     )
 
 
-def _sorted_desc(predictions: list[PredictedTriplet]) -> list[PredictedTriplet]:
-    # Stable, so the caller-provided order breaks score ties.
-    return sorted(predictions, key=lambda t: -t.score)
-
-
 def _pair_key(t: PredictedTriplet):
     return (
         t.sub_label,
@@ -90,29 +87,34 @@ def _pair_key(t: PredictedTriplet):
     )
 
 
-def _per_pair_topk(sorted_preds: list[PredictedTriplet], k: int) -> list[PredictedTriplet]:
-    """Keep at most k predicates per ordered localization pair identity."""
+def _ranked(preds: list[PredictedTriplet], budget: int | None) -> list[PredictedTriplet]:
+    """Descending score, at most ``budget`` predicates per pair (None keeps all)."""
+    # Stable, so the caller-provided order breaks score ties.
+    ranked = sorted(preds, key=lambda t: -t.score)
+    if budget is None:
+        return ranked
     seen: dict[tuple, int] = {}
     kept = []
-    for t in sorted_preds:
+    for t in ranked:
         key = _pair_key(t)
         count = seen.get(key, 0)
-        if count < k:
+        if count < budget:
             kept.append(t)
             seen[key] = count + 1
     return kept
 
 
-def _greedy_matched(
-    preds: list[PredictedTriplet], gts: list[ResolvedTriplet], spec: MatchSpec
-) -> int:
+def _greedy_hits(
+    preds: list[PredictedTriplet], gts: list[ResolvedTriplet], match, spec: MatchSpec
+) -> list[bool]:
+    """Per ranked prediction: did it consume a still-unmatched ground-truth entry."""
     matched = [False] * len(gts)
-    hits = 0
-    for pred in preds:
+    hits = [False] * len(preds)
+    for pi, pred in enumerate(preds):
         for gi, gt in enumerate(gts):
-            if not matched[gi] and triplet_match(pred, gt, spec):
+            if not matched[gi] and match(pred, gt, spec):
                 matched[gi] = True
-                hits += 1
+                hits[pi] = True
                 break
     return hits
 
@@ -121,7 +123,7 @@ def _mean_recall(
     predictions: dict[str, list[PredictedTriplet]],
     ground_truth: dict[str, list[ResolvedTriplet]],
     k: int,
-    k_per_pair: int | None,
+    budget: int | None,
     spec: MatchSpec,
 ) -> float:
     """Mean per-image recall of the top k, after a per-pair budget unless None."""
@@ -129,10 +131,8 @@ def _mean_recall(
     for image_id, gts in ground_truth.items():
         if not gts:
             continue
-        preds = _sorted_desc(predictions.get(image_id, []))
-        if k_per_pair is not None:
-            preds = _per_pair_topk(preds, k_per_pair)
-        recalls.append(_greedy_matched(preds[:k], gts, spec) / len(gts))
+        top = _ranked(predictions.get(image_id, []), budget)[:k]
+        recalls.append(sum(_greedy_hits(top, gts, triplet_match, spec)) / len(gts))
     return sum(recalls) / len(recalls) if recalls else 0.0
 
 
@@ -145,9 +145,8 @@ def recall_at_k(
     """Mean per-image fraction of ground-truth triplets found in the top k."""
     if k <= 0:
         raise ValueError("k must be positive")
-    return _mean_recall(
-        predictions, ground_truth, k, 1 if spec.graph_constraint else None, spec
-    )
+    budget = 1 if spec.graph_constraint else None
+    return _mean_recall(predictions, ground_truth, k, budget, spec)
 
 
 def vrd_recall(
@@ -161,14 +160,12 @@ def vrd_recall(
     """Recall@k with a per-pair candidate budget applied before top-k.
 
     ``k_per_pair="free"`` sweeps every budget in 1..P and reports the
-    best, treating the budget as a tunable hyperparameter.
+    best (P = ``num_predicates``), treating the budget as a tunable
+    hyperparameter.
     """
     if k_per_pair == "free":
         if num_predicates is None:
-            num_predicates = max(
-                (t.predicate for preds in predictions.values() for t in preds),
-                default=1,
-            )
+            raise ValueError("k_per_pair='free' needs num_predicates")
         return max(
             vrd_recall(predictions, ground_truth, k, budget, spec)
             for budget in range(1, num_predicates + 1)
@@ -203,29 +200,20 @@ def average_precision(
     if npos == 0:
         return None
 
-    pooled: list[tuple[str, PredictedTriplet]] = []
-    for image_id in ground_truth:
-        for t in predictions.get(image_id, []):
-            if t.predicate == predicate:
-                pooled.append((image_id, t))
-    pooled.sort(key=lambda it: -it[1].score)
-
-    matched = {image_id: [False] * len(gts) for image_id, gts in gt_lists.items()}
-    tps = []
-    for image_id, pred in pooled:
-        hit = False
-        for gi, gt in enumerate(gt_lists[image_id]):
-            if not matched[image_id][gi] and match(pred, gt, spec):
-                matched[image_id][gi] = True
-                hit = True
-                break
-        tps.append(hit)
+    # Images share no ground truth, so matching each image alone and then
+    # stable-sorting the pooled hits keeps ties in image, then input order.
+    pooled: list[tuple[float, bool]] = []
+    for image_id, gts in gt_lists.items():
+        preds = [t for t in predictions.get(image_id, []) if t.predicate == predicate]
+        ranked = _ranked(preds, None)
+        pooled.extend(zip([t.score for t in ranked], _greedy_hits(ranked, gts, match, spec)))
+    pooled.sort(key=lambda it: -it[0])
 
     # Precision envelope over all recall points.
     mrec = [0.0]
     mpre = [0.0]
     tp = 0
-    for rank, hit in enumerate(tps, start=1):
+    for rank, (_, hit) in enumerate(pooled, start=1):
         tp += 1 if hit else 0
         mrec.append(tp / npos)
         mpre.append(tp / rank)

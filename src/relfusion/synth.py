@@ -35,12 +35,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .datamodel import (
+    NO_RELATIONSHIP,
     Box,
     Detection,
     GtObject,
     ImageRecord,
     Vocabulary,
     atomic_write_text,
+    read_json,
 )
 
 IMAGE_SIZE = 1000
@@ -129,7 +131,7 @@ def rule_outcome(sub_box: Box, obj_box: Box) -> int | None:
 
 
 def make_vocabulary(cfg: SynthConfig) -> Vocabulary:
-    predicates = ["__no_rel__"]
+    predicates = [NO_RELATIONSHIP]
     for p in range(1, cfg.num_predicates + 1):
         if p == ON_CLASS and cfg.num_predicates >= 2:
             predicates.append("on")
@@ -404,8 +406,7 @@ def save_oracle(oracle: OracleTables, path: str | os.PathLike) -> None:
 
 
 def load_oracle(path: str | os.PathLike) -> OracleTables:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     # Keys that older files lack keep the field default.
     values = {}
     for f in fields(OracleTables):

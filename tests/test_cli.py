@@ -235,6 +235,63 @@ class TestPredictAndEval:
         )
         assert code == 2
 
+    def _eval(self, synth_dir, tmp_path, vocab, extra=()):
+        predictions = tmp_path / "none.jsonl"
+        predictions.write_text("")
+        return main(
+            [
+                "eval",
+                "--test",
+                str(synth_dir / "test.jsonl"),
+                "--vocab",
+                str(vocab),
+                "--predictions",
+                str(predictions),
+                "--out",
+                str(tmp_path / "report.json"),
+                *extra,
+            ]
+        )
+
+    def test_graph_constraint_with_k_per_pair_is_usage_error(self, synth_dir, tmp_path):
+        vocab = synth_dir / "vocab.json"
+        assert self._eval(synth_dir, tmp_path, vocab, ["--graph-constraint", "on"]) == 0
+        both = ["--graph-constraint", "on", "--k-per-pair", "2"]
+        assert self._eval(synth_dir, tmp_path, vocab, both) == 1
+
+    def test_bad_vocabulary_json_exits_2(self, synth_dir, tmp_path, capsys):
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text('{"objects": [\n')
+        assert self._eval(synth_dir, tmp_path, vocab) == 2
+        assert f"{vocab}:2: invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["truncate", "drop_key"])
+    def test_damaged_checkpoint_exits_2(self, synth_dir, tmp_path, capsys, damage):
+        ckpt = _train(synth_dir, tmp_path)
+        text = ckpt.read_text()
+        if damage == "truncate":
+            ckpt.write_text(text[: len(text) // 2])
+        else:
+            raw = json.loads(text)
+            del raw["spatial_mlp"]
+            ckpt.write_text(json.dumps(raw))
+        code = main(
+            [
+                "predict",
+                "--test",
+                str(synth_dir / "test.jsonl"),
+                "--vocab",
+                str(synth_dir / "vocab.json"),
+                "--checkpoint",
+                str(ckpt),
+                "--out",
+                str(tmp_path / "x.jsonl"),
+            ]
+        )
+        assert code == 2
+        expected = "invalid JSON" if damage == "truncate" else "missing key 'spatial_mlp'"
+        assert expected in capsys.readouterr().err
+
     def test_empty_dataset_empty_predictions(self, synth_dir, tmp_path):
         ckpt = _train(synth_dir, tmp_path)
         empty = tmp_path / "empty.jsonl"
@@ -295,6 +352,30 @@ class TestPredictAndEval:
         assert code == 0
 
 
+def _train_with_config(synth_dir, tmp_path, config, extra=()):
+    """Exit code of a train run under ``config``, and its epoch count."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    ckpt = tmp_path / "m.json"
+    code = main(
+        [
+            "--config",
+            str(config_path),
+            "train",
+            "--train",
+            str(synth_dir / "train.jsonl"),
+            "--vocab",
+            str(synth_dir / "vocab.json"),
+            "--checkpoint",
+            str(ckpt),
+            *extra,
+        ]
+    )
+    history = tmp_path / "m.json.loss.csv"
+    epochs = len(history.read_text().splitlines()) - 1 if code == 0 else None
+    return code, epochs
+
+
 class TestConfigFile:
     def test_flags_win_over_config(self, synth_dir, tmp_path):
         config = tmp_path / "config.json"
@@ -339,6 +420,20 @@ class TestConfigFile:
             ]
         )
         assert code == 1
+
+
+    @pytest.mark.parametrize("flag", [["--epochs=3"], ["--epo", "3"]])
+    def test_every_flag_spelling_wins_over_config(self, synth_dir, tmp_path, flag):
+        assert _train_with_config(synth_dir, tmp_path, {"epochs": 1}, flag) == (0, 3)
+
+    def test_string_value_goes_through_flag_type(self, synth_dir, tmp_path):
+        assert _train_with_config(synth_dir, tmp_path, {"epochs": "3"}) == (0, 3)
+
+    @pytest.mark.parametrize(
+        "config", [{"command": "eval"}, {"config": "other.json"}, {"epochs": [3]}]
+    )
+    def test_non_flag_keys_and_values_are_usage_errors(self, synth_dir, tmp_path, config):
+        assert _train_with_config(synth_dir, tmp_path, config) == (1, None)
 
 
 class TestAblate:

@@ -195,6 +195,12 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=":2"):
             load_dataset(path, tiny_vocab())
 
+    def test_non_object_line_carries_line_number(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(_valid_line()) + "\n[1, 2]\n")
+        with pytest.raises(DataError, match=":2: expected a JSON object"):
+            load_dataset(path, tiny_vocab())
+
     @pytest.mark.parametrize(
         "mutate,field",
         [

@@ -226,6 +226,16 @@ class TestVrdRecall:
         with pytest.raises(ValueError):
             vrd_recall({}, {"a": []}, 5, 0, MatchSpec())
 
+    def test_free_k_needs_num_predicates(self):
+        preds, gts = random_metric_instance(np.random.default_rng(6))
+        with pytest.raises(ValueError):
+            vrd_recall(preds, gts, 5, "free", MatchSpec())
+
+    def test_graph_constraint_takes_no_other_budget(self):
+        # The graph constraint is the per-pair budget 1.
+        with pytest.raises(ValueError):
+            MatchSpec(graph_constraint=True, k_per_pair=2)
+
 
 class TestScoreScaleInvariance:
     def test_all_metrics_stable_under_scaling(self):

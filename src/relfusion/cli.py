@@ -175,10 +175,20 @@ def _apply_config(parser: _Parser, args: argparse.Namespace, argv: list[str]):
             raise UsageError(f"{args.config}: {key!r} is not a flag of {args.command}")
         if not isinstance(value, (str, int, float)):  # bool is an int
             raise UsageError(f"{args.config}: {key!r} must be a string, number or boolean")
-    # argparse applies a flag's type to string defaults only.
+    # argparse applies a flag's type to string defaults only, and checks
+    # choices only for command-line tokens.
     defaults = {k: str(v) if type(v) in (int, float) else v for k, v in config.items()}
-    parser.subcommands[args.command].set_defaults(**defaults)
-    return parser.parse_args(argv)
+    subparser = parser.subcommands[args.command]
+    subparser.set_defaults(**defaults)
+    args = parser.parse_args(argv)
+    for action in subparser._actions:
+        value = getattr(args, action.dest, None)
+        if action.dest in config and action.choices and value not in action.choices:
+            raise UsageError(
+                f"{args.config}: {action.dest!r} must be one of "
+                f"{', '.join(map(str, action.choices))}, got {value!r}"
+            )
+    return args
 
 
 def cmd_gen_synth(args) -> int:

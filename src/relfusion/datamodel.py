@@ -90,6 +90,29 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
+def box_array(boxes) -> np.ndarray:
+    """(N, 4) corner array of an iterable of boxes, (0, 4) when empty."""
+    return np.array([b.to_list() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(M, N) IoU of every row of corner array ``a`` with every row of ``b``.
+
+    Each entry equals :func:`iou` of the two boxes bit for bit: the same
+    operations in the same order, and the same zero rules.
+    """
+    a, b = a[:, None, :], b[None, :, :]
+    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = ix * iy
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a + area_b - inter
+    out = np.zeros(inter.shape)
+    np.divide(inter, union, out=out, where=(ix > 0.0) & (iy > 0.0) & (union > 0.0))
+    return out
+
+
 def union_box(a: Box, b: Box) -> Box:
     """Smallest axis-aligned box containing both inputs."""
     return Box(
@@ -281,12 +304,13 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         raise
 
 
-def _parse_box(raw, where: str) -> Box:
+def parse_box(raw, where: str) -> Box:
+    """A box from a JSON 4-list; anything else is a DataError naming ``where``."""
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise DataError(f"{where}: box must be a 4-element list, got {raw!r}")
     try:
         return Box(float(raw[0]), float(raw[1]), float(raw[2]), float(raw[3]))
-    except DataError as exc:
+    except (TypeError, ValueError) as exc:  # DataError included
         raise DataError(f"{where}: {exc}") from exc
 
 
@@ -322,7 +346,7 @@ def _parse_record(raw: dict, vocab: Vocabulary, feature_dim: int | None) -> tupl
     detections = []
     zero_area = 0
     for i, d in enumerate(raw.get("detections", [])):
-        box = _parse_box(d.get("box"), f"{where} detection {i}")
+        box = parse_box(d.get("box"), f"{where} detection {i}")
         feat = _parse_feature(d.get("feature"), feature_dim, f"{where} detection {i}")
         feature_dim = feat.shape[0]
         label = d.get("label")
@@ -337,7 +361,7 @@ def _parse_record(raw: dict, vocab: Vocabulary, feature_dim: int | None) -> tupl
 
     gt_boxes = []
     for i, g in enumerate(raw.get("gt_boxes", [])):
-        box = _parse_box(g.get("box"), f"{where} gt box {i}")
+        box = parse_box(g.get("box"), f"{where} gt box {i}")
         label = g.get("label")
         if not isinstance(label, int) or not (0 <= label < num_objects):
             raise DataError(f"{where} gt box {i}: label {label!r} outside vocabulary")

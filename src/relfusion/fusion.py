@@ -23,27 +23,34 @@ from typing import Callable
 import numpy as np
 
 from .datamodel import (
-    Box,
     DataError,
     Detection,
     ImageRecord,
     PredictedTriplet,
     Vocabulary,
     atomic_write_text,
-    iou,
+    box_array,
+    iou_matrix,
+    parse_box,
     read_json,
     read_jsonl,
 )
 from . import numcore
 from .numcore import Mlp, NumericError, OptimizerState, forward, layer_forward, sgd_step, softmax
 from .semantic import FrequencyTable, semantic_logits, table_from_json, table_to_json
-from .spatial import SPATIAL_DIM, spatial_feature
+from .spatial import SPATIAL_DIM, spatial_features
 from .visual import (
     AttributeHead,
     VisualBranch,
     init_visual_branch,
-    predicate_feature,
+    predicate_features,
 )
+
+# The per-pair definitions that the array paths below reproduce.
+# perfbench/tracing.py wraps them at this module's attributes.
+from .datamodel import iou  # noqa: F401
+from .spatial import spatial_feature  # noqa: F401
+from .visual import predicate_feature  # noqa: F401
 
 CHECKPOINT_FORMAT = "relfusion-checkpoint-v1"
 
@@ -206,27 +213,38 @@ def enabled_branches(mask: BranchMask) -> list[Branch]:
     return [branch for branch in BRANCHES if getattr(mask, branch.name)]
 
 
-def pair_inputs(
-    model: FusionModel, record: ImageRecord, pairs: list[tuple[int, int]]
-) -> PairInputs:
-    """Assemble the enabled branches' inputs for a non-empty list of proposals."""
+def pair_inputs(model: FusionModel, record: ImageRecord, pairs) -> PairInputs:
+    """Assemble the enabled branches' inputs for a non-empty list of proposals.
+
+    ``pairs`` holds (subject, object) detection indices, as a list of
+    tuples or an (N, 2) array. Each input is gathered image-wide by index
+    arrays; the frequency prior is looked up once per distinct class pair.
+    """
+    sub, obj = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
     dets = record.detections
+    labels = np.array([d.label for d in dets])
+    boxes = box_array(d.box for d in dets)
+    feats = np.stack([d.feature for d in dets])
+
+    def semantic_rows():
+        classes, row = np.unique(
+            np.column_stack([labels[sub], labels[obj]]), axis=0, return_inverse=True
+        )
+        logits = [semantic_logits(model.freq, s, o) for s, o in classes.tolist()]
+        return np.stack(logits)[row.reshape(-1)]
+
     rows = {
-        "sem": lambda i, j: semantic_logits(model.freq, dets[i].label, dets[j].label),
-        "spat": lambda i, j: spatial_feature(
-            dets[i].box, dets[j].box, record.width, record.height
-        ),
-        "v_sub": lambda i, j: dets[i].feature,
-        "v_pred": lambda i, j: predicate_feature(
-            dets[i].feature, dets[j].feature, record, (i, j)
-        ),
-        "v_obj": lambda i, j: dets[j].feature,
+        "sem": semantic_rows,
+        "spat": lambda: spatial_features(boxes[sub], boxes[obj], record.width, record.height),
+        "v_sub": lambda: feats[sub],
+        "v_pred": lambda: predicate_features(feats, record, sub, obj),
+        "v_obj": lambda: feats[obj],
     }
     arrays: dict[str, np.ndarray] = {}
     for branch in enabled_branches(model.mask):
         for name in branch.inputs:
             if name not in arrays:
-                arrays[name] = np.stack([rows[name](i, j) for i, j in pairs])
+                arrays[name] = rows[name]()
     return PairInputs(arrays)
 
 
@@ -282,25 +300,26 @@ def loss_and_grads(
 
 def match_positive_pairs(
     record: ImageRecord, iou_threshold: float = 0.5
-) -> list[tuple[tuple[int, int], int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Assign ground-truth predicates to detection pairs.
 
     A pair is positive for predicate p when subject and object detections
     each overlap the triplet's gt box with IoU >= threshold and carry the
     gt labels. Every qualifying (pair, triplet) combination is kept.
+    Returns the (N, 2) detection index pairs and their N predicates,
+    ordered by triplet and then in :func:`pair_proposals` order.
     """
-    positives = []
-    proposals = pair_proposals(record)
-    for sub_idx, pred, obj_idx in record.gt_triplets:
-        sub_gt = record.gt_boxes[sub_idx]
-        obj_gt = record.gt_boxes[obj_idx]
-        for i, j in proposals:
-            di, dj = record.detections[i], record.detections[j]
-            if di.label != sub_gt.label or dj.label != obj_gt.label:
-                continue
-            if iou(di.box, sub_gt.box) >= iou_threshold and iou(dj.box, obj_gt.box) >= iou_threshold:
-                positives.append(((i, j), pred))
-    return positives
+    dets, gts = record.detections, record.gt_boxes
+    triplets = np.array(record.gt_triplets, dtype=np.intp).reshape(-1, 3)
+    overlaps = iou_matrix(box_array(d.box for d in dets), box_array(g.box for g in gts))
+    same_label = np.equal.outer([d.label for d in dets], [g.label for g in gts])
+    proposable = np.array([not d.box.is_degenerate() for d in dets], dtype=bool)
+    # fits[k, g]: detection k may stand in for gt box g
+    fits = (overlaps >= iou_threshold) & same_label & proposable[:, None]
+    hits = fits.T[triplets[:, 0], :, None] & fits.T[triplets[:, 2], None, :]
+    hits[:, np.arange(len(dets)), np.arange(len(dets))] = False
+    t, i, j = np.nonzero(hits)
+    return np.column_stack([i, j]), triplets[t, 1]
 
 
 def build_training_inputs(
@@ -313,21 +332,20 @@ def build_training_inputs(
     per_record: list[PairInputs] = []
     total_positives = 0
     for record in dataset:
-        positives = match_positive_pairs(record)
-        total_positives += len(positives)
-        matched = {pair for pair, _ in positives}
-        unmatched = [p for p in pair_proposals(record) if p not in matched]
-        n_neg = min(len(unmatched), int(round(cfg.negative_ratio * len(positives))))
-        chosen = []
+        positives, predicates = match_positive_pairs(record)
+        total_positives += len(predicates)
+        proposals = np.array(pair_proposals(record), dtype=np.intp).reshape(-1, 2)
+        matched = np.zeros((len(record.detections),) * 2, dtype=bool)
+        matched[positives[:, 0], positives[:, 1]] = True
+        unmatched = proposals[~matched[proposals[:, 0], proposals[:, 1]]]
+        n_neg = min(len(unmatched), int(round(cfg.negative_ratio * len(predicates))))
+        chosen = unmatched[:0]
         if n_neg > 0:
-            idx = rng.choice(len(unmatched), size=n_neg, replace=False)
-            chosen = [unmatched[k] for k in sorted(idx)]
-        pairs = [pair for pair, _ in positives] + chosen
-        targets = [pred for _, pred in positives] + [0] * len(chosen)
-        if not pairs:
+            chosen = unmatched[np.sort(rng.choice(len(unmatched), size=n_neg, replace=False))]
+        if len(positives) + n_neg == 0:
             continue
-        inputs = pair_inputs(model, record, pairs)
-        inputs.targets = np.asarray(targets, dtype=np.intp)
+        inputs = pair_inputs(model, record, np.concatenate([positives, chosen]))
+        inputs.targets = np.concatenate([predicates, np.zeros(n_neg, dtype=np.intp)])
         per_record.append(inputs)
     if total_positives == 0:
         raise DataError("no positive training pairs: detections never match ground truth")
@@ -393,40 +411,45 @@ def predict_image(
     softmax probability times both detector confidences; the global top_n
     survive. Ties break on (pair index, predicate index).
     """
-    pairs = pair_proposals(record)
-    if not pairs:
+    if top_n < 0:
+        raise ValueError(f"top_n must be >= 0, got {top_n}")
+    pairs = np.array(pair_proposals(record), dtype=np.intp).reshape(-1, 2)
+    if not len(pairs):
         return []
-    inputs = pair_inputs(model, record, pairs)
-    logits, _ = batch_logits(model, inputs)
-    probs = softmax(logits)
-    candidates = []
-    for pair_idx, (i, j) in enumerate(pairs):
-        di, dj = record.detections[i], record.detections[j]
-        det_product = di.score * dj.score
-        for p in range(1, model.num_predicates + 1):
-            candidates.append((probs[pair_idx, p] * det_product, pair_idx, p, i, j))
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+    logits, _ = batch_logits(model, pair_inputs(model, record, pairs))
+    det_scores = np.array([d.score for d in record.detections])
+    det_product = det_scores[pairs[:, 0]] * det_scores[pairs[:, 1]]
+    scores = (softmax(logits)[:, 1:] * det_product[:, None]).ravel()
+    # A stable sort keeps tied scores in (pair, predicate) order.
+    ranked = np.argsort(-scores, kind="stable")[:top_n]
     out = []
-    for score, _, p, i, j in candidates[:top_n]:
-        di, dj = record.detections[i], record.detections[j]
+    for k in ranked.tolist():
+        pair_idx, p = divmod(k, model.num_predicates)
+        di, dj = (record.detections[d] for d in pairs[pair_idx].tolist())
         out.append(
             PredictedTriplet(
                 sub_box=di.box,
                 sub_label=di.label,
-                predicate=p,
+                predicate=p + 1,
                 obj_box=dj.box,
                 obj_label=dj.label,
-                score=float(score),
+                score=float(scores[k]),
             )
         )
     return out
 
 
-def _best_iou_detection(record: ImageRecord, box: Box) -> int | None:
+def _best_iou_detections(record: ImageRecord) -> list[int | None]:
+    """Per gt box, the index of the detection of highest IoU.
+
+    The lowest index wins a tie; every entry is None without detections.
+    """
     if not record.detections:
-        return None
-    overlaps = [iou(d.box, box) for d in record.detections]
-    return int(np.argmax(overlaps))
+        return [None] * len(record.gt_boxes)
+    overlaps = iou_matrix(
+        box_array(g.box for g in record.gt_boxes), box_array(d.box for d in record.detections)
+    )
+    return overlaps.argmax(axis=1).tolist()
 
 
 def gt_substitution(record: ImageRecord, mode: str) -> ImageRecord:
@@ -444,10 +467,8 @@ def gt_substitution(record: ImageRecord, mode: str) -> ImageRecord:
         return record
 
     detections: list[Detection] = []
-    assigned: list[int | None] = []
-    for gt in record.gt_boxes:
-        match = _best_iou_detection(record, gt.box)
-        assigned.append(match)
+    assigned = _best_iou_detections(record)
+    for gt, match in zip(record.gt_boxes, assigned):
         if mode == "prdcls":
             if gt.feature is not None:
                 feature = gt.feature
@@ -467,12 +488,14 @@ def gt_substitution(record: ImageRecord, mode: str) -> ImageRecord:
                 Detection(label=det.label, box=gt.box, score=det.score, feature=feature)
             )
 
+    stand_ins: dict[int, list[int]] = {}  # detection -> the gt boxes assigned to it
+    for a, match in enumerate(assigned):
+        stand_ins.setdefault(match, []).append(a)
     pair_features = {}
-    for (i, j), feat in record.pair_features.items():
-        for a, ma in enumerate(assigned):
-            for b, mb in enumerate(assigned):
-                if a != b and ma == i and mb == j:
-                    pair_features[(a, b)] = feat
+    for (i, j), feat in record.pair_features.items():  # i != j, so a != b below
+        for a in stand_ins.get(i, ()):
+            for b in stand_ins.get(j, ()):
+                pair_features[(a, b)] = feat
     return replace(record, detections=detections, pair_features=pair_features)
 
 
@@ -482,15 +505,17 @@ def gt_substitution(record: ImageRecord, mode: str) -> ImageRecord:
 def _attribute_examples(dataset: list[ImageRecord]) -> tuple[np.ndarray, np.ndarray]:
     feats, targets = [], []
     for record in dataset:
+        if not record.gt_attributes:
+            continue
+        assigned = _best_iou_detections(record)
         for gt_idx, attr in record.gt_attributes:
             gt = record.gt_boxes[gt_idx]
             if gt.feature is not None:
                 feats.append(gt.feature)
+            elif assigned[gt_idx] is not None:
+                feats.append(record.detections[assigned[gt_idx]].feature)
             else:
-                match = _best_iou_detection(record, gt.box)
-                if match is None:
-                    continue
-                feats.append(record.detections[match].feature)
+                continue
             targets.append(attr)
     if not feats:
         raise DataError("no attribute annotations with usable features")
@@ -598,20 +623,42 @@ def save_predictions(
     atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
+def _parse_triplet(t) -> PredictedTriplet:
+    if type(t) is not dict:
+        raise DataError("expected a JSON object")
+    try:
+        sub_box = parse_box(t["sub_box"], "sub_box")
+        obj_box = parse_box(t["obj_box"], "obj_box")
+        sub_label, predicate, obj_label = t["sub_label"], t["predicate"], t["obj_label"]
+        score = t["score"]
+    except KeyError as exc:
+        raise DataError(f"missing key {exc}") from None
+    # type(), not isinstance(): JSON true and false are not labels.
+    if type(sub_label) is not int or type(predicate) is not int or type(obj_label) is not int:
+        raise DataError("sub_label, predicate and obj_label must be integers")
+    if type(score) not in (int, float):
+        raise DataError(f"score must be a number, got {score!r}")
+    return PredictedTriplet(sub_box, sub_label, predicate, obj_box, obj_label, float(score))
+
+
 def load_predictions(path: str | os.PathLike) -> dict[str, list[PredictedTriplet]]:
+    """Read a prediction file; a malformed line is a DataError naming it."""
     out: dict[str, list[PredictedTriplet]] = {}
-    for _, raw in read_jsonl(path):
-        triplets = []
-        for t in raw.get("triplets", []):
-            triplets.append(
-                PredictedTriplet(
-                    sub_box=Box(*[float(v) for v in t["sub_box"]]),
-                    sub_label=int(t["sub_label"]),
-                    predicate=int(t["predicate"]),
-                    obj_box=Box(*[float(v) for v in t["obj_box"]]),
-                    obj_label=int(t["obj_label"]),
-                    score=float(t["score"]),
-                )
-            )
-        out[raw["image_id"]] = triplets
+    for lineno, raw in read_jsonl(path):
+        try:
+            image_id = raw.get("image_id")
+            if not isinstance(image_id, str):
+                raise DataError(f"image_id must be a string, got {image_id!r}")
+            triplets = raw.get("triplets", [])
+            if not isinstance(triplets, list):
+                raise DataError(f"image {image_id!r}: triplets must be a list")
+            parsed = []
+            for k, t in enumerate(triplets):
+                try:
+                    parsed.append(_parse_triplet(t))
+                except DataError as exc:
+                    raise DataError(f"image {image_id!r} triplet {k}: {exc}") from exc
+            out[image_id] = parsed
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
     return out

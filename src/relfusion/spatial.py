@@ -8,6 +8,12 @@ where b_p is the tight box enclosing both ("phrase box"), delta is the
 anchor-normalized center-offset / log-size-ratio parameterization used by
 region-proposal detectors, and coords are image-normalized corners plus
 the box/image area ratio.
+
+The encoders work on (N, 4) corner arrays, one pair per row; the
+single-box-pair functions are one-row calls to them. Every value is the
+same float operation a scalar evaluation would make, and the logarithms
+are taken with ``math.log``, so a pair's encoding does not depend on the
+batch it is computed in.
 """
 
 from __future__ import annotations
@@ -16,51 +22,69 @@ import math
 
 import numpy as np
 
-from .datamodel import Box, union_box
+from .datamodel import Box, box_array
 
 SPATIAL_DIM = 22
 
 
+def _log(x: np.ndarray) -> np.ndarray:
+    # np.log's SIMD kernels may differ from libm in the last bit.
+    return np.fromiter(map(math.log, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+
+
+def box_deltas(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`box_delta` of two (N, 4) corner arrays: (N, 4)."""
+    w1, h1 = b1[:, 2] - b1[:, 0], b1[:, 3] - b1[:, 1]
+    w2, h2 = b2[:, 2] - b2[:, 0], b2[:, 3] - b2[:, 1]
+    if np.any((w1 <= 0.0) | (h1 <= 0.0) | (w2 <= 0.0) | (h2 <= 0.0)):
+        raise ValueError("box delta undefined for zero-size boxes")
+    x1, y1 = 0.5 * (b1[:, 0] + b1[:, 2]), 0.5 * (b1[:, 1] + b1[:, 3])
+    x2, y2 = 0.5 * (b2[:, 0] + b2[:, 2]), 0.5 * (b2[:, 1] + b2[:, 3])
+    offsets = np.column_stack([(x1 - x2) / w2, (y1 - y2) / h2])
+    return np.concatenate([offsets, _log(np.column_stack([w1 / w2, h1 / h2]))], axis=1)
+
+
 def box_delta(b1: Box, b2: Box) -> np.ndarray:
     """((x1-x2)/w2, (y1-y2)/h2, log(w1/w2), log(h1/h2)) on box centers."""
-    if b1.is_degenerate() or b2.is_degenerate():
-        raise ValueError("box delta undefined for zero-size boxes")
-    x1, y1 = b1.center
-    x2, y2 = b2.center
-    return np.array(
-        [
-            (x1 - x2) / b2.width,
-            (y1 - y2) / b2.height,
-            math.log(b1.width / b2.width),
-            math.log(b1.height / b2.height),
-        ]
+    return box_deltas(box_array([b1]), box_array([b2]))[0]
+
+
+def normalized_corners(b: np.ndarray, width: float, height: float) -> np.ndarray:
+    """Row-wise :func:`normalized_coords` of an (N, 4) corner array: (N, 5)."""
+    if width <= 0 or height <= 0:
+        raise ValueError("image dimensions must be positive")
+    area = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    return np.column_stack(
+        [b[:, 0] / width, b[:, 1] / height, b[:, 2] / width, b[:, 3] / height,
+         area / (width * height)]
     )
 
 
 def normalized_coords(b: Box, width: float, height: float) -> np.ndarray:
     """Corners scaled by image size plus the box/image area ratio."""
-    if width <= 0 or height <= 0:
-        raise ValueError("image dimensions must be positive")
-    return np.array(
+    return normalized_corners(box_array([b]), width, height)[0]
+
+
+def spatial_features(
+    b_sub: np.ndarray, b_obj: np.ndarray, width: float, height: float
+) -> np.ndarray:
+    """(N, 22) encodings of the subject/object corner arrays' row pairs."""
+    b_pred = np.concatenate(
+        [np.minimum(b_sub[:, :2], b_obj[:, :2]), np.maximum(b_sub[:, 2:], b_obj[:, 2:])],
+        axis=1,
+    )
+    return np.concatenate(
         [
-            b.xmin / width,
-            b.ymin / height,
-            b.xmax / width,
-            b.ymax / height,
-            b.area / (width * height),
-        ]
+            box_deltas(b_sub, b_obj),
+            box_deltas(b_sub, b_pred),
+            box_deltas(b_pred, b_obj),
+            normalized_corners(b_sub, width, height),
+            normalized_corners(b_obj, width, height),
+        ],
+        axis=1,
     )
 
 
 def spatial_feature(b_sub: Box, b_obj: Box, width: float, height: float) -> np.ndarray:
     """22-d encoding of a subject/object box pair within an image."""
-    b_pred = union_box(b_sub, b_obj)
-    return np.concatenate(
-        [
-            box_delta(b_sub, b_obj),
-            box_delta(b_sub, b_pred),
-            box_delta(b_pred, b_obj),
-            normalized_coords(b_sub, width, height),
-            normalized_coords(b_obj, width, height),
-        ]
-    )
+    return spatial_features(box_array([b_sub]), box_array([b_obj]), width, height)[0]

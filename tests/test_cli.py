@@ -292,6 +292,82 @@ class TestPredictAndEval:
         expected = "invalid JSON" if damage == "truncate" else "missing key 'spatial_mlp'"
         assert expected in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ({"triplets": []}, "image_id must be a string"),
+            ({"image_id": "x", "triplets": 5}, "triplets must be a list"),
+            ({"image_id": "x", "triplets": [{"sub_box": [0, 0, 1, 1]}]}, "triplet 0: missing key"),
+            ({"image_id": "x", "triplets": ["t"]}, "triplet 0: expected a JSON object"),
+            (
+                {"image_id": "x", "triplets": [
+                    {"sub_box": [0, 0, 1, 1], "sub_label": 0, "predicate": 1,
+                     "obj_box": ["a", 0, 1, 1], "obj_label": 0, "score": 0.5}
+                ]},
+                "triplet 0: obj_box",
+            ),
+            (
+                {"image_id": "x", "triplets": [
+                    {"sub_box": [0, 0, 1, 1], "sub_label": "0", "predicate": 1,
+                     "obj_box": [0, 0, 1, 1], "obj_label": 0, "score": 0.5}
+                ]},
+                "must be integers",
+            ),
+        ],
+        ids=["no image_id", "triplets not a list", "missing key", "non-object triplet",
+             "non-numeric box", "string label"],
+    )
+    def test_malformed_prediction_line_exits_2(self, synth_dir, tmp_path, capsys, row, message):
+        predictions = tmp_path / "bad.jsonl"
+        predictions.write_text(json.dumps({"image_id": "ok", "triplets": []}) + "\n"
+                               + json.dumps(row) + "\n")
+        code = main(
+            [
+                "eval",
+                "--test",
+                str(synth_dir / "test.jsonl"),
+                "--vocab",
+                str(synth_dir / "vocab.json"),
+                "--predictions",
+                str(predictions),
+                "--out",
+                str(tmp_path / "report.json"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"{predictions}:2: " in err and message in err
+        assert "Traceback" not in err
+
+    def test_negative_top_n_is_usage_error(self, synth_dir, tmp_path, capsys):
+        ckpt = _train(synth_dir, tmp_path)
+
+        def predict(top_n):
+            out = tmp_path / f"top{top_n}.jsonl"
+            code = main(
+                [
+                    "predict",
+                    "--test",
+                    str(synth_dir / "test.jsonl"),
+                    "--vocab",
+                    str(synth_dir / "vocab.json"),
+                    "--checkpoint",
+                    str(ckpt),
+                    "--out",
+                    str(out),
+                    "--top-n",
+                    str(top_n),
+                ]
+            )
+            return code, out
+
+        code, out = predict(-1)
+        assert code == 1 and not out.exists()
+        assert "top_n must be >= 0" in capsys.readouterr().err
+        code, out = predict(0)
+        assert code == 0
+        assert all(json.loads(line)["triplets"] == [] for line in out.read_text().splitlines())
+
     def test_empty_dataset_empty_predictions(self, synth_dir, tmp_path):
         ckpt = _train(synth_dir, tmp_path)
         empty = tmp_path / "empty.jsonl"
@@ -434,6 +510,37 @@ class TestConfigFile:
     )
     def test_non_flag_keys_and_values_are_usage_errors(self, synth_dir, tmp_path, config):
         assert _train_with_config(synth_dir, tmp_path, config) == (1, None)
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"mode": "bogus"}, {"graph_constraint": "maybe"}],
+        ids=["mode", "graph_constraint"],
+    )
+    def test_value_outside_choices_is_usage_error(self, synth_dir, tmp_path, capsys, config):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        predictions = tmp_path / "none.jsonl"
+        predictions.write_text("")
+        report = tmp_path / "report.json"
+        code = main(
+            [
+                "--config",
+                str(config_path),
+                "eval",
+                "--test",
+                str(synth_dir / "test.jsonl"),
+                "--vocab",
+                str(synth_dir / "vocab.json"),
+                "--predictions",
+                str(predictions),
+                "--out",
+                str(report),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1 and not report.exists()
+        (key,) = config
+        assert f"{config_path}: {key!r} must be one of" in err
 
 
 class TestAblate:

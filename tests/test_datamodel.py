@@ -13,7 +13,9 @@ from relfusion.datamodel import (
     DataError,
     Vocabulary,
     atomic_write_text,
+    box_array,
     iou,
+    iou_matrix,
     load_dataset,
     load_vocabulary,
     save_dataset,
@@ -66,6 +68,27 @@ class TestIou:
             if a != b:
                 assert iou(a, b) < 1.0
             assert 0.0 <= iou(a, b) <= 1.0
+
+
+class TestIouMatrix:
+    def test_equals_scalar_iou_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        grid = np.array([0.0, 1.5, 3.0, 4.5, 6.0, 7.5])
+        boxes = [random_box(rng, grid=grid) for _ in range(40)]  # touching, equal, nested
+        boxes += [random_box(rng, hi=8.0) for _ in range(40)]
+        boxes += [box(3, 1.5, 3, 6), box(1.5, 4.5, 7.5, 4.5), box(2, 2, 2, 2)]  # zero area
+        boxes += [box(0, 0, 10, 10), box(0, 0, 10, 20), box(10, 0, 20, 10)]
+        a, b = boxes[::2], boxes[1::2] + boxes[:7]
+        matrix = iou_matrix(box_array(a), box_array(b))
+        scalar = np.array([[iou(x, y) for y in b] for x in a])
+        assert matrix.shape == (len(a), len(b))
+        assert np.array_equal(matrix.view(np.int64), scalar.view(np.int64))
+        assert np.any(matrix == 1.0) and np.any(matrix == 0.0) and np.any(matrix == 0.5)
+
+    def test_empty_sides(self):
+        some = box_array([box(0, 0, 1, 1)])
+        assert iou_matrix(box_array([]), some).shape == (0, 1)
+        assert iou_matrix(some, box_array([])).shape == (1, 0)
 
 
 class TestUnionBox:
@@ -209,6 +232,7 @@ class TestLoadDataset:
             (lambda l: l["gt_triplets"].append([1, 1, 1]), "coincide"),
             (lambda l: l.update(width=0), "width"),
             (lambda l: l["detections"][0].update(label=99), "label"),
+            (lambda l: l["detections"][0].update(box=["a", 0, 1, 1]), "detection 0"),
         ],
     )
     def test_invariant_violations(self, tmp_path, mutate, field):

@@ -5,6 +5,7 @@ import pytest
 
 from relfusion.datamodel import DataError, Detection, GtObject, iou
 from relfusion.fusion import (
+    EVAL_MODES,
     BranchMask,
     TrainConfig,
     batch_logits,
@@ -13,6 +14,7 @@ from relfusion.fusion import (
     init_fusion_model,
     load_checkpoint,
     loss_and_grads,
+    match_positive_pairs,
     pair_inputs,
     pair_logits,
     pair_proposals,
@@ -22,9 +24,11 @@ from relfusion.fusion import (
     trainable_params,
 )
 from relfusion.numcore import fd_gradient, max_relative_error, softmax
-from relfusion.semantic import FrequencyTable, semantic_logits
+from relfusion.semantic import FrequencyTable, fit_frequency, semantic_logits
+from relfusion.synth import SynthConfig, generate
+from relfusion.visual import predicate_feature
 
-from util import box, make_detection, make_record, tiny_vocab
+from util import box, make_detection, make_record, spatial_reference, tiny_vocab
 
 
 def _freq(num_predicates=3):
@@ -243,6 +247,39 @@ class TestPredictImage:
         record = _toy_record()
         assert len(predict_image(model, record, top_n=5)) == 5
 
+    def test_negative_top_n_rejected_and_zero_allowed(self):
+        model = _toy_model()
+        record = _toy_record()
+        assert predict_image(model, record, top_n=0) == []
+        with pytest.raises(ValueError, match="top_n"):
+            predict_image(model, record, top_n=-1)
+        with pytest.raises(ValueError, match="top_n"):
+            predict_image(model, make_record(), top_n=-1)
+
+    def test_score_ties_ordered_by_pair_then_predicate(self):
+        # An empty frequency table gives every pair the same uniform logits,
+        # so a candidate's score is set by its two detector scores alone:
+        # three score levels, each shared by many (pair, predicate) ties.
+        model = _toy_model(BranchMask(True, False, False, False))
+        model.freq.counts.clear()
+        record = _toy_record(n=8)
+        record.detections = [
+            Detection(d.label, d.box, 0.5 if k % 2 else 0.9, d.feature)
+            for k, d in enumerate(record.detections)
+        ]
+        preds = predict_image(model, record, top_n=1000)
+        assert len({p.score for p in preds}) == 3
+        pairs = pair_proposals(record)
+        expected = sorted(
+            (-record.detections[i].score * record.detections[j].score, pair_idx, p)
+            for pair_idx, (i, j) in enumerate(pairs)
+            for p in range(1, model.num_predicates + 1)
+        )
+        assert [(p.sub_box, p.predicate, p.obj_box) for p in preds] == [
+            (record.detections[pairs[k][0]].box, p, record.detections[pairs[k][1]].box)
+            for _, k, p in expected
+        ]
+
 
 class TestGtSubstitution:
     def test_sgdet_identity(self):
@@ -291,6 +328,15 @@ class TestGtSubstitution:
                 assert det_view.label == record.detections[best].label
                 assert det_view.box == g.box
 
+    def test_sgcls_best_iou_tie_takes_the_first_detection(self):
+        # Two detections on the gt box itself: equal IoU 1, the first wins.
+        b = box(0, 0, 20, 20)
+        gt = [GtObject(label=0, box=b)]
+        for first, second in ((1, 2), (2, 1)):
+            dets = [make_detection(label=first, b=b), make_detection(label=second, b=b)]
+            view = gt_substitution(make_record(detections=dets, gt=gt), "sgcls")
+            assert [d.label for d in view.detections] == [first]
+
     def test_pair_features_follow_shuffled_assignment(self):
         # detections stored in a different order than the gt boxes: the
         # per-pair features must be re-keyed through the best-IoU match
@@ -321,6 +367,106 @@ class TestGtSubstitution:
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             gt_substitution(_toy_record(), "nonsense")
+
+
+class TestMatchPositivePairs:
+    def _record(self, sub_box):
+        gt = [GtObject(label=0, box=box(0, 0, 10, 20)), GtObject(label=1, box=box(50, 0, 60, 20))]
+        dets = [make_detection(label=0, b=sub_box), make_detection(label=1, b=gt[1].box)]
+        return make_record(detections=dets, gt=gt, triplets=[(0, 2, 1)])
+
+    def test_iou_exactly_at_threshold_is_positive(self):
+        record = self._record(box(0, 0, 10, 10))
+        assert iou(record.detections[0].box, record.gt_boxes[0].box) == 0.5
+        pairs, predicates = match_positive_pairs(record)
+        assert pairs.tolist() == [[0, 1]] and predicates.tolist() == [2]
+
+    def test_iou_just_below_threshold_is_not(self):
+        record = self._record(box(0, 0, 10, np.nextafter(10.0, 0.0)))
+        assert iou(record.detections[0].box, record.gt_boxes[0].box) < 0.5
+        pairs, predicates = match_positive_pairs(record)
+        assert pairs.shape == (0, 2) and predicates.shape == (0,)
+
+
+def _reference_pair_inputs(model, record, pairs):
+    """Every branch input built one pair at a time from the per-pair definitions."""
+    dets = record.detections
+    rows = {
+        "sem": lambda i, j: semantic_logits(model.freq, dets[i].label, dets[j].label),
+        "spat": lambda i, j: spatial_reference(
+            dets[i].box, dets[j].box, record.width, record.height
+        ),
+        "v_sub": lambda i, j: dets[i].feature,
+        "v_pred": lambda i, j: predicate_feature(
+            dets[i].feature, dets[j].feature, record, (i, j)
+        ),
+        "v_obj": lambda i, j: dets[j].feature,
+    }
+    return {name: np.stack([row(i, j) for i, j in pairs]) for name, row in rows.items()}
+
+
+def _reference_positives(record, iou_threshold=0.5):
+    """((sub, obj), predicate) per triplet and proposal, in that order."""
+    positives = []
+    for sub_idx, pred, obj_idx in record.gt_triplets:
+        sub_gt, obj_gt = record.gt_boxes[sub_idx], record.gt_boxes[obj_idx]
+        for i, j in pair_proposals(record):
+            di, dj = record.detections[i], record.detections[j]
+            if (
+                di.label == sub_gt.label
+                and dj.label == obj_gt.label
+                and iou(di.box, sub_gt.box) >= iou_threshold
+                and iou(dj.box, obj_gt.box) >= iou_threshold
+            ):
+                positives.append(((i, j), pred))
+    return positives
+
+
+def _reference_pair_feature_remap(record):
+    """Per-pair features re-keyed from detection to gt indices, as a view holds them."""
+    assigned = [
+        int(np.argmax([iou(d.box, gt.box) for d in record.detections]))
+        for gt in record.gt_boxes
+    ]
+    remapped = {}
+    for (i, j), feat in record.pair_features.items():
+        for a, ma in enumerate(assigned):
+            for b, mb in enumerate(assigned):
+                if a != b and ma == i and mb == j:
+                    remapped[(a, b)] = feat
+    return remapped
+
+
+def test_array_paths_match_per_pair_reference():
+    cfg = SynthConfig(seed=5, num_images=10, num_test_images=1, noise=0.3)
+    res = generate(cfg)
+    model = init_fusion_model(
+        fit_frequency(res.train, res.vocab), cfg.feature_dim, res.vocab, np.random.default_rng(5)
+    )
+    checked = {"pairs": 0, "positives": 0, "pair_features": 0}
+    for mode in EVAL_MODES:
+        for record in res.train:
+            view = gt_substitution(record, mode)
+            if mode != "sgdet":
+                expected = _reference_pair_feature_remap(record)
+                assert list(view.pair_features) == list(expected)
+                assert all(view.pair_features[k] is v for k, v in expected.items())
+                checked["pair_features"] += len(expected)
+
+            pairs = pair_proposals(view)
+            got = pair_inputs(model, view, pairs).arrays
+            expected = _reference_pair_inputs(model, view, pairs)
+            assert set(got) == set(expected)
+            for name, array in expected.items():
+                assert np.array_equal(got[name], array), (mode, record.image_id, name)
+            checked["pairs"] += len(pairs)
+
+            got_pairs, got_predicates = match_positive_pairs(view)
+            expected = _reference_positives(view)
+            got = list(zip(map(tuple, got_pairs.tolist()), got_predicates.tolist()))
+            assert got == expected, (mode, record.image_id)
+            checked["positives"] += len(expected)
+    assert all(checked.values()), checked
 
 
 class TestCheckpoint:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from relfusion.datamodel import Box
+from relfusion.datamodel import Box, box_array
 from relfusion.numcore import (
     OptimizerState,
     backward,
@@ -19,9 +19,10 @@ from relfusion.spatial import (
     box_delta,
     normalized_coords,
     spatial_feature,
+    spatial_features,
 )
 
-from util import box, random_box
+from util import box, random_box, spatial_reference
 
 
 def _delta_oracle(b1: Box, b2: Box):
@@ -138,6 +139,36 @@ class TestSpatialFeature:
                 s * h,
             )
             assert np.all(np.abs(scaled - base) < 1e-9)
+
+
+class TestSpatialFeatures:
+    def test_batch_equals_per_pair_and_scalar_reference(self):
+        rng = np.random.default_rng(12)
+        grid = np.arange(0.0, 60.0, 7.5)
+        subs, objs = [], []
+        for k in range(1000):
+            # every third pair on a coarse grid: shared edges, equal and nested boxes
+            grid_or_none = grid if k % 3 == 0 else None
+            subs.append(random_box(rng, hi=400.0, grid=grid_or_none))
+            objs.append(random_box(rng, hi=400.0, grid=grid_or_none))
+        batch = spatial_features(box_array(subs), box_array(objs), 640, 480)
+        assert batch.shape == (1000, SPATIAL_DIM)
+        per_pair = np.stack([spatial_feature(s, o, 640, 480) for s, o in zip(subs, objs)])
+        scalar = np.stack([spatial_reference(s, o, 640, 480) for s, o in zip(subs, objs)])
+        assert np.array_equal(batch, per_pair)
+        assert np.array_equal(batch, scalar)
+
+    def test_zero_size_box_or_image_rejected(self):
+        good = box_array([box(0, 0, 10, 10), box(5, 5, 20, 20)])
+        flat = box_array([box(0, 0, 10, 10), box(5, 5, 5, 20)])
+        with pytest.raises(ValueError, match="zero-size"):
+            spatial_features(good, flat, 50, 50)
+        with pytest.raises(ValueError, match="image dimensions"):
+            spatial_features(good, good[::-1], 50, 0)
+
+    def test_empty_batch(self):
+        empty = box_array([])
+        assert spatial_features(empty, empty, 50, 50).shape == (0, SPATIAL_DIM)
 
 
 class TestSpatialLogits:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from relfusion.datamodel import (
@@ -16,6 +18,35 @@ from relfusion.datamodel import (
 
 def box(x0, y0, x1, y1) -> Box:
     return Box(float(x0), float(y0), float(x1), float(y1))
+
+
+def spatial_reference(b_sub: Box, b_obj: Box, width, height) -> np.ndarray:
+    """The 22-d spatial encoding computed one scalar at a time."""
+
+    def delta(b1: Box, b2: Box):
+        x1, y1 = b1.center
+        x2, y2 = b2.center
+        return [
+            (x1 - x2) / b2.width,
+            (y1 - y2) / b2.height,
+            math.log(b1.width / b2.width),
+            math.log(b1.height / b2.height),
+        ]
+
+    def coords(b: Box):
+        return [b.xmin / width, b.ymin / height, b.xmax / width, b.ymax / height,
+                b.area / (width * height)]
+
+    b_pred = Box(
+        min(b_sub.xmin, b_obj.xmin),
+        min(b_sub.ymin, b_obj.ymin),
+        max(b_sub.xmax, b_obj.xmax),
+        max(b_sub.ymax, b_obj.ymax),
+    )
+    return np.array(
+        delta(b_sub, b_obj) + delta(b_sub, b_pred) + delta(b_pred, b_obj)
+        + coords(b_sub) + coords(b_obj)
+    )
 
 
 def random_box(rng, lo=0.0, hi=100.0, grid=None) -> Box:

@@ -44,6 +44,6 @@ from .metrics import (
 from .semantic import FrequencyTable, fit_frequency, semantic_logits
 from .spatial import box_delta, normalized_coords, spatial_feature
 from .synth import SynthConfig, bayes_accuracy, generate
-from .visual import AttributeHead, VisualBranch, predicate_feature
+from .visual import predicate_feature
 
 __version__ = "0.1.0"

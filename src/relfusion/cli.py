@@ -25,6 +25,7 @@ from .datamodel import (
     save_vocabulary,
 )
 from .fusion import (
+    ATTRIBUTE_HIDDEN,
     BranchMask,
     TrainConfig,
     gt_substitution,
@@ -39,10 +40,9 @@ from .fusion import (
     train_attribute_head,
 )
 from .metrics import MatchSpec, evaluate
-from .numcore import NumericError
+from .numcore import NumericError, init_mlp
 from .semantic import fit_frequency
 from .synth import SynthConfig, generate, save_oracle
-from .visual import init_attribute_head
 
 
 class UsageError(Exception):
@@ -233,12 +233,15 @@ def _train_config(args) -> TrainConfig:
     )
 
 
+def _feature_dim(views) -> int | None:
+    """The views' feature dim (one per dataset file), None without detections."""
+    return next((d.feature.shape[0] for r in views for d in r.detections), None)
+
+
 def _training_setup(args, vocab, dataset):
     """Mode views of a training set, its feature dim and the fitted prior."""
     views = [gt_substitution(r, args.mode) for r in dataset]
-    feature_dim = next(
-        (d.feature.shape[0] for r in views for d in r.detections), None
-    )
+    feature_dim = _feature_dim(views)
     if feature_dim is None:
         raise DataError("training dataset contains no detections")
     return views, feature_dim, fit_frequency(dataset, vocab, smoothing=args.smoothing)
@@ -256,8 +259,8 @@ def cmd_train(args) -> int:
     model, history = train(model, views, cfg)
 
     if vocab.attributes and any(r.gt_attributes for r in dataset):
-        model.attribute_head = init_attribute_head(
-            feature_dim, len(vocab.attributes), rng
+        model.attribute_head = init_mlp(
+            [feature_dim, ATTRIBUTE_HIDDEN, len(vocab.attributes)], rng
         )
         train_attribute_head(model.attribute_head, dataset, cfg)
 
@@ -275,10 +278,15 @@ def cmd_predict(args) -> int:
     if model.vocab_hash != vocab.digest():
         raise DataError("checkpoint was trained with a different vocabulary")
     dataset = load_dataset(args.test_path, vocab)
+    views = [gt_substitution(r, args.mode) for r in dataset]
+    dim = _feature_dim(views)
+    if dim not in (None, model.feature_dim):
+        raise DataError(
+            f"{args.test_path}: feature dimension {dim} != checkpoint's {model.feature_dim}"
+        )
     predictions = {}
     is_triplets = {}
-    for record in dataset:
-        view = gt_substitution(record, args.mode)
+    for record, view in zip(dataset, views):
         predictions[record.image_id] = predict_image(model, view, top_n=args.top_n)
         if args.attributes and model.attribute_head is not None:
             is_triplets[record.image_id] = [

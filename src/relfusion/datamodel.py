@@ -212,11 +212,7 @@ class Vocabulary:
     def __post_init__(self):
         if len(self.predicates) < 2:
             raise DataError("vocabulary needs the no-relationship class plus >= 1 predicate")
-        for name, items in (
-            ("objects", self.object_classes),
-            ("predicates", self.predicates),
-            ("attributes", self.attributes),
-        ):
+        for name, items in self.to_json().items():
             if len(set(items)) != len(items):
                 raise DataError(f"duplicate names in vocabulary list {name!r}")
 
@@ -225,15 +221,16 @@ class Vocabulary:
         """Number of real predicates P (excludes the no-relationship slot)."""
         return len(self.predicates) - 1
 
+    def to_json(self) -> dict:
+        """The vocabulary file's content; :meth:`digest` hashes it."""
+        return {
+            "objects": list(self.object_classes),
+            "predicates": list(self.predicates),
+            "attributes": list(self.attributes),
+        }
+
     def digest(self) -> str:
-        payload = json.dumps(
-            {
-                "objects": list(self.object_classes),
-                "predicates": list(self.predicates),
-                "attributes": list(self.attributes),
-            },
-            sort_keys=True,
-        )
+        payload = json.dumps(self.to_json(), sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -266,25 +263,30 @@ def read_jsonl(path: str | os.PathLike):
                 yield lineno, _decode_object(line, path, lineno)
 
 
+def is_list_of(value, kind: type) -> bool:
+    """True for a JSON list whose items all have type ``kind`` (a bool is no int)."""
+    return type(value) is list and all(type(v) is kind for v in value)
+
+
+def _index(value, n: int) -> bool:
+    """True for a JSON integer (not a boolean) in 0..n-1."""
+    return type(value) is int and 0 <= value < n
+
+
 def load_vocabulary(path: str | os.PathLike) -> Vocabulary:
     raw = read_json(path)
+    lists = [raw.get("objects"), raw.get("predicates"), raw.get("attributes", [])]
+    for key, names in zip(("objects", "predicates", "attributes"), lists):
+        if not is_list_of(names, str):
+            raise DataError(f"vocabulary file {path}: {key!r} must be a list of strings")
     try:
-        return Vocabulary(
-            object_classes=tuple(raw["objects"]),
-            predicates=tuple(raw["predicates"]),
-            attributes=tuple(raw.get("attributes", [])),
-        )
-    except KeyError as exc:
-        raise DataError(f"vocabulary file {path} missing key {exc}") from exc
+        return Vocabulary(*map(tuple, lists))
+    except DataError as exc:
+        raise DataError(f"vocabulary file {path}: {exc}") from exc
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | os.PathLike) -> None:
-    payload = {
-        "objects": list(vocab.object_classes),
-        "predicates": list(vocab.predicates),
-        "attributes": list(vocab.attributes),
-    }
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    atomic_write_text(path, json.dumps(vocab.to_json(), indent=2) + "\n")
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
@@ -314,13 +316,22 @@ def parse_box(raw, where: str) -> Box:
         raise DataError(f"{where}: {exc}") from exc
 
 
+def parse_array(raw, ndim: int, where: str) -> np.ndarray:
+    """A finite float64 array of ``ndim`` dimensions from JSON; else a DataError."""
+    try:
+        arr = np.asarray(raw, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{where}: not an array of numbers ({exc})") from None
+    if arr.ndim != ndim:
+        raise DataError(f"{where}: expected a {ndim}-d array of numbers, got {raw!r:.40}")
+    if not np.all(np.isfinite(arr)):
+        raise DataError(f"{where}: non-finite values")
+    return arr
+
+
 def _parse_feature(raw, expected_dim: int | None, where: str) -> np.ndarray:
     """A finite flat feature, of length ``expected_dim`` unless that is None."""
-    feat = np.asarray(raw, dtype=np.float64)
-    if feat.ndim != 1:
-        raise DataError(f"{where}: feature must be a flat list")
-    if not np.all(np.isfinite(feat)):
-        raise DataError(f"{where}: non-finite feature values")
+    feat = parse_array(raw, 1, f"{where} feature")
     if expected_dim is not None and feat.shape[0] != expected_dim:
         raise DataError(
             f"{where}: feature dimension {feat.shape[0]} != dataset dimension {expected_dim}"
@@ -336,78 +347,84 @@ def _parse_record(raw: dict, vocab: Vocabulary, feature_dim: int | None) -> tupl
 
     width = raw.get("width")
     height = raw.get("height")
-    if not isinstance(width, int) or not isinstance(height, int) or width <= 0 or height <= 0:
+    if type(width) is not int or type(height) is not int or width <= 0 or height <= 0:
         raise DataError(f"{where}: width/height must be positive integers")
+
+    items = {}
+    for key, kind in (("detections", dict), ("gt_boxes", dict), ("gt_triplets", list),
+                      ("gt_attributes", list), ("pair_features", dict)):
+        items[key] = raw.get(key, [])
+        if not is_list_of(items[key], kind):
+            noun = "objects" if kind is dict else "lists"
+            raise DataError(f"{where}: {key} must be a list of {noun}")
 
     num_objects = len(vocab.object_classes)
     num_predicates = vocab.num_predicates
     num_attributes = len(vocab.attributes)
 
     detections = []
-    zero_area = 0
-    for i, d in enumerate(raw.get("detections", [])):
+    for i, d in enumerate(items["detections"]):
         box = parse_box(d.get("box"), f"{where} detection {i}")
         feat = _parse_feature(d.get("feature"), feature_dim, f"{where} detection {i}")
         feature_dim = feat.shape[0]
         label = d.get("label")
-        if not isinstance(label, int) or not (0 <= label < num_objects):
+        if not _index(label, num_objects):
             raise DataError(f"{where} detection {i}: label {label!r} outside vocabulary")
         score = d.get("score")
-        if not isinstance(score, (int, float)) or not (0.0 <= score <= 1.0):
+        if type(score) not in (int, float) or not (0.0 <= score <= 1.0):
             raise DataError(f"{where} detection {i}: score {score!r} outside [0, 1]")
-        if box.is_degenerate():
-            zero_area += 1
         detections.append(Detection(label=label, box=box, score=float(score), feature=feat))
 
     gt_boxes = []
-    for i, g in enumerate(raw.get("gt_boxes", [])):
+    for i, g in enumerate(items["gt_boxes"]):
         box = parse_box(g.get("box"), f"{where} gt box {i}")
         label = g.get("label")
-        if not isinstance(label, int) or not (0 <= label < num_objects):
+        if not _index(label, num_objects):
             raise DataError(f"{where} gt box {i}: label {label!r} outside vocabulary")
         feat = None
         if g.get("feature") is not None:
             feat = _parse_feature(g["feature"], feature_dim, f"{where} gt box {i}")
             feature_dim = feat.shape[0]
-        if box.is_degenerate():
-            zero_area += 1
         gt_boxes.append(GtObject(label=label, box=box, feature=feat))
 
     gt_triplets = []
-    for i, t in enumerate(raw.get("gt_triplets", [])):
-        if not isinstance(t, (list, tuple)) or len(t) != 3:
+    for i, t in enumerate(items["gt_triplets"]):
+        if len(t) != 3:
             raise DataError(f"{where} gt triplet {i}: expected [sub_idx, pred_id, obj_idx]")
         sub_idx, pred, obj_idx = t
-        if not (0 <= sub_idx < len(gt_boxes)) or not (0 <= obj_idx < len(gt_boxes)):
+        if not (_index(sub_idx, len(gt_boxes)) and _index(obj_idx, len(gt_boxes))):
             raise DataError(
                 f"{where} gt triplet {i}: index out of range for {len(gt_boxes)} gt boxes"
             )
         if sub_idx == obj_idx:
             raise DataError(f"{where} gt triplet {i}: subject and object index coincide")
-        if not (1 <= pred <= num_predicates):
-            raise DataError(f"{where} gt triplet {i}: predicate {pred} outside 1..{num_predicates}")
+        if not _index(pred, num_predicates + 1) or pred == 0:
+            raise DataError(
+                f"{where} gt triplet {i}: predicate {pred!r} outside 1..{num_predicates}"
+            )
         gt_triplets.append((sub_idx, pred, obj_idx))
 
     gt_attributes = []
-    for i, a in enumerate(raw.get("gt_attributes", [])):
-        if not isinstance(a, (list, tuple)) or len(a) != 2:
+    for i, a in enumerate(items["gt_attributes"]):
+        if len(a) != 2:
             raise DataError(f"{where} gt attribute {i}: expected [gt_idx, attr_id]")
         gt_idx, attr = a
-        if not (0 <= gt_idx < len(gt_boxes)):
-            raise DataError(f"{where} gt attribute {i}: gt index {gt_idx} out of range")
-        if not (0 <= attr < num_attributes):
-            raise DataError(f"{where} gt attribute {i}: attribute {attr} outside vocabulary")
+        if not _index(gt_idx, len(gt_boxes)):
+            raise DataError(f"{where} gt attribute {i}: gt index {gt_idx!r} out of range")
+        if not _index(attr, num_attributes):
+            raise DataError(f"{where} gt attribute {i}: attribute {attr!r} outside vocabulary")
         gt_attributes.append((gt_idx, attr))
 
     pair_features = {}
-    for i, p in enumerate(raw.get("pair_features", [])):
+    for i, p in enumerate(items["pair_features"]):
         sub, obj = p.get("sub"), p.get("obj")
-        if not (0 <= sub < len(detections)) or not (0 <= obj < len(detections)) or sub == obj:
-            raise DataError(f"{where} pair feature {i}: invalid detection pair ({sub}, {obj})")
+        if not (_index(sub, len(detections)) and _index(obj, len(detections))) or sub == obj:
+            raise DataError(f"{where} pair feature {i}: invalid detection pair ({sub!r}, {obj!r})")
         feat = _parse_feature(p.get("feature"), feature_dim, f"{where} pair feature {i}")
         feature_dim = feat.shape[0]
         pair_features[(sub, obj)] = feat
 
+    zero_area = sum(o.box.is_degenerate() for o in [*detections, *gt_boxes])
     if zero_area:
         logger.warning("%s: %d zero-area box(es) accepted", where, zero_area)
 

@@ -7,10 +7,12 @@ heads train against softmax cross-entropy where matched ground-truth
 triplets provide positive labels and sampled unmatched pairs carry the
 no-relationship class.
 
-A branch is defined in one place, the :data:`BRANCHES` table: the
-per-pair inputs it reads, its forward and backward pass and its
-parameters. The table's order is both the summation order of the fused
-logits and the order of :func:`trainable_params`.
+Every trainable net is an :class:`~relfusion.numcore.Mlp` field of
+:class:`FusionModel`, named in :data:`NETS`. A branch is defined in one
+place, the :data:`BRANCHES` table: its terms, each a net (or the frozen
+prior) and the per-pair inputs it reads. The table's order is both the
+summation order of the fused logits and the order of
+:func:`trainable_params`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, astuple, dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -31,28 +32,29 @@ from .datamodel import (
     atomic_write_text,
     box_array,
     iou_matrix,
+    is_list_of,
     parse_box,
     read_json,
     read_jsonl,
 )
 from . import numcore
-from .numcore import Mlp, NumericError, OptimizerState, forward, layer_forward, sgd_step, softmax
+from .numcore import Mlp, NumericError, OptimizerState, forward, init_mlp, sgd_step, softmax
 from .semantic import FrequencyTable, semantic_logits, table_from_json, table_to_json
 from .spatial import SPATIAL_DIM, spatial_features
-from .visual import (
-    AttributeHead,
-    VisualBranch,
-    init_visual_branch,
-    predicate_features,
-)
+from .visual import predicate_features
 
-# The per-pair definitions that the array paths below reproduce.
-# perfbench/tracing.py wraps them at this module's attributes.
+# The per-pair definitions that the array paths below reproduce, and the
+# single-layer step of numcore.forward. perfbench/tracing.py wraps them at
+# this module's attributes.
 from .datamodel import iou  # noqa: F401
+from .numcore import layer_forward  # noqa: F401
 from .spatial import spatial_feature  # noqa: F401
 from .visual import predicate_feature  # noqa: F401
 
-CHECKPOINT_FORMAT = "relfusion-checkpoint-v1"
+CHECKPOINT_FORMAT = "relfusion-checkpoint-v2"
+
+# Width of the attribute head's one hidden layer.
+ATTRIBUTE_HIDDEN = 64
 
 EVAL_MODES = ("prdcls", "sgcls", "sgdet")
 
@@ -89,14 +91,16 @@ class TrainConfig:
 
 @dataclass
 class FusionModel:
-    """Frozen frequency prior plus the trainable spatial and visual branches."""
+    """Frozen frequency prior plus the trainable nets, in :data:`NETS` order."""
 
     freq: FrequencyTable
     spatial_mlp: Mlp
-    visual: VisualBranch
+    spo_head: Mlp  # over the subject, predicate and object features side by side
+    sub_head: Mlp  # one layer
+    obj_head: Mlp  # one layer
     mask: BranchMask
     vocab_hash: str
-    attribute_head: AttributeHead | None = None
+    attribute_head: Mlp | None = None  # separate single-object classifier
 
     @property
     def num_predicates(self) -> int:
@@ -104,7 +108,12 @@ class FusionModel:
 
     @property
     def feature_dim(self) -> int:
-        return self.visual.feature_dim
+        return self.sub_head.in_dim
+
+
+# Every trainable net of a FusionModel: the checkpoint keys, in the order
+# init_fusion_model draws them (the attribute head comes later, if at all).
+NETS = ("spatial_mlp", "spo_head", "sub_head", "obj_head", "attribute_head")
 
 
 def init_fusion_model(
@@ -116,14 +125,15 @@ def init_fusion_model(
     spatial_hidden: tuple[int, int] = (64, 64),
     spo_hidden: tuple[int, int] = (256, 256),
 ) -> FusionModel:
-    """Randomly initialize the trainable branches around a fitted prior."""
+    """Randomly initialize the relationship nets around a fitted prior."""
     out = freq.num_predicates + 1
-    spatial_mlp = numcore.init_mlp([SPATIAL_DIM, *spatial_hidden, out], rng)
-    visual = init_visual_branch(feature_dim, freq.num_predicates, rng, spo_hidden)
+    # Keyword arguments are evaluated, and so drawn, in this order.
     return FusionModel(
         freq=freq,
-        spatial_mlp=spatial_mlp,
-        visual=visual,
+        spatial_mlp=init_mlp([SPATIAL_DIM, *spatial_hidden, out], rng),
+        spo_head=init_mlp([3 * feature_dim, *spo_hidden, out], rng),
+        sub_head=init_mlp([feature_dim, out], rng),
+        obj_head=init_mlp([feature_dim, out], rng),
         mask=mask,
         vocab_hash=vocab.digest(),
     )
@@ -155,57 +165,27 @@ class PairInputs:
 
 @dataclass(frozen=True)
 class Branch:
-    """One fusion branch: the per-pair inputs it reads and how it scores them.
+    """One fusion branch: the mask field that enables it and its terms.
 
-    ``forward(model, *inputs)`` gives the (N, P+1) logits and a cache, and
-    ``backward(model, cache, dlogits)`` one (dW, db) per ``layers(model)``.
+    A term is a :data:`NETS` name, or None for the frozen prior, with the
+    per-pair inputs it reads side by side. The branch's logits are its
+    terms' outputs summed left to right.
     """
 
     name: str  # the BranchMask field that enables it
-    inputs: tuple[str, ...]
-    forward: Callable
-    backward: Callable = lambda model, cache, dlogits: []
-    layers: Callable = lambda model: []
-
-
-def _mlp_branch(name: str, inputs: tuple[str, ...], net: Callable) -> Branch:
-    """A branch that feeds its inputs, side by side, to the MLP ``net(model)``."""
-    return Branch(
-        name,
-        inputs,
-        lambda model, *xs: forward(net(model), np.concatenate(xs, axis=1)),
-        lambda model, cache, dlogits: numcore.backward(net(model), cache, dlogits)[0],
-        lambda model: net(model).layers,
-    )
-
-
-def _subobj_forward(model: FusionModel, v_sub: np.ndarray, v_obj: np.ndarray):
-    out = layer_forward(model.visual.sub_head, v_sub) + layer_forward(
-        model.visual.obj_head, v_obj
-    )
-    return out, (v_sub, v_obj)
-
-
-def _subobj_backward(model: FusionModel, cache, dlogits: np.ndarray):
-    return [(dlogits.T @ v, dlogits.sum(axis=0)) for v in cache]
+    terms: tuple[tuple[str | None, tuple[str, ...]], ...]
 
 
 BRANCHES = (
-    Branch("semantic", ("sem",), lambda model, sem: (sem, None)),
-    _mlp_branch("spatial", ("spat",), lambda model: model.spatial_mlp),
-    _mlp_branch("visual_spo", ("v_sub", "v_pred", "v_obj"), lambda model: model.visual.spo_head),
-    Branch(
-        "visual_subobj",
-        ("v_sub", "v_obj"),
-        _subobj_forward,
-        _subobj_backward,
-        lambda model: [model.visual.sub_head, model.visual.obj_head],
-    ),
+    Branch("semantic", ((None, ("sem",)),)),
+    Branch("spatial", (("spatial_mlp", ("spat",)),)),
+    Branch("visual_spo", (("spo_head", ("v_sub", "v_pred", "v_obj")),)),
+    Branch("visual_subobj", (("sub_head", ("v_sub",)), ("obj_head", ("v_obj",)))),
 )
 
 
-def _layer_params(layers) -> list[np.ndarray]:
-    return [p for layer in layers for p in (layer.weights, layer.bias)]
+def _layer_params(nets) -> list[np.ndarray]:
+    return [p for net in nets for layer in net.layers for p in (layer.weights, layer.bias)]
 
 
 def enabled_branches(mask: BranchMask) -> list[Branch]:
@@ -240,22 +220,24 @@ def pair_inputs(model: FusionModel, record: ImageRecord, pairs) -> PairInputs:
         "v_pred": lambda: predicate_features(feats, record, sub, obj),
         "v_obj": lambda: feats[obj],
     }
-    arrays: dict[str, np.ndarray] = {}
-    for branch in enabled_branches(model.mask):
-        for name in branch.inputs:
-            if name not in arrays:
-                arrays[name] = rows[name]()
-    return PairInputs(arrays)
+    names = [n for b in enabled_branches(model.mask) for _, inputs in b.terms for n in inputs]
+    return PairInputs({name: rows[name]() for name in dict.fromkeys(names)})
 
 
 def batch_logits(model: FusionModel, inputs: PairInputs) -> tuple[np.ndarray, list]:
-    """Fused logits for a batch of pairs plus the per-branch caches backward needs."""
+    """Fused logits for a batch of pairs plus (net, cache) of each enabled net."""
     vectors: list[np.ndarray] = []
     caches: list = []
     for branch in enabled_branches(model.mask):
-        out, cache = branch.forward(model, *(inputs.arrays[name] for name in branch.inputs))
+        out = None
+        for net, names in branch.terms:
+            term = np.concatenate([inputs.arrays[name] for name in names], axis=1)
+            if net is not None:
+                mlp = getattr(model, net)
+                term, cache = forward(mlp, term)
+                caches.append((mlp, cache))
+            out = term if out is None else out + term
         vectors.append(out)
-        caches.append(cache)
     # Right fold so that peeling branches off the front of the canonical
     # order splits the sum without any re-rounding.
     logits = np.zeros((len(inputs), model.num_predicates + 1))
@@ -275,8 +257,19 @@ def pair_logits(
 def trainable_params(model: FusionModel) -> list[np.ndarray]:
     """Parameter arrays of the enabled trainable branches, canonical order."""
     return _layer_params(
-        layer for branch in enabled_branches(model.mask) for layer in branch.layers(model)
+        getattr(model, net) for b in enabled_branches(model.mask) for net, _ in b.terms if net
     )
+
+
+def _xent_and_grads(logits: np.ndarray, caches: list, targets: np.ndarray):
+    """Mean softmax cross-entropy and its gradients through the (net, cache) pairs."""
+    losses, dlogits = numcore.softmax_xent(logits, targets)
+    dlogits = dlogits / len(targets)
+    grads: list[np.ndarray] = []
+    for net, cache in caches:
+        for dw_db in numcore.backward(net, cache, dlogits)[0]:
+            grads.extend(dw_db)
+    return float(losses.mean()), grads
 
 
 def loss_and_grads(
@@ -286,16 +279,8 @@ def loss_and_grads(
 
     The gradient list aligns with :func:`trainable_params`.
     """
-    n = len(inputs)
     logits, caches = batch_logits(model, inputs)
-    losses, dlogits = numcore.softmax_xent(logits, inputs.targets)
-    loss = float(losses.mean())
-    dlogits = dlogits / n
-    grads: list[np.ndarray] = []
-    for branch, cache in zip(enabled_branches(model.mask), caches):
-        for dw_db in branch.backward(model, cache, dlogits):
-            grads.extend(dw_db)
-    return loss, grads
+    return _xent_and_grads(logits, caches, inputs.targets)
 
 
 def match_positive_pairs(
@@ -522,29 +507,23 @@ def _attribute_examples(dataset: list[ImageRecord]) -> tuple[np.ndarray, np.ndar
     return np.stack(feats), np.asarray(targets, dtype=np.intp)
 
 
-def train_attribute_head(
-    head: AttributeHead, dataset: list[ImageRecord], cfg: TrainConfig
-) -> list[float]:
+def train_attribute_head(head: Mlp, dataset: list[ImageRecord], cfg: TrainConfig) -> list[float]:
     """Separate single-object training pass for the attribute classifier."""
     rng = np.random.default_rng(cfg.seed)
     feats, targets = _attribute_examples(dataset)
 
     def step(idx):
-        out, cache = forward(head.mlp, feats[idx])
-        losses, dlogits = numcore.softmax_xent(out, targets[idx])
-        layer_grads, _ = numcore.backward(head.mlp, cache, dlogits / len(idx))
-        return float(losses.mean()), [g for dw_db in layer_grads for g in dw_db]
+        out, cache = forward(head, feats[idx])
+        return _xent_and_grads(out, [(head, cache)], targets[idx])
 
-    return _sgd_epochs(step, feats.shape[0], _layer_params(head.mlp.layers), cfg, rng, "attribute")
+    return _sgd_epochs(step, feats.shape[0], _layer_params([head]), cfg, rng, "attribute")
 
 
-def predict_attributes(
-    head: AttributeHead, record: ImageRecord
-) -> list[tuple[int, int, float]]:
+def predict_attributes(head: Mlp, record: ImageRecord) -> list[tuple[int, int, float]]:
     """Top attribute per detection: (detection index, attribute, score)."""
     out = []
     for idx, det in enumerate(record.detections):
-        probs = softmax(forward(head.mlp, det.feature)[0])
+        probs = softmax(forward(head, det.feature)[0])
         best = int(np.argmax(probs))
         out.append((idx, best, float(probs[best] * det.score)))
     return out
@@ -557,42 +536,64 @@ def save_checkpoint(model: FusionModel, path: str | os.PathLike) -> None:
     payload = {
         "format": CHECKPOINT_FORMAT,
         "vocab_hash": model.vocab_hash,
-        "feature_dim": model.feature_dim,
         "branch_mask": asdict(model.mask),
         "frequency": table_to_json(model.freq),
-        "spatial_mlp": numcore.mlp_to_json(model.spatial_mlp),
-        "visual": {
-            "spo_head": numcore.mlp_to_json(model.visual.spo_head),
-            "sub_head": numcore.layer_to_json(model.visual.sub_head),
-            "obj_head": numcore.layer_to_json(model.visual.obj_head),
-        },
-        "attribute_head": (
-            numcore.mlp_to_json(model.attribute_head.mlp) if model.attribute_head else None
-        ),
     }
+    for name in NETS:
+        net = getattr(model, name)
+        payload[name] = None if net is None else numcore.mlp_to_json(net)
     atomic_write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path: str | os.PathLike) -> FusionModel:
+    """Read a checkpoint; a malformed or inconsistent one is a DataError naming the file."""
     raw = read_json(path)
     if raw.get("format") != CHECKPOINT_FORMAT:
-        raise DataError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    attr = raw.get("attribute_head")
+        raise DataError(f"{path}: format {raw.get('format')!r} is not {CHECKPOINT_FORMAT!r}")
+    for key in ("vocab_hash", "branch_mask", "frequency", *NETS):
+        if key not in raw:
+            raise DataError(f"checkpoint file {path} missing key {key!r}")
+    mask = raw["branch_mask"]
+    flags = asdict(BranchMask())
+    if (
+        not isinstance(mask, dict)
+        or mask.keys() != flags.keys()
+        or not is_list_of(list(mask.values()), bool)
+        or not any(mask.values())
+    ):
+        raise DataError(f"{path}: branch_mask must set {', '.join(flags)} to true or false")
     try:
-        return FusionModel(
-            freq=table_from_json(raw["frequency"]),
-            spatial_mlp=numcore.mlp_from_json(raw["spatial_mlp"]),
-            visual=VisualBranch(
-                spo_head=numcore.mlp_from_json(raw["visual"]["spo_head"]),
-                sub_head=numcore.layer_from_json(raw["visual"]["sub_head"]),
-                obj_head=numcore.layer_from_json(raw["visual"]["obj_head"]),
-            ),
-            mask=BranchMask(**raw["branch_mask"]),
-            vocab_hash=raw["vocab_hash"],
-            attribute_head=AttributeHead(numcore.mlp_from_json(attr)) if attr else None,
-        )
-    except KeyError as exc:
-        raise DataError(f"checkpoint file {path} missing key {exc}") from exc
+        freq = table_from_json(raw["frequency"])
+    except DataError as exc:
+        raise DataError(f"{path}: frequency: {exc}") from exc
+
+    nets = {}
+    for name in NETS:
+        if name == "attribute_head" and raw[name] is None:
+            nets[name] = None
+            continue
+        try:
+            nets[name] = numcore.mlp_from_json(raw[name])
+        except DataError as exc:
+            raise DataError(f"{path}: {name}: {exc}") from exc
+    # (input width, output width) of each net
+    dim, out = nets["sub_head"].in_dim, freq.num_predicates + 1
+    shapes = {
+        "spatial_mlp": (SPATIAL_DIM, out),
+        "spo_head": (3 * dim, out),
+        "sub_head": (dim, out),
+        "obj_head": (dim, out),
+    }
+    if nets["attribute_head"] is not None:
+        shapes["attribute_head"] = (dim, nets["attribute_head"].out_dim)
+    for name, want in shapes.items():
+        got = (nets[name].in_dim, nets[name].out_dim)
+        if got != want:
+            raise DataError(
+                f"{path}: {name} maps {got[0]} -> {got[1]} values, expected"
+                f" {want[0]} -> {want[1]} (sub_head takes {dim} inputs)"
+            )
+    return FusionModel(freq=freq, mask=BranchMask(**mask), vocab_hash=raw["vocab_hash"], **nets)
 
 
 def save_predictions(

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datamodel import DataError, is_list_of, parse_array
+
 
 class NumericError(RuntimeError):
     """Raised when training produces non-finite values."""
@@ -217,20 +219,25 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float =
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
 
 
-def layer_to_json(layer: DenseLayer) -> dict:
-    return {"weights": layer.weights.tolist(), "bias": layer.bias.tolist()}
-
-
-def layer_from_json(raw: dict) -> DenseLayer:
-    return DenseLayer(
-        weights=np.asarray(raw["weights"], dtype=np.float64),
-        bias=np.asarray(raw["bias"], dtype=np.float64),
-    )
-
-
 def mlp_to_json(mlp: Mlp) -> dict:
-    return {"layers": [layer_to_json(l) for l in mlp.layers]}
+    return {
+        "layers": [{"weights": l.weights.tolist(), "bias": l.bias.tolist()} for l in mlp.layers]
+    }
 
 
-def mlp_from_json(raw: dict) -> Mlp:
-    return Mlp([layer_from_json(l) for l in raw["layers"]])
+def mlp_from_json(raw) -> Mlp:
+    """Inverse of :func:`mlp_to_json`; malformed input is a DataError."""
+    layers = raw.get("layers") if isinstance(raw, dict) else None
+    if not is_list_of(layers, dict) or not layers:
+        raise DataError('expected {"layers": [...]}, a non-empty list of objects')
+    out = []
+    for i, layer in enumerate(layers):
+        weights = parse_array(layer.get("weights"), 2, f"layer {i} weights")
+        bias = parse_array(layer.get("bias"), 1, f"layer {i} bias")
+        if bias.shape != weights.shape[:1]:
+            raise DataError(f"layer {i}: {bias.shape[0]} biases for {weights.shape[0]} outputs")
+        out.append(DenseLayer(weights, bias))
+    try:
+        return Mlp(out)
+    except ValueError as exc:
+        raise DataError(str(exc)) from None

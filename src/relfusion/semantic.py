@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datamodel import ImageRecord, Vocabulary
+from .datamodel import DataError, ImageRecord, Vocabulary
 
 
 @dataclass
@@ -81,9 +81,18 @@ def table_to_json(table: FrequencyTable) -> dict:
 
 
 def table_from_json(raw: dict) -> FrequencyTable:
-    table = FrequencyTable(
-        num_predicates=int(raw["num_predicates"]), smoothing=float(raw["smoothing"])
-    )
-    for s, o, counts in raw["entries"]:
-        table.counts[(int(s), int(o))] = np.asarray(counts, dtype=np.int64)
+    """Inverse of :func:`table_to_json`; malformed input is a DataError."""
+    try:
+        table = FrequencyTable(
+            num_predicates=int(raw["num_predicates"]), smoothing=float(raw["smoothing"])
+        )
+        for s, o, counts in raw["entries"]:
+            table.counts[(int(s), int(o))] = np.asarray(counts, dtype=np.int64)
+    except KeyError as exc:
+        raise DataError(f"missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(str(exc)) from None
+    size = table.num_predicates + 1
+    if any(counts.shape != (size,) for counts in table.counts.values()):
+        raise DataError(f"every entry needs {size} predicate counts")
     return table

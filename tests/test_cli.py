@@ -265,21 +265,58 @@ class TestPredictAndEval:
         assert self._eval(synth_dir, tmp_path, vocab) == 2
         assert f"{vocab}:2: invalid JSON" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["truncate", "drop_key"])
-    def test_damaged_checkpoint_exits_2(self, synth_dir, tmp_path, capsys, damage):
-        ckpt = _train(synth_dir, tmp_path)
-        text = ckpt.read_text()
-        if damage == "truncate":
-            ckpt.write_text(text[: len(text) // 2])
-        else:
-            raw = json.loads(text)
-            del raw["spatial_mlp"]
-            ckpt.write_text(json.dumps(raw))
-        code = main(
+    # damage -> (edit of the parsed checkpoint, or None to cut the text in
+    # half; a fragment of the message)
+    CHECKPOINT_DAMAGE = {
+        "truncate": (None, "invalid JSON"),
+        "drop_key": (lambda raw: raw.pop("spatial_mlp"), "missing key 'spatial_mlp'"),
+        "v1_format": (
+            lambda raw: raw.update(format="relfusion-checkpoint-v1"),
+            "is not 'relfusion-checkpoint-v2'",
+        ),
+        "spatial_input_21": (
+            lambda raw: [row.pop() for row in raw["spatial_mlp"]["layers"][0]["weights"]],
+            "spatial_mlp maps 21 -> 9 values, expected 22 -> 9",
+        ),
+        "sub_head_input_8": (
+            lambda raw: [row.__delitem__(slice(8, None))
+                         for row in raw["sub_head"]["layers"][0]["weights"]],
+            "spo_head maps 48 -> 9 values, expected 24 -> 9",
+        ),
+        "obj_head_output_8": (
+            lambda raw: raw["obj_head"]["layers"][0]["weights"].pop(),
+            "obj_head: layer 0: 9 biases for 8 outputs",
+        ),
+        "attribute_head_input_15": (
+            lambda raw: [row.pop() for row in raw["attribute_head"]["layers"][0]["weights"]],
+            "attribute_head maps 15 -> 4 values, expected 16 -> 4",
+        ),
+        "ragged_weights": (
+            lambda raw: raw["spo_head"]["layers"][1]["weights"][0].pop(),
+            "spo_head: layer 1 weights: not an array of numbers",
+        ),
+        "unknown_mask_key": (lambda raw: raw["branch_mask"].update(bogus=True), "branch_mask"),
+        "mask_not_object": (lambda raw: raw.update(branch_mask=3), "branch_mask"),
+        "mask_not_boolean": (lambda raw: raw["branch_mask"].update(spatial=1), "branch_mask"),
+        "layers_not_list": (lambda raw: raw.update(spatial_mlp={"layers": 5}), "spatial_mlp"),
+        "net_null": (lambda raw: raw.update(spo_head=None), "spo_head"),
+        "string_weight": (
+            lambda raw: raw["sub_head"]["layers"][0]["weights"][0].__setitem__(0, "x"),
+            "sub_head: layer 0 weights: not an array of numbers",
+        ),
+        "string_count": (
+            lambda raw: raw["frequency"]["entries"][0][2].__setitem__(0, "x"),
+            "frequency:",
+        ),
+        "short_counts": (lambda raw: raw["frequency"]["entries"][0][2].pop(), "frequency:"),
+    }
+
+    def _predict(self, synth_dir, tmp_path, ckpt, test_dir=None):
+        return main(
             [
                 "predict",
                 "--test",
-                str(synth_dir / "test.jsonl"),
+                str((test_dir or synth_dir) / "test.jsonl"),
                 "--vocab",
                 str(synth_dir / "vocab.json"),
                 "--checkpoint",
@@ -288,9 +325,33 @@ class TestPredictAndEval:
                 str(tmp_path / "x.jsonl"),
             ]
         )
+
+    @pytest.mark.parametrize("damage", list(CHECKPOINT_DAMAGE))
+    def test_damaged_checkpoint_exits_2(self, synth_dir, tmp_path, capsys, damage):
+        ckpt = _train(synth_dir, tmp_path)
+        text = ckpt.read_text()
+        edit, expected = self.CHECKPOINT_DAMAGE[damage]
+        if edit is None:
+            ckpt.write_text(text[: len(text) // 2])
+        else:
+            raw = json.loads(text)
+            edit(raw)
+            ckpt.write_text(json.dumps(raw))
+        code = self._predict(synth_dir, tmp_path, ckpt)
+        err = capsys.readouterr().err
         assert code == 2
-        expected = "invalid JSON" if damage == "truncate" else "missing key 'spatial_mlp'"
-        assert expected in capsys.readouterr().err
+        assert str(ckpt) in err and expected in err, err
+        assert "Traceback" not in err
+
+    def test_feature_dim_mismatch_exits_2(self, synth_dir, tmp_path, capsys):
+        # The same seed and vocabulary with narrower features.
+        narrow = tmp_path / "narrow"
+        assert main(["gen-synth", "--out", str(narrow), "--num-images", "2",
+                     "--num-test-images", "2", "--seed", "7", "--feature-dim", "8"]) == 0
+        code = self._predict(synth_dir, tmp_path, _train(synth_dir, tmp_path), test_dir=narrow)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "feature dimension 8 != checkpoint's 16" in err, err
 
     @pytest.mark.parametrize(
         "row, message",

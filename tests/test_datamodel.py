@@ -1,8 +1,10 @@
 """Data types, box geometry, and dataset IO."""
 
+import hashlib
 import json
 import math
 import os
+import re
 import stat
 
 import numpy as np
@@ -125,6 +127,32 @@ class TestVocabulary:
         assert loaded == v
         assert loaded.digest() == v.digest()
 
+    def test_digest_hashes_the_sorted_key_payload(self, tmp_path):
+        # Checkpoints store this digest, so its bytes must not change.
+        v = tiny_vocab(num_objects=1, num_predicates=1, num_attributes=1)
+        payload = b'{"attributes": ["a0"], "objects": ["o0"], "predicates": ["__no_rel__", "p1"]}'
+        assert v.digest() == hashlib.sha256(payload).hexdigest()
+        save_vocabulary(v, tmp_path / "vocab.json")
+        assert json.loads((tmp_path / "vocab.json").read_text()) == json.loads(payload)
+
+    @pytest.mark.parametrize(
+        "objects",
+        [None, "abc", ["a", 1], {"a": "b"}],
+        ids=["null", "string", "int item", "object"],
+    )
+    def test_name_lists_must_be_lists_of_strings(self, tmp_path, objects):
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps({"objects": objects, "predicates": ["__no_rel__", "p"]}))
+        message = f"{path}: 'objects' must be a list of strings"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_vocabulary(path)
+
+    def test_vocabulary_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps({"objects": ["a", "a"], "predicates": ["__no_rel__", "p"]}))
+        with pytest.raises(DataError, match=re.escape(f"{path}: duplicate names")):
+            load_vocabulary(path)
+
 
 class TestAtomicWriteText:
     def test_temp_name_is_not_shared(self, tmp_path):
@@ -233,6 +261,111 @@ class TestLoadDataset:
             (lambda l: l.update(width=0), "width"),
             (lambda l: l["detections"][0].update(label=99), "label"),
             (lambda l: l["detections"][0].update(box=["a", 0, 1, 1]), "detection 0"),
+            pytest.param(
+                lambda l: l["detections"][0].update(label=True),
+                "label",
+                id="bool detection label",
+            ),
+            pytest.param(
+                lambda l: l["gt_boxes"][0].update(label=False),
+                "label",
+                id="bool gt label",
+            ),
+            pytest.param(
+                lambda l: l["gt_triplets"].append([0, True, 1]),
+                "predicate",
+                id="bool predicate",
+            ),
+            pytest.param(
+                lambda l: l["detections"][0].update(score=True),
+                "score",
+                id="bool score",
+            ),
+            pytest.param(
+                lambda l: l.update(width=True),
+                "width",
+                id="bool width",
+            ),
+            pytest.param(
+                lambda l: l["detections"].append(5),
+                "detections must be a list of objects",
+                id="int detection",
+            ),
+            pytest.param(
+                lambda l: l["gt_boxes"].append("x"),
+                "gt_boxes must be a list of objects",
+                id="string gt box",
+            ),
+            pytest.param(
+                lambda l: l.update(detections=5),
+                "detections must be a list",
+                id="detections not a list",
+            ),
+            pytest.param(
+                lambda l: l["gt_triplets"].append(5),
+                "gt_triplets must be a list of lists",
+                id="int triplet",
+            ),
+            pytest.param(
+                lambda l: l.update(gt_triplets=[["0", 1, 1]]),
+                "gt triplet 0: index",
+                id="string triplet index",
+            ),
+            pytest.param(
+                lambda l: l.update(gt_triplets=[[0.0, 1, 1]]),
+                "gt triplet 0: index",
+                id="float triplet index",
+            ),
+            pytest.param(
+                lambda l: l.update(gt_triplets=[[None, 1, 1]]),
+                "gt triplet 0: index",
+                id="null triplet index",
+            ),
+            pytest.param(
+                lambda l: l.update(gt_triplets=[[0, 1.0, 1]]),
+                "gt triplet 0: predicate",
+                id="float predicate",
+            ),
+            pytest.param(
+                lambda l: l.update(gt_attributes=[["0", 0]]),
+                "gt attribute 0: gt index",
+                id="string attribute index",
+            ),
+            pytest.param(
+                lambda l: l.update(gt_attributes=[[0.0, 0]]),
+                "gt attribute 0: gt index",
+                id="float attribute index",
+            ),
+            pytest.param(
+                lambda l: l.update(gt_attributes=[[None, 0]]),
+                "gt attribute 0: gt index",
+                id="null attribute index",
+            ),
+            pytest.param(
+                lambda l: l.update(pair_features=[{"sub": None, "obj": 1, "feature": [0] * 3}]),
+                "pair feature 0",
+                id="null pair index",
+            ),
+            pytest.param(
+                lambda l: l.update(pair_features=[{"sub": "0", "obj": 1, "feature": [0] * 3}]),
+                "pair feature 0",
+                id="string pair index",
+            ),
+            pytest.param(
+                lambda l: l.update(pair_features=[{"sub": 0.0, "obj": 1, "feature": [0] * 3}]),
+                "pair feature 0",
+                id="float pair index",
+            ),
+            pytest.param(
+                lambda l: l["detections"][0].update(feature=["a", 0, 0]),
+                "detection 0 feature",
+                id="string feature value",
+            ),
+            pytest.param(
+                lambda l: l["detections"][0].update(feature={"a": 1}),
+                "detection 0 feature",
+                id="object feature",
+            ),
         ],
     )
     def test_invariant_violations(self, tmp_path, mutate, field):

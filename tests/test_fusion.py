@@ -5,6 +5,7 @@ import pytest
 
 from relfusion.datamodel import DataError, Detection, GtObject, iou
 from relfusion.fusion import (
+    ATTRIBUTE_HIDDEN,
     EVAL_MODES,
     BranchMask,
     TrainConfig,
@@ -23,7 +24,7 @@ from relfusion.fusion import (
     train,
     trainable_params,
 )
-from relfusion.numcore import fd_gradient, max_relative_error, softmax
+from relfusion.numcore import fd_gradient, init_mlp, max_relative_error, softmax
 from relfusion.semantic import FrequencyTable, fit_frequency, semantic_logits
 from relfusion.synth import SynthConfig, generate
 from relfusion.visual import predicate_feature
@@ -90,12 +91,10 @@ class TestPairLogits:
 
     def test_zero_trainable_weights_equal_semantic(self):
         model = _toy_model()
-        for layer in model.spatial_mlp.layers + model.visual.spo_head.layers:
-            layer.weights[:] = 0
-            layer.bias[:] = 0
-        for head in (model.visual.sub_head, model.visual.obj_head):
-            head.weights[:] = 0
-            head.bias[:] = 0
+        for net in (model.spatial_mlp, model.spo_head, model.sub_head, model.obj_head):
+            for layer in net.layers:
+                layer.weights[:] = 0
+                layer.bias[:] = 0
         record = _toy_record()
         assert np.array_equal(
             pair_logits(model, record, (0, 1)), semantic_logits(model.freq, 0, 1)
@@ -482,7 +481,12 @@ class TestCheckpoint:
 
     def test_resave_is_byte_identical(self, tmp_path):
         model = _toy_model(seed=9)
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_checkpoint(model, p1)
-        save_checkpoint(load_checkpoint(p1), p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        attribute_heads = (None, init_mlp([4, ATTRIBUTE_HIDDEN, 3], np.random.default_rng(9)))
+        for attribute_head in attribute_heads:
+            model.attribute_head = attribute_head
+            p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+            save_checkpoint(model, p1)
+            again = load_checkpoint(p1)
+            save_checkpoint(again, p2)
+            assert p1.read_bytes() == p2.read_bytes()
+            assert (again.attribute_head is None) == (attribute_head is None)

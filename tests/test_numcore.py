@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from relfusion.datamodel import DataError
 from relfusion.numcore import (
     DenseLayer,
     Mlp,
@@ -264,3 +265,26 @@ class TestSerialization:
         for l1, l2 in zip(mlp.layers, again.layers):
             assert np.array_equal(l1.weights, l2.weights)
             assert np.array_equal(l1.bias, l2.bias)
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (None, "non-empty list of objects"),
+            ({"layers": 5}, "non-empty list of objects"),
+            ({"layers": []}, "non-empty list of objects"),
+            ({"layers": [[1.0]]}, "non-empty list of objects"),
+            ({"layers": [{"bias": [0.0]}]}, "layer 0 weights: expected a 2-d array"),
+            ({"layers": [{"weights": [[1.0]], "bias": ["x"]}]}, "layer 0 bias: not an array"),
+            ({"layers": [{"weights": [[1.0], [1.0, 2.0]], "bias": [0.0]}]}, "not an array"),
+            ({"layers": [{"weights": [[1.0]], "bias": [0.0, 0.0]}]}, "2 biases for 1 outputs"),
+            ({"layers": [{"weights": [[1.0]], "bias": [None]}]}, "layer 0 bias: non-finite"),
+            (
+                {"layers": [{"weights": [[1.0]], "bias": [0.0]},
+                            {"weights": [[1.0, 1.0]], "bias": [0.0]}]},
+                "do not chain",
+            ),
+        ],
+    )
+    def test_malformed_mlp_is_a_data_error(self, raw, message):
+        with pytest.raises(DataError, match=message):
+            mlp_from_json(raw)

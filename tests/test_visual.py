@@ -3,12 +3,30 @@
 import numpy as np
 import pytest
 
-from relfusion.fusion import TrainConfig, train_attribute_head, predict_attributes
-from relfusion.numcore import NumericError, fd_gradient, forward, layer_forward, softmax
+from relfusion.fusion import (
+    ATTRIBUTE_HIDDEN,
+    TrainConfig,
+    init_fusion_model,
+    predict_attributes,
+    train_attribute_head,
+)
+from relfusion.numcore import NumericError, fd_gradient, forward, init_mlp, softmax
+from relfusion.semantic import FrequencyTable
 from relfusion.synth import SynthConfig, generate
-from relfusion.visual import init_attribute_head, init_visual_branch, predicate_feature
+from relfusion.visual import predicate_feature
 
-from util import make_record
+from util import make_record, tiny_vocab
+
+
+def _visual_heads(feature_dim, num_predicates, rng, spo_hidden):
+    """A fusion model; its spo_head, sub_head and obj_head are the visual heads."""
+    return init_fusion_model(
+        FrequencyTable(num_predicates=num_predicates),
+        feature_dim,
+        tiny_vocab(num_predicates=num_predicates),
+        rng,
+        spo_hidden=spo_hidden,
+    )
 
 
 def _spo_oracle(branch, v):
@@ -25,17 +43,17 @@ def _spo_oracle(branch, v):
 def _head_logits(branch, v_sub, v_pred, v_obj):
     """The three heads' separate logit vectors (spo, sub, obj)."""
     spo, _ = forward(branch.spo_head, np.concatenate([v_sub, v_pred, v_obj]))
-    return spo, layer_forward(branch.sub_head, v_sub), layer_forward(branch.obj_head, v_obj)
+    return spo, forward(branch.sub_head, v_sub)[0], forward(branch.obj_head, v_obj)[0]
 
 
 class TestVisualLogits:
     def test_zero_weights_zero_logits(self):
-        branch = init_visual_branch(4, 3, np.random.default_rng(0), spo_hidden=(6, 6))
+        branch = _visual_heads(4, 3, np.random.default_rng(0), spo_hidden=(6, 6))
         for mlp_layer in branch.spo_head.layers:
             mlp_layer.weights[:] = 0
             mlp_layer.bias[:] = 0
-        branch.sub_head.weights[:] = 0
-        branch.obj_head.weights[:] = 0
+        branch.sub_head.layers[0].weights[:] = 0
+        branch.obj_head.layers[0].weights[:] = 0
         spo, sub, obj = _head_logits(branch, np.ones(4), np.ones(4), np.ones(4))
         assert np.array_equal(spo, np.zeros(4))
         assert np.array_equal(sub, np.zeros(4))
@@ -43,7 +61,7 @@ class TestVisualLogits:
 
     def test_sub_head_ignores_object_feature(self):
         rng = np.random.default_rng(1)
-        branch = init_visual_branch(5, 4, rng, spo_hidden=(8, 8))
+        branch = _visual_heads(5, 4, rng, spo_hidden=(8, 8))
         v_s, v_p = rng.normal(size=5), rng.normal(size=5)
         _, sub_a, _ = _head_logits(branch, v_s, v_p, rng.normal(size=5))
         _, sub_b, _ = _head_logits(branch, v_s, v_p, rng.normal(size=5))
@@ -51,7 +69,7 @@ class TestVisualLogits:
 
     def test_obj_head_ignores_subject_feature(self):
         rng = np.random.default_rng(2)
-        branch = init_visual_branch(5, 4, rng, spo_hidden=(8, 8))
+        branch = _visual_heads(5, 4, rng, spo_hidden=(8, 8))
         v_p, v_o = rng.normal(size=5), rng.normal(size=5)
         _, _, obj_a = _head_logits(branch, rng.normal(size=5), v_p, v_o)
         _, _, obj_b = _head_logits(branch, rng.normal(size=5), v_p, v_o)
@@ -59,14 +77,14 @@ class TestVisualLogits:
 
     def test_spo_matches_independent_oracle(self):
         rng = np.random.default_rng(3)
-        branch = init_visual_branch(6, 5, rng, spo_hidden=(10, 7))
+        branch = _visual_heads(6, 5, rng, spo_hidden=(10, 7))
         v_s, v_p, v_o = rng.normal(size=(3, 6))
         spo, _, _ = _head_logits(branch, v_s, v_p, v_o)
         assert np.allclose(spo, _spo_oracle(branch, np.concatenate([v_s, v_p, v_o])), atol=1e-12)
 
     def test_separability_by_finite_differences(self):
         rng = np.random.default_rng(4)
-        branch = init_visual_branch(4, 3, rng, spo_hidden=(6, 6))
+        branch = _visual_heads(4, 3, rng, spo_hidden=(6, 6))
         v_s, v_p = rng.normal(size=4), rng.normal(size=4)
         v_o = rng.normal(size=4)
 
@@ -101,23 +119,23 @@ class TestPredicateFeature:
 
 class TestAttributeHead:
     def test_zero_weights_zero_logits(self):
-        head = init_attribute_head(4, 3, np.random.default_rng(5))
-        for layer in head.mlp.layers:
+        head = init_mlp([4, ATTRIBUTE_HIDDEN, 3], np.random.default_rng(5))
+        for layer in head.layers:
             layer.weights[:] = 0
             layer.bias[:] = 0
-        assert np.array_equal(forward(head.mlp, np.ones(4))[0], np.zeros(3))
+        assert np.array_equal(forward(head, np.ones(4))[0], np.zeros(3))
 
     def test_softmax_normalizes(self):
         rng = np.random.default_rng(6)
-        head = init_attribute_head(4, 5, rng)
-        probs = softmax(forward(head.mlp, rng.normal(size=4))[0])
+        head = init_mlp([4, ATTRIBUTE_HIDDEN, 5], rng)
+        probs = softmax(forward(head, rng.normal(size=4))[0])
         assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_trained_accuracy_beats_majority(self):
         cfg = SynthConfig(seed=5, num_images=60, num_test_images=30)
         result = generate(cfg)
         rng = np.random.default_rng(5)
-        head = init_attribute_head(cfg.feature_dim, cfg.num_attributes, rng)
+        head = init_mlp([cfg.feature_dim, ATTRIBUTE_HIDDEN, cfg.num_attributes], rng)
         train_attribute_head(head, result.train, TrainConfig(seed=5, epochs=8))
         hits = total = 0
         counts = np.zeros(cfg.num_attributes, dtype=int)
@@ -134,7 +152,8 @@ class TestAttributeHead:
     def test_divergence_names_the_attribute_loss(self):
         cfg = SynthConfig(seed=5, num_images=20)
         result = generate(cfg)
-        head = init_attribute_head(cfg.feature_dim, cfg.num_attributes, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        head = init_mlp([cfg.feature_dim, ATTRIBUTE_HIDDEN, cfg.num_attributes], rng)
         diverging = TrainConfig(seed=5, epochs=12, learning_rate=1e9)
         with pytest.raises(NumericError, match="attribute loss"):
             train_attribute_head(head, result.train, diverging)

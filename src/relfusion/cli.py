@@ -26,6 +26,7 @@ from .datamodel import (
 )
 from .fusion import (
     ATTRIBUTE_HIDDEN,
+    EVAL_MODES,
     BranchMask,
     TrainConfig,
     gt_substitution,
@@ -116,7 +117,7 @@ def build_parser() -> _Parser:
     tr.add_argument("--train", required=True, dest="train_path")
     tr.add_argument("--vocab", required=True)
     tr.add_argument("--checkpoint", required=True, help="output checkpoint path")
-    tr.add_argument("--mode", choices=("prdcls", "sgcls", "sgdet"), default="sgdet")
+    tr.add_argument("--mode", choices=EVAL_MODES, default="sgdet")
     tr.add_argument("--branches", default="s,p,v,so")
     tr.add_argument("--seed", type=int, default=7)
     _add_train_flags(tr)
@@ -126,7 +127,7 @@ def build_parser() -> _Parser:
     pr.add_argument("--vocab", required=True)
     pr.add_argument("--checkpoint", required=True)
     pr.add_argument("--out", required=True)
-    pr.add_argument("--mode", choices=("prdcls", "sgcls", "sgdet"), default="sgdet")
+    pr.add_argument("--mode", choices=EVAL_MODES, default="sgdet")
     pr.add_argument("--top-n", type=int, default=100)
     pr.add_argument(
         "--attributes",
@@ -139,7 +140,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--vocab", required=True)
     ev.add_argument("--predictions", required=True)
     ev.add_argument("--out", required=True, help="report JSON path")
-    ev.add_argument("--mode", choices=("prdcls", "sgcls", "sgdet"), default="sgdet")
+    ev.add_argument("--mode", choices=EVAL_MODES, default="sgdet")
     ev.add_argument("--graph-constraint", choices=("on", "off"), default="off")
     ev.add_argument("--k-per-pair", type=k_per_pair, help="per-pair budget: integer or 'free'")
     ev.add_argument("--iou-threshold", type=float, default=0.5)
@@ -149,7 +150,7 @@ def build_parser() -> _Parser:
     ab.add_argument("--test", required=True, dest="test_path")
     ab.add_argument("--vocab", required=True)
     ab.add_argument("--out", required=True, help="ablation CSV path")
-    ab.add_argument("--mode", choices=("prdcls", "sgcls", "sgdet"), default="sgdet")
+    ab.add_argument("--mode", choices=EVAL_MODES, default="sgdet")
     ab.add_argument("--seed", type=int, default=7)
     ab.add_argument("--top-n", type=int, default=100)
     ab.add_argument("--graph-constraint", choices=("on", "off"), default="off")
@@ -238,9 +239,17 @@ def _feature_dim(views) -> int | None:
     return next((d.feature.shape[0] for r in views for d in r.detections), None)
 
 
+def _views(dataset, mode: str, path) -> list:
+    """The mode views of a dataset file's records; a DataError names the file."""
+    try:
+        return [gt_substitution(r, mode) for r in dataset]
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
 def _training_setup(args, vocab, dataset):
     """Mode views of a training set, its feature dim and the fitted prior."""
-    views = [gt_substitution(r, args.mode) for r in dataset]
+    views = _views(dataset, args.mode, args.train_path)
     feature_dim = _feature_dim(views)
     if feature_dim is None:
         raise DataError("training dataset contains no detections")
@@ -276,9 +285,9 @@ def cmd_predict(args) -> int:
     vocab = load_vocabulary(args.vocab)
     model = load_checkpoint(args.checkpoint)
     if model.vocab_hash != vocab.digest():
-        raise DataError("checkpoint was trained with a different vocabulary")
+        raise DataError(f"{args.checkpoint} was trained with a vocabulary other than {args.vocab}")
     dataset = load_dataset(args.test_path, vocab)
-    views = [gt_substitution(r, args.mode) for r in dataset]
+    views = _views(dataset, args.mode, args.test_path)
     dim = _feature_dim(views)
     if dim not in (None, model.feature_dim):
         raise DataError(
@@ -312,7 +321,10 @@ def cmd_eval(args) -> int:
         graph_constraint=args.graph_constraint == "on",
         k_per_pair=args.k_per_pair,
     )
-    report = evaluate(predictions, dataset, vocab, mode=args.mode, spec=spec)
+    try:
+        report = evaluate(predictions, dataset, vocab, mode=args.mode, spec=spec)
+    except DataError as exc:  # predictions for images the test set lacks
+        raise DataError(f"{args.predictions}: {exc}") from exc
     atomic_write_text(args.out, json.dumps(report.to_json(vocab), indent=2) + "\n")
     print(report.format_table(vocab))
     return 0
@@ -331,7 +343,7 @@ def cmd_ablate(args) -> int:
     train_set = load_dataset(args.train_path, vocab)
     test_set = load_dataset(args.test_path, vocab)
     train_views, feature_dim, freq = _training_setup(args, vocab, train_set)
-    test_views = [gt_substitution(r, args.mode) for r in test_set]
+    test_views = _views(test_set, args.mode, args.test_path)
     cfg = _train_config(args)
     spec = MatchSpec(graph_constraint=args.graph_constraint == "on")
 
@@ -375,9 +387,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    config = None
     try:
         args = parser.parse_args(argv)
         if args.config:
+            config = args.config
             args = _apply_config(parser, args, argv)
         return _COMMANDS[args.command](args)
     except DataError as exc:  # a ValueError, so caught first
@@ -387,7 +401,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except (UsageError, FileNotFoundError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        # The bad value may have come from the config file: name it.
+        where = f" (flag defaults from {config})" if config and config not in str(exc) else ""
+        print(f"usage error: {exc}{where}", file=sys.stderr)
         return 1
 
 

@@ -18,6 +18,7 @@ summation order of the fused logits and the order of
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, astuple, dataclass, replace
 
@@ -85,8 +86,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size <= 0:
             raise ValueError("epochs must be >= 0 and batch size positive")
-        if self.negative_ratio < 0:
-            raise ValueError("negative ratio must be >= 0")
+        if not 0 <= self.negative_ratio < math.inf:
+            raise ValueError("negative ratio must be finite and >= 0")
 
 
 @dataclass
@@ -267,7 +268,7 @@ def _xent_and_grads(logits: np.ndarray, caches: list, targets: np.ndarray):
     dlogits = dlogits / len(targets)
     grads: list[np.ndarray] = []
     for net, cache in caches:
-        for dw_db in numcore.backward(net, cache, dlogits)[0]:
+        for dw_db in numcore.backward(net, cache, dlogits):
             grads.extend(dw_db)
     return float(losses.mean()), grads
 
@@ -424,27 +425,31 @@ def predict_image(
     return out
 
 
-def _best_iou_detections(record: ImageRecord) -> list[int | None]:
-    """Per gt box, the index of the detection of highest IoU.
-
-    The lowest index wins a tie; every entry is None without detections.
-    """
-    if not record.detections:
-        return [None] * len(record.gt_boxes)
+def _stand_ins(record: ImageRecord) -> list[int | None]:
+    """Per gt box, its best-IoU detection (lowest index on a tie); None if none overlaps."""
     overlaps = iou_matrix(
         box_array(g.box for g in record.gt_boxes), box_array(d.box for d in record.detections)
     )
-    return overlaps.argmax(axis=1).tolist()
+    # A leading zero column takes the argmax of a row without overlap.
+    best = np.column_stack([np.zeros(len(overlaps)), overlaps]).argmax(axis=1) - 1
+    return [None if k < 0 else k for k in best.tolist()]
+
+
+def _gt_feature(record: ImageRecord, gt_idx: int, stand_in: int | None) -> np.ndarray | None:
+    """The gt box's own feature, else its stand-in's; None without either."""
+    feature = record.gt_boxes[gt_idx].feature
+    if feature is None and stand_in is not None:
+        feature = record.detections[stand_in].feature
+    return feature
 
 
 def gt_substitution(record: ImageRecord, mode: str) -> ImageRecord:
-    """Evaluation-mode input view.
+    """Evaluation-mode input view over the gt boxes and their :func:`_stand_ins`.
 
-    prdcls replaces detections with ground-truth boxes and labels; sgcls
-    keeps gt boxes but takes label, score and feature from the best-IoU
-    detection; sgdet is the identity. Ground-truth annotations are shared
-    unchanged, and per-pair features follow the gt -> detection
-    assignment.
+    prdcls takes the gt boxes and labels; sgcls keeps gt boxes but takes
+    label and score from the stand-in, dropping a gt box without one;
+    sgdet is the identity. Features follow :func:`_gt_feature`, per-pair
+    features the stand-ins; gt annotations are shared unchanged.
     """
     if mode not in EVAL_MODES:
         raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
@@ -452,35 +457,30 @@ def gt_substitution(record: ImageRecord, mode: str) -> ImageRecord:
         return record
 
     detections: list[Detection] = []
-    assigned = _best_iou_detections(record)
-    for gt, match in zip(record.gt_boxes, assigned):
+    stood_for: dict[int, list[int]] = {}  # detection -> the view detections it stands in for
+    for gt_idx, (gt, match) in enumerate(zip(record.gt_boxes, _stand_ins(record))):
+        feature = _gt_feature(record, gt_idx, match)
         if mode == "prdcls":
-            if gt.feature is not None:
-                feature = gt.feature
-            elif match is not None:
-                feature = record.detections[match].feature
-            else:
+            if feature is None:
                 raise DataError(
-                    f"image {record.image_id!r}: prdcls needs gt features or detections"
+                    f"image {record.image_id!r} gt box {gt_idx}: prdcls needs its gt feature"
+                    " or an overlapping detection"
                 )
-            detections.append(Detection(label=gt.label, box=gt.box, score=1.0, feature=feature))
-        else:  # sgcls
-            if match is None:
-                continue
-            det = record.detections[match]
-            feature = gt.feature if gt.feature is not None else det.feature
-            detections.append(
-                Detection(label=det.label, box=gt.box, score=det.score, feature=feature)
-            )
+            det = Detection(label=gt.label, box=gt.box, score=1.0, feature=feature)
+        elif match is None:  # sgcls
+            continue
+        else:
+            det = replace(record.detections[match], box=gt.box, feature=feature)
+        if match is not None:
+            stood_for.setdefault(match, []).append(len(detections))
+        detections.append(det)
 
-    stand_ins: dict[int, list[int]] = {}  # detection -> the gt boxes assigned to it
-    for a, match in enumerate(assigned):
-        stand_ins.setdefault(match, []).append(a)
-    pair_features = {}
-    for (i, j), feat in record.pair_features.items():  # i != j, so a != b below
-        for a in stand_ins.get(i, ()):
-            for b in stand_ins.get(j, ()):
-                pair_features[(a, b)] = feat
+    pair_features = {
+        (a, b): feat
+        for (i, j), feat in record.pair_features.items()  # i != j, so a != b
+        for a in stood_for.get(i, ())
+        for b in stood_for.get(j, ())
+    }
     return replace(record, detections=detections, pair_features=pair_features)
 
 
@@ -492,16 +492,12 @@ def _attribute_examples(dataset: list[ImageRecord]) -> tuple[np.ndarray, np.ndar
     for record in dataset:
         if not record.gt_attributes:
             continue
-        assigned = _best_iou_detections(record)
+        matches = _stand_ins(record)
         for gt_idx, attr in record.gt_attributes:
-            gt = record.gt_boxes[gt_idx]
-            if gt.feature is not None:
-                feats.append(gt.feature)
-            elif assigned[gt_idx] is not None:
-                feats.append(record.detections[assigned[gt_idx]].feature)
-            else:
-                continue
-            targets.append(attr)
+            feature = _gt_feature(record, gt_idx, matches[gt_idx])
+            if feature is not None:
+                feats.append(feature)
+                targets.append(attr)
     if not feats:
         raise DataError("no attribute annotations with usable features")
     return np.stack(feats), np.asarray(targets, dtype=np.intp)
@@ -553,6 +549,8 @@ def load_checkpoint(path: str | os.PathLike) -> FusionModel:
     for key in ("vocab_hash", "branch_mask", "frequency", *NETS):
         if key not in raw:
             raise DataError(f"checkpoint file {path} missing key {key!r}")
+    if type(raw["vocab_hash"]) is not str:
+        raise DataError(f"{path}: vocab_hash must be a string")
     mask = raw["branch_mask"]
     flags = asdict(BranchMask())
     if (

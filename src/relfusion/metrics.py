@@ -127,6 +127,8 @@ def _mean_recall(
     spec: MatchSpec,
 ) -> float:
     """Mean per-image recall of the top k, after a per-pair budget unless None."""
+    if k <= 0:
+        raise ValueError("k must be positive")
     recalls = []
     for image_id, gts in ground_truth.items():
         if not gts:
@@ -143,8 +145,6 @@ def recall_at_k(
     spec: MatchSpec,
 ) -> float:
     """Mean per-image fraction of ground-truth triplets found in the top k."""
-    if k <= 0:
-        raise ValueError("k must be positive")
     budget = 1 if spec.graph_constraint else None
     return _mean_recall(predictions, ground_truth, k, budget, spec)
 

@@ -102,12 +102,8 @@ def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, dict]:
 
 def backward(
     mlp: Mlp, cache: dict, grad_out: np.ndarray
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Exact reverse-mode gradients of :func:`forward`.
-
-    Returns per-layer (dW, db) in layer order and the gradient with
-    respect to the input.
-    """
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Exact reverse-mode parameter gradients of :func:`forward`: (dW, db) per layer."""
     if len(cache["inputs"]) != len(mlp.layers):
         raise ValueError("cache does not match the mlp it came from")
     g = np.atleast_2d(np.asarray(grad_out, dtype=np.float64))
@@ -116,13 +112,10 @@ def backward(
         x = cache["inputs"][i]
         if g.shape != (x.shape[0], mlp.layers[i].out_dim):
             raise ValueError("gradient shape does not match cached activations")
-        dw = g.T @ x
-        db = g.sum(axis=0)
-        grads[i] = (dw, db)
-        g = g @ mlp.layers[i].weights
+        grads[i] = (g.T @ x, g.sum(axis=0))
         if i > 0:
-            g = g * (cache["preacts"][i - 1] > 0.0)
-    return grads, (g[0] if cache["single"] else g)
+            g = (g @ mlp.layers[i].weights) * (cache["preacts"][i - 1] > 0.0)
+    return grads
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -146,12 +139,12 @@ def softmax_xent(logits: np.ndarray, target) -> tuple[np.ndarray, np.ndarray]:
     t = np.atleast_1d(np.asarray(target, dtype=np.intp))
     if np.any(t < 0) or np.any(t >= z2.shape[1]):
         raise ValueError(f"target outside 0..{z2.shape[1] - 1}")
-    m = z2.max(axis=1, keepdims=True)
-    shifted = z2 - m
-    lse = np.log(np.exp(shifted).sum(axis=1))
+    shifted = z2 - z2.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1)
     rows = np.arange(z2.shape[0])
-    losses = lse - shifted[rows, t]
-    grad = softmax(z2)
+    losses = np.log(total) - shifted[rows, t]
+    grad = e / total[:, None]  # softmax(z2), bit for bit
     grad[rows, t] -= 1.0
     if single:
         return losses[0], grad[0]
@@ -167,8 +160,8 @@ class OptimizerState:
     velocities: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning rate must be finite and positive")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must be in [0, 1)")
 

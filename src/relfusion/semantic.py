@@ -10,11 +10,12 @@ the trainable branches learn a residual on top of this prior.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datamodel import DataError, ImageRecord, Vocabulary
+from .datamodel import DataError, ImageRecord, Vocabulary, is_list_of
 
 
 @dataclass
@@ -26,8 +27,8 @@ class FrequencyTable:
     counts: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.smoothing <= 0:
-            raise ValueError("smoothing must be positive")
+        if not 0 < self.smoothing < math.inf:
+            raise ValueError("smoothing must be finite and positive")
 
     def probabilities(self, sub_label: int, obj_label: int) -> np.ndarray:
         """Smoothed conditional distribution over the P+1 predicate slots."""
@@ -80,19 +81,32 @@ def table_to_json(table: FrequencyTable) -> dict:
     }
 
 
-def table_from_json(raw: dict) -> FrequencyTable:
+def table_from_json(raw) -> FrequencyTable:
     """Inverse of :func:`table_to_json`; malformed input is a DataError."""
+    if type(raw) is not dict:
+        raise DataError("expected a JSON object")
     try:
-        table = FrequencyTable(
-            num_predicates=int(raw["num_predicates"]), smoothing=float(raw["smoothing"])
-        )
-        for s, o, counts in raw["entries"]:
-            table.counts[(int(s), int(o))] = np.asarray(counts, dtype=np.int64)
+        num_predicates, smoothing = raw["num_predicates"], raw["smoothing"]
+        entries = raw["entries"]
     except KeyError as exc:
         raise DataError(f"missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise DataError(str(exc)) from None
-    size = table.num_predicates + 1
-    if any(counts.shape != (size,) for counts in table.counts.values()):
-        raise DataError(f"every entry needs {size} predicate counts")
+    if type(num_predicates) is not int or num_predicates < 1:
+        raise DataError(f"num_predicates must be a positive integer, got {num_predicates!r}")
+    # type(), not isinstance(): JSON true and false are not numbers.
+    if type(smoothing) not in (int, float) or not 0 < smoothing < math.inf:
+        raise DataError(f"smoothing must be a finite positive number, got {smoothing!r}")
+    if not is_list_of(entries, list):
+        raise DataError("entries must be a list of [subject, object, counts] lists")
+    table = FrequencyTable(num_predicates=num_predicates, smoothing=float(smoothing))
+    size = num_predicates + 1
+    for k, entry in enumerate(entries):
+        if len(entry) != 3 or not is_list_of(entry[:2], int) or min(entry[:2]) < 0:
+            raise DataError(f"entry {k}: expected [subject, object, counts] with class ids >= 0")
+        s, o, counts = entry
+        if not is_list_of(counts, int) or len(counts) != size:
+            raise DataError(f"entry {k}: counts must be a list of {size} JSON integers")
+        # A row's total must fit the int64 counts.
+        if min(counts) < 0 or sum(counts) >= 2**63:
+            raise DataError(f"entry {k}: counts must be >= 0, with a total below 2**63")
+        table.counts[(s, o)] = np.array(counts, dtype=np.int64)
     return table

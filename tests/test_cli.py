@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from relfusion.cli import main, parse_branches
-from relfusion.datamodel import load_dataset, load_vocabulary, save_vocabulary
+from relfusion.datamodel import (
+    GtObject,
+    load_dataset,
+    load_vocabulary,
+    save_dataset,
+    save_vocabulary,
+)
 from relfusion.fusion import (
     init_fusion_model,
     load_checkpoint,
@@ -15,6 +21,8 @@ from relfusion.fusion import (
 )
 from relfusion.metrics import MatchSpec, evaluate
 from relfusion.semantic import fit_frequency
+
+from util import box, make_detection, make_record, tiny_vocab
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +317,51 @@ class TestPredictAndEval:
             "frequency:",
         ),
         "short_counts": (lambda raw: raw["frequency"]["entries"][0][2].pop(), "frequency:"),
+        "vocab_hash_number": (lambda raw: raw.update(vocab_hash=7), "vocab_hash must be a string"),
+        "other_vocab_hash": (
+            lambda raw: raw.update(vocab_hash="0" * 64),
+            "was trained with a vocabulary other than",
+        ),
+        "count_minus_5": (
+            lambda raw: raw["frequency"]["entries"][0][2].__setitem__(1, -5),
+            "frequency: entry 0: counts must be >= 0",
+        ),
+        "count_minus_1": (
+            lambda raw: raw["frequency"]["entries"][0][2].__setitem__(1, -1),
+            "frequency: entry 0: counts must be >= 0",
+        ),
+        "float_count": (
+            lambda raw: raw["frequency"]["entries"][0][2].__setitem__(1, 1.5),
+            "frequency: entry 0: counts must be a list of 9 JSON integers",
+        ),
+        "boolean_count": (
+            lambda raw: raw["frequency"]["entries"][0][2].__setitem__(1, True),
+            "frequency: entry 0: counts must be a list of 9 JSON integers",
+        ),
+        "string_smoothing": (
+            lambda raw: raw["frequency"].update(smoothing="2"),
+            "frequency: smoothing must be a finite positive number",
+        ),
+        "nan_smoothing": (
+            lambda raw: raw["frequency"].update(smoothing=float("nan")),
+            "frequency: smoothing must be a finite positive number",
+        ),
+        "zero_smoothing": (
+            lambda raw: raw["frequency"].update(smoothing=0),
+            "frequency: smoothing must be a finite positive number",
+        ),
+        "float_num_predicates": (
+            lambda raw: raw["frequency"].update(num_predicates=8.9),
+            "frequency: num_predicates must be a positive integer",
+        ),
+        "float_class_id": (
+            lambda raw: raw["frequency"]["entries"][0].__setitem__(0, 0.5),
+            "frequency: entry 0: expected [subject, object, counts] with class ids >= 0",
+        ),
+        "negative_class_id": (
+            lambda raw: raw["frequency"]["entries"][0].__setitem__(1, -1),
+            "frequency: entry 0: expected [subject, object, counts] with class ids >= 0",
+        ),
     }
 
     def _predict(self, synth_dir, tmp_path, ckpt, test_dir=None):
@@ -327,8 +380,9 @@ class TestPredictAndEval:
         )
 
     @pytest.mark.parametrize("damage", list(CHECKPOINT_DAMAGE))
-    def test_damaged_checkpoint_exits_2(self, synth_dir, tmp_path, capsys, damage):
+    def test_damaged_checkpoint_exits_2(self, synth_dir, tmp_path, capsys, recwarn, damage):
         ckpt = _train(synth_dir, tmp_path)
+        recwarn.clear()
         text = ckpt.read_text()
         edit, expected = self.CHECKPOINT_DAMAGE[damage]
         if edit is None:
@@ -342,6 +396,7 @@ class TestPredictAndEval:
         assert code == 2
         assert str(ckpt) in err and expected in err, err
         assert "Traceback" not in err
+        assert not recwarn.list, [str(w.message) for w in recwarn.list]
 
     def test_feature_dim_mismatch_exits_2(self, synth_dir, tmp_path, capsys):
         # The same seed and vocabulary with narrower features.
@@ -399,6 +454,16 @@ class TestPredictAndEval:
         assert code == 2, err
         assert f"{predictions}:2: " in err and message in err
         assert "Traceback" not in err
+
+    def test_unknown_image_id_names_the_predictions_file(self, synth_dir, tmp_path, capsys):
+        predictions = tmp_path / "stray.jsonl"
+        predictions.write_text(json.dumps({"image_id": "x", "triplets": []}) + "\n")
+        code = main(["eval", "--test", str(synth_dir / "test.jsonl"),
+                     "--vocab", str(synth_dir / "vocab.json"),
+                     "--predictions", str(predictions), "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{predictions}: predictions reference unknown image ids: ['x']" in err, err
 
     def test_negative_top_n_is_usage_error(self, synth_dir, tmp_path, capsys):
         ckpt = _train(synth_dir, tmp_path)
@@ -488,6 +553,21 @@ class TestPredictAndEval:
         )
         assert code == 0
 
+    def test_prdcls_gt_box_without_feature_or_stand_in_exits_2(self, tmp_path, capsys):
+        # The one detection misses the gt box, which carries no feature.
+        record = make_record(
+            detections=[make_detection(label=3, b=box(0, 0, 10, 10))],
+            gt=[GtObject(label=1, box=box(50, 50, 60, 60))],
+        )
+        save_dataset([record], tmp_path / "train.jsonl")
+        save_vocabulary(tiny_vocab(), tmp_path / "vocab.json")
+        code = main(["train", "--train", str(tmp_path / "train.jsonl"),
+                     "--vocab", str(tmp_path / "vocab.json"),
+                     "--checkpoint", str(tmp_path / "m.json"), "--mode", "prdcls"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{tmp_path / 'train.jsonl'}: image 'img' gt box 0: prdcls needs" in err, err
+
 
 def _train_with_config(synth_dir, tmp_path, config, extra=()):
     """Exit code of a train run under ``config``, and its epoch count."""
@@ -571,6 +651,16 @@ class TestConfigFile:
     )
     def test_non_flag_keys_and_values_are_usage_errors(self, synth_dir, tmp_path, config):
         assert _train_with_config(synth_dir, tmp_path, config) == (1, None)
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"epochs": -1}, {"epochs": "x"}, {"lr": float("nan")}, {"neg_ratio": float("inf")},
+         {"smoothing": 0}],
+        ids=["negative epochs", "string epochs", "nan lr", "infinite neg_ratio", "zero smoothing"],
+    )
+    def test_bad_value_names_the_config(self, synth_dir, tmp_path, capsys, config):
+        assert _train_with_config(synth_dir, tmp_path, config) == (1, None)
+        assert f"(flag defaults from {tmp_path / 'config.json'})" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "config",

@@ -6,6 +6,7 @@ import pytest
 from relfusion.datamodel import DataError, Detection, GtObject, iou
 from relfusion.fusion import (
     ATTRIBUTE_HIDDEN,
+    _attribute_examples,
     EVAL_MODES,
     BranchMask,
     TrainConfig,
@@ -366,6 +367,51 @@ class TestGtSubstitution:
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             gt_substitution(_toy_record(), "nonsense")
+
+    def _disjoint_record(self):
+        """One detection (label 3) and one gt box, with an attribute, that it misses."""
+        det = make_detection(label=3, b=box(0, 0, 10, 10), feature=np.ones(4))
+        gt = [GtObject(label=1, box=box(50, 50, 60, 60))]
+        return make_record(detections=[det], gt=gt, attributes=[(0, 2)])
+
+    def test_gt_box_without_overlap_has_no_stand_in(self):
+        record = self._disjoint_record()
+        assert gt_substitution(record, "sgcls").detections == []
+        with pytest.raises(DataError, match="image 'img' gt box 0: prdcls needs"):
+            gt_substitution(record, "prdcls")
+        with pytest.raises(DataError, match="no attribute annotations"):
+            _attribute_examples([record])
+
+    def test_prdcls_without_stand_in_uses_the_gt_feature(self):
+        record = self._disjoint_record()
+        feat = np.full(4, 5.0)
+        record.gt_boxes[0] = GtObject(label=1, box=record.gt_boxes[0].box, feature=feat)
+        view = gt_substitution(record, "prdcls")
+        assert [d.label for d in view.detections] == [1]
+        assert view.detections[0].feature is feat
+
+    def test_sgcls_drops_a_gt_box_without_stand_in(self):
+        # gt 1 sits between gt 0 and gt 2, and no detection overlaps it.
+        boxes = [box(0, 0, 20, 20), box(40, 0, 60, 20), box(80, 0, 99, 20)]
+        gt = [GtObject(label=k, box=b) for k, b in enumerate(boxes)]
+        dets = [make_detection(label=0, b=boxes[0]), make_detection(label=2, b=boxes[2])]
+        feat = np.arange(4.0)
+        record = make_record(
+            detections=dets, gt=gt, triplets=[(0, 1, 2)], pair_features={(0, 1): feat}
+        )
+        view = gt_substitution(record, "sgcls")
+        assert [(d.label, d.box) for d in view.detections] == [(0, boxes[0]), (2, boxes[2])]
+        assert list(view.pair_features) == [(0, 1)]
+        assert view.pair_features[(0, 1)] is feat
+        assert view.gt_boxes == record.gt_boxes and view.gt_triplets == record.gt_triplets
+
+    def test_attribute_example_without_stand_in_is_skipped(self):
+        dets = [make_detection(label=0, b=box(0, 0, 20, 20), feature=np.full(4, 2.0))]
+        gt = [GtObject(label=0, box=box(0, 0, 20, 20)), GtObject(label=1, box=box(50, 50, 60, 60))]
+        record = make_record(detections=dets, gt=gt, attributes=[(0, 1), (1, 2)])
+        feats, targets = _attribute_examples([record])
+        assert np.array_equal(feats, np.full((1, 4), 2.0))
+        assert targets.tolist() == [1]
 
 
 class TestMatchPositivePairs:

@@ -1,0 +1,148 @@
+"""Seeded mutation fuzzing of every input file through the CLI, in process.
+
+Each case damages one valid file once: it deletes a key, changes a
+value's type, puts a number out of range (negative), inserts NaN or
+truncates the text. The command that reads the file must then succeed
+(the mutation left a valid file, say an optional key deleted) or exit 1
+or 2 with the file's path in the message. It must never raise, warn or
+exit 3.
+"""
+
+import json
+import shutil
+
+import numpy as np
+import pytest
+
+from relfusion.cli import main
+from relfusion.fusion import EVAL_MODES, load_checkpoint, save_checkpoint
+from relfusion.numcore import init_mlp
+
+MUTATIONS = ("delete", "retype", "out_of_range", "nan", "truncate")
+CASES_PER_FILE = 15
+
+CONFIG = {"epochs": 1, "batch_size": 16, "lr": 0.01, "momentum": 0.9, "neg_ratio": 1.0,
+          "smoothing": 1.0, "seed": 3, "mode": "sgcls", "branches": "s,p,v,so"}
+
+
+@pytest.fixture(scope="module")
+def valid_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("valid")
+    files = {name: str(out / name) for name in
+             ("train.jsonl", "test.jsonl", "vocab.json", "model.json", "pred.jsonl")}
+    assert main(["gen-synth", "--out", str(out), "--num-images", "3", "--num-test-images", "2",
+                 "--min-objects", "2", "--max-objects", "3", "--feature-dim", "4",
+                 "--num-attributes", "2", "--seed", "5"]) == 0
+    assert main(["train", "--train", files["train.jsonl"], "--vocab", files["vocab.json"],
+                 "--checkpoint", files["model.json"], "--epochs", "1"]) == 0
+    # A narrow SPO head keeps the checkpoint small, and each case fast.
+    model = load_checkpoint(files["model.json"])
+    spo = model.spo_head
+    model.spo_head = init_mlp([spo.in_dim, 8, spo.out_dim], np.random.default_rng(0))
+    save_checkpoint(model, files["model.json"])
+    assert main(["predict", "--test", files["test.jsonl"], "--vocab", files["vocab.json"],
+                 "--checkpoint", files["model.json"], "--out", files["pred.jsonl"],
+                 "--attributes"]) == 0
+    (out / "config.json").write_text(json.dumps(CONFIG))
+    return out
+
+
+def _walk(node, rng, want=None):
+    """(container, key) of a random descendant, a leaf passing ``want`` if given."""
+    parent, key = None, None
+    while isinstance(node, (dict, list)) and node:
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, keys[int(rng.integers(len(keys)))]
+        node = node[key]
+        if want is None and rng.random() < 0.4:
+            break
+    if parent is None or (want is not None and not want(node)):
+        return None
+    return parent, key
+
+
+def _is_number(v):
+    return type(v) in (int, float)
+
+
+def _mutate_value(raw, mutation, rng) -> bool:
+    """Apply one mutation in place; False when no value to change turns up."""
+    want = _is_number if mutation in ("out_of_range", "nan") else None
+    spot = next(filter(None, (_walk(raw, rng, want) for _ in range(50))), None)
+    if spot is None:
+        return False
+    parent, key = spot
+    v = parent[key]
+    if mutation == "delete":
+        del parent[key]
+    elif mutation == "retype":
+        parent[key] = ("7" if _is_number(v) or type(v) is bool else
+                       {"k": 1} if isinstance(v, list) else
+                       [1] if isinstance(v, dict) else 7)
+    else:
+        parent[key] = -(abs(v) + 1) if mutation == "out_of_range" else float("nan")
+    return True
+
+
+def _damage(path, mutation, rng) -> bool:
+    text = path.read_text()
+    if mutation == "truncate":
+        # Cut inside a line, so the last line kept is never whole JSON.
+        lines = text.splitlines(keepends=True)
+        k = int(rng.choice([k for k, line in enumerate(lines) if len(line.strip()) > 1]))
+        cut = sum(map(len, lines[:k])) + int(rng.integers(1, len(lines[k].rstrip())))
+        path.write_text(text[:cut])
+        return True
+    if path.suffix == ".jsonl":
+        lines = text.splitlines()
+        k = int(rng.integers(len(lines)))
+        raw = json.loads(lines[k])
+        if not _mutate_value(raw, mutation, rng):
+            return False
+        lines[k] = json.dumps(raw)
+        path.write_text("\n".join(lines) + "\n")
+        return True
+    raw = json.loads(text)
+    if not _mutate_value(raw, mutation, rng):
+        return False
+    path.write_text(json.dumps(raw))
+    return True
+
+
+def _command(d, target, rng):
+    """The argv of a command that reads ``target`` (a file name in ``d``)."""
+    mode = EVAL_MODES[int(rng.integers(len(EVAL_MODES)))]
+    common = ["--vocab", str(d / "vocab.json"), "--mode", mode]
+    if target == "config.json":
+        return ["--config", str(d / "config.json"), "train", "--train", str(d / "train.jsonl"),
+                "--vocab", str(d / "vocab.json"), "--checkpoint", str(d / "out.json")]
+    if target in ("vocab.json", "pred.jsonl") or (target == "test.jsonl" and rng.random() < 0.5):
+        return ["eval", "--test", str(d / "test.jsonl"), "--predictions", str(d / "pred.jsonl"),
+                "--out", str(d / "report.json"), *common]
+    return ["predict", "--test", str(d / "test.jsonl"), "--checkpoint", str(d / "model.json"),
+            "--out", str(d / "out.jsonl"), "--attributes", *common]
+
+
+@pytest.mark.parametrize("target", ["test.jsonl", "vocab.json", "pred.jsonl", "model.json",
+                                    "config.json"])
+def test_damaged_input_exits_1_or_2_naming_the_file(valid_dir, tmp_path, capsys, recwarn,
+                                                    target):
+    rng = np.random.default_rng(sum(map(ord, target)))
+    # A vocabulary that lost a name is still a vocabulary: the labels
+    # that used the name then fall outside it, in the dataset.
+    named = [target, "test.jsonl"] if target == "vocab.json" else [target]
+    rejected = 0
+    for case in range(CASES_PER_FILE):
+        mutation = MUTATIONS[case % len(MUTATIONS)]
+        d = tmp_path / str(case)
+        shutil.copytree(valid_dir, d)
+        if not _damage(d / target, mutation, rng):
+            continue
+        code = main(_command(d, target, rng))
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (mutation, code, err)
+        assert code == 0 or any(str(d / name) in err for name in named), (mutation, err)
+        assert code != 0 or mutation != "truncate", err
+        assert not recwarn.list, (mutation, [str(w.message) for w in recwarn.list])
+        rejected += code != 0
+    assert rejected >= CASES_PER_FILE // 2, rejected

@@ -226,6 +226,14 @@ class TestVrdRecall:
         with pytest.raises(ValueError):
             vrd_recall({}, {"a": []}, 5, 0, MatchSpec())
 
+    @pytest.mark.parametrize("k", [0, -2])
+    @pytest.mark.parametrize("budget", [2, "free"])
+    def test_non_positive_k(self, k, budget):
+        # A negative k must not slice the ranked list from its end.
+        preds, gts = random_metric_instance(np.random.default_rng(1))
+        with pytest.raises(ValueError, match="k must be positive"):
+            vrd_recall(preds, gts, k, budget, MatchSpec(), num_predicates=3)
+
     def test_free_k_needs_num_predicates(self):
         preds, gts = random_metric_instance(np.random.default_rng(6))
         with pytest.raises(ValueError):

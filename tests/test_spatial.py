@@ -213,7 +213,7 @@ class TestSpatialLogits:
                 feat, target = spatial_feature(bottom, top, 120, 120), 2
             out, cache = forward(mlp, feat)
             _, dlogits = softmax_xent(out, target)
-            grads, _ = backward(mlp, cache, dlogits)
+            grads = backward(mlp, cache, dlogits)
             sgd_step(params, [g for dw_db in grads for g in dw_db], state)
 
         flips = 0

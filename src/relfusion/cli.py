@@ -63,15 +63,19 @@ _BRANCH_TOKENS = {
 }
 
 
+def _tokens(text: str, allowed, what: str) -> set[str]:
+    """The stripped comma-separated tokens; an unknown one is a usage error."""
+    tokens = [token.strip() for token in text.split(",")]
+    for token in tokens:
+        if token not in allowed:
+            raise UsageError(f"unknown {what} token {token!r}; use {', '.join(allowed)}")
+    return set(tokens)
+
+
 def parse_branches(text: str) -> BranchMask:
     """Parse e.g. "s,p,v,so" (semantic, spatial, SPO head, sub/obj heads)."""
-    fields = {name: False for name in _BRANCH_TOKENS.values()}
-    for token in text.split(","):
-        token = token.strip()
-        if token not in _BRANCH_TOKENS:
-            raise UsageError(f"unknown branch token {token!r}; use s, p, v, so")
-        fields[_BRANCH_TOKENS[token]] = True
-    return BranchMask(**fields)
+    tokens = _tokens(text, _BRANCH_TOKENS, "branch")
+    return BranchMask(**{name: token in tokens for token, name in _BRANCH_TOKENS.items()})
 
 
 def k_per_pair(text: str):
@@ -193,6 +197,7 @@ def _apply_config(parser: _Parser, args: argparse.Namespace, argv: list[str]):
 
 
 def cmd_gen_synth(args) -> int:
+    signals = _tokens(args.signals, ("s", "p", "v"), "signal")
     cfg = SynthConfig(
         num_images=args.num_images,
         num_test_images=args.num_test_images,
@@ -201,9 +206,9 @@ def cmd_gen_synth(args) -> int:
         num_predicates=args.num_predicates,
         feature_dim=args.feature_dim,
         seed=args.seed,
-        semantic_signal="s" in args.signals.split(","),
-        spatial_signal="p" in args.signals.split(","),
-        visual_signal="v" in args.signals.split(","),
+        semantic_signal="s" in signals,
+        spatial_signal="p" in signals,
+        visual_signal="v" in signals,
         noise=args.noise,
         num_attributes=args.num_attributes,
         pair_density=args.pair_density,
@@ -323,8 +328,9 @@ def cmd_eval(args) -> int:
     )
     try:
         report = evaluate(predictions, dataset, vocab, mode=args.mode, spec=spec)
-    except DataError as exc:  # predictions for images the test set lacks
-        raise DataError(f"{args.predictions}: {exc}") from exc
+    except DataError as exc:  # images the test set lacks, labels the vocabulary lacks
+        where = f"test set {args.test_path}, vocabulary {args.vocab}"
+        raise DataError(f"{args.predictions}: {exc} ({where})") from exc
     atomic_write_text(args.out, json.dumps(report.to_json(vocab), indent=2) + "\n")
     print(report.format_table(vocab))
     return 0

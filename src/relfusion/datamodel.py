@@ -446,15 +446,21 @@ def load_dataset(path: str | os.PathLike, vocab: Vocabulary) -> list[ImageRecord
 
     The feature dimension D is inferred from the first feature seen and
     enforced across every detection, gt feature and pair feature in the
-    file. Raises :class:`DataError` naming the offending line or image.
+    file. Raises :class:`DataError` naming the offending line or image,
+    also for an image id that an earlier line holds.
     """
     records = []
+    lines: dict[str, int] = {}
     feature_dim: int | None = None
     for lineno, raw in read_jsonl(path):
         try:
             record, feature_dim = _parse_record(raw, vocab, feature_dim)
+            image_id = record.image_id
+            if image_id in lines:
+                raise DataError(f"image {image_id!r} already on line {lines[image_id]}")
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
+        lines[image_id] = lineno
         records.append(record)
     return records
 

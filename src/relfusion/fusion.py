@@ -641,13 +641,17 @@ def _parse_triplet(t) -> PredictedTriplet:
 
 
 def load_predictions(path: str | os.PathLike) -> dict[str, list[PredictedTriplet]]:
-    """Read a prediction file; a malformed line is a DataError naming it."""
+    """Read a prediction file; a malformed line or a repeated image is a DataError naming it."""
     out: dict[str, list[PredictedTriplet]] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in read_jsonl(path):
         try:
             image_id = raw.get("image_id")
             if not isinstance(image_id, str):
                 raise DataError(f"image_id must be a string, got {image_id!r}")
+            if image_id in lines:
+                raise DataError(f"image {image_id!r} already on line {lines[image_id]}")
+            lines[image_id] = lineno
             triplets = raw.get("triplets", [])
             if not isinstance(triplets, list):
                 raise DataError(f"image {image_id!r}: triplets must be a list")

@@ -8,7 +8,8 @@ Matching rules, pinned so results are reproducible bit for bit:
   IoU test on the enclosing boxes.
 - One greedy matcher serves R@K, free-k and both AP box modes: in score
   order (stable), each prediction takes the first unmatched ground-truth
-  entry (annotation order) it can match, and consumes that entry.
+  entry with its three labels (annotation order) it can match, and
+  consumes that entry. AP ranks and matches each image once per box mode.
 - The variable-k protocol keeps the top k predicates per ordered
   localization pair (same subject box+label and object box+label);
   free-k reports the best fixed k in 1..P. The graph constraint is the
@@ -19,6 +20,7 @@ Matching rules, pinned so results are reproducible bit for bit:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .datamodel import (
@@ -63,28 +65,9 @@ def triplet_match(pred: PredictedTriplet, gt: ResolvedTriplet, spec: MatchSpec) 
 
 
 def _phrase_match(pred: PredictedTriplet, gt: ResolvedTriplet, spec: MatchSpec) -> bool:
-    return (
-        pred.sub_label == gt.sub_label
-        and pred.predicate == gt.predicate
-        and pred.obj_label == gt.obj_label
-        and iou(union_box(pred.sub_box, pred.obj_box), union_box(gt.sub_box, gt.obj_box))
-        >= spec.iou_threshold
-    )
-
-
-def _pair_key(t: PredictedTriplet):
-    return (
-        t.sub_label,
-        t.sub_box.xmin,
-        t.sub_box.ymin,
-        t.sub_box.xmax,
-        t.sub_box.ymax,
-        t.obj_label,
-        t.obj_box.xmin,
-        t.obj_box.ymin,
-        t.obj_box.xmax,
-        t.obj_box.ymax,
-    )
+    """IoU of the enclosing boxes; ``_greedy_hits`` only offers same-label ground truth."""
+    union = union_box(gt.sub_box, gt.obj_box)
+    return iou(union_box(pred.sub_box, pred.obj_box), union) >= spec.iou_threshold
 
 
 def _ranked(preds: list[PredictedTriplet], budget: int | None) -> list[PredictedTriplet]:
@@ -96,7 +79,9 @@ def _ranked(preds: list[PredictedTriplet], budget: int | None) -> list[Predicted
     seen: dict[tuple, int] = {}
     kept = []
     for t in ranked:
-        key = _pair_key(t)
+        s, o = t.sub_box, t.obj_box  # the localization pair
+        key = (t.sub_label, s.xmin, s.ymin, s.xmax, s.ymax,
+               t.obj_label, o.xmin, o.ymin, o.xmax, o.ymax)
         count = seen.get(key, 0)
         if count < budget:
             kept.append(t)
@@ -107,13 +92,21 @@ def _ranked(preds: list[PredictedTriplet], budget: int | None) -> list[Predicted
 def _greedy_hits(
     preds: list[PredictedTriplet], gts: list[ResolvedTriplet], match, spec: MatchSpec
 ) -> list[bool]:
-    """Per ranked prediction: did it consume a still-unmatched ground-truth entry."""
-    matched = [False] * len(gts)
+    """Per ranked prediction: did it consume a still-unmatched ground-truth entry.
+
+    Only ground truth with the prediction's three labels can match it, so
+    each prediction tries just that label's unmatched entries, in
+    annotation order.
+    """
+    unmatched: dict[tuple[int, int, int], list[ResolvedTriplet]] = {}
+    for gt in gts:
+        unmatched.setdefault((gt.sub_label, gt.predicate, gt.obj_label), []).append(gt)
     hits = [False] * len(preds)
     for pi, pred in enumerate(preds):
-        for gi, gt in enumerate(gts):
-            if not matched[gi] and match(pred, gt, spec):
-                matched[gi] = True
+        candidates = unmatched.get((pred.sub_label, pred.predicate, pred.obj_label), ())
+        for gi, gt in enumerate(candidates):
+            if match(pred, gt, spec):
+                del candidates[gi]
                 hits[pi] = True
                 break
     return hits
@@ -175,6 +168,53 @@ def vrd_recall(
     return _mean_recall(predictions, ground_truth, k, k_per_pair, spec)
 
 
+def _ap_table(
+    predictions: dict[str, list[PredictedTriplet]],
+    ground_truth: dict[str, list[ResolvedTriplet]],
+    box_mode: str,
+    spec: MatchSpec,
+) -> dict[int, float]:
+    """All-points-interpolated AP of every predicate with ground truth.
+
+    Each image is ranked and matched once. A prediction only takes ground
+    truth with its own labels, so each predicate's hits equal those of
+    matching its predictions alone. Images share no ground truth, so
+    stable-sorting the pooled hits keeps ties in image, then input order.
+    """
+    if box_mode not in ("rel", "phr"):
+        raise ValueError(f"box_mode must be 'rel' or 'phr', got {box_mode!r}")
+    match = triplet_match if box_mode == "rel" else _phrase_match
+    npos = Counter(g.predicate for gts in ground_truth.values() for g in gts)
+    pooled: dict[int, list[tuple[float, bool]]] = {p: [] for p in npos}
+    for image_id, gts in ground_truth.items():
+        ranked = _ranked(predictions.get(image_id, []), None)
+        for t, hit in zip(ranked, _greedy_hits(ranked, gts, match, spec)):
+            if t.predicate in pooled:
+                pooled[t.predicate].append((t.score, hit))
+
+    table = {}
+    for p, hits in pooled.items():
+        hits.sort(key=lambda it: -it[0])
+        # Precision envelope over all recall points.
+        mrec = [0.0]
+        mpre = [0.0]
+        tp = 0
+        for rank, (_, hit) in enumerate(hits, start=1):
+            tp += 1 if hit else 0
+            mrec.append(tp / npos[p])
+            mpre.append(tp / rank)
+        mrec.append(1.0)
+        mpre.append(0.0)
+        for i in range(len(mpre) - 2, -1, -1):
+            mpre[i] = max(mpre[i], mpre[i + 1])
+        ap = 0.0
+        for i in range(len(mrec) - 1):
+            if mrec[i + 1] != mrec[i]:
+                ap += (mrec[i + 1] - mrec[i]) * mpre[i + 1]
+        table[p] = ap
+    return table
+
+
 def average_precision(
     predictions: dict[str, list[PredictedTriplet]],
     ground_truth: dict[str, list[ResolvedTriplet]],
@@ -182,50 +222,13 @@ def average_precision(
     box_mode: str,
     spec: MatchSpec,
 ) -> float | None:
-    """All-points-interpolated AP for one predicate, pooled over images.
+    """AP for one predicate, pooled over images.
 
     ``box_mode`` is "rel" (both boxes must match) or "phr" (the union
     boxes must match). Returns None when the predicate has no ground
     truth.
     """
-    if box_mode not in ("rel", "phr"):
-        raise ValueError(f"box_mode must be 'rel' or 'phr', got {box_mode!r}")
-    match = triplet_match if box_mode == "rel" else _phrase_match
-
-    gt_lists = {
-        image_id: [g for g in gts if g.predicate == predicate]
-        for image_id, gts in ground_truth.items()
-    }
-    npos = sum(len(g) for g in gt_lists.values())
-    if npos == 0:
-        return None
-
-    # Images share no ground truth, so matching each image alone and then
-    # stable-sorting the pooled hits keeps ties in image, then input order.
-    pooled: list[tuple[float, bool]] = []
-    for image_id, gts in gt_lists.items():
-        preds = [t for t in predictions.get(image_id, []) if t.predicate == predicate]
-        ranked = _ranked(preds, None)
-        pooled.extend(zip([t.score for t in ranked], _greedy_hits(ranked, gts, match, spec)))
-    pooled.sort(key=lambda it: -it[0])
-
-    # Precision envelope over all recall points.
-    mrec = [0.0]
-    mpre = [0.0]
-    tp = 0
-    for rank, (_, hit) in enumerate(pooled, start=1):
-        tp += 1 if hit else 0
-        mrec.append(tp / npos)
-        mpre.append(tp / rank)
-    mrec.append(1.0)
-    mpre.append(0.0)
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
-    ap = 0.0
-    for i in range(len(mrec) - 1):
-        if mrec[i + 1] != mrec[i]:
-            ap += (mrec[i + 1] - mrec[i]) * mpre[i + 1]
-    return ap
+    return _ap_table(predictions, ground_truth, box_mode, spec).get(predicate)
 
 
 def mean_average_precision(
@@ -236,11 +239,8 @@ def mean_average_precision(
     spec: MatchSpec,
 ) -> tuple[float, dict[int, float]]:
     """Mean AP over predicates with ground truth, plus the per-predicate table."""
-    per_predicate = {}
-    for p in range(1, num_predicates + 1):
-        ap = average_precision(predictions, ground_truth, p, box_mode, spec)
-        if ap is not None:
-            per_predicate[p] = ap
+    table = _ap_table(predictions, ground_truth, box_mode, spec)
+    per_predicate = {p: table[p] for p in range(1, num_predicates + 1) if p in table}
     mean = sum(per_predicate.values()) / len(per_predicate) if per_predicate else 0.0
     return mean, per_predicate
 
@@ -296,20 +296,28 @@ def evaluate(
     vocab: Vocabulary,
     mode: str = "sgdet",
     spec: MatchSpec = MatchSpec(),
-    ks: tuple[int, ...] = (20, 50, 100),
 ) -> EvalReport:
-    """Score a prediction set against a dataset's ground truth."""
+    """Score a prediction set against a dataset's ground truth, with R@{20, 50, 100}."""
     known = {r.image_id for r in dataset}
     unknown = set(predictions) - known
     if unknown:
         raise DataError(f"predictions reference unknown image ids: {sorted(unknown)[:5]}")
+    classes, num_predicates = len(vocab.object_classes), vocab.num_predicates
+    for image_id, triplets in predictions.items():
+        for i, t in enumerate(triplets):
+            if not (0 <= t.sub_label < classes and 0 <= t.obj_label < classes
+                    and 1 <= t.predicate <= num_predicates):
+                raise DataError(
+                    f"image {image_id!r} triplet {i}: labels ({t.sub_label}, {t.predicate}, "
+                    f"{t.obj_label}) outside object classes 0..{classes - 1} and "
+                    f"predicates 1..{num_predicates}"
+                )
 
     ground_truth = {r.image_id: r.resolved_triplets() for r in dataset}
     preds = {image_id: predictions.get(image_id, []) for image_id in ground_truth}
 
-    recall_ks = tuple(ks) if 50 in ks else tuple(ks) + (50,)
     recall = {}
-    for k in recall_ks:
+    for k in (20, 50, 100):
         if spec.k_per_pair is None:
             recall[k] = recall_at_k(preds, ground_truth, k, spec)
         else:
@@ -326,7 +334,7 @@ def evaluate(
     score = oi_score(100 * recall[50], 100 * map_rel, 100 * map_phr) / 100.0
     return EvalReport(
         mode=mode,
-        recall_at={k: recall[k] for k in ks},
+        recall_at=recall,
         map_rel=map_rel,
         map_phr=map_phr,
         oi_score=score,

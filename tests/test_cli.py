@@ -85,6 +85,21 @@ class TestGenSynth:
         vocab = load_vocabulary(synth_dir / "vocab.json")
         assert len(load_dataset(synth_dir / "train.jsonl", vocab)) == 30
 
+    def test_signal_tokens_are_stripped_and_checked(self, tmp_path, capsys):
+        def gen(signals):
+            out = tmp_path / signals.replace(",", "_").replace(" ", "-")
+            code = main(["gen-synth", "--out", str(out), "--num-images", "4",
+                         "--num-test-images", "1", "--signals", signals])
+            return code, out
+
+        (code, plain), (spaced_code, spaced) = gen("s,p"), gen("s, p")
+        assert code == spaced_code == 0
+        for name in ("train.jsonl", "test.jsonl", "oracle.json"):
+            assert (plain / name).read_bytes() == (spaced / name).read_bytes()
+        capsys.readouterr()
+        assert gen("s,q")[0] == 1
+        assert "unknown signal token 'q'; use s, p, v" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_writes_checkpoint_and_history(self, synth_dir, tmp_path):
@@ -464,6 +479,53 @@ class TestPredictAndEval:
         err = capsys.readouterr().err
         assert code == 2
         assert f"{predictions}: predictions reference unknown image ids: ['x']" in err, err
+
+    def _eval_lines(self, synth_dir, tmp_path, capsys, rows):
+        predictions = tmp_path / "pred.jsonl"
+        predictions.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        code = main(["eval", "--test", str(synth_dir / "test.jsonl"),
+                     "--vocab", str(synth_dir / "vocab.json"),
+                     "--predictions", str(predictions), "--out", str(tmp_path / "r.json")])
+        return code, predictions, capsys.readouterr().err
+
+    def test_repeated_prediction_image_exits_2(self, synth_dir, tmp_path, capsys):
+        image_id = json.loads((synth_dir / "test.jsonl").read_text().splitlines()[0])["image_id"]
+        triplet = {"sub_box": [0, 0, 10, 10], "sub_label": 0, "predicate": 1,
+                   "obj_box": [5, 5, 20, 20], "obj_label": 1, "score": 0.5}
+        code, predictions, err = self._eval_lines(synth_dir, tmp_path, capsys, [
+            {"image_id": image_id, "triplets": [triplet] * 100},
+            {"image_id": image_id, "triplets": []},
+        ])
+        assert code == 2
+        assert f"{predictions}:2: image {image_id!r} already on line 1" in err, err
+
+    def test_repeated_dataset_image_exits_2(self, synth_dir, tmp_path, capsys):
+        first = (synth_dir / "test.jsonl").read_text().splitlines()[0]
+        test = tmp_path / "test.jsonl"
+        test.write_text(first + "\n" + first + "\n")
+        predictions = tmp_path / "pred.jsonl"
+        predictions.write_text("")
+        code = main(["eval", "--test", str(test), "--vocab", str(synth_dir / "vocab.json"),
+                     "--predictions", str(predictions), "--out", str(tmp_path / "r.json")])
+        image_id = json.loads(first)["image_id"]
+        assert code == 2
+        assert f"{test}:2: image {image_id!r} already on line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("sub_label", -7), ("obj_label", 6),
+                                              ("predicate", 99), ("predicate", 9)])
+    def test_label_outside_vocabulary_exits_2(self, synth_dir, tmp_path, capsys, field, value):
+        vocab = load_vocabulary(synth_dir / "vocab.json")
+        assert (len(vocab.object_classes), vocab.num_predicates) == (6, 8)
+        image_id = json.loads((synth_dir / "test.jsonl").read_text().splitlines()[0])["image_id"]
+        good = {"sub_box": [0, 0, 10, 10], "sub_label": 5, "predicate": 8,
+                "obj_box": [5, 5, 20, 20], "obj_label": 0, "score": 0.5}
+        code, predictions, err = self._eval_lines(synth_dir, tmp_path, capsys, [
+            {"image_id": image_id, "triplets": [good, good | {field: value}]},
+        ])
+        assert code == 2, err
+        assert f"{predictions}: image {image_id!r} triplet 1: labels" in err, err
+        assert "object classes 0..5 and predicates 1..8" in err
+        assert "Traceback" not in err
 
     def test_negative_top_n_is_usage_error(self, synth_dir, tmp_path, capsys):
         ckpt = _train(synth_dir, tmp_path)

@@ -240,6 +240,13 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="dimension"):
             load_dataset(path, tiny_vocab())
 
+    def test_repeated_image_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        lines = [_valid_line("a"), _valid_line("b"), _valid_line("a")]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(DataError, match=f"{path}:3: image 'a' already on line 1$"):
+            load_dataset(path, tiny_vocab())
+
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps(_valid_line()) + "\n{oops\n")

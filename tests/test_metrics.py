@@ -6,6 +6,7 @@ import pytest
 from relfusion.datamodel import DataError, GtObject, PredictedTriplet, ResolvedTriplet
 from relfusion.metrics import (
     MatchSpec,
+    _greedy_hits,
     average_precision,
     evaluate,
     mean_average_precision,
@@ -183,6 +184,45 @@ class TestAveragePrecision:
             for image_id, lst in preds.items()
         }
         assert average_precision(squashed, gts, 1, "rel", spec) == base
+
+
+class TestOneMatchPerImage:
+    def test_ap_equals_ap_of_the_predicate_alone(self):
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            preds, gts = random_metric_instance(rng, max_images=6, max_objects=5,
+                                                num_predicates=4)
+            for p in range(1, 5):
+                alone_preds = {i: [t for t in ts if t.predicate == p] for i, ts in preds.items()}
+                alone_gts = {i: [g for g in gs if g.predicate == p] for i, gs in gts.items()}
+                for mode in ("rel", "phr"):
+                    for spec in (MatchSpec(), MatchSpec(iou_threshold=0.7)):
+                        full = average_precision(preds, gts, p, mode, spec)
+                        alone = average_precision(alone_preds, alone_gts, p, mode, spec)
+                        assert full == alone
+
+    def test_same_label_ground_truth_is_consumed_in_annotation_order(self):
+        first = _gt(B1, 0, 1, B2, 1)
+        other = _gt(B1, 0, 2, B2, 1)
+        second = _gt(box(0, 0, 10, 12), 0, 1, B2, 1)
+        ranked = [
+            _pred(box(0, 0, 10, 11), 0, 1, B2, 1, 0.9),  # IoU .909 with first, .917 second
+            _pred(box(0, 0, 10, 7), 0, 1, B2, 1, 0.8),  # IoU .7 with first, .583 second
+            _pred(box(0, 0, 10, 12), 0, 1, B2, 1, 0.7),
+            _pred(B1, 0, 2, B2, 1, 0.6),
+        ]
+        tried = []
+
+        def match(pred, gt, spec):
+            tried.append((pred, gt))
+            return triplet_match(pred, gt, spec)
+
+        spec = MatchSpec(iou_threshold=0.7)
+        assert _greedy_hits(ranked, [first, other, second], match, spec) == [
+            True, False, True, True
+        ]
+        labels = lambda t: (t.sub_label, t.predicate, t.obj_label)  # noqa: E731
+        assert all(labels(pred) == labels(gt) for pred, gt in tried)
 
 
 class TestOiScore:

@@ -175,15 +175,21 @@ def _apply_config(parser: _Parser, args: argparse.Namespace, argv: list[str]):
     except DataError as exc:
         raise UsageError(f"config {exc}") from exc
     flags = set(vars(args)) - {"command", "config"}
+    subparser = parser.subcommands[args.command]
+    switches = {action.dest for action in subparser._actions if action.nargs == 0}
     for key, value in config.items():
         if key not in flags:
             raise UsageError(f"{args.config}: {key!r} is not a flag of {args.command}")
         if not isinstance(value, (str, int, float)):  # bool is an int
             raise UsageError(f"{args.config}: {key!r} must be a string, number or boolean")
+        # A switch takes only true or false, and only a switch takes them;
+        # main() names the config.
+        if (type(value) is bool) != (key in switches):
+            kind = "true or false" if key in switches else "a string or number, not a boolean"
+            raise UsageError(f"{key!r} must be {kind}, got {json.dumps(value)}")
     # argparse applies a flag's type to string defaults only, and checks
     # choices only for command-line tokens.
     defaults = {k: str(v) if type(v) in (int, float) else v for k, v in config.items()}
-    subparser = parser.subcommands[args.command]
     subparser.set_defaults(**defaults)
     args = parser.parse_args(argv)
     for action in subparser._actions:

@@ -306,13 +306,18 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         raise
 
 
+# Checked with type(), not isinstance(): JSON true and false are not numbers.
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def parse_box(raw, where: str) -> Box:
-    """A box from a JSON 4-list; anything else is a DataError naming ``where``."""
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise DataError(f"{where}: box must be a 4-element list, got {raw!r}")
+    """A box from a JSON list of 4 numbers; anything else is a DataError naming ``where``."""
+    if (not isinstance(raw, (list, tuple)) or len(raw) != 4
+            or not _NUMBER_TYPES.issuperset(map(type, raw))):
+        raise DataError(f"{where}: box must be a list of 4 numbers, got {raw!r}")
     try:
         return Box(float(raw[0]), float(raw[1]), float(raw[2]), float(raw[3]))
-    except (TypeError, ValueError) as exc:  # DataError included
+    except (OverflowError, DataError) as exc:
         raise DataError(f"{where}: {exc}") from exc
 
 

@@ -640,8 +640,40 @@ def _parse_triplet(t) -> PredictedTriplet:
     return PredictedTriplet(sub_box, sub_label, predicate, obj_box, obj_label, float(score))
 
 
+def _check_is_triplet(t) -> None:
+    """One ``is_triplets`` item: a box, integer label and attribute, numeric score."""
+    if type(t) is not dict:
+        raise DataError("expected a JSON object")
+    try:
+        parse_box(t["box"], "box")
+        label, attribute, score = t["label"], t["attribute"], t["score"]
+    except KeyError as exc:
+        raise DataError(f"missing key {exc}") from None
+    if type(label) is not int or type(attribute) is not int:
+        raise DataError("label and attribute must be integers")
+    if type(score) not in (int, float):
+        raise DataError(f"score must be a number, got {score!r}")
+
+
+def _parse_items(raw: dict, key: str, parse, image_id: str) -> list:
+    """``raw[key]`` (default []) must be a list; each item goes through ``parse``."""
+    items = raw.get(key, [])
+    if not isinstance(items, list):
+        raise DataError(f"image {image_id!r}: {key} must be a list")
+    parsed = []
+    for k, item in enumerate(items):
+        try:
+            parsed.append(parse(item))
+        except DataError as exc:  # "triplet 3", "is_triplet 0"
+            raise DataError(f"image {image_id!r} {key[:-1]} {k}: {exc}") from exc
+    return parsed
+
+
 def load_predictions(path: str | os.PathLike) -> dict[str, list[PredictedTriplet]]:
-    """Read a prediction file; a malformed line or a repeated image is a DataError naming it."""
+    """Read a prediction file; a malformed line or a repeated image is a DataError naming it.
+
+    Attribute output (``is_triplets``) is checked but not returned.
+    """
     out: dict[str, list[PredictedTriplet]] = {}
     lines: dict[str, int] = {}
     for lineno, raw in read_jsonl(path):
@@ -652,16 +684,8 @@ def load_predictions(path: str | os.PathLike) -> dict[str, list[PredictedTriplet
             if image_id in lines:
                 raise DataError(f"image {image_id!r} already on line {lines[image_id]}")
             lines[image_id] = lineno
-            triplets = raw.get("triplets", [])
-            if not isinstance(triplets, list):
-                raise DataError(f"image {image_id!r}: triplets must be a list")
-            parsed = []
-            for k, t in enumerate(triplets):
-                try:
-                    parsed.append(_parse_triplet(t))
-                except DataError as exc:
-                    raise DataError(f"image {image_id!r} triplet {k}: {exc}") from exc
-            out[image_id] = parsed
+            out[image_id] = _parse_items(raw, "triplets", _parse_triplet, image_id)
+            _parse_items(raw, "is_triplets", _check_is_triplet, image_id)
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
     return out

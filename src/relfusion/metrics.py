@@ -9,7 +9,8 @@ Matching rules, pinned so results are reproducible bit for bit:
 - One greedy matcher serves R@K, free-k and both AP box modes: in score
   order (stable), each prediction takes the first unmatched ground-truth
   entry with its three labels (annotation order) it can match, and
-  consumes that entry. AP ranks and matches each image once per box mode.
+  consumes that entry. AP ranks and matches each image once per box mode;
+  recall once per per-pair budget, reading every R@k off that one match.
 - The variable-k protocol keeps the top k predicates per ordered
   localization pair (same subject box+label and object box+label);
   free-k reports the best fixed k in 1..P. The graph constraint is the
@@ -112,23 +113,30 @@ def _greedy_hits(
     return hits
 
 
-def _mean_recall(
+def _recalls(
     predictions: dict[str, list[PredictedTriplet]],
     ground_truth: dict[str, list[ResolvedTriplet]],
-    k: int,
+    ks: tuple[int, ...],
     budget: int | None,
     spec: MatchSpec,
-) -> float:
-    """Mean per-image recall of the top k, after a per-pair budget unless None."""
-    if k <= 0:
+) -> list[float]:
+    """Mean per-image recall of the top k for each k in ``ks``, after a per-pair budget.
+
+    Each image is ranked (None: no budget) and matched once, down to ``max(ks)``.
+    The greedy matcher walks the ranking in order, so the hits among the first
+    k never depend on the predictions after them.
+    """
+    if min(ks) <= 0:
         raise ValueError("k must be positive")
-    recalls = []
+    per_k: list[list[float]] = [[] for _ in ks]
     for image_id, gts in ground_truth.items():
         if not gts:
             continue
-        top = _ranked(predictions.get(image_id, []), budget)[:k]
-        recalls.append(sum(_greedy_hits(top, gts, triplet_match, spec)) / len(gts))
-    return sum(recalls) / len(recalls) if recalls else 0.0
+        top = _ranked(predictions.get(image_id, []), budget)[: max(ks)]
+        hits = _greedy_hits(top, gts, triplet_match, spec)
+        for recalls, k in zip(per_k, ks):
+            recalls.append(sum(hits[:k]) / len(gts))
+    return [sum(recalls) / len(recalls) if recalls else 0.0 for recalls in per_k]
 
 
 def recall_at_k(
@@ -138,8 +146,7 @@ def recall_at_k(
     spec: MatchSpec,
 ) -> float:
     """Mean per-image fraction of ground-truth triplets found in the top k."""
-    budget = 1 if spec.graph_constraint else None
-    return _mean_recall(predictions, ground_truth, k, budget, spec)
+    return _recalls(predictions, ground_truth, (k,), 1 if spec.graph_constraint else None, spec)[0]
 
 
 def vrd_recall(
@@ -165,7 +172,7 @@ def vrd_recall(
         )
     if not isinstance(k_per_pair, int) or k_per_pair < 1:
         raise ValueError(f"k_per_pair must be a positive integer or 'free', got {k_per_pair!r}")
-    return _mean_recall(predictions, ground_truth, k, k_per_pair, spec)
+    return _recalls(predictions, ground_truth, (k,), k_per_pair, spec)[0]
 
 
 def _ap_table(
@@ -314,30 +321,22 @@ def evaluate(
                 )
 
     ground_truth = {r.image_id: r.resolved_triplets() for r in dataset}
-    preds = {image_id: predictions.get(image_id, []) for image_id in ground_truth}
 
-    recall = {}
-    for k in (20, 50, 100):
-        if spec.k_per_pair is None:
-            recall[k] = recall_at_k(preds, ground_truth, k, spec)
-        else:
-            recall[k] = vrd_recall(
-                preds, ground_truth, k, spec.k_per_pair, spec, vocab.num_predicates
-            )
+    # One ranked match per image and budget; free-k takes each k's best budget.
+    if spec.k_per_pair == "free":
+        budgets = range(1, num_predicates + 1)
+    else:
+        budgets = [1 if spec.graph_constraint else spec.k_per_pair]
+    ks = (20, 50, 100)
+    sweep = [_recalls(predictions, ground_truth, ks, budget, spec) for budget in budgets]
+    recall = dict(zip(ks, map(max, zip(*sweep))))
 
     map_rel, ap_rel = mean_average_precision(
-        preds, ground_truth, vocab.num_predicates, "rel", spec
+        predictions, ground_truth, num_predicates, "rel", spec
     )
     map_phr, ap_phr = mean_average_precision(
-        preds, ground_truth, vocab.num_predicates, "phr", spec
+        predictions, ground_truth, num_predicates, "phr", spec
     )
     score = oi_score(100 * recall[50], 100 * map_rel, 100 * map_phr) / 100.0
-    return EvalReport(
-        mode=mode,
-        recall_at=recall,
-        map_rel=map_rel,
-        map_phr=map_phr,
-        oi_score=score,
-        ap_rel=ap_rel,
-        ap_phr=ap_phr,
-    )
+    return EvalReport(mode=mode, recall_at=recall, map_rel=map_rel, map_phr=map_phr,
+                      oi_score=score, ap_rel=ap_rel, ap_phr=ap_phr)

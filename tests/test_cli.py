@@ -511,6 +511,53 @@ class TestPredictAndEval:
         assert code == 2
         assert f"{test}:2: image {image_id!r} already on line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "is_triplets, message",
+        [(5, "is_triplets must be a list"),
+         ([{"box": [0, 0, 1]}], "is_triplet 0: box: box must be a list of 4 numbers")],
+        ids=["not a list", "three-number box"],
+    )
+    def test_malformed_attribute_output_exits_2(self, synth_dir, tmp_path, capsys,
+                                                is_triplets, message):
+        image_id = json.loads((synth_dir / "test.jsonl").read_text().splitlines()[0])["image_id"]
+        code, predictions, err = self._eval_lines(synth_dir, tmp_path, capsys, [
+            {"image_id": image_id, "triplets": [], "is_triplets": is_triplets},
+        ])
+        assert code == 2, err
+        assert f"{predictions}:1: image {image_id!r}" in err and message in err, err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "sub_box, message",
+        [(["0", True, "1e1", 5], "box must be a list of 4 numbers"),
+         ([0, 0, 10**400, 1], "int too large to convert to float")],
+        ids=["strings and a boolean", "overflowing integer"],
+    )
+    def test_non_number_box_coordinate_in_predictions_exits_2(self, synth_dir, tmp_path, capsys,
+                                                              sub_box, message):
+        image_id = json.loads((synth_dir / "test.jsonl").read_text().splitlines()[0])["image_id"]
+        triplet = {"sub_box": sub_box, "sub_label": 0, "predicate": 1,
+                   "obj_box": [5, 5, 20, 20], "obj_label": 1, "score": 0.5}
+        code, predictions, err = self._eval_lines(synth_dir, tmp_path, capsys, [
+            {"image_id": image_id, "triplets": [triplet]},
+        ])
+        assert code == 2, err
+        assert f"{predictions}:1: image {image_id!r} triplet 0: sub_box: {message}" in err, err
+        assert "Traceback" not in err
+
+    def test_non_number_box_coordinate_in_dataset_exits_2(self, synth_dir, tmp_path, capsys):
+        row = json.loads((synth_dir / "test.jsonl").read_text().splitlines()[0])
+        row["detections"][0]["box"] = ["0", True, "1e1", 5]
+        test = tmp_path / "test.jsonl"
+        test.write_text(json.dumps(row) + "\n")
+        predictions = tmp_path / "pred.jsonl"
+        predictions.write_text("")
+        code = main(["eval", "--test", str(test), "--vocab", str(synth_dir / "vocab.json"),
+                     "--predictions", str(predictions), "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"{test}:1: " in err and "detection 0: box must be a list of 4 numbers" in err, err
+
     @pytest.mark.parametrize("field, value", [("sub_label", -7), ("obj_label", 6),
                                               ("predicate", 99), ("predicate", 9)])
     def test_label_outside_vocabulary_exits_2(self, synth_dir, tmp_path, capsys, field, value):
@@ -717,8 +764,9 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "config",
         [{"epochs": -1}, {"epochs": "x"}, {"lr": float("nan")}, {"neg_ratio": float("inf")},
-         {"smoothing": 0}],
-        ids=["negative epochs", "string epochs", "nan lr", "infinite neg_ratio", "zero smoothing"],
+         {"smoothing": 0}, {"epochs": True}, {"lr": True}],
+        ids=["negative epochs", "string epochs", "nan lr", "infinite neg_ratio", "zero smoothing",
+             "boolean epochs", "boolean lr"],
     )
     def test_bad_value_names_the_config(self, synth_dir, tmp_path, capsys, config):
         assert _train_with_config(synth_dir, tmp_path, config) == (1, None)
@@ -754,6 +802,34 @@ class TestConfigFile:
         assert code == 1 and not report.exists()
         (key,) = config
         assert f"{config_path}: {key!r} must be one of" in err
+
+    def _predict_with_config(self, synth_dir, tmp_path, config):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "pred.jsonl"
+        code = main(["--config", str(config_path), "predict",
+                     "--test", str(synth_dir / "test.jsonl"),
+                     "--vocab", str(synth_dir / "vocab.json"),
+                     "--checkpoint", str(_train(synth_dir, tmp_path)), "--out", str(out)])
+        return code, config_path, out
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"attributes": 1}, {"attributes": "true"}, {"top_n": True}],
+        ids=["number switch", "string switch", "boolean top_n"],
+    )
+    def test_switch_takes_only_a_boolean(self, synth_dir, tmp_path, capsys, config):
+        code, config_path, out = self._predict_with_config(synth_dir, tmp_path, config)
+        assert code == 1 and not out.exists()
+        assert f"(flag defaults from {config_path})" in capsys.readouterr().err
+
+    def test_boolean_switch_still_works(self, synth_dir, tmp_path):
+        code, _, out = self._predict_with_config(synth_dir, tmp_path, {"attributes": True})
+        assert code == 0
+        assert "is_triplets" in json.loads(out.read_text().splitlines()[0])
+        assert main(["eval", "--test", str(synth_dir / "test.jsonl"),
+                     "--vocab", str(synth_dir / "vocab.json"),
+                     "--predictions", str(out), "--out", str(tmp_path / "r.json")]) == 0
 
 
 class TestAblate:

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from relfusion import metrics
 from relfusion.datamodel import DataError, GtObject, PredictedTriplet, ResolvedTriplet
 from relfusion.metrics import (
     MatchSpec,
     _greedy_hits,
+    _recalls,
     average_precision,
     evaluate,
     mean_average_precision,
@@ -223,6 +225,81 @@ class TestOneMatchPerImage:
         ]
         labels = lambda t: (t.sub_label, t.predicate, t.obj_label)  # noqa: E731
         assert all(labels(pred) == labels(gt) for pred, gt in tried)
+
+
+def _records(ground_truth):
+    """Image records whose resolved triplets are ``ground_truth``'s, in order."""
+    records = []
+    for image_id, gts in ground_truth.items():
+        boxes = []
+        for g in gts:
+            boxes += [GtObject(g.sub_label, g.sub_box), GtObject(g.obj_label, g.obj_box)]
+        triplets = [(2 * i, g.predicate, 2 * i + 1) for i, g in enumerate(gts)]
+        records.append(make_record(image_id=image_id, gt=boxes, triplets=triplets))
+    assert {r.image_id: r.resolved_triplets() for r in records} == ground_truth
+    return records
+
+
+class TestOneMatchPerBudget:
+    KS = (1, 2, 3, 5, 8)
+
+    def test_every_k_reads_a_prefix_of_one_match(self):
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            p = int(rng.integers(1, 5))
+            preds, gts = random_metric_instance(rng, max_images=6, max_objects=5,
+                                                num_predicates=p)
+            for threshold in (0.5, 0.7):
+                spec = MatchSpec(iou_threshold=threshold)
+                gc = MatchSpec(iou_threshold=threshold, graph_constraint=True)
+                assert _recalls(preds, gts, self.KS, None, spec) == [
+                    recall_at_k(preds, gts, k, spec) for k in self.KS
+                ]
+                assert _recalls(preds, gts, self.KS, 1, gc) == [
+                    recall_at_k(preds, gts, k, gc) for k in self.KS
+                ]
+                assert _recalls(preds, gts, self.KS, 2, spec) == [
+                    vrd_recall(preds, gts, k, 2, spec) for k in self.KS
+                ]
+                sweep = [_recalls(preds, gts, self.KS, b, spec) for b in range(1, p + 1)]
+                assert list(map(max, zip(*sweep))) == [
+                    vrd_recall(preds, gts, k, "free", spec, p) for k in self.KS
+                ]
+
+    def test_evaluate_free_k_equals_vrd_recall(self):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            p = int(rng.integers(1, 5))
+            preds, gts = random_metric_instance(rng, max_images=4, max_objects=7,
+                                                num_predicates=p)
+            records, vocab = _records(gts), tiny_vocab(num_objects=3, num_predicates=p)
+            for threshold in (0.5, 0.7):
+                spec = MatchSpec(iou_threshold=threshold, k_per_pair="free")
+                report = evaluate(preds, records, vocab, spec=spec)
+                assert report.recall_at == {
+                    k: vrd_recall(preds, gts, k, "free", spec, p) for k in (20, 50, 100)
+                }
+
+    @pytest.mark.parametrize(
+        "spec, budgets",
+        [(MatchSpec(), [None]), (MatchSpec(graph_constraint=True), [1]),
+         (MatchSpec(k_per_pair=2), [2]), (MatchSpec(k_per_pair="free"), [1, 2, 3])],
+        ids=["no budget", "graph constraint", "budget 2", "free"],
+    )
+    def test_evaluate_matches_once_per_budget(self, monkeypatch, spec, budgets):
+        preds, gts = random_metric_instance(np.random.default_rng(3), num_predicates=3)
+        seen = []
+        real = metrics._recalls
+
+        def spy(predictions, ground_truth, ks, budget, spec):
+            seen.append((ks, budget))
+            return real(predictions, ground_truth, ks, budget, spec)
+
+        monkeypatch.setattr(metrics, "_recalls", spy)
+        monkeypatch.setattr(metrics, "recall_at_k", None)
+        monkeypatch.setattr(metrics, "vrd_recall", None)
+        evaluate(preds, _records(gts), tiny_vocab(num_objects=3), spec=spec)
+        assert seen == [((20, 50, 100), b) for b in budgets]
 
 
 class TestOiScore:

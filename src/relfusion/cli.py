@@ -18,6 +18,7 @@ import numpy as np
 from .datamodel import (
     DataError,
     atomic_write_text,
+    json_number,
     load_dataset,
     load_vocabulary,
     read_json,
@@ -187,6 +188,8 @@ def _apply_config(parser: _Parser, args: argparse.Namespace, argv: list[str]):
         if (type(value) is bool) != (key in switches):
             kind = "true or false" if key in switches else "a string or number, not a boolean"
             raise UsageError(f"{key!r} must be {kind}, got {json.dumps(value)}")
+        if type(value) in (int, float) and json_number(value) is None:
+            raise UsageError(f"{key!r} must be a finite number, got {value!r:.40}")
     # argparse applies a flag's type to string defaults only, and checks
     # choices only for command-line tokens.
     defaults = {k: str(v) if type(v) in (int, float) else v for k, v in config.items()}
@@ -305,20 +308,12 @@ def cmd_predict(args) -> int:
             f"{args.test_path}: feature dimension {dim} != checkpoint's {model.feature_dim}"
         )
     predictions = {}
-    is_triplets = {}
+    attributes = {}
     for record, view in zip(dataset, views):
         predictions[record.image_id] = predict_image(model, view, top_n=args.top_n)
         if args.attributes and model.attribute_head is not None:
-            is_triplets[record.image_id] = [
-                {
-                    "box": view.detections[idx].box.to_list(),
-                    "label": view.detections[idx].label,
-                    "attribute": attr,
-                    "score": score,
-                }
-                for idx, attr, score in predict_attributes(model.attribute_head, view)
-            ]
-    save_predictions(predictions, args.out, is_triplets if is_triplets else None)
+            attributes[record.image_id] = view, predict_attributes(model.attribute_head, view)
+    save_predictions(predictions, args.out, attributes)
     print(f"wrote predictions for {len(predictions)} images to {args.out}")
     return 0
 

@@ -22,6 +22,7 @@ they must match the dataset feature dimension D.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -254,13 +255,28 @@ def read_json(path: str | os.PathLike) -> dict:
         return _decode_object(fh.read(), path, 1)
 
 
-def read_jsonl(path: str | os.PathLike):
-    """Yield (line number, object) for each non-blank line of a JSONL file."""
+def read_image_lines(path: str | os.PathLike, parse) -> dict:
+    """Image id -> value of each non-blank line of a JSONL file, by ``parse(raw)``.
+
+    ``parse`` gives (image id, value). A DataError it raises, and an image
+    id that an earlier line holds, is a DataError naming ``path:line``.
+    """
+    out: dict = {}
+    lines: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                yield lineno, _decode_object(line, path, lineno)
+            if not (line := line.strip()):
+                continue
+            raw = _decode_object(line, path, lineno)  # names path:line itself
+            try:
+                image_id, value = parse(raw)
+                if image_id in lines:
+                    raise DataError(f"image {image_id!r} already on line {lines[image_id]}")
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            lines[image_id] = lineno
+            out[image_id] = value
+    return out
 
 
 def is_list_of(value, kind: type) -> bool:
@@ -306,8 +322,21 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         raise
 
 
-# Checked with type(), not isinstance(): JSON true and false are not numbers.
+# A JSON number is an int or a float, never true or false (so type(), not
+# isinstance()), that converts to a finite float64. json_number applies the
+# rule to a scalar, parse_box to each coordinate, parse_array to each element.
 _NUMBER_TYPES = frozenset((int, float))
+# An array element may also be null, which reads as NaN and so is non-finite.
+_ELEMENT_TYPES = _NUMBER_TYPES | {type(None)}
+
+
+def json_number(value) -> float | None:
+    """``value`` as a float if it is a JSON number under the rule above, else None."""
+    try:
+        number = float(value) if type(value) in _NUMBER_TYPES else math.nan
+    except OverflowError:  # an int beyond the float range
+        number = math.nan
+    return number if math.isfinite(number) else None
 
 
 def parse_box(raw, where: str) -> Box:
@@ -322,13 +351,17 @@ def parse_box(raw, where: str) -> Box:
 
 
 def parse_array(raw, ndim: int, where: str) -> np.ndarray:
-    """A finite float64 array of ``ndim`` dimensions from JSON; else a DataError."""
+    """A float64 array of ``ndim`` (1 or 2) dimensions of JSON numbers; else a DataError."""
     try:
         arr = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{where}: not an array of numbers ({exc})") from None
     if arr.ndim != ndim:
         raise DataError(f"{where}: expected a {ndim}-d array of numbers, got {raw!r:.40}")
+    # numpy reads the strings "1" and "1e1" and the booleans as numbers.
+    elements = raw if ndim == 1 else itertools.chain.from_iterable(raw)
+    if not _ELEMENT_TYPES.issuperset(map(type, elements)):
+        raise DataError(f"{where}: not an array of numbers (holds a string or true/false)")
     if not np.all(np.isfinite(arr)):
         raise DataError(f"{where}: non-finite values")
     return arr
@@ -350,10 +383,9 @@ def _parse_record(raw: dict, vocab: Vocabulary, feature_dim: int | None) -> tupl
         raise DataError("missing or empty image_id")
     where = f"image {image_id!r}"
 
-    width = raw.get("width")
-    height = raw.get("height")
-    if type(width) is not int or type(height) is not int or width <= 0 or height <= 0:
-        raise DataError(f"{where}: width/height must be positive integers")
+    width, height = raw.get("width"), raw.get("height")
+    if not all(type(v) is int and json_number(v) is not None and v > 0 for v in (width, height)):
+        raise DataError(f"{where}: width/height must be positive integers within float range")
 
     items = {}
     for key, kind in (("detections", dict), ("gt_boxes", dict), ("gt_triplets", list),
@@ -375,10 +407,10 @@ def _parse_record(raw: dict, vocab: Vocabulary, feature_dim: int | None) -> tupl
         label = d.get("label")
         if not _index(label, num_objects):
             raise DataError(f"{where} detection {i}: label {label!r} outside vocabulary")
-        score = d.get("score")
-        if type(score) not in (int, float) or not (0.0 <= score <= 1.0):
-            raise DataError(f"{where} detection {i}: score {score!r} outside [0, 1]")
-        detections.append(Detection(label=label, box=box, score=float(score), feature=feat))
+        score = json_number(d.get("score"))
+        if score is None or not (0.0 <= score <= 1.0):
+            raise DataError(f"{where} detection {i}: score {d.get('score')!r} outside [0, 1]")
+        detections.append(Detection(label=label, box=box, score=score, feature=feat))
 
     gt_boxes = []
     for i, g in enumerate(items["gt_boxes"]):
@@ -454,20 +486,14 @@ def load_dataset(path: str | os.PathLike, vocab: Vocabulary) -> list[ImageRecord
     file. Raises :class:`DataError` naming the offending line or image,
     also for an image id that an earlier line holds.
     """
-    records = []
-    lines: dict[str, int] = {}
     feature_dim: int | None = None
-    for lineno, raw in read_jsonl(path):
-        try:
-            record, feature_dim = _parse_record(raw, vocab, feature_dim)
-            image_id = record.image_id
-            if image_id in lines:
-                raise DataError(f"image {image_id!r} already on line {lines[image_id]}")
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        lines[image_id] = lineno
-        records.append(record)
-    return records
+
+    def parse(raw: dict) -> tuple[str, ImageRecord]:
+        nonlocal feature_dim
+        record, feature_dim = _parse_record(raw, vocab, feature_dim)
+        return record.image_id, record
+
+    return list(read_image_lines(path, parse).values())
 
 
 def _record_to_json(record: ImageRecord) -> dict:

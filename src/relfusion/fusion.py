@@ -34,9 +34,10 @@ from .datamodel import (
     box_array,
     iou_matrix,
     is_list_of,
+    json_number,
     parse_box,
+    read_image_lines,
     read_json,
-    read_jsonl,
 )
 from . import numcore
 from .numcore import Mlp, NumericError, OptimizerState, forward, init_mlp, sgd_step, softmax
@@ -128,16 +129,13 @@ def init_fusion_model(
 ) -> FusionModel:
     """Randomly initialize the relationship nets around a fitted prior."""
     out = freq.num_predicates + 1
-    # Keyword arguments are evaluated, and so drawn, in this order.
-    return FusionModel(
-        freq=freq,
-        spatial_mlp=init_mlp([SPATIAL_DIM, *spatial_hidden, out], rng),
-        spo_head=init_mlp([3 * feature_dim, *spo_hidden, out], rng),
-        sub_head=init_mlp([feature_dim, out], rng),
-        obj_head=init_mlp([feature_dim, out], rng),
-        mask=mask,
-        vocab_hash=vocab.digest(),
-    )
+    # Drawn in table order; the sub and obj heads have no hidden layer.
+    hidden = {"spatial_mlp": spatial_hidden, "spo_head": spo_hidden}
+    nets = {
+        net: init_mlp([width, *hidden.get(net, ()), out], rng)
+        for net, width in net_input_widths(feature_dim).items()
+    }
+    return FusionModel(freq=freq, mask=mask, vocab_hash=vocab.digest(), **nets)
 
 
 def pair_proposals(record: ImageRecord) -> list[tuple[int, int]]:
@@ -183,6 +181,13 @@ BRANCHES = (
     Branch("visual_spo", (("spo_head", ("v_sub", "v_pred", "v_obj")),)),
     Branch("visual_subobj", (("sub_head", ("v_sub",)), ("obj_head", ("v_obj",)))),
 )
+
+
+def net_input_widths(feature_dim: int) -> dict[str, int]:
+    """Each net's input width in table order: ``spat`` is SPATIAL_DIM wide, each feature D."""
+    terms = [(net, inputs) for branch in BRANCHES for net, inputs in branch.terms if net]
+    return {net: sum(SPATIAL_DIM if name == "spat" else feature_dim for name in inputs)
+            for net, inputs in terms}
 
 
 def _layer_params(nets) -> list[np.ndarray]:
@@ -576,12 +581,7 @@ def load_checkpoint(path: str | os.PathLike) -> FusionModel:
             raise DataError(f"{path}: {name}: {exc}") from exc
     # (input width, output width) of each net
     dim, out = nets["sub_head"].in_dim, freq.num_predicates + 1
-    shapes = {
-        "spatial_mlp": (SPATIAL_DIM, out),
-        "spo_head": (3 * dim, out),
-        "sub_head": (dim, out),
-        "obj_head": (dim, out),
-    }
+    shapes = {net: (width, out) for net, width in net_input_widths(dim).items()}
     if nets["attribute_head"] is not None:
         shapes["attribute_head"] = (dim, nets["attribute_head"].out_dim)
     for name, want in shapes.items():
@@ -597,9 +597,9 @@ def load_checkpoint(path: str | os.PathLike) -> FusionModel:
 def save_predictions(
     predictions: dict[str, list[PredictedTriplet]],
     path: str | os.PathLike,
-    is_triplets: dict[str, list[dict]] | None = None,
+    attributes: dict[str, tuple[ImageRecord, list[tuple[int, int, float]]]] | None = None,
 ) -> None:
-    """Write per-image prediction lines; optional attribute triplets ride along."""
+    """Write prediction lines; an image's (view, predict_attributes output) is its is_triplets."""
     lines = []
     for image_id, triplets in predictions.items():
         row: dict = {
@@ -616,43 +616,42 @@ def save_predictions(
                 for t in triplets
             ],
         }
-        if is_triplets and image_id in is_triplets:
-            row["is_triplets"] = is_triplets[image_id]
+        if attributes and image_id in attributes:
+            view, predicted = attributes[image_id]
+            dets = view.detections
+            row["is_triplets"] = [
+                {"box": dets[i].box.to_list(), "label": dets[i].label, "attribute": a, "score": s}
+                for i, a, s in predicted
+            ]
         lines.append(json.dumps(row))
     atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
-def _parse_triplet(t) -> PredictedTriplet:
-    if type(t) is not dict:
-        raise DataError("expected a JSON object")
-    try:
-        sub_box = parse_box(t["sub_box"], "sub_box")
-        obj_box = parse_box(t["obj_box"], "obj_box")
-        sub_label, predicate, obj_label = t["sub_label"], t["predicate"], t["obj_label"]
-        score = t["score"]
-    except KeyError as exc:
-        raise DataError(f"missing key {exc}") from None
-    # type(), not isinstance(): JSON true and false are not labels.
-    if type(sub_label) is not int or type(predicate) is not int or type(obj_label) is not int:
-        raise DataError("sub_label, predicate and obj_label must be integers")
-    if type(score) not in (int, float):
-        raise DataError(f"score must be a number, got {score!r}")
-    return PredictedTriplet(sub_box, sub_label, predicate, obj_box, obj_label, float(score))
+# The items of a prediction line: (box keys, integer keys) besides "score".
+_TRIPLET_KEYS = (("sub_box", "obj_box"), ("sub_label", "predicate", "obj_label"))
+_IS_TRIPLET_KEYS = (("box",), ("label", "attribute"))
 
 
-def _check_is_triplet(t) -> None:
-    """One ``is_triplets`` item: a box, integer label and attribute, numeric score."""
-    if type(t) is not dict:
+def _check_item(item, box_keys, int_keys) -> tuple[list, list[int], float]:
+    """An item's boxes, integers and score; a malformed item is a DataError."""
+    if type(item) is not dict:
         raise DataError("expected a JSON object")
     try:
-        parse_box(t["box"], "box")
-        label, attribute, score = t["label"], t["attribute"], t["score"]
+        boxes = [parse_box(item[key], key) for key in box_keys]
+        ints, score = [item[key] for key in int_keys], item["score"]
     except KeyError as exc:
         raise DataError(f"missing key {exc}") from None
-    if type(label) is not int or type(attribute) is not int:
-        raise DataError("label and attribute must be integers")
-    if type(score) not in (int, float):
-        raise DataError(f"score must be a number, got {score!r}")
+    if not is_list_of(ints, int):
+        raise DataError(f"{', '.join(int_keys[:-1])} and {int_keys[-1]} must be integers")
+    value = json_number(score)
+    if value is None:
+        raise DataError(f"score must be a finite number, got {score!r:.40}")
+    return boxes, ints, value
+
+
+def _parse_triplet(item) -> PredictedTriplet:
+    (sub_box, obj_box), (sub, pred, obj), score = _check_item(item, *_TRIPLET_KEYS)
+    return PredictedTriplet(sub_box, sub, pred, obj_box, obj, score)
 
 
 def _parse_items(raw: dict, key: str, parse, image_id: str) -> list:
@@ -674,18 +673,13 @@ def load_predictions(path: str | os.PathLike) -> dict[str, list[PredictedTriplet
 
     Attribute output (``is_triplets``) is checked but not returned.
     """
-    out: dict[str, list[PredictedTriplet]] = {}
-    lines: dict[str, int] = {}
-    for lineno, raw in read_jsonl(path):
-        try:
-            image_id = raw.get("image_id")
-            if not isinstance(image_id, str):
-                raise DataError(f"image_id must be a string, got {image_id!r}")
-            if image_id in lines:
-                raise DataError(f"image {image_id!r} already on line {lines[image_id]}")
-            lines[image_id] = lineno
-            out[image_id] = _parse_items(raw, "triplets", _parse_triplet, image_id)
-            _parse_items(raw, "is_triplets", _check_is_triplet, image_id)
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return out
+
+    def parse(raw: dict) -> tuple[str, list[PredictedTriplet]]:
+        image_id = raw.get("image_id")
+        if not isinstance(image_id, str):
+            raise DataError(f"image_id must be a string, got {image_id!r}")
+        triplets = _parse_items(raw, "triplets", _parse_triplet, image_id)
+        _parse_items(raw, "is_triplets", lambda t: _check_item(t, *_IS_TRIPLET_KEYS), image_id)
+        return image_id, triplets
+
+    return read_image_lines(path, parse)

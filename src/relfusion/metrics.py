@@ -146,6 +146,8 @@ def recall_at_k(
     spec: MatchSpec,
 ) -> float:
     """Mean per-image fraction of ground-truth triplets found in the top k."""
+    if spec.k_per_pair is not None:
+        raise ValueError("recall_at_k applies no k per pair; vrd_recall does")
     return _recalls(predictions, ground_truth, (k,), 1 if spec.graph_constraint else None, spec)[0]
 
 
@@ -163,6 +165,8 @@ def vrd_recall(
     best (P = ``num_predicates``), treating the budget as a tunable
     hyperparameter.
     """
+    if spec.graph_constraint:  # the budget 1
+        raise ValueError("vrd_recall takes its budget as k_per_pair, not as the graph constraint")
     if k_per_pair == "free":
         if num_predicates is None:
             raise ValueError("k_per_pair='free' needs num_predicates")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datamodel import DataError, ImageRecord, Vocabulary, is_list_of
+from .datamodel import DataError, ImageRecord, Vocabulary, is_list_of, json_number
 
 
 @dataclass
@@ -92,12 +92,12 @@ def table_from_json(raw) -> FrequencyTable:
         raise DataError(f"missing key {exc}") from None
     if type(num_predicates) is not int or num_predicates < 1:
         raise DataError(f"num_predicates must be a positive integer, got {num_predicates!r}")
-    # type(), not isinstance(): JSON true and false are not numbers.
-    if type(smoothing) not in (int, float) or not 0 < smoothing < math.inf:
-        raise DataError(f"smoothing must be a finite positive number, got {smoothing!r}")
+    value = json_number(smoothing)
+    if value is None or value <= 0:
+        raise DataError(f"smoothing must be a finite positive number, got {smoothing!r:.40}")
     if not is_list_of(entries, list):
         raise DataError("entries must be a list of [subject, object, counts] lists")
-    table = FrequencyTable(num_predicates=num_predicates, smoothing=float(smoothing))
+    table = FrequencyTable(num_predicates=num_predicates, smoothing=value)
     size = num_predicates + 1
     for k, entry in enumerate(entries):
         if len(entry) != 3 or not is_list_of(entry[:2], int) or min(entry[:2]) < 0:

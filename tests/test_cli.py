@@ -377,6 +377,18 @@ class TestPredictAndEval:
             lambda raw: raw["frequency"]["entries"][0].__setitem__(1, -1),
             "frequency: entry 0: expected [subject, object, counts] with class ids >= 0",
         ),
+        "boolean_bias": (
+            lambda raw: raw["sub_head"]["layers"][0]["bias"].__setitem__(0, True),
+            "sub_head: layer 0 bias: not an array of numbers",
+        ),
+        "overflowing_bias": (
+            lambda raw: raw["sub_head"]["layers"][0]["bias"].__setitem__(0, 10**400),
+            "sub_head: layer 0 bias: not an array of numbers (int too large to convert to float)",
+        ),
+        "overflowing_smoothing": (
+            lambda raw: raw["frequency"].update(smoothing=10**400),
+            "frequency: smoothing must be a finite positive number",
+        ),
     }
 
     def _predict(self, synth_dir, tmp_path, ckpt, test_dir=None):
@@ -444,9 +456,16 @@ class TestPredictAndEval:
                 ]},
                 "must be integers",
             ),
+            (
+                {"image_id": "x", "triplets": [
+                    {"sub_box": [0, 0, 1, 1], "sub_label": 0, "predicate": 1,
+                     "obj_box": [0, 0, 1, 1], "obj_label": 0, "score": 10**400}
+                ]},
+                "image 'x' triplet 0: score must be a finite number",
+            ),
         ],
         ids=["no image_id", "triplets not a list", "missing key", "non-object triplet",
-             "non-numeric box", "string label"],
+             "non-numeric box", "string label", "overflowing score"],
     )
     def test_malformed_prediction_line_exits_2(self, synth_dir, tmp_path, capsys, row, message):
         predictions = tmp_path / "bad.jsonl"
@@ -514,8 +533,10 @@ class TestPredictAndEval:
     @pytest.mark.parametrize(
         "is_triplets, message",
         [(5, "is_triplets must be a list"),
-         ([{"box": [0, 0, 1]}], "is_triplet 0: box: box must be a list of 4 numbers")],
-        ids=["not a list", "three-number box"],
+         ([{"box": [0, 0, 1]}], "is_triplet 0: box: box must be a list of 4 numbers"),
+         ([{"box": [0, 0, 1, 1], "label": 0, "attribute": 1, "score": 10**400}],
+          "is_triplet 0: score must be a finite number")],
+        ids=["not a list", "three-number box", "overflowing score"],
     )
     def test_malformed_attribute_output_exits_2(self, synth_dir, tmp_path, capsys,
                                                 is_triplets, message):

@@ -373,6 +373,27 @@ class TestLoadDataset:
                 "detection 0 feature",
                 id="object feature",
             ),
+            # numpy reads "1" and true as 1.0, and cannot hold 10**400.
+            pytest.param(
+                lambda l: l["detections"][0]["feature"].__setitem__(0, "1"),
+                r"d\.jsonl:1: image 'a' detection 0 feature: not an array of numbers",
+                id="numeric string feature value",
+            ),
+            pytest.param(
+                lambda l: l["detections"][0]["feature"].__setitem__(0, True),
+                r"d\.jsonl:1: image 'a' detection 0 feature: not an array of numbers",
+                id="bool feature value",
+            ),
+            pytest.param(
+                lambda l: l["detections"][0]["feature"].__setitem__(0, 10**400),
+                r"d\.jsonl:1: image 'a' detection 0 feature: .*int too large to convert",
+                id="overflowing feature value",
+            ),
+            pytest.param(
+                lambda l: l.update(width=10**400),
+                r"d\.jsonl:1: image 'a': width/height must be positive integers",
+                id="overflowing width",
+            ),
         ],
     )
     def test_invariant_violations(self, tmp_path, mutate, field):

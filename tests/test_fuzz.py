@@ -1,8 +1,8 @@
 """Seeded mutation fuzzing of every input file through the CLI, in process.
 
 Each case damages one valid file once: it deletes a key, changes a
-value's type, puts a number out of range (negative), inserts NaN or
-truncates the text. The command that reads the file must then succeed
+value's type, puts a number out of range (negative), inserts NaN, puts
+in an integer too large for a float (10**400) or truncates the text. The command that reads the file must then succeed
 (the mutation left a valid file, say an optional key deleted) or exit 1
 or 2 with the file's path in the message. It must never raise, warn or
 exit 3.
@@ -18,8 +18,8 @@ from relfusion.cli import main
 from relfusion.fusion import EVAL_MODES, load_checkpoint, save_checkpoint
 from relfusion.numcore import init_mlp
 
-MUTATIONS = ("delete", "retype", "out_of_range", "nan", "truncate")
-CASES_PER_FILE = 15
+MUTATIONS = ("delete", "retype", "out_of_range", "nan", "huge", "truncate")
+CASES_PER_FILE = 18
 
 CONFIG = {"epochs": 1, "batch_size": 16, "lr": 0.01, "momentum": 0.9, "neg_ratio": 1.0,
           "smoothing": 1.0, "seed": 3, "mode": "sgcls", "branches": "s,p,v,so"}
@@ -67,7 +67,7 @@ def _is_number(v):
 
 def _mutate_value(raw, mutation, rng) -> bool:
     """Apply one mutation in place; False when no value to change turns up."""
-    want = _is_number if mutation in ("out_of_range", "nan") else None
+    want = _is_number if mutation in ("out_of_range", "nan", "huge") else None
     spot = next(filter(None, (_walk(raw, rng, want) for _ in range(50))), None)
     if spot is None:
         return False
@@ -79,6 +79,8 @@ def _mutate_value(raw, mutation, rng) -> bool:
         parent[key] = ("7" if _is_number(v) or type(v) is bool else
                        {"k": 1} if isinstance(v, list) else
                        [1] if isinstance(v, dict) else 7)
+    elif mutation == "huge":
+        parent[key] = 10**400
     else:
         parent[key] = -(abs(v) + 1) if mutation == "out_of_range" else float("nan")
     return True

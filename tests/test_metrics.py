@@ -130,6 +130,15 @@ class TestRecallAtK:
         duplicated = [_pred(B1, 0, 1, B2, 1, 0.9), _pred(B1, 0, 1, B2, 1, 0.8)]
         assert recall_at_k({"a": duplicated}, gt, 10, MatchSpec()) == 1.0
 
+    @pytest.mark.parametrize("budget", [1, 2, "free"])
+    def test_k_per_pair_is_not_ignored(self, budget):
+        # On this instance the budget 1 changes R@5 (0.1 without it, 0.0 with it).
+        preds, gts = random_metric_instance(np.random.default_rng(0), max_images=6,
+                                            max_objects=5, num_predicates=3)
+        assert recall_at_k(preds, gts, 5, MatchSpec()) != vrd_recall(preds, gts, 5, 1, MatchSpec())
+        with pytest.raises(ValueError, match="no k per pair"):
+            recall_at_k(preds, gts, 5, MatchSpec(k_per_pair=budget))
+
 
 class TestAveragePrecision:
     def test_single_match(self):
@@ -355,6 +364,16 @@ class TestVrdRecall:
         preds, gts = random_metric_instance(np.random.default_rng(6))
         with pytest.raises(ValueError):
             vrd_recall(preds, gts, 5, "free", MatchSpec())
+
+    def test_graph_constraint_is_not_ignored(self):
+        # On this instance the constraint changes R@5 (0.1 without it, 0.0 with it).
+        preds, gts = random_metric_instance(np.random.default_rng(0), max_images=6,
+                                            max_objects=5, num_predicates=3)
+        gc = MatchSpec(graph_constraint=True)
+        assert vrd_recall(preds, gts, 5, 3, MatchSpec()) != recall_at_k(preds, gts, 5, gc)
+        for budget in (1, 3, "free"):
+            with pytest.raises(ValueError, match="not as the graph constraint"):
+                vrd_recall(preds, gts, 5, budget, gc, num_predicates=3)
 
     def test_graph_constraint_takes_no_other_budget(self):
         # The graph constraint is the per-pair budget 1.

@@ -291,6 +291,13 @@ class TestSerialization:
                             {"weights": [[1.0, 1.0]], "bias": [0.0]}]},
                 "do not chain",
             ),
+            pytest.param({"layers": [{"weights": [[1.0]], "bias": [True]}]},
+                         "layer 0 bias: not an array of numbers", id="boolean bias"),
+            pytest.param({"layers": [{"weights": [[1.0]], "bias": [10**400]}]},
+                         "layer 0 bias: not an array of numbers .int too large",
+                         id="overflowing bias"),
+            pytest.param({"layers": [{"weights": [["1"]], "bias": [0.0]}]},
+                         "layer 0 weights: not an array of numbers", id="numeric string weight"),
         ],
     )
     def test_malformed_mlp_is_a_data_error(self, raw, message):

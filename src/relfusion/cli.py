@@ -300,6 +300,13 @@ def cmd_predict(args) -> int:
     model = load_checkpoint(args.checkpoint)
     if model.vocab_hash != vocab.digest():
         raise DataError(f"{args.checkpoint} was trained with a vocabulary other than {args.vocab}")
+    classes, head = len(vocab.object_classes), model.attribute_head
+    if any(max(pair) >= classes for pair in model.freq.counts):
+        raise DataError(f"{args.checkpoint}: frequency: class ids must be in 0..{classes - 1},"
+                        f" the object classes of {args.vocab}")
+    if head is not None and head.out_dim != len(vocab.attributes):
+        raise DataError(f"{args.checkpoint}: attribute_head has {head.out_dim} outputs, not the"
+                        f" {len(vocab.attributes)} attributes of {args.vocab}")
     dataset = load_dataset(args.test_path, vocab)
     views = _views(dataset, args.mode, args.test_path)
     dim = _feature_dim(views)

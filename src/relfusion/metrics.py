@@ -9,8 +9,9 @@ Matching rules, pinned so results are reproducible bit for bit:
 - One greedy matcher serves R@K, free-k and both AP box modes: in score
   order (stable), each prediction takes the first unmatched ground-truth
   entry with its three labels (annotation order) it can match, and
-  consumes that entry. AP ranks and matches each image once per box mode;
-  recall once per per-pair budget, reading every R@k off that one match.
+  consumes that entry. One pass ranks each image once, matches it once
+  per AP box mode and once per distinct list a per-pair budget keeps,
+  and reads every R@k off that list's match.
 - The variable-k protocol keeps the top k predicates per ordered
   localization pair (same subject box+label and object box+label);
   free-k reports the best fixed k in 1..P. The graph constraint is the
@@ -71,25 +72,6 @@ def _phrase_match(pred: PredictedTriplet, gt: ResolvedTriplet, spec: MatchSpec) 
     return iou(union_box(pred.sub_box, pred.obj_box), union) >= spec.iou_threshold
 
 
-def _ranked(preds: list[PredictedTriplet], budget: int | None) -> list[PredictedTriplet]:
-    """Descending score, at most ``budget`` predicates per pair (None keeps all)."""
-    # Stable, so the caller-provided order breaks score ties.
-    ranked = sorted(preds, key=lambda t: -t.score)
-    if budget is None:
-        return ranked
-    seen: dict[tuple, int] = {}
-    kept = []
-    for t in ranked:
-        s, o = t.sub_box, t.obj_box  # the localization pair
-        key = (t.sub_label, s.xmin, s.ymin, s.xmax, s.ymax,
-               t.obj_label, o.xmin, o.ymin, o.xmax, o.ymax)
-        count = seen.get(key, 0)
-        if count < budget:
-            kept.append(t)
-            seen[key] = count + 1
-    return kept
-
-
 def _greedy_hits(
     preds: list[PredictedTriplet], gts: list[ResolvedTriplet], match, spec: MatchSpec
 ) -> list[bool]:
@@ -113,6 +95,84 @@ def _greedy_hits(
     return hits
 
 
+def _pair_ranks(ranked: list[PredictedTriplet]) -> list[int]:
+    """Per prediction: how many earlier ones share its localization pair."""
+    seen: dict[tuple, int] = {}
+    ranks = []
+    for t in ranked:
+        s, o = t.sub_box, t.obj_box
+        pair = (t.sub_label, s.xmin, s.ymin, s.xmax, s.ymax,
+                t.obj_label, o.xmin, o.ymin, o.xmax, o.ymax)
+        ranks.append(seen.get(pair, 0))
+        seen[pair] = ranks[-1] + 1
+    return ranks
+
+
+def _average_precision(hits: list[tuple[float, bool]], npos: int) -> float:
+    """All-points-interpolated AP of one predicate's pooled (score, hit) pairs."""
+    hits.sort(key=lambda it: -it[0])
+    mrec, mpre, tp = [0.0], [0.0], 0
+    for rank, (_, hit) in enumerate(hits, start=1):
+        tp += 1 if hit else 0
+        mrec.append(tp / npos)
+        mpre.append(tp / rank)
+    mrec.append(1.0)
+    mpre.append(0.0)
+    for i in range(len(mpre) - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    ap = 0.0
+    for i in range(len(mrec) - 1):
+        if mrec[i + 1] != mrec[i]:
+            ap += (mrec[i + 1] - mrec[i]) * mpre[i + 1]
+    return ap
+
+
+def _one_pass(
+    predictions: dict[str, list[PredictedTriplet]],
+    ground_truth: dict[str, list[ResolvedTriplet]],
+    ks: tuple[int, ...],
+    budgets: list[int | None],
+    box_modes: tuple[str, ...],
+    spec: MatchSpec,
+) -> tuple[list[list[float]], dict[str, dict[int, float]]]:
+    """Mean recall per budget and k, and each box mode's AP table; each image is sorted once.
+
+    Budget b keeps the predictions whose pair rank is below b (None: all). Kept lists
+    grow with b, so each distinct length is matched once, down to ``max(ks)``: the
+    matcher walks a list in order, so its first k hits ignore what follows. The whole
+    ranking's rel match also serves mAP_rel. AP pools each prediction's (score, hit)
+    under its predicate, which equals matching that predicate's predictions alone.
+    """
+    for mode in box_modes:
+        if mode not in ("rel", "phr"):
+            raise ValueError(f"box_mode must be 'rel' or 'phr', got {mode!r}")
+    npos = Counter(g.predicate for gts in ground_truth.values() for g in gts)
+    pooled = {mode: {p: [] for p in npos} for mode in box_modes}
+    per_image: list[list[list[float]]] = [[[] for _ in ks] for _ in budgets]
+    for image_id, gts in ground_truth.items():
+        # Stable, so the caller-provided order breaks score ties.
+        ranked = sorted(predictions.get(image_id, []), key=lambda t: -t.score)
+        matches: dict[tuple[str, int], list[bool]] = {}  # (box mode, list length) -> hits
+        for mode in box_modes:
+            match = triplet_match if mode == "rel" else _phrase_match
+            hits = matches[mode, len(ranked)] = _greedy_hits(ranked, gts, match, spec)
+            for t, hit in zip(ranked, hits):
+                if t.predicate in pooled[mode]:
+                    pooled[mode][t.predicate].append((t.score, hit))
+        if not gts:
+            continue
+        ranks = _pair_ranks(ranked) if any(b is not None for b in budgets) else []
+        for recalls, budget in zip(per_image, budgets):
+            kept = ranked if budget is None else [t for t, r in zip(ranked, ranks) if r < budget]
+            if ("rel", len(kept)) not in matches:
+                matches["rel", len(kept)] = _greedy_hits(kept[: max(ks)], gts, triplet_match, spec)
+            for out, k in zip(recalls, ks):
+                out.append(sum(matches["rel", len(kept)][:k]) / len(gts))
+    means = [[sum(r) / len(r) if r else 0.0 for r in recalls] for recalls in per_image]
+    return means, {mode: {p: _average_precision(hits, npos[p]) for p, hits in table.items()}
+                   for mode, table in pooled.items()}
+
+
 def _recalls(
     predictions: dict[str, list[PredictedTriplet]],
     ground_truth: dict[str, list[ResolvedTriplet]],
@@ -120,23 +180,10 @@ def _recalls(
     budget: int | None,
     spec: MatchSpec,
 ) -> list[float]:
-    """Mean per-image recall of the top k for each k in ``ks``, after a per-pair budget.
-
-    Each image is ranked (None: no budget) and matched once, down to ``max(ks)``.
-    The greedy matcher walks the ranking in order, so the hits among the first
-    k never depend on the predictions after them.
-    """
+    """Mean per-image recall of the top k for each k in ``ks``, after a per-pair budget."""
     if min(ks) <= 0:
         raise ValueError("k must be positive")
-    per_k: list[list[float]] = [[] for _ in ks]
-    for image_id, gts in ground_truth.items():
-        if not gts:
-            continue
-        top = _ranked(predictions.get(image_id, []), budget)[: max(ks)]
-        hits = _greedy_hits(top, gts, triplet_match, spec)
-        for recalls, k in zip(per_k, ks):
-            recalls.append(sum(hits[:k]) / len(gts))
-    return [sum(recalls) / len(recalls) if recalls else 0.0 for recalls in per_k]
+    return _one_pass(predictions, ground_truth, ks, [budget], (), spec)[0][0]
 
 
 def recall_at_k(
@@ -179,53 +226,6 @@ def vrd_recall(
     return _recalls(predictions, ground_truth, (k,), k_per_pair, spec)[0]
 
 
-def _ap_table(
-    predictions: dict[str, list[PredictedTriplet]],
-    ground_truth: dict[str, list[ResolvedTriplet]],
-    box_mode: str,
-    spec: MatchSpec,
-) -> dict[int, float]:
-    """All-points-interpolated AP of every predicate with ground truth.
-
-    Each image is ranked and matched once. A prediction only takes ground
-    truth with its own labels, so each predicate's hits equal those of
-    matching its predictions alone. Images share no ground truth, so
-    stable-sorting the pooled hits keeps ties in image, then input order.
-    """
-    if box_mode not in ("rel", "phr"):
-        raise ValueError(f"box_mode must be 'rel' or 'phr', got {box_mode!r}")
-    match = triplet_match if box_mode == "rel" else _phrase_match
-    npos = Counter(g.predicate for gts in ground_truth.values() for g in gts)
-    pooled: dict[int, list[tuple[float, bool]]] = {p: [] for p in npos}
-    for image_id, gts in ground_truth.items():
-        ranked = _ranked(predictions.get(image_id, []), None)
-        for t, hit in zip(ranked, _greedy_hits(ranked, gts, match, spec)):
-            if t.predicate in pooled:
-                pooled[t.predicate].append((t.score, hit))
-
-    table = {}
-    for p, hits in pooled.items():
-        hits.sort(key=lambda it: -it[0])
-        # Precision envelope over all recall points.
-        mrec = [0.0]
-        mpre = [0.0]
-        tp = 0
-        for rank, (_, hit) in enumerate(hits, start=1):
-            tp += 1 if hit else 0
-            mrec.append(tp / npos[p])
-            mpre.append(tp / rank)
-        mrec.append(1.0)
-        mpre.append(0.0)
-        for i in range(len(mpre) - 2, -1, -1):
-            mpre[i] = max(mpre[i], mpre[i + 1])
-        ap = 0.0
-        for i in range(len(mrec) - 1):
-            if mrec[i + 1] != mrec[i]:
-                ap += (mrec[i + 1] - mrec[i]) * mpre[i + 1]
-        table[p] = ap
-    return table
-
-
 def average_precision(
     predictions: dict[str, list[PredictedTriplet]],
     ground_truth: dict[str, list[ResolvedTriplet]],
@@ -239,7 +239,8 @@ def average_precision(
     boxes must match). Returns None when the predicate has no ground
     truth.
     """
-    return _ap_table(predictions, ground_truth, box_mode, spec).get(predicate)
+    table = _one_pass(predictions, ground_truth, (), [], (box_mode,), spec)[1][box_mode]
+    return table.get(predicate)
 
 
 def mean_average_precision(
@@ -250,7 +251,11 @@ def mean_average_precision(
     spec: MatchSpec,
 ) -> tuple[float, dict[int, float]]:
     """Mean AP over predicates with ground truth, plus the per-predicate table."""
-    table = _ap_table(predictions, ground_truth, box_mode, spec)
+    table = _one_pass(predictions, ground_truth, (), [], (box_mode,), spec)[1][box_mode]
+    return _mean_ap(table, num_predicates)
+
+
+def _mean_ap(table: dict[int, float], num_predicates: int) -> tuple[float, dict[int, float]]:
     per_predicate = {p: table[p] for p in range(1, num_predicates + 1) if p in table}
     mean = sum(per_predicate.values()) / len(per_predicate) if per_predicate else 0.0
     return mean, per_predicate
@@ -326,21 +331,15 @@ def evaluate(
 
     ground_truth = {r.image_id: r.resolved_triplets() for r in dataset}
 
-    # One ranked match per image and budget; free-k takes each k's best budget.
+    # One pass over the images; free-k takes each k's best budget.
+    budgets = [1 if spec.graph_constraint else spec.k_per_pair]
     if spec.k_per_pair == "free":
-        budgets = range(1, num_predicates + 1)
-    else:
-        budgets = [1 if spec.graph_constraint else spec.k_per_pair]
+        budgets = list(range(1, num_predicates + 1))
     ks = (20, 50, 100)
-    sweep = [_recalls(predictions, ground_truth, ks, budget, spec) for budget in budgets]
+    sweep, tables = _one_pass(predictions, ground_truth, ks, budgets, ("rel", "phr"), spec)
     recall = dict(zip(ks, map(max, zip(*sweep))))
-
-    map_rel, ap_rel = mean_average_precision(
-        predictions, ground_truth, num_predicates, "rel", spec
-    )
-    map_phr, ap_phr = mean_average_precision(
-        predictions, ground_truth, num_predicates, "phr", spec
-    )
+    map_rel, ap_rel = _mean_ap(tables["rel"], num_predicates)
+    map_phr, ap_phr = _mean_ap(tables["phr"], num_predicates)
     score = oi_score(100 * recall[50], 100 * map_rel, 100 * map_phr) / 100.0
     return EvalReport(mode=mode, recall_at=recall, map_rel=map_rel, map_phr=map_phr,
                       oi_score=score, ap_rel=ap_rel, ap_phr=ap_phr)

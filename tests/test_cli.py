@@ -389,6 +389,18 @@ class TestPredictAndEval:
             lambda raw: raw["frequency"].update(smoothing=10**400),
             "frequency: smoothing must be a finite positive number",
         ),
+        "class_ids_outside_vocabulary": (
+            lambda raw: raw["frequency"]["entries"].append(
+                [10**400, 99, raw["frequency"]["entries"][0][2]]
+            ),
+            "frequency: class ids must be in 0..",
+        ),
+        "attribute_head_one_output_too_many": (
+            lambda raw: [layer[key].append(layer[key][0])
+                         for layer in raw["attribute_head"]["layers"][-1:]
+                         for key in ("weights", "bias")],
+            "attribute_head has 5 outputs, not the 4 attributes of",
+        ),
     }
 
     def _predict(self, synth_dir, tmp_path, ckpt, test_dir=None):

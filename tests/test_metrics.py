@@ -1,5 +1,7 @@
 """Evaluation protocols against hand values and the brute-force reference."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -289,6 +291,34 @@ class TestOneMatchPerBudget:
                     k: vrd_recall(preds, gts, k, "free", spec, p) for k in (20, 50, 100)
                 }
 
+    @staticmethod
+    def _matches(monkeypatch, preds, gts, spec):
+        """(box mode, list length, ground truth) of each match one ``evaluate`` makes."""
+        seen = []
+        real = metrics._greedy_hits
+
+        def spy(ranked, ground_truth, match, spec):
+            mode = "phr" if match is metrics._phrase_match else "rel"
+            seen.append((mode, len(ranked), ground_truth))
+            return real(ranked, ground_truth, match, spec)
+
+        monkeypatch.setattr(metrics, "_greedy_hits", spy)
+        for name in ("recall_at_k", "vrd_recall", "average_precision", "mean_average_precision"):
+            monkeypatch.setattr(metrics, name, None)
+        evaluate(preds, _records(gts), tiny_vocab(num_objects=3), spec=spec)
+        return seen
+
+    @staticmethod
+    def _one_match_per_box_mode_and_shorter_list(preds, gts, budgets):
+        calls = []
+        for image_id, image_gts in gts.items():
+            ranked = _brute_ranked(preds.get(image_id, []))
+            calls += [("rel", len(ranked), image_gts), ("phr", len(ranked), image_gts)]
+            if image_gts:
+                lengths = dict.fromkeys(len(_brute_kept(ranked, b)) for b in budgets)
+                calls += [("rel", n, image_gts) for n in lengths if n < len(ranked)]
+        return calls
+
     @pytest.mark.parametrize(
         "spec, budgets",
         [(MatchSpec(), [None]), (MatchSpec(graph_constraint=True), [1]),
@@ -296,19 +326,72 @@ class TestOneMatchPerBudget:
         ids=["no budget", "graph constraint", "budget 2", "free"],
     )
     def test_evaluate_matches_once_per_budget(self, monkeypatch, spec, budgets):
+        # One match per image and box mode. The whole ranking's rel match serves
+        # every budget that keeps it all; each shorter kept list adds one match.
         preds, gts = random_metric_instance(np.random.default_rng(3), num_predicates=3)
-        seen = []
-        real = metrics._recalls
+        seen = self._matches(monkeypatch, preds, gts, spec)
+        assert seen == self._one_match_per_box_mode_and_shorter_list(preds, gts, budgets)
+        if spec.k_per_pair == "free":  # some budget cuts some image's ranking
+            assert len(seen) > 2 * len(gts)
 
-        def spy(predictions, ground_truth, ks, budget, spec):
-            seen.append((ks, budget))
-            return real(predictions, ground_truth, ks, budget, spec)
+    def test_free_k_matches_twice_per_image_with_one_prediction_per_pair(self, monkeypatch):
+        preds, gts = random_metric_instance(np.random.default_rng(3), num_predicates=3)
+        single = {}
+        for image_id, ts in preds.items():
+            firsts = {_pair(t): t for t in reversed(ts)}
+            single[image_id] = [t for t in ts if firsts[_pair(t)] is t]
+        assert sum(map(len, single.values())) < sum(map(len, preds.values()))
+        seen = self._matches(monkeypatch, single, gts, MatchSpec(k_per_pair="free"))
+        assert len(seen) == 2 * len(gts)
 
-        monkeypatch.setattr(metrics, "_recalls", spy)
-        monkeypatch.setattr(metrics, "recall_at_k", None)
-        monkeypatch.setattr(metrics, "vrd_recall", None)
-        evaluate(preds, _records(gts), tiny_vocab(num_objects=3), spec=spec)
-        assert seen == [((20, 50, 100), b) for b in budgets]
+    def test_budget_keeps_the_predictions_with_fewer_earlier_ones_on_their_pair(
+        self, monkeypatch
+    ):
+        kept_lists = []
+        real = metrics._greedy_hits
+
+        def spy(ranked, ground_truth, match, spec):
+            kept_lists.append(ranked)
+            return real(ranked, ground_truth, match, spec)
+
+        monkeypatch.setattr(metrics, "_greedy_hits", spy)
+        rng = np.random.default_rng(37)
+        cut = 0
+        for _ in range(60):
+            p = int(rng.integers(1, 5))
+            preds, gts = random_metric_instance(rng, max_images=4, max_objects=5,
+                                                num_predicates=p)
+            for ts in preds.values():
+                # Repeated identical triplets (the same object, or an equal copy)
+                # tie with their original inside its pair.
+                for i in rng.integers(0, len(ts), size=len(ts) // 2):
+                    ts.append(ts[i] if rng.random() < 0.5 else dataclasses.replace(ts[i]))
+            for budget in range(1, p + 2):
+                kept_lists.clear()
+                vrd_recall(preds, gts, 10**6, budget, MatchSpec())
+                ranked = [_brute_ranked(preds.get(i, [])) for i, image_gts in gts.items()
+                          if image_gts]
+                want = [_brute_kept(r, budget) for r in ranked]
+                assert [list(map(id, k)) for k in kept_lists] == [list(map(id, k)) for k in want]
+                cut += sum(len(k) < len(r) for k, r in zip(want, ranked))
+        assert cut > 0
+
+
+def _pair(t):
+    return t.sub_label, t.sub_box, t.obj_label, t.obj_box
+
+
+def _brute_ranked(ts):
+    """Descending score; equal scores keep input order."""
+    return [ts[i] for i in sorted(range(len(ts)), key=lambda i: (-ts[i].score, i))]
+
+
+def _brute_kept(ranked, budget):
+    """The ranked predictions with fewer than ``budget`` earlier ones on their pair."""
+    return [
+        t for i, t in enumerate(ranked)
+        if budget is None or sum(_pair(u) == _pair(t) for u in ranked[:i]) < budget
+    ]
 
 
 class TestOiScore:

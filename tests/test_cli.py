@@ -14,6 +14,7 @@ from relfusion.datamodel import (
     save_vocabulary,
 )
 from relfusion.fusion import (
+    TrainConfig,
     init_fusion_model,
     load_checkpoint,
     load_predictions,
@@ -21,6 +22,7 @@ from relfusion.fusion import (
 )
 from relfusion.metrics import MatchSpec, evaluate
 from relfusion.semantic import fit_frequency
+from relfusion.synth import SynthConfig
 
 from util import box, make_detection, make_record, tiny_vocab
 
@@ -891,3 +893,82 @@ class TestAblate:
         assert len(lines) == 5
         names = [line.split(",")[0] for line in lines[1:]]
         assert names == ["baseline", "<SPO>", "<SPO>+S+O", "<SPO>+S+O+spt"]
+
+
+class _Captured(Exception):
+    """Raised by a stand-in for generate or train; holds the config it was given."""
+
+
+def _captured_config(monkeypatch, name, argv):
+    """The config that ``main(argv)`` passes to ``relfusion.cli.<name>`` (its last argument)."""
+    def capture(*args):
+        raise _Captured(args[-1])
+
+    monkeypatch.setattr(f"relfusion.cli.{name}", capture)
+    with pytest.raises(_Captured) as info:
+        main(argv)
+    return info.value.args[0]
+
+
+class TestFlagsFeedConfigFields:
+    # (flag, value, config field, the field's expected value)
+    SYNTH_FLAGS = [
+        ("--num-images", "11", "num_images", 11),
+        ("--num-test-images", "3", "num_test_images", 3),
+        ("--min-objects", "2", "objects_per_image", (2, 7)),
+        ("--max-objects", "9", "objects_per_image", (4, 9)),
+        ("--num-classes", "5", "num_classes", 5),
+        ("--num-predicates", "4", "num_predicates", 4),
+        ("--feature-dim", "8", "feature_dim", 8),
+        ("--seed", "3", "seed", 3),
+        ("--num-attributes", "2", "num_attributes", 2),
+        ("--noise", "0.25", "noise", 0.25),
+        ("--pair-density", "0.5", "pair_density", 0.5),
+        ("--rule-weight", "0.5", "rule_weight", 0.5),
+        ("--appearance-weight", "1.5", "appearance_weight", 1.5),
+        ("--existence-weight", "0.5", "existence_weight", 0.5),
+        ("--signals", "p,v", "semantic_signal", False),
+        ("--signals", "s,v", "spatial_signal", False),
+        ("--signals", "s,p", "visual_signal", False),
+    ]
+    TRAIN_FLAGS = [
+        ("--epochs", "2", "epochs", 2),
+        ("--batch-size", "8", "batch_size", 8),
+        ("--lr", "0.05", "learning_rate", 0.05),
+        ("--momentum", "0.5", "momentum", 0.5),
+        ("--neg-ratio", "1.5", "negative_ratio", 1.5),
+        ("--seed", "11", "seed", 11),
+    ]
+
+    @staticmethod
+    def _train_argv(synth_dir, tmp_path, command):
+        argv = [command, "--train", str(synth_dir / "train.jsonl"),
+                "--vocab", str(synth_dir / "vocab.json")]
+        if command == "train":
+            return argv + ["--checkpoint", str(tmp_path / "m.json")]
+        return argv + ["--test", str(synth_dir / "test.jsonl"), "--out", str(tmp_path / "a.csv")]
+
+    @pytest.mark.parametrize("flag, value, field, expected", SYNTH_FLAGS)
+    def test_gen_synth_flag_sets_its_field(self, monkeypatch, tmp_path, flag, value, field,
+                                           expected):
+        argv = ["gen-synth", "--out", str(tmp_path), flag, value]
+        got = getattr(_captured_config(monkeypatch, "generate", argv), field)
+        assert got == expected and type(got) is type(expected)
+
+    def test_gen_synth_defaults_are_synth_config(self, monkeypatch, tmp_path):
+        argv = ["gen-synth", "--out", str(tmp_path)]
+        assert _captured_config(monkeypatch, "generate", argv) == SynthConfig()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("flag, value, field, expected", TRAIN_FLAGS)
+    def test_train_flag_sets_its_field(self, synth_dir, monkeypatch, tmp_path, command, flag,
+                                       value, field, expected):
+        argv = self._train_argv(synth_dir, tmp_path, command) + [flag, value]
+        got = getattr(_captured_config(monkeypatch, "train", argv), field)
+        assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_train_defaults_are_train_config_with_seed_7(self, synth_dir, monkeypatch, tmp_path,
+                                                         command):
+        argv = self._train_argv(synth_dir, tmp_path, command)
+        assert _captured_config(monkeypatch, "train", argv) == TrainConfig(seed=7)

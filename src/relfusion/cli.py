@@ -9,6 +9,7 @@ are parsed like flags, and explicitly passed flags win. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -84,56 +85,68 @@ def k_per_pair(text: str):
     return text if text == "free" else int(text)
 
 
-def _add_train_flags(sub):
-    base = TrainConfig()
-    sub.add_argument("--epochs", type=int, default=base.epochs)
-    sub.add_argument("--batch-size", type=int, default=base.batch_size)
-    sub.add_argument("--lr", type=float, default=base.learning_rate)
-    sub.add_argument("--momentum", type=float, default=base.momentum)
-    sub.add_argument("--neg-ratio", type=float, default=base.negative_ratio)
-    sub.add_argument("--smoothing", type=float, default=1.0)
+# The flags that feed a config dataclass, as dest -> field. Each flag is
+# --dest and takes its type and default from the field's default value.
+_SYNTH_FLAGS = {name: name for name in (
+    "num_images", "num_test_images", "num_classes", "num_predicates", "feature_dim", "seed",
+    "noise", "num_attributes", "pair_density", "rule_weight", "appearance_weight",
+    "existence_weight",
+)}
+_TRAIN_FLAGS = {
+    {"learning_rate": "lr", "negative_ratio": "neg_ratio"}.get(f.name, f.name): f.name
+    for f in dataclasses.fields(TrainConfig)
+}
+
+# Flags that several subcommands take: option string -> add_argument keywords.
+_SHARED_FLAGS = {
+    "--train": {"required": True, "dest": "train_path"},
+    "--test": {"required": True, "dest": "test_path"},
+    "--vocab": {"required": True},
+    "--mode": {"choices": EVAL_MODES, "default": "sgdet"},
+    "--top-n": {"type": int, "default": 100},
+    "--graph-constraint": {"choices": ("on", "off"), "default": "off"},
+    "--smoothing": {"type": float, "default": 1.0},
+}
+
+
+def _add_flags(sub, *shared: str, fields: dict | None = None, defaults=None):
+    """Add the named shared flags, then a flag per dest -> field of ``fields``."""
+    for option in shared:
+        sub.add_argument(option, **_SHARED_FLAGS[option])
+    for dest, field in (fields or {}).items():
+        default = getattr(defaults, field)
+        sub.add_argument(f"--{dest.replace('_', '-')}", type=type(default), default=default)
+
+
+def _config(cls, fields: dict, args, **extra):
+    """A ``cls`` config from the flag values of ``fields`` (dest -> field) and ``extra``."""
+    return cls(**{field: getattr(args, dest) for dest, field in fields.items()}, **extra)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="relfusion")
     parser.add_argument("--config", help="JSON file of flag defaults; flags win")
     subs = parser.add_subparsers(dest="command", required=True)
+    train_defaults = TrainConfig(seed=7)
 
     defaults = SynthConfig()
     gen = subs.add_parser("gen-synth", help="generate a synthetic dataset")
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--seed", type=int, default=defaults.seed)
-    gen.add_argument("--num-images", type=int, default=defaults.num_images)
-    gen.add_argument("--num-test-images", type=int, default=defaults.num_test_images)
+    _add_flags(gen, fields=_SYNTH_FLAGS, defaults=defaults)
     gen.add_argument("--min-objects", type=int, default=defaults.objects_per_image[0])
     gen.add_argument("--max-objects", type=int, default=defaults.objects_per_image[1])
-    gen.add_argument("--num-classes", type=int, default=defaults.num_classes)
-    gen.add_argument("--num-predicates", type=int, default=defaults.num_predicates)
-    gen.add_argument("--feature-dim", type=int, default=defaults.feature_dim)
-    gen.add_argument("--num-attributes", type=int, default=defaults.num_attributes)
-    gen.add_argument("--noise", type=float, default=defaults.noise)
-    gen.add_argument("--pair-density", type=float, default=defaults.pair_density)
-    gen.add_argument("--rule-weight", type=float, default=defaults.rule_weight)
-    gen.add_argument("--appearance-weight", type=float, default=defaults.appearance_weight)
-    gen.add_argument("--existence-weight", type=float, default=defaults.existence_weight)
     gen.add_argument("--signals", default="s,p,v", help="enabled signals: s,p,v")
 
     tr = subs.add_parser("train", help="fit the frequency prior and train the branches")
-    tr.add_argument("--train", required=True, dest="train_path")
-    tr.add_argument("--vocab", required=True)
+    _add_flags(tr, "--train", "--vocab", "--mode", "--smoothing",
+               fields=_TRAIN_FLAGS, defaults=train_defaults)
     tr.add_argument("--checkpoint", required=True, help="output checkpoint path")
-    tr.add_argument("--mode", choices=EVAL_MODES, default="sgdet")
     tr.add_argument("--branches", default="s,p,v,so")
-    tr.add_argument("--seed", type=int, default=7)
-    _add_train_flags(tr)
 
     pr = subs.add_parser("predict", help="write ranked triplets for a dataset")
-    pr.add_argument("--test", required=True, dest="test_path")
-    pr.add_argument("--vocab", required=True)
+    _add_flags(pr, "--test", "--vocab", "--mode", "--top-n")
     pr.add_argument("--checkpoint", required=True)
     pr.add_argument("--out", required=True)
-    pr.add_argument("--mode", choices=EVAL_MODES, default="sgdet")
-    pr.add_argument("--top-n", type=int, default=100)
     pr.add_argument(
         "--attributes",
         action="store_true",
@@ -141,25 +154,16 @@ def build_parser() -> _Parser:
     )
 
     ev = subs.add_parser("eval", help="score predictions against ground truth")
-    ev.add_argument("--test", required=True, dest="test_path")
-    ev.add_argument("--vocab", required=True)
+    _add_flags(ev, "--test", "--vocab", "--mode", "--graph-constraint")
     ev.add_argument("--predictions", required=True)
     ev.add_argument("--out", required=True, help="report JSON path")
-    ev.add_argument("--mode", choices=EVAL_MODES, default="sgdet")
-    ev.add_argument("--graph-constraint", choices=("on", "off"), default="off")
     ev.add_argument("--k-per-pair", type=k_per_pair, help="per-pair budget: integer or 'free'")
     ev.add_argument("--iou-threshold", type=float, default=0.5)
 
     ab = subs.add_parser("ablate", help="train and score the four branch configurations")
-    ab.add_argument("--train", required=True, dest="train_path")
-    ab.add_argument("--test", required=True, dest="test_path")
-    ab.add_argument("--vocab", required=True)
+    _add_flags(ab, "--train", "--test", "--vocab", "--mode", "--top-n", "--graph-constraint",
+               "--smoothing", fields=_TRAIN_FLAGS, defaults=train_defaults)
     ab.add_argument("--out", required=True, help="ablation CSV path")
-    ab.add_argument("--mode", choices=EVAL_MODES, default="sgdet")
-    ab.add_argument("--seed", type=int, default=7)
-    ab.add_argument("--top-n", type=int, default=100)
-    ab.add_argument("--graph-constraint", choices=("on", "off"), default="off")
-    _add_train_flags(ab)
     parser.subcommands = subs.choices  # name -> subparser, for --config
     return parser
 
@@ -175,29 +179,34 @@ def _apply_config(parser: _Parser, args: argparse.Namespace, argv: list[str]):
         config = read_json(args.config)
     except DataError as exc:
         raise UsageError(f"config {exc}") from exc
-    flags = set(vars(args)) - {"command", "config"}
     subparser = parser.subcommands[args.command]
-    switches = {action.dest for action in subparser._actions if action.nargs == 0}
+    # -h has no value to default.
+    actions = {a.dest: a for a in subparser._actions if a.default is not argparse.SUPPRESS}
+    with_choices = []
     for key, value in config.items():
-        if key not in flags:
+        action = actions.get(key)
+        if action is None:
             raise UsageError(f"{args.config}: {key!r} is not a flag of {args.command}")
         if not isinstance(value, (str, int, float)):  # bool is an int
             raise UsageError(f"{args.config}: {key!r} must be a string, number or boolean")
         # A switch takes only true or false, and only a switch takes them;
         # main() names the config.
-        if (type(value) is bool) != (key in switches):
-            kind = "true or false" if key in switches else "a string or number, not a boolean"
+        switch = action.nargs == 0
+        if (type(value) is bool) != switch:
+            kind = "true or false" if switch else "a string or number, not a boolean"
             raise UsageError(f"{key!r} must be {kind}, got {json.dumps(value)}")
         if type(value) in (int, float) and json_number(value) is None:
             raise UsageError(f"{key!r} must be a finite number, got {value!r:.40}")
+        if action.choices:
+            with_choices.append(action)
     # argparse applies a flag's type to string defaults only, and checks
     # choices only for command-line tokens.
     defaults = {k: str(v) if type(v) in (int, float) else v for k, v in config.items()}
     subparser.set_defaults(**defaults)
     args = parser.parse_args(argv)
-    for action in subparser._actions:
-        value = getattr(args, action.dest, None)
-        if action.dest in config and action.choices and value not in action.choices:
+    for action in with_choices:
+        value = getattr(args, action.dest)
+        if value not in action.choices:
             raise UsageError(
                 f"{args.config}: {action.dest!r} must be one of "
                 f"{', '.join(map(str, action.choices))}, got {value!r}"
@@ -207,23 +216,12 @@ def _apply_config(parser: _Parser, args: argparse.Namespace, argv: list[str]):
 
 def cmd_gen_synth(args) -> int:
     signals = _tokens(args.signals, ("s", "p", "v"), "signal")
-    cfg = SynthConfig(
-        num_images=args.num_images,
-        num_test_images=args.num_test_images,
+    cfg = _config(
+        SynthConfig, _SYNTH_FLAGS, args,
         objects_per_image=(args.min_objects, args.max_objects),
-        num_classes=args.num_classes,
-        num_predicates=args.num_predicates,
-        feature_dim=args.feature_dim,
-        seed=args.seed,
         semantic_signal="s" in signals,
         spatial_signal="p" in signals,
         visual_signal="v" in signals,
-        noise=args.noise,
-        num_attributes=args.num_attributes,
-        pair_density=args.pair_density,
-        rule_weight=args.rule_weight,
-        appearance_weight=args.appearance_weight,
-        existence_weight=args.existence_weight,
     )
     result = generate(cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -235,17 +233,6 @@ def cmd_gen_synth(args) -> int:
         f"wrote {len(result.train)} train / {len(result.test)} test images to {args.out}"
     )
     return 0
-
-
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        momentum=args.momentum,
-        negative_ratio=args.neg_ratio,
-        seed=args.seed,
-    )
 
 
 def _feature_dim(views) -> int | None:
@@ -274,11 +261,11 @@ def cmd_train(args) -> int:
     vocab = load_vocabulary(args.vocab)
     dataset = load_dataset(args.train_path, vocab)
     views, feature_dim, freq = _training_setup(args, vocab, dataset)
-    rng = np.random.default_rng(args.seed)
+    cfg = _config(TrainConfig, _TRAIN_FLAGS, args)
+    rng = np.random.default_rng(cfg.seed)
     model = init_fusion_model(
         freq, feature_dim, vocab, rng, mask=parse_branches(args.branches)
     )
-    cfg = _train_config(args)
     model, history = train(model, views, cfg)
 
     if vocab.attributes and any(r.gt_attributes for r in dataset):
@@ -358,12 +345,12 @@ def cmd_ablate(args) -> int:
     test_set = load_dataset(args.test_path, vocab)
     train_views, feature_dim, freq = _training_setup(args, vocab, train_set)
     test_views = _views(test_set, args.mode, args.test_path)
-    cfg = _train_config(args)
+    cfg = _config(TrainConfig, _TRAIN_FLAGS, args)
     spec = MatchSpec(graph_constraint=args.graph_constraint == "on")
 
     rows = []
     for name, mask in ABLATION_ROWS:
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(cfg.seed)
         model = init_fusion_model(freq, feature_dim, vocab, rng, mask=mask)
         model, _ = train(model, train_views, cfg)
         predictions = {

@@ -401,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, FileNotFoundError, ValueError) as exc:
+    except (UsageError, OSError, ValueError) as exc:
         # The bad value may have come from the config file: name it.
         where = f" (flag defaults from {config})" if config and config not in str(exc) else ""
         print(f"usage error: {exc}{where}", file=sys.stderr)

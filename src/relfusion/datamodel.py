@@ -27,6 +27,7 @@ import json
 import logging
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,10 +250,27 @@ def _decode_object(text: str, path, line: int) -> dict:
     return raw
 
 
+def _not_utf8(path, exc: UnicodeDecodeError) -> DataError:
+    """A DataError naming the first line of ``path`` that is not UTF-8.
+
+    The file is read again only here, after decoding failed: each byte
+    that is not UTF-8 then reads as a lone surrogate.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    bad = re.search("[\udc80-\udcff]", text)
+    line = text.count("\n", 0, bad.start() if bad else 0) + 1
+    return DataError(f"{path}:{line}: not UTF-8 text ({exc.reason})")
+
+
 def read_json(path: str | os.PathLike) -> dict:
     """A JSON object file; malformed content is a DataError naming the line."""
     with open(path, "r", encoding="utf-8") as fh:
-        return _decode_object(fh.read(), path, 1)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
+    return _decode_object(text, path, 1)
 
 
 def read_image_lines(path: str | os.PathLike, parse) -> dict:
@@ -264,18 +282,21 @@ def read_image_lines(path: str | os.PathLike, parse) -> dict:
     out: dict = {}
     lines: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not (line := line.strip()):
-                continue
-            raw = _decode_object(line, path, lineno)  # names path:line itself
-            try:
-                image_id, value = parse(raw)
-                if image_id in lines:
-                    raise DataError(f"image {image_id!r} already on line {lines[image_id]}")
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            lines[image_id] = lineno
-            out[image_id] = value
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not (line := line.strip()):
+                    continue
+                raw = _decode_object(line, path, lineno)  # names path:line itself
+                try:
+                    image_id, value = parse(raw)
+                    if image_id in lines:
+                        raise DataError(f"image {image_id!r} already on line {lines[image_id]}")
+                except DataError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from exc
+                lines[image_id] = lineno
+                out[image_id] = value
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
     return out
 
 
@@ -453,10 +474,14 @@ def _parse_record(raw: dict, vocab: Vocabulary, feature_dim: int | None) -> tupl
         gt_attributes.append((gt_idx, attr))
 
     pair_features = {}
+    pair_items: dict[tuple[int, int], int] = {}
     for i, p in enumerate(items["pair_features"]):
         sub, obj = p.get("sub"), p.get("obj")
         if not (_index(sub, len(detections)) and _index(obj, len(detections))) or sub == obj:
             raise DataError(f"{where} pair feature {i}: invalid detection pair ({sub!r}, {obj!r})")
+        if (first := pair_items.setdefault((sub, obj), i)) != i:
+            raise DataError(f"{where} pair feature {i}: repeats pair feature {first}'s"
+                            f" detection pair ({sub}, {obj})")
         feat = _parse_feature(p.get("feature"), feature_dim, f"{where} pair feature {i}")
         feature_dim = feat.shape[0]
         pair_features[(sub, obj)] = feat

@@ -278,19 +278,19 @@ class EvalReport:
     ap_rel: dict[int, float] = field(default_factory=dict)
     ap_phr: dict[int, float] = field(default_factory=dict)
 
-    def to_json(self, vocab: Vocabulary | None = None) -> dict:
-        name = (lambda p: vocab.predicates[p]) if vocab else str
+    def to_json(self, vocab: Vocabulary) -> dict:
+        names = vocab.predicates
         return {
             "mode": self.mode,
             "recall_at": {str(k): v for k, v in sorted(self.recall_at.items())},
             "map_rel": self.map_rel,
             "map_phr": self.map_phr,
             "oi_score": self.oi_score,
-            "ap_rel": {name(p): v for p, v in sorted(self.ap_rel.items())},
-            "ap_phr": {name(p): v for p, v in sorted(self.ap_phr.items())},
+            "ap_rel": {names[p]: v for p, v in sorted(self.ap_rel.items())},
+            "ap_phr": {names[p]: v for p, v in sorted(self.ap_phr.items())},
         }
 
-    def format_table(self, vocab: Vocabulary | None = None) -> str:
+    def format_table(self, vocab: Vocabulary) -> str:
         lines = [f"mode: {self.mode}"]
         for k, v in sorted(self.recall_at.items()):
             lines.append(f"  R@{k:<4d} {100 * v:7.2f}")
@@ -300,7 +300,7 @@ class EvalReport:
         if self.ap_rel:
             lines.append("  per-predicate AP (rel / phr):")
             for p in sorted(self.ap_rel):
-                name = vocab.predicates[p] if vocab else f"predicate {p}"
+                name = vocab.predicates[p]
                 phr = self.ap_phr.get(p, 0.0)
                 lines.append(f"    {name:<20s} {100 * self.ap_rel[p]:6.2f} {100 * phr:6.2f}")
         return "\n".join(lines)

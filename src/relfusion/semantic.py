@@ -99,10 +99,13 @@ def table_from_json(raw) -> FrequencyTable:
         raise DataError("entries must be a list of [subject, object, counts] lists")
     table = FrequencyTable(num_predicates=num_predicates, smoothing=value)
     size = num_predicates + 1
+    pair_entries: dict[tuple[int, int], int] = {}
     for k, entry in enumerate(entries):
         if len(entry) != 3 or not is_list_of(entry[:2], int) or min(entry[:2]) < 0:
             raise DataError(f"entry {k}: expected [subject, object, counts] with class ids >= 0")
         s, o, counts = entry
+        if (first := pair_entries.setdefault((s, o), k)) != k:
+            raise DataError(f"entry {k}: repeats entry {first}'s class pair ({s}, {o})")
         if not is_list_of(counts, int) or len(counts) != size:
             raise DataError(f"entry {k}: counts must be a list of {size} JSON integers")
         # A row's total must fit the int64 counts.

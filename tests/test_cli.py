@@ -334,6 +334,10 @@ class TestPredictAndEval:
             "frequency:",
         ),
         "short_counts": (lambda raw: raw["frequency"]["entries"][0][2].pop(), "frequency:"),
+        "repeated_class_pair": (
+            lambda raw: raw["frequency"]["entries"].insert(1, raw["frequency"]["entries"][0]),
+            "frequency: entry 1: repeats entry 0's class pair",
+        ),
         "vocab_hash_number": (lambda raw: raw.update(vocab_hash=7), "vocab_hash must be a string"),
         "other_vocab_hash": (
             lambda raw: raw.update(vocab_hash="0" * 64),
@@ -438,6 +442,44 @@ class TestPredictAndEval:
         assert str(ckpt) in err and expected in err, err
         assert "Traceback" not in err
         assert not recwarn.list, [str(w.message) for w in recwarn.list]
+
+    @pytest.mark.parametrize("case", ["eval --test dir", "predict --checkpoint dir",
+                                      "train --checkpoint under a file"])
+    def test_os_error_exits_1_naming_the_path(self, synth_dir, tmp_path, capsys, case):
+        path = tmp_path / "dir"
+        path.mkdir()
+        data = ["--vocab", str(synth_dir / "vocab.json")]
+        if case == "eval --test dir":
+            (tmp_path / "none.jsonl").write_text("")
+            argv = ["eval", "--test", str(path), *data, "--predictions",
+                    str(tmp_path / "none.jsonl"), "--out", str(tmp_path / "r.json")]
+        elif case == "predict --checkpoint dir":
+            argv = ["predict", "--test", str(synth_dir / "test.jsonl"), *data,
+                    "--checkpoint", str(path), "--out", str(tmp_path / "p.jsonl")]
+        else:
+            path = tmp_path / "file" / "m.json"
+            path.parent.write_text("")
+            argv = ["train", "--train", str(synth_dir / "train.jsonl"), *data,
+                    "--checkpoint", str(path), "--epochs", "0"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1 and str(path) in err and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("name", ["test.jsonl", "vocab.json"])
+    def test_non_utf8_input_exits_2_naming_the_line(self, synth_dir, tmp_path, capsys, name):
+        lines = (synth_dir / name).read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2][:5] + b"\xae" + lines[2][5:]
+        path = tmp_path / name
+        path.write_bytes(b"".join(lines))
+        test = path if name == "test.jsonl" else synth_dir / "test.jsonl"
+        vocab = path if name == "vocab.json" else synth_dir / "vocab.json"
+        (tmp_path / "none.jsonl").write_text("")
+        code = main(["eval", "--test", str(test), "--vocab", str(vocab),
+                     "--predictions", str(tmp_path / "none.jsonl"),
+                     "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}:3: not UTF-8 text (invalid start byte)" in err, err
 
     def test_feature_dim_mismatch_exits_2(self, synth_dir, tmp_path, capsys):
         # The same seed and vocabulary with narrower features.
@@ -782,6 +824,15 @@ class TestConfigFile:
         )
         assert code == 1
 
+
+    def test_non_utf8_config_is_usage_error(self, synth_dir, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"epochs":\n 1, "mode": "\xff"}')
+        code = main(["--config", str(config), "train", "--train", str(synth_dir / "train.jsonl"),
+                     "--vocab", str(synth_dir / "vocab.json"),
+                     "--checkpoint", str(tmp_path / "m.json")])
+        assert code == 1
+        assert f"config {config}:2: not UTF-8 text" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [["--epochs=3"], ["--epo", "3"]])
     def test_every_flag_spelling_wins_over_config(self, synth_dir, tmp_path, flag):

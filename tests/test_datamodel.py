@@ -354,6 +354,13 @@ class TestLoadDataset:
                 id="null pair index",
             ),
             pytest.param(
+                lambda l: l.update(pair_features=[{"sub": 0, "obj": 1, "feature": [0] * 3},
+                                                  {"sub": 1, "obj": 0, "feature": [1] * 3},
+                                                  {"sub": 0, "obj": 1, "feature": [2] * 3}]),
+                r"d\.jsonl:1: image 'a' pair feature 2: repeats pair feature 0's detection pair",
+                id="repeated pair feature",
+            ),
+            pytest.param(
                 lambda l: l.update(pair_features=[{"sub": "0", "obj": 1, "feature": [0] * 3}]),
                 "pair feature 0",
                 id="string pair index",

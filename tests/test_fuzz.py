@@ -5,7 +5,8 @@ value's type, puts a number out of range (negative), inserts NaN, puts
 in an integer too large for a float (10**400) or truncates the text. The command that reads the file must then succeed
 (the mutation left a valid file, say an optional key deleted) or exit 1
 or 2 with the file's path in the message. It must never raise, warn or
-exit 3.
+exit 3. Two more tests put one byte that is not UTF-8 into each file, or a
+directory in its place.
 """
 
 import json
@@ -19,6 +20,7 @@ from relfusion.fusion import EVAL_MODES, load_checkpoint, save_checkpoint
 from relfusion.numcore import init_mlp
 
 MUTATIONS = ("delete", "retype", "out_of_range", "nan", "huge", "truncate")
+TARGETS = ("test.jsonl", "vocab.json", "pred.jsonl", "model.json", "config.json")
 CASES_PER_FILE = 18
 
 CONFIG = {"epochs": 1, "batch_size": 16, "lr": 0.01, "momentum": 0.9, "neg_ratio": 1.0,
@@ -125,8 +127,7 @@ def _command(d, target, rng):
             "--out", str(d / "out.jsonl"), "--attributes", *common]
 
 
-@pytest.mark.parametrize("target", ["test.jsonl", "vocab.json", "pred.jsonl", "model.json",
-                                    "config.json"])
+@pytest.mark.parametrize("target", TARGETS)
 def test_damaged_input_exits_1_or_2_naming_the_file(valid_dir, tmp_path, capsys, recwarn,
                                                     target):
     rng = np.random.default_rng(sum(map(ord, target)))
@@ -148,3 +149,31 @@ def test_damaged_input_exits_1_or_2_naming_the_file(valid_dir, tmp_path, capsys,
         assert not recwarn.list, (mutation, [str(w.message) for w in recwarn.list])
         rejected += code != 0
     assert rejected >= CASES_PER_FILE // 2, rejected
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_non_utf8_byte_exits_naming_the_line(valid_dir, tmp_path, capsys, target):
+    d = tmp_path / "d"
+    shutil.copytree(valid_dir, d)
+    path = d / target
+    data = path.read_bytes()
+    cut = len(data) // 2
+    line = data[:cut].count(b"\n") + 1
+    path.write_bytes(data[:cut] + b"\xff" + data[cut:])
+    code = main(_command(d, target, np.random.default_rng(sum(map(ord, target)))))
+    err = capsys.readouterr().err
+    # A config file is usage, not data.
+    assert code == (1 if target == "config.json" else 2), err
+    assert f"{path}:{line}: not UTF-8 text" in err, err
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_directory_in_place_of_input_exits_1_naming_it(valid_dir, tmp_path, capsys, target):
+    d = tmp_path / "d"
+    shutil.copytree(valid_dir, d)
+    path = d / target
+    path.unlink()
+    path.mkdir()
+    code = main(_command(d, target, np.random.default_rng(sum(map(ord, target)))))
+    err = capsys.readouterr().err
+    assert code == 1 and str(path) in err, err

@@ -825,15 +825,6 @@ class TestConfigFile:
         assert code == 1
 
 
-    def test_non_utf8_config_is_usage_error(self, synth_dir, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_bytes(b'{"epochs":\n 1, "mode": "\xff"}')
-        code = main(["--config", str(config), "train", "--train", str(synth_dir / "train.jsonl"),
-                     "--vocab", str(synth_dir / "vocab.json"),
-                     "--checkpoint", str(tmp_path / "m.json")])
-        assert code == 1
-        assert f"config {config}:2: not UTF-8 text" in capsys.readouterr().err
-
     @pytest.mark.parametrize("flag", [["--epochs=3"], ["--epo", "3"]])
     def test_every_flag_spelling_wins_over_config(self, synth_dir, tmp_path, flag):
         assert _train_with_config(synth_dir, tmp_path, {"epochs": 1}, flag) == (0, 3)

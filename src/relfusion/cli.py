@@ -235,38 +235,49 @@ def cmd_gen_synth(args) -> int:
     return 0
 
 
-def _feature_dim(views) -> int | None:
-    """The views' feature dim (one per dataset file), None without detections."""
-    return next((d.feature.shape[0] for r in views for d in r.detections), None)
+def _views(path, vocab, mode: str, dim: int | None = None, of: str = "checkpoint"):
+    """A dataset file's records, their mode views and the views' feature dim.
 
-
-def _views(dataset, mode: str, path) -> list:
-    """The mode views of a dataset file's records; a DataError names the file."""
+    The dim is None without detections. A DataError names the file, and a
+    dim other than a given ``dim`` (the one of ``of``) is a DataError.
+    """
+    dataset = load_dataset(path, vocab)
     try:
-        return [gt_substitution(r, mode) for r in dataset]
+        views = [gt_substitution(r, mode) for r in dataset]
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    found = next((d.feature.shape[0] for r in views for d in r.detections), None)
+    if dim is not None and found not in (None, dim):
+        raise DataError(f"{path}: feature dimension {found} != {of}'s {dim}")
+    return dataset, views, found
 
 
-def _training_setup(args, vocab, dataset):
-    """Mode views of a training set, its feature dim and the fitted prior."""
-    views = _views(dataset, args.mode, args.train_path)
-    feature_dim = _feature_dim(views)
-    if feature_dim is None:
+def _training_setup(args, vocab):
+    """The training set's records, mode views and feature dim, and the fitted prior."""
+    dataset, views, dim = _views(args.train_path, vocab, args.mode)
+    if dim is None:
         raise DataError("training dataset contains no detections")
-    return views, feature_dim, fit_frequency(dataset, vocab, smoothing=args.smoothing)
+    return dataset, views, dim, fit_frequency(dataset, vocab, smoothing=args.smoothing)
+
+
+def _fit(setup, vocab, cfg, rng, mask):
+    """A model initialised from ``rng`` and trained on the setup's views, and its loss history."""
+    _, views, dim, freq = setup
+    return train(init_fusion_model(freq, dim, vocab, rng, mask=mask), views, cfg)
+
+
+def _predict(model, views, top_n: int) -> dict:
+    """Each view's ranked triplets, by image id."""
+    return {view.image_id: predict_image(model, view, top_n=top_n) for view in views}
 
 
 def cmd_train(args) -> int:
     vocab = load_vocabulary(args.vocab)
-    dataset = load_dataset(args.train_path, vocab)
-    views, feature_dim, freq = _training_setup(args, vocab, dataset)
+    setup = _training_setup(args, vocab)
+    dataset, _, feature_dim, _ = setup
     cfg = _config(TrainConfig, _TRAIN_FLAGS, args)
     rng = np.random.default_rng(cfg.seed)
-    model = init_fusion_model(
-        freq, feature_dim, vocab, rng, mask=parse_branches(args.branches)
-    )
-    model, history = train(model, views, cfg)
+    model, history = _fit(setup, vocab, cfg, rng, parse_branches(args.branches))
 
     if vocab.attributes and any(r.gt_attributes for r in dataset):
         model.attribute_head = init_mlp(
@@ -294,19 +305,11 @@ def cmd_predict(args) -> int:
     if head is not None and head.out_dim != len(vocab.attributes):
         raise DataError(f"{args.checkpoint}: attribute_head has {head.out_dim} outputs, not the"
                         f" {len(vocab.attributes)} attributes of {args.vocab}")
-    dataset = load_dataset(args.test_path, vocab)
-    views = _views(dataset, args.mode, args.test_path)
-    dim = _feature_dim(views)
-    if dim not in (None, model.feature_dim):
-        raise DataError(
-            f"{args.test_path}: feature dimension {dim} != checkpoint's {model.feature_dim}"
-        )
-    predictions = {}
+    _, views, _ = _views(args.test_path, vocab, args.mode, model.feature_dim)
+    predictions = _predict(model, views, args.top_n)
     attributes = {}
-    for record, view in zip(dataset, views):
-        predictions[record.image_id] = predict_image(model, view, top_n=args.top_n)
-        if args.attributes and model.attribute_head is not None:
-            attributes[record.image_id] = view, predict_attributes(model.attribute_head, view)
+    if args.attributes and head is not None:
+        attributes = {view.image_id: (view, predict_attributes(head, view)) for view in views}
     save_predictions(predictions, args.out, attributes)
     print(f"wrote predictions for {len(predictions)} images to {args.out}")
     return 0
@@ -331,47 +334,35 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# Each row's --branches tokens.
 ABLATION_ROWS = [
-    ("baseline", BranchMask(True, False, False, False)),
-    ("<SPO>", BranchMask(True, False, True, False)),
-    ("<SPO>+S+O", BranchMask(True, False, True, True)),
-    ("<SPO>+S+O+spt", BranchMask(True, True, True, True)),
+    ("baseline", "s"),
+    ("<SPO>", "s,v"),
+    ("<SPO>+S+O", "s,v,so"),
+    ("<SPO>+S+O+spt", "s,p,v,so"),
 ]
 
 
 def cmd_ablate(args) -> int:
     vocab = load_vocabulary(args.vocab)
-    train_set = load_dataset(args.train_path, vocab)
-    test_set = load_dataset(args.test_path, vocab)
-    train_views, feature_dim, freq = _training_setup(args, vocab, train_set)
-    test_views = _views(test_set, args.mode, args.test_path)
+    setup = _training_setup(args, vocab)
+    test_set, test_views, _ = _views(args.test_path, vocab, args.mode, setup[2], args.train_path)
     cfg = _config(TrainConfig, _TRAIN_FLAGS, args)
     spec = MatchSpec(graph_constraint=args.graph_constraint == "on")
 
-    rows = []
-    for name, mask in ABLATION_ROWS:
-        rng = np.random.default_rng(cfg.seed)
-        model = init_fusion_model(freq, feature_dim, vocab, rng, mask=mask)
-        model, _ = train(model, train_views, cfg)
-        predictions = {
-            r.image_id: predict_image(model, r, top_n=args.top_n) for r in test_views
-        }
-        report = evaluate(predictions, test_set, vocab, mode=args.mode, spec=spec)
-        rows.append(
-            (
-                name,
-                100 * report.recall_at[50],
-                100 * report.map_rel,
-                100 * report.map_phr,
-                100 * report.oi_score,
-            )
-        )
-
     csv_lines = ["config,r50,map_rel,map_phr,score"]
-    print(f"{'config':<18s} {'R@50':>7s} {'mAP_rel':>8s} {'mAP_phr':>8s} {'score':>7s}")
-    for name, r50, mrel, mphr, score in rows:
+    table = [f"{'config':<18s} {'R@50':>7s} {'mAP_rel':>8s} {'mAP_phr':>8s} {'score':>7s}"]
+    for name, branches in ABLATION_ROWS:
+        rng = np.random.default_rng(cfg.seed)
+        model, _ = _fit(setup, vocab, cfg, rng, parse_branches(branches))
+        predictions = _predict(model, test_views, args.top_n)
+        report = evaluate(predictions, test_set, vocab, mode=args.mode, spec=spec)
+        r50, mrel, mphr, score = (
+            100 * v for v in (report.recall_at[50], report.map_rel, report.map_phr, report.oi_score)
+        )
         csv_lines.append(f"{name},{r50:.4f},{mrel:.4f},{mphr:.4f},{score:.4f}")
-        print(f"{name:<18s} {r50:7.2f} {mrel:8.2f} {mphr:8.2f} {score:7.2f}")
+        table.append(f"{name:<18s} {r50:7.2f} {mrel:8.2f} {mphr:8.2f} {score:7.2f}")
+    print("\n".join(table))
     atomic_write_text(args.out, "\n".join(csv_lines) + "\n")
     return 0
 

@@ -271,7 +271,14 @@ def _predict(model, views, top_n: int) -> dict:
     return {view.image_id: predict_image(model, view, top_n=top_n) for view in views}
 
 
+def _check_output(path) -> None:
+    """Checked before any training: ``path`` names a file in an existing directory."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise UsageError(f"cannot write {path}: not a file in an existing directory")
+
+
 def cmd_train(args) -> int:
+    _check_output(args.checkpoint)
     vocab = load_vocabulary(args.vocab)
     setup = _training_setup(args, vocab)
     dataset, _, feature_dim, _ = setup
@@ -344,6 +351,7 @@ ABLATION_ROWS = [
 
 
 def cmd_ablate(args) -> int:
+    _check_output(args.out)
     vocab = load_vocabulary(args.vocab)
     setup = _training_setup(args, vocab)
     test_set, test_views, _ = _views(args.test_path, vocab, args.mode, setup[2], args.train_path)

@@ -330,17 +330,21 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     """Replace ``path`` with ``text`` by renaming a temp file of this call's own.
 
     The temp file sits next to ``path``, gets the mode a plain ``open`` gives
-    (0666 less the umask) and is removed if the write fails.
+    (0666 less the umask) and is removed if the write fails. An OSError
+    names ``path``, not the temp file.
     """
     tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
 
 
 # A JSON number is an int or a float, never true or false (so type(), not

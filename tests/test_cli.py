@@ -69,6 +69,10 @@ def _train(synth_dir, tmp_path, name="model.json", extra=()):
     return ckpt
 
 
+def _never_called(*args):
+    raise AssertionError("relfusion.cli.train was called")
+
+
 class TestBranchesFlag:
     def test_tokens(self):
         mask = parse_branches("s,v")
@@ -444,8 +448,12 @@ class TestPredictAndEval:
         assert not recwarn.list, [str(w.message) for w in recwarn.list]
 
     @pytest.mark.parametrize("case", ["eval --test dir", "predict --checkpoint dir",
-                                      "train --checkpoint under a file"])
-    def test_os_error_exits_1_naming_the_path(self, synth_dir, tmp_path, capsys, case):
+                                      "train --checkpoint dir", "train --checkpoint under a file",
+                                      "ablate --out under a file"])
+    def test_os_error_exits_1_naming_the_path(self, synth_dir, tmp_path, capsys, monkeypatch,
+                                              case):
+        # An output that cannot be written is found before any training.
+        monkeypatch.setattr("relfusion.cli.train", _never_called)
         path = tmp_path / "dir"
         path.mkdir()
         data = ["--vocab", str(synth_dir / "vocab.json")]
@@ -456,14 +464,21 @@ class TestPredictAndEval:
         elif case == "predict --checkpoint dir":
             argv = ["predict", "--test", str(synth_dir / "test.jsonl"), *data,
                     "--checkpoint", str(path), "--out", str(tmp_path / "p.jsonl")]
-        else:
-            path = tmp_path / "file" / "m.json"
-            path.parent.write_text("")
+        elif case.startswith("train"):
+            if case == "train --checkpoint under a file":
+                path = tmp_path / "file" / "m.json"
+                path.parent.write_text("")
             argv = ["train", "--train", str(synth_dir / "train.jsonl"), *data,
                     "--checkpoint", str(path), "--epochs", "0"]
+        else:
+            path = tmp_path / "file" / "x.csv"
+            path.parent.write_text("")
+            argv = ["ablate", "--train", str(synth_dir / "train.jsonl"),
+                    "--test", str(synth_dir / "test.jsonl"), *data, "--out", str(path)]
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 1 and str(path) in err and "Traceback" not in err, err
+        assert ".tmp" not in err, err
 
     @pytest.mark.parametrize("name", ["test.jsonl", "vocab.json"])
     def test_non_utf8_input_exits_2_naming_the_line(self, synth_dir, tmp_path, capsys, name):
@@ -935,6 +950,21 @@ class TestAblate:
         assert len(lines) == 5
         names = [line.split(",")[0] for line in lines[1:]]
         assert names == ["baseline", "<SPO>", "<SPO>+S+O", "<SPO>+S+O+spt"]
+
+    def test_feature_dim_mismatch_exits_2_before_training(self, synth_dir, tmp_path, capsys,
+                                                          monkeypatch):
+        # The same seed and vocabulary as synth_dir, with 8-d features.
+        narrow = tmp_path / "narrow"
+        assert main(["gen-synth", "--out", str(narrow), "--num-images", "2",
+                     "--num-test-images", "2", "--seed", "7", "--feature-dim", "8"]) == 0
+        monkeypatch.setattr("relfusion.cli.train", _never_called)
+        test = narrow / "test.jsonl"
+        code = main(["ablate", "--train", str(synth_dir / "train.jsonl"), "--test", str(test),
+                     "--vocab", str(synth_dir / "vocab.json"), "--out", str(tmp_path / "a.csv")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"{test}: feature dimension 8 != " in err and "'s 16" in err, err
+        assert not (tmp_path / "a.csv").exists()
 
 
 class _Captured(Exception):

@@ -171,6 +171,13 @@ class TestAtomicWriteText:
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
+    def test_os_error_names_the_path_not_the_temp_file(self, tmp_path):
+        path = tmp_path / "file" / "out.txt"
+        path.parent.write_text("")
+        with pytest.raises(NotADirectoryError) as info:
+            atomic_write_text(path, "x")
+        assert info.value.filename == str(path) and ".tmp" not in str(info.value)
+
     def test_mode_is_that_of_a_plain_open(self, tmp_path):
         old = os.umask(0o027)
         try:

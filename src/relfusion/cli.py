@@ -238,8 +238,8 @@ def cmd_gen_synth(args) -> int:
 def _views(path, vocab, mode: str, dim: int | None = None, of: str = "checkpoint"):
     """A dataset file's records, their mode views and the views' feature dim.
 
-    The dim is None without detections. A DataError names the file, and a
-    dim other than a given ``dim`` (the one of ``of``) is a DataError.
+    The dim is None without detections. A DataError names the file, and
+    so does a dim other than a given ``dim``, which is ``of``'s.
     """
     dataset = load_dataset(path, vocab)
     try:
@@ -354,7 +354,8 @@ def cmd_ablate(args) -> int:
     _check_output(args.out)
     vocab = load_vocabulary(args.vocab)
     setup = _training_setup(args, vocab)
-    test_set, test_views, _ = _views(args.test_path, vocab, args.mode, setup[2], args.train_path)
+    _, _, feature_dim, _ = setup
+    test_set, test_views, _ = _views(args.test_path, vocab, args.mode, feature_dim, args.train_path)
     cfg = _config(TrainConfig, _TRAIN_FLAGS, args)
     spec = MatchSpec(graph_constraint=args.graph_constraint == "on")
 

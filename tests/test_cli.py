@@ -963,7 +963,7 @@ class TestAblate:
                      "--vocab", str(synth_dir / "vocab.json"), "--out", str(tmp_path / "a.csv")])
         err = capsys.readouterr().err
         assert code == 2, err
-        assert f"{test}: feature dimension 8 != " in err and "'s 16" in err, err
+        assert f"{test}: feature dimension 8 != {synth_dir / 'train.jsonl'}'s 16" in err, err
         assert not (tmp_path / "a.csv").exists()
 
 

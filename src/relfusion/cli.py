@@ -272,7 +272,7 @@ def _predict(model, views, top_n: int) -> dict:
 
 
 def _check_output(path) -> None:
-    """Checked before any training: ``path`` names a file in an existing directory."""
+    """Checked before any work: ``path`` names a file in an existing directory."""
     if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
         raise UsageError(f"cannot write {path}: not a file in an existing directory")
 
@@ -301,6 +301,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_output(args.out)
     vocab = load_vocabulary(args.vocab)
     model = load_checkpoint(args.checkpoint)
     if model.vocab_hash != vocab.digest():
@@ -323,6 +324,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_output(args.out)
     vocab = load_vocabulary(args.vocab)
     dataset = load_dataset(args.test_path, vocab)
     predictions = load_predictions(args.predictions)

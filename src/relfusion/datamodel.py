@@ -402,6 +402,19 @@ def _parse_feature(raw, expected_dim: int | None, where: str) -> np.ndarray:
     return feat
 
 
+def _feature_rows(raws: list, feature_dim: int | None, where: str) -> np.ndarray | None:
+    """A group's features as the rows of one array, or None if one of them is bad.
+
+    One :func:`parse_array` call checks the whole group; on None the caller
+    parses each item with :func:`_parse_feature`, which names the first bad one.
+    """
+    try:
+        feats = parse_array(raws, 2, where)  # an empty group is 1-d, so None
+    except DataError:
+        return None
+    return feats if feature_dim in (None, feats.shape[1]) else None
+
+
 def _parse_record(raw: dict, vocab: Vocabulary, feature_dim: int | None) -> tuple[ImageRecord, int | None]:
     image_id = raw.get("image_id")
     if not isinstance(image_id, str) or not image_id:
@@ -425,9 +438,11 @@ def _parse_record(raw: dict, vocab: Vocabulary, feature_dim: int | None) -> tupl
     num_attributes = len(vocab.attributes)
 
     detections = []
+    rows = _feature_rows([d.get("feature") for d in items["detections"]], feature_dim, where)
     for i, d in enumerate(items["detections"]):
         box = parse_box(d.get("box"), f"{where} detection {i}")
-        feat = _parse_feature(d.get("feature"), feature_dim, f"{where} detection {i}")
+        feat = rows[i] if rows is not None else _parse_feature(
+            d.get("feature"), feature_dim, f"{where} detection {i}")
         feature_dim = feat.shape[0]
         label = d.get("label")
         if not _index(label, num_objects):
@@ -479,6 +494,7 @@ def _parse_record(raw: dict, vocab: Vocabulary, feature_dim: int | None) -> tupl
 
     pair_features = {}
     pair_items: dict[tuple[int, int], int] = {}
+    rows = _feature_rows([p.get("feature") for p in items["pair_features"]], feature_dim, where)
     for i, p in enumerate(items["pair_features"]):
         sub, obj = p.get("sub"), p.get("obj")
         if not (_index(sub, len(detections)) and _index(obj, len(detections))) or sub == obj:
@@ -486,7 +502,8 @@ def _parse_record(raw: dict, vocab: Vocabulary, feature_dim: int | None) -> tupl
         if (first := pair_items.setdefault((sub, obj), i)) != i:
             raise DataError(f"{where} pair feature {i}: repeats pair feature {first}'s"
                             f" detection pair ({sub}, {obj})")
-        feat = _parse_feature(p.get("feature"), feature_dim, f"{where} pair feature {i}")
+        feat = rows[i] if rows is not None else _parse_feature(
+            p.get("feature"), feature_dim, f"{where} pair feature {i}")
         feature_dim = feat.shape[0]
         pair_features[(sub, obj)] = feat
 

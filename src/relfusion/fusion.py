@@ -53,7 +53,7 @@ from .numcore import layer_forward  # noqa: F401
 from .spatial import spatial_feature  # noqa: F401
 from .visual import predicate_feature  # noqa: F401
 
-CHECKPOINT_FORMAT = "relfusion-checkpoint-v2"
+CHECKPOINT_FORMAT = "relfusion-checkpoint-v3"
 
 # Width of the attribute head's one hidden layer.
 ATTRIBUTE_HIDDEN = 64

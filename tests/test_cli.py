@@ -24,7 +24,7 @@ from relfusion.metrics import MatchSpec, evaluate
 from relfusion.semantic import fit_frequency
 from relfusion.synth import SynthConfig
 
-from util import box, make_detection, make_record, tiny_vocab
+from util import box, edit_array, make_detection, make_record, tiny_vocab
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +70,7 @@ def _train(synth_dir, tmp_path, name="model.json", extra=()):
 
 
 def _never_called(*args):
-    raise AssertionError("relfusion.cli.train was called")
+    raise AssertionError("a step that the output check comes before was called")
 
 
 class TestBranchesFlag:
@@ -301,28 +301,50 @@ class TestPredictAndEval:
         "drop_key": (lambda raw: raw.pop("spatial_mlp"), "missing key 'spatial_mlp'"),
         "v1_format": (
             lambda raw: raw.update(format="relfusion-checkpoint-v1"),
-            "is not 'relfusion-checkpoint-v2'",
+            "is not 'relfusion-checkpoint-v3'",
+        ),
+        "v2_format": (
+            lambda raw: raw.update(format="relfusion-checkpoint-v2"),
+            "is not 'relfusion-checkpoint-v3'",
         ),
         "spatial_input_21": (
-            lambda raw: [row.pop() for row in raw["spatial_mlp"]["layers"][0]["weights"]],
+            lambda raw: edit_array(raw["spatial_mlp"]["layers"][0]["weights"], lambda w: w[:, :-1]),
             "spatial_mlp maps 21 -> 9 values, expected 22 -> 9",
         ),
         "sub_head_input_8": (
-            lambda raw: [row.__delitem__(slice(8, None))
-                         for row in raw["sub_head"]["layers"][0]["weights"]],
+            lambda raw: edit_array(raw["sub_head"]["layers"][0]["weights"], lambda w: w[:, :8]),
             "spo_head maps 48 -> 9 values, expected 24 -> 9",
         ),
         "obj_head_output_8": (
-            lambda raw: raw["obj_head"]["layers"][0]["weights"].pop(),
+            lambda raw: edit_array(raw["obj_head"]["layers"][0]["weights"], lambda w: w[:-1]),
             "obj_head: layer 0: 9 biases for 8 outputs",
         ),
         "attribute_head_input_15": (
-            lambda raw: [row.pop() for row in raw["attribute_head"]["layers"][0]["weights"]],
+            lambda raw: edit_array(raw["attribute_head"]["layers"][0]["weights"],
+                                   lambda w: w[:, :-1]),
             "attribute_head maps 15 -> 4 values, expected 16 -> 4",
         ),
+        # A v3 array cannot be ragged: its rows are cut from the data by the shape.
         "ragged_weights": (
-            lambda raw: raw["spo_head"]["layers"][1]["weights"][0].pop(),
-            "spo_head: layer 1 weights: not an array of numbers",
+            lambda raw: raw["spo_head"]["layers"][1]["weights"]["shape"].__setitem__(1, 255),
+            "spo_head: layer 1 weights: not an array of shape [256, 255]",
+        ),
+        "invalid_base64": (
+            lambda raw: raw["spo_head"]["layers"][0]["weights"].update(data="!AAA"),
+            "spo_head: layer 0 weights: data is not base64",
+        ),
+        "byte_count": (
+            lambda raw: raw["spo_head"]["layers"][0]["bias"].update(data="AAAAAAAAAAA="),
+            "spo_head: layer 0 bias: not an array of shape [256]: 8 bytes of data, expected 2048",
+        ),
+        "non_finite": (
+            lambda raw: edit_array(raw["spatial_mlp"]["layers"][1]["bias"],
+                                   lambda b: np.append(b[:-1], np.inf)),
+            "spatial_mlp: layer 1 bias: non-finite values",
+        ),
+        "wrong_dtype": (
+            lambda raw: raw["obj_head"]["layers"][0]["weights"].update(dtype="<f4"),
+            "obj_head: layer 0 weights: dtype '<f4' is not '<f8'",
         ),
         "unknown_mask_key": (lambda raw: raw["branch_mask"].update(bogus=True), "branch_mask"),
         "mask_not_object": (lambda raw: raw.update(branch_mask=3), "branch_mask"),
@@ -330,8 +352,8 @@ class TestPredictAndEval:
         "layers_not_list": (lambda raw: raw.update(spatial_mlp={"layers": 5}), "spatial_mlp"),
         "net_null": (lambda raw: raw.update(spo_head=None), "spo_head"),
         "string_weight": (
-            lambda raw: raw["sub_head"]["layers"][0]["weights"][0].__setitem__(0, "x"),
-            "sub_head: layer 0 weights: not an array of numbers",
+            lambda raw: raw["sub_head"]["layers"][0]["weights"].update(data="x"),
+            "sub_head: layer 0 weights: data is not base64",
         ),
         "string_count": (
             lambda raw: raw["frequency"]["entries"][0][2].__setitem__(0, "x"),
@@ -388,12 +410,12 @@ class TestPredictAndEval:
             "frequency: entry 0: expected [subject, object, counts] with class ids >= 0",
         ),
         "boolean_bias": (
-            lambda raw: raw["sub_head"]["layers"][0]["bias"].__setitem__(0, True),
-            "sub_head: layer 0 bias: not an array of numbers",
+            lambda raw: raw["sub_head"]["layers"][0]["bias"]["shape"].__setitem__(0, True),
+            "sub_head: layer 0 bias: shape must be a 1-item list of integers",
         ),
         "overflowing_bias": (
-            lambda raw: raw["sub_head"]["layers"][0]["bias"].__setitem__(0, 10**400),
-            "sub_head: layer 0 bias: not an array of numbers (int too large to convert to float)",
+            lambda raw: raw["sub_head"]["layers"][0]["bias"]["shape"].__setitem__(0, 10**400),
+            "sub_head: layer 0 bias: shape must be a 1-item list of integers",
         ),
         "overflowing_smoothing": (
             lambda raw: raw["frequency"].update(smoothing=10**400),
@@ -406,8 +428,8 @@ class TestPredictAndEval:
             "frequency: class ids must be in 0..",
         ),
         "attribute_head_one_output_too_many": (
-            lambda raw: [layer[key].append(layer[key][0])
-                         for layer in raw["attribute_head"]["layers"][-1:]
+            lambda raw: [edit_array(raw["attribute_head"]["layers"][-1][key],
+                                    lambda a: np.concatenate([a, a[:1]]))
                          for key in ("weights", "bias")],
             "attribute_head has 5 outputs, not the 4 attributes of",
         ),
@@ -449,21 +471,32 @@ class TestPredictAndEval:
 
     @pytest.mark.parametrize("case", ["eval --test dir", "predict --checkpoint dir",
                                       "train --checkpoint dir", "train --checkpoint under a file",
-                                      "ablate --out under a file"])
+                                      "ablate --out under a file", "predict --out under a file",
+                                      "eval --out dir"])
     def test_os_error_exits_1_naming_the_path(self, synth_dir, tmp_path, capsys, monkeypatch,
                                               case):
-        # An output that cannot be written is found before any training.
+        # An output that cannot be written is found before any training or loading.
         monkeypatch.setattr("relfusion.cli.train", _never_called)
         path = tmp_path / "dir"
         path.mkdir()
         data = ["--vocab", str(synth_dir / "vocab.json")]
+        (tmp_path / "none.jsonl").write_text("")
         if case == "eval --test dir":
-            (tmp_path / "none.jsonl").write_text("")
             argv = ["eval", "--test", str(path), *data, "--predictions",
                     str(tmp_path / "none.jsonl"), "--out", str(tmp_path / "r.json")]
+        elif case == "eval --out dir":
+            monkeypatch.setattr("relfusion.cli.load_dataset", _never_called)
+            argv = ["eval", "--test", str(synth_dir / "test.jsonl"), *data, "--predictions",
+                    str(tmp_path / "none.jsonl"), "--out", str(path)]
         elif case == "predict --checkpoint dir":
             argv = ["predict", "--test", str(synth_dir / "test.jsonl"), *data,
                     "--checkpoint", str(path), "--out", str(tmp_path / "p.jsonl")]
+        elif case == "predict --out under a file":
+            monkeypatch.setattr("relfusion.cli.load_checkpoint", _never_called)
+            path = tmp_path / "file" / "p.jsonl"
+            path.parent.write_text("")
+            argv = ["predict", "--test", str(synth_dir / "test.jsonl"), *data,
+                    "--checkpoint", str(tmp_path / "none.jsonl"), "--out", str(path)]
         elif case.startswith("train"):
             if case == "train --checkpoint under a file":
                 path = tmp_path / "file" / "m.json"

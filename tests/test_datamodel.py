@@ -457,3 +457,99 @@ class TestLoadDataset:
         records = load_dataset(path, tiny_vocab())
         assert np.array_equal(records[0].gt_boxes[0].feature, [1.0, 2.0, 3.0])
         assert records[0].gt_boxes[1].feature is None
+
+
+def _group_line(image_id="a", dim=3):
+    """Four detections and six pair features, each with a ``dim``-d feature."""
+    dets = [{"label": i, "box": [i, i, 10 + i, 10 + i], "score": 0.5, "feature": [float(i)] * dim}
+            for i in range(4)]
+    pairs = [{"sub": s, "obj": o, "feature": [0.5] * dim}
+             for s, o in [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]]
+    return {"image_id": image_id, "width": 100, "height": 100, "detections": dets,
+            "gt_boxes": [], "pair_features": pairs}
+
+
+BAD_FEATURES = {
+    "string": (lambda f: f.__setitem__(1, "x"),
+               "not an array of numbers (could not convert string to float: 'x')"),
+    "true": (lambda f: f.__setitem__(1, True),
+             "not an array of numbers (holds a string or true/false)"),
+    "null": (lambda f: f.__setitem__(1, None), "non-finite values"),
+    "overflowing": (lambda f: f.__setitem__(1, 10**400),
+                    "not an array of numbers (int too large to convert to float)"),
+}
+
+
+class TestFeatureGroups:
+    """A record's features are parsed a group at a time; the messages name one item."""
+
+    def _message(self, tmp_path, *lines):
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(DataError) as info:
+            load_dataset(path, tiny_vocab())
+        return str(info.value).replace(str(path), "d.jsonl")
+
+    @pytest.mark.parametrize("bad", [*BAD_FEATURES, "short"])
+    @pytest.mark.parametrize("key, item", [("detections", "detection 2"),
+                                           ("pair_features", "pair feature 4")])
+    def test_bad_item_is_named(self, tmp_path, key, item, bad):
+        line = _group_line()
+        feature = line[key][int(item[-1])]["feature"]
+        if bad == "short":
+            feature.pop()
+            expected = f"{item}: feature dimension 2 != dataset dimension 3"
+        else:
+            BAD_FEATURES[bad][0](feature)
+            expected = f"{item} feature: {BAD_FEATURES[bad][1]}"
+        assert self._message(tmp_path, line) == f"d.jsonl:1: image 'a' {expected}"
+
+    def test_first_of_two_bad_detections_is_named(self, tmp_path):
+        line = _group_line()
+        line["detections"][1]["feature"][0] = "1"
+        line["detections"][3]["feature"][2] = None
+        assert self._message(tmp_path, line) == (
+            "d.jsonl:1: image 'a' detection 1 feature: not an array of numbers"
+            " (holds a string or true/false)")
+
+    def test_first_of_two_bad_pair_features_is_named(self, tmp_path):
+        line = _group_line()
+        line["pair_features"][1]["feature"].append(1.0)
+        line["pair_features"][5]["feature"][0] = True
+        assert self._message(tmp_path, line) == (
+            "d.jsonl:1: image 'a' pair feature 1: feature dimension 4 != dataset dimension 3")
+
+    def test_an_earlier_item_check_comes_first(self, tmp_path):
+        line = _group_line()
+        line["detections"][1]["label"] = 9
+        line["detections"][3]["feature"][2] = None
+        assert self._message(tmp_path, line) == (
+            "d.jsonl:1: image 'a' detection 1: label 9 outside vocabulary")
+        line = _group_line()
+        line["pair_features"][1]["sub"] = 7
+        line["pair_features"][3]["feature"][2] = None
+        assert self._message(tmp_path, line) == (
+            "d.jsonl:1: image 'a' pair feature 1: invalid detection pair (7, 0)")
+
+    def test_dimension_change_across_records(self, tmp_path):
+        assert self._message(tmp_path, _group_line("a", 3), _group_line("b", 4)) == (
+            "d.jsonl:2: image 'b' detection 0: feature dimension 4 != dataset dimension 3")
+
+    def test_pair_group_of_another_dimension(self, tmp_path):
+        line = _group_line("b", 4)
+        for pair in line["pair_features"]:
+            pair["feature"] = [0.5] * 3
+        assert self._message(tmp_path, line) == (
+            "d.jsonl:1: image 'b' pair feature 0: feature dimension 3 != dataset dimension 4")
+
+    def test_features_equal_a_parse_of_each_item(self, tmp_path):
+        line = _group_line()
+        line["detections"][2]["feature"] = [1, -0.0, 5e-324]
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(line) + "\n")
+        record = load_dataset(path, tiny_vocab())[0]
+        for det, raw in zip(record.detections, line["detections"]):
+            assert np.array_equal(det.feature, np.array(raw["feature"], dtype=np.float64))
+            assert det.feature.dtype == np.float64 and det.feature.shape == (3,)
+        for raw in line["pair_features"]:
+            assert np.array_equal(record.pair_features[(raw["sub"], raw["obj"])], raw["feature"])

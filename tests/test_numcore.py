@@ -1,5 +1,6 @@
 """Dense-layer machinery: forward, backward, loss, optimizer, init."""
 
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,8 @@ from relfusion.numcore import (
     softmax,
     softmax_xent,
 )
+
+from util import array_json
 
 
 def _layer(weights, bias):
@@ -266,6 +269,13 @@ class TestInitLayer:
         assert np.all(layer.bias == 0.0)
 
 
+def _net(*layers):
+    return {"layers": [{"weights": w, "bias": b} for w, b in layers]}
+
+
+W1, B1 = array_json([[1.0]]), array_json([0.0])
+
+
 class TestSerialization:
     def test_mlp_json_roundtrip(self):
         mlp = init_mlp([4, 6, 2], np.random.default_rng(2))
@@ -274,6 +284,29 @@ class TestSerialization:
             assert np.array_equal(l1.weights, l2.weights)
             assert np.array_equal(l1.bias, l2.bias)
 
+    def test_golden_encoding(self):
+        # Little-endian bytes, the standard base64 alphabet ("/"), with padding.
+        mlp = Mlp([_layer([[1.0, -2.0]], [-1.7976931348623157e308])])
+        assert mlp_to_json(mlp) == {
+            "layers": [
+                {
+                    "weights": {"dtype": "<f8", "shape": [1, 2],
+                                "data": "AAAAAAAA8D8AAAAAAAAAwA=="},
+                    "bias": {"dtype": "<f8", "shape": [1], "data": "////////7/8="},
+                }
+            ]
+        }
+
+    def test_roundtrip_is_bitwise_for_extreme_values(self):
+        values = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        mlp = Mlp([_layer([values], [-0.0])])
+        again = mlp_from_json(json.loads(json.dumps(mlp_to_json(mlp))))
+        for before, after in ((mlp.layers[0].weights, again.layers[0].weights),
+                              (mlp.layers[0].bias, again.layers[0].bias)):
+            assert np.array_equal(before, after)
+            assert np.array_equal(before.view(np.uint64), after.view(np.uint64))
+        again.layers[0].weights += 1.0  # a loaded net is writable, as training needs
+
     @pytest.mark.parametrize(
         "raw, message",
         [
@@ -281,23 +314,52 @@ class TestSerialization:
             ({"layers": 5}, "non-empty list of objects"),
             ({"layers": []}, "non-empty list of objects"),
             ({"layers": [[1.0]]}, "non-empty list of objects"),
-            ({"layers": [{"bias": [0.0]}]}, "layer 0 weights: expected a 2-d array"),
-            ({"layers": [{"weights": [[1.0]], "bias": ["x"]}]}, "layer 0 bias: not an array"),
-            ({"layers": [{"weights": [[1.0], [1.0, 2.0]], "bias": [0.0]}]}, "not an array"),
-            ({"layers": [{"weights": [[1.0]], "bias": [0.0, 0.0]}]}, "2 biases for 1 outputs"),
-            ({"layers": [{"weights": [[1.0]], "bias": [None]}]}, "layer 0 bias: non-finite"),
-            (
-                {"layers": [{"weights": [[1.0]], "bias": [0.0]},
-                            {"weights": [[1.0, 1.0]], "bias": [0.0]}]},
-                "do not chain",
-            ),
-            pytest.param({"layers": [{"weights": [[1.0]], "bias": [True]}]},
-                         "layer 0 bias: not an array of numbers", id="boolean bias"),
-            pytest.param({"layers": [{"weights": [[1.0]], "bias": [10**400]}]},
-                         "layer 0 bias: not an array of numbers .int too large",
+            ({"layers": [{"bias": B1}]}, "layer 0 weights: expected a 2-d array"),
+            (_net((W1, array_json([], shape=[1]))), "layer 0 bias: not an array"),
+            (_net((array_json([1.0, 1.0, 2.0], shape=[2, 2]), B1)), "not an array"),
+            (_net((W1, array_json([0.0, 0.0]))), "2 biases for 1 outputs"),
+            (_net((W1, array_json([math.nan]))), "layer 0 bias: non-finite"),
+            (_net((W1, B1), (array_json([[1.0, 1.0]]), B1)), "do not chain"),
+            pytest.param(_net((W1, array_json([0.0], shape=[True]))),
+                         "layer 0 bias: shape must be a 1-item list of integers",
+                         id="boolean bias"),
+            pytest.param(_net((W1, array_json([0.0], shape=[10**400]))),
+                         "layer 0 bias: shape must be a 1-item list of integers",
                          id="overflowing bias"),
-            pytest.param({"layers": [{"weights": [["1"]], "bias": [0.0]}]},
-                         "layer 0 weights: not an array of numbers", id="numeric string weight"),
+            pytest.param(_net((array_json([[1.0]], shape=["1", "1"]), B1)),
+                         "layer 0 weights: shape must be a 2-item list of integers",
+                         id="numeric string weight"),
+            pytest.param(_net((W1, array_json([0.0], shape=[-1]))),
+                         "layer 0 bias: shape must be", id="negative dimension"),
+            pytest.param(_net((array_json([1.0], shape=[1]), B1)),
+                         "layer 0 weights: shape must be a 2-item list", id="wrong ndim"),
+            pytest.param(_net((array_json([], shape=[0, 10**18]), B1)),
+                         "layer 0 weights: shape must be", id="zero-size shape beyond numpy"),
+            pytest.param(_net((array_json([[1.0]], shape=[1.0, 1.0]), B1)),
+                         "layer 0 weights: shape must be", id="float dimension"),
+            pytest.param(_net((W1, array_json([0.0, 0.0], shape=[1]))),
+                         r"layer 0 bias: not an array of shape \[1\]: 16 bytes of data, expected 8",
+                         id="byte count"),
+            pytest.param(_net((W1, B1 | {"data": "AAAAAAAA8D!="})),
+                         r"layer 0 bias: data is not base64 \(Only base64 data is allowed\)",
+                         id="bad base64 alphabet"),
+            pytest.param(_net((W1, B1 | {"data": "AAAAAAAAAAA"})),
+                         r"layer 0 bias: data is not base64 \(Incorrect padding\)",
+                         id="bad base64 padding"),
+            pytest.param(_net((W1, B1 | {"data": "AAAAAAAAAA\u00e9="})),
+                         "layer 0 bias: data is not base64", id="non-ASCII data"),
+            pytest.param(_net((W1, B1 | {"data": [0.0]})),
+                         "layer 0 bias: data must be a base64 string", id="data not a string"),
+            pytest.param(_net((W1, array_json([math.inf]))),
+                         "layer 0 bias: non-finite", id="inf bytes"),
+            pytest.param(_net((array_json([[-math.inf]]), B1)),
+                         "layer 0 weights: non-finite", id="-inf bytes"),
+            pytest.param(_net((W1, array_json([0.0], dtype=">f8"))),
+                         "layer 0 bias: dtype '>f8' is not '<f8'", id="big-endian dtype"),
+            pytest.param(_net((array_json([[1.0]], dtype="<f4"), B1)),
+                         "layer 0 weights: dtype '<f4' is not '<f8'", id="float32 dtype"),
+            pytest.param(_net((W1, {"shape": [1], "data": B1["data"]})),
+                         "layer 0 bias: dtype None is not '<f8'", id="missing dtype"),
         ],
     )
     def test_malformed_mlp_is_a_data_error(self, raw, message):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import math
 
 import numpy as np
@@ -47,6 +48,19 @@ def spatial_reference(b_sub: Box, b_obj: Box, width, height) -> np.ndarray:
         delta(b_sub, b_obj) + delta(b_sub, b_pred) + delta(b_pred, b_obj)
         + coords(b_sub) + coords(b_obj)
     )
+
+
+def array_json(values, shape=None, dtype="<f8") -> dict:
+    """A checkpoint array object: ``values`` as little-endian float64 bytes in base64."""
+    arr = np.asarray(values, dtype=np.float64)
+    data = base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")
+    return {"dtype": dtype, "shape": list(arr.shape) if shape is None else shape, "data": data}
+
+
+def edit_array(obj: dict, edit) -> None:
+    """Decode the checkpoint array object ``obj``, and store ``edit(array)`` back in it."""
+    arr = np.frombuffer(base64.b64decode(obj["data"]), "<f8").reshape(obj["shape"])
+    obj.update(array_json(edit(arr.copy())))
 
 
 def random_box(rng, lo=0.0, hi=100.0, grid=None) -> Box:

@@ -402,14 +402,14 @@ def _parse_feature(raw, expected_dim: int | None, where: str) -> np.ndarray:
     return feat
 
 
-def _feature_rows(raws: list, feature_dim: int | None, where: str) -> np.ndarray | None:
-    """A group's features as the rows of one array, or None if one of them is bad.
+def _feature_rows(group: list[dict], feature_dim: int | None, where: str) -> np.ndarray | None:
+    """The group's item features as the rows of one array, or None if one of them is bad.
 
     One :func:`parse_array` call checks the whole group; on None the caller
     parses each item with :func:`_parse_feature`, which names the first bad one.
     """
-    try:
-        feats = parse_array(raws, 2, where)  # an empty group is 1-d, so None
+    try:  # an empty group parses as 1-d, so gives None
+        feats = parse_array([item.get("feature") for item in group], 2, where)
     except DataError:
         return None
     return feats if feature_dim in (None, feats.shape[1]) else None
@@ -438,7 +438,7 @@ def _parse_record(raw: dict, vocab: Vocabulary, feature_dim: int | None) -> tupl
     num_attributes = len(vocab.attributes)
 
     detections = []
-    rows = _feature_rows([d.get("feature") for d in items["detections"]], feature_dim, where)
+    rows = _feature_rows(items["detections"], feature_dim, where)
     for i, d in enumerate(items["detections"]):
         box = parse_box(d.get("box"), f"{where} detection {i}")
         feat = rows[i] if rows is not None else _parse_feature(
@@ -494,7 +494,7 @@ def _parse_record(raw: dict, vocab: Vocabulary, feature_dim: int | None) -> tupl
 
     pair_features = {}
     pair_items: dict[tuple[int, int], int] = {}
-    rows = _feature_rows([p.get("feature") for p in items["pair_features"]], feature_dim, where)
+    rows = _feature_rows(items["pair_features"], feature_dim, where)
     for i, p in enumerate(items["pair_features"]):
         sub, obj = p.get("sub"), p.get("obj")
         if not (_index(sub, len(detections)) and _index(obj, len(detections))) or sub == obj:

@@ -23,7 +23,7 @@ Matching rules, pinned so results are reproducible bit for bit:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .datamodel import (
     DataError,
@@ -47,11 +47,10 @@ class MatchSpec:
     def __post_init__(self):
         if not (0.0 < self.iou_threshold <= 1.0):
             raise ValueError("iou threshold must be in (0, 1]")
-        if isinstance(self.k_per_pair, int) and self.k_per_pair < 1:
-            raise ValueError("k per pair must be >= 1")
-        if isinstance(self.k_per_pair, str) and self.k_per_pair != "free":
-            raise ValueError("k per pair must be an integer or 'free'")
-        if self.graph_constraint and self.k_per_pair is not None:
+        k = self.k_per_pair
+        if not (k is None or k == "free" or (type(k) is int and k >= 1)):
+            raise ValueError(f"k per pair must be a positive integer or 'free', got {k!r}")
+        if self.graph_constraint and k is not None:
             raise ValueError("the graph constraint is the per-pair budget 1; set no k per pair")
 
 
@@ -131,21 +130,31 @@ def _one_pass(
     predictions: dict[str, list[PredictedTriplet]],
     ground_truth: dict[str, list[ResolvedTriplet]],
     ks: tuple[int, ...],
-    budgets: list[int | None],
     box_modes: tuple[str, ...],
     spec: MatchSpec,
-) -> tuple[list[list[float]], dict[str, dict[int, float]]]:
-    """Mean recall per budget and k, and each box mode's AP table; each image is sorted once.
+    num_predicates: int | None = None,
+) -> tuple[dict[int, float], dict[str, dict[int, float]]]:
+    """Mean recall per k under the spec's budgets, and each box mode's AP table.
 
-    Budget b keeps the predictions whose pair rank is below b (None: all). Kept lists
-    grow with b, so each distinct length is matched once, down to ``max(ks)``: the
-    matcher walks a list in order, so its first k hits ignore what follows. The whole
-    ranking's rel match also serves mAP_rel. AP pools each prediction's (score, hit)
-    under its predicate, which equals matching that predicate's predictions alone.
+    The budget rule: the graph constraint is the budget 1, an integer k per pair or
+    None (keep all) is used as is, and "free" sweeps 1..``num_predicates``, each k
+    taking its best. Budget b keeps the predictions whose pair rank is below b. Kept
+    lists grow with b, so each image is sorted once and each distinct length is matched
+    once, down to ``max(ks)``: the matcher walks a list in order, so its first k hits
+    ignore what follows. The whole ranking's rel match also serves mAP_rel. AP pools
+    each prediction's (score, hit) under its predicate, which equals matching that
+    predicate's predictions alone; it applies no budget.
     """
+    if any(k <= 0 for k in ks):
+        raise ValueError("k must be positive")
     for mode in box_modes:
         if mode not in ("rel", "phr"):
             raise ValueError(f"box_mode must be 'rel' or 'phr', got {mode!r}")
+    budgets = [1 if spec.graph_constraint else spec.k_per_pair]
+    if spec.k_per_pair == "free" and ks:
+        if num_predicates is None:
+            raise ValueError("k_per_pair='free' needs num_predicates")
+        budgets = list(range(1, num_predicates + 1))
     npos = Counter(g.predicate for gts in ground_truth.values() for g in gts)
     pooled = {mode: {p: [] for p in npos} for mode in box_modes}
     per_image: list[list[list[float]]] = [[[] for _ in ks] for _ in budgets]
@@ -159,7 +168,7 @@ def _one_pass(
             for t, hit in zip(ranked, hits):
                 if t.predicate in pooled[mode]:
                     pooled[mode][t.predicate].append((t.score, hit))
-        if not gts:
+        if not (gts and ks):
             continue
         ranks = _pair_ranks(ranked) if any(b is not None for b in budgets) else []
         for recalls, budget in zip(per_image, budgets):
@@ -169,21 +178,10 @@ def _one_pass(
             for out, k in zip(recalls, ks):
                 out.append(sum(matches["rel", len(kept)][:k]) / len(gts))
     means = [[sum(r) / len(r) if r else 0.0 for r in recalls] for recalls in per_image]
-    return means, {mode: {p: _average_precision(hits, npos[p]) for p, hits in table.items()}
-                   for mode, table in pooled.items()}
-
-
-def _recalls(
-    predictions: dict[str, list[PredictedTriplet]],
-    ground_truth: dict[str, list[ResolvedTriplet]],
-    ks: tuple[int, ...],
-    budget: int | None,
-    spec: MatchSpec,
-) -> list[float]:
-    """Mean per-image recall of the top k for each k in ``ks``, after a per-pair budget."""
-    if min(ks) <= 0:
-        raise ValueError("k must be positive")
-    return _one_pass(predictions, ground_truth, ks, [budget], (), spec)[0][0]
+    return {k: max(m[i] for m in means) for i, k in enumerate(ks)}, {
+        mode: {p: _average_precision(hits, npos[p]) for p, hits in table.items()}
+        for mode, table in pooled.items()
+    }
 
 
 def recall_at_k(
@@ -195,7 +193,7 @@ def recall_at_k(
     """Mean per-image fraction of ground-truth triplets found in the top k."""
     if spec.k_per_pair is not None:
         raise ValueError("recall_at_k applies no k per pair; vrd_recall does")
-    return _recalls(predictions, ground_truth, (k,), 1 if spec.graph_constraint else None, spec)[0]
+    return _one_pass(predictions, ground_truth, (k,), (), spec)[0][k]
 
 
 def vrd_recall(
@@ -210,20 +208,14 @@ def vrd_recall(
 
     ``k_per_pair="free"`` sweeps every budget in 1..P and reports the
     best (P = ``num_predicates``), treating the budget as a tunable
-    hyperparameter.
+    hyperparameter. A spec that sets another k per pair is an error.
     """
     if spec.graph_constraint:  # the budget 1
         raise ValueError("vrd_recall takes its budget as k_per_pair, not as the graph constraint")
-    if k_per_pair == "free":
-        if num_predicates is None:
-            raise ValueError("k_per_pair='free' needs num_predicates")
-        return max(
-            vrd_recall(predictions, ground_truth, k, budget, spec)
-            for budget in range(1, num_predicates + 1)
-        )
-    if not isinstance(k_per_pair, int) or k_per_pair < 1:
-        raise ValueError(f"k_per_pair must be a positive integer or 'free', got {k_per_pair!r}")
-    return _recalls(predictions, ground_truth, (k,), k_per_pair, spec)[0]
+    if spec.k_per_pair not in (None, k_per_pair):
+        raise ValueError(f"k_per_pair {k_per_pair!r} differs from the spec's {spec.k_per_pair!r}")
+    spec = replace(spec, k_per_pair=k_per_pair)
+    return _one_pass(predictions, ground_truth, (k,), (), spec, num_predicates)[0][k]
 
 
 def average_precision(
@@ -239,7 +231,7 @@ def average_precision(
     boxes must match). Returns None when the predicate has no ground
     truth.
     """
-    table = _one_pass(predictions, ground_truth, (), [], (box_mode,), spec)[1][box_mode]
+    table = _one_pass(predictions, ground_truth, (), (box_mode,), spec)[1][box_mode]
     return table.get(predicate)
 
 
@@ -251,7 +243,7 @@ def mean_average_precision(
     spec: MatchSpec,
 ) -> tuple[float, dict[int, float]]:
     """Mean AP over predicates with ground truth, plus the per-predicate table."""
-    table = _one_pass(predictions, ground_truth, (), [], (box_mode,), spec)[1][box_mode]
+    table = _one_pass(predictions, ground_truth, (), (box_mode,), spec)[1][box_mode]
     return _mean_ap(table, num_predicates)
 
 
@@ -331,13 +323,8 @@ def evaluate(
 
     ground_truth = {r.image_id: r.resolved_triplets() for r in dataset}
 
-    # One pass over the images; free-k takes each k's best budget.
-    budgets = [1 if spec.graph_constraint else spec.k_per_pair]
-    if spec.k_per_pair == "free":
-        budgets = list(range(1, num_predicates + 1))
-    ks = (20, 50, 100)
-    sweep, tables = _one_pass(predictions, ground_truth, ks, budgets, ("rel", "phr"), spec)
-    recall = dict(zip(ks, map(max, zip(*sweep))))
+    ks, modes = (20, 50, 100), ("rel", "phr")
+    recall, tables = _one_pass(predictions, ground_truth, ks, modes, spec, num_predicates)
     map_rel, ap_rel = _mean_ap(tables["rel"], num_predicates)
     map_phr, ap_phr = _mean_ap(tables["phr"], num_predicates)
     score = oi_score(100 * recall[50], 100 * map_rel, 100 * map_phr) / 100.0

@@ -1,6 +1,7 @@
 """Evaluation protocols against hand values and the brute-force reference."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from relfusion.datamodel import DataError, GtObject, PredictedTriplet, ResolvedT
 from relfusion.metrics import (
     MatchSpec,
     _greedy_hits,
-    _recalls,
+    _one_pass,
     average_precision,
     evaluate,
     mean_average_precision,
@@ -263,19 +264,19 @@ class TestOneMatchPerBudget:
             for threshold in (0.5, 0.7):
                 spec = MatchSpec(iou_threshold=threshold)
                 gc = MatchSpec(iou_threshold=threshold, graph_constraint=True)
-                assert _recalls(preds, gts, self.KS, None, spec) == [
-                    recall_at_k(preds, gts, k, spec) for k in self.KS
-                ]
-                assert _recalls(preds, gts, self.KS, 1, gc) == [
-                    recall_at_k(preds, gts, k, gc) for k in self.KS
-                ]
-                assert _recalls(preds, gts, self.KS, 2, spec) == [
-                    vrd_recall(preds, gts, k, 2, spec) for k in self.KS
-                ]
-                sweep = [_recalls(preds, gts, self.KS, b, spec) for b in range(1, p + 1)]
-                assert list(map(max, zip(*sweep))) == [
-                    vrd_recall(preds, gts, k, "free", spec, p) for k in self.KS
-                ]
+
+                def recalls(budget, spec=spec):
+                    spec = dataclasses.replace(spec, k_per_pair=budget)
+                    return _one_pass(preds, gts, self.KS, (), spec, p)[0]
+
+                assert recalls(None) == {k: recall_at_k(preds, gts, k, spec) for k in self.KS}
+                assert recalls(None, gc) == {k: recall_at_k(preds, gts, k, gc) for k in self.KS}
+                assert recalls(2) == {k: vrd_recall(preds, gts, k, 2, spec) for k in self.KS}
+                sweep = [recalls(b) for b in range(1, p + 1)]
+                best = {k: max(r[k] for r in sweep) for k in self.KS}
+                assert recalls("free") == best == {
+                    k: vrd_recall(preds, gts, k, "free", spec, p) for k in self.KS
+                }
 
     def test_evaluate_free_k_equals_vrd_recall(self):
         rng = np.random.default_rng(31)
@@ -343,6 +344,27 @@ class TestOneMatchPerBudget:
         assert sum(map(len, single.values())) < sum(map(len, preds.values()))
         seen = self._matches(monkeypatch, single, gts, MatchSpec(k_per_pair="free"))
         assert len(seen) == 2 * len(gts)
+
+    def test_free_vrd_recall_matches_once_per_kept_length(self, monkeypatch):
+        # Budgets that keep equally long lists of an image share one match.
+        seen = []
+        real = metrics._greedy_hits
+
+        def spy(ranked, ground_truth, match, spec):
+            seen.append((match, len(ranked), ground_truth))
+            return real(ranked, ground_truth, match, spec)
+
+        monkeypatch.setattr(metrics, "_greedy_hits", spy)
+        preds, gts = random_metric_instance(np.random.default_rng(3), num_predicates=3)
+        vrd_recall(preds, gts, 10**6, "free", MatchSpec(), num_predicates=3)
+        want = []
+        for image_id, image_gts in gts.items():
+            if image_gts:
+                ranked = _brute_ranked(preds.get(image_id, []))
+                lengths = dict.fromkeys(len(_brute_kept(ranked, b)) for b in (1, 2, 3))
+                want += [(triplet_match, n, image_gts) for n in lengths]
+        assert seen == want
+        assert len(want) < 3 * sum(map(bool, gts.values()))  # some lengths repeat
 
     def test_budget_keeps_the_predictions_with_fewer_earlier_ones_on_their_pair(
         self, monkeypatch
@@ -457,6 +479,22 @@ class TestVrdRecall:
         for budget in (1, 3, "free"):
             with pytest.raises(ValueError, match="not as the graph constraint"):
                 vrd_recall(preds, gts, 5, budget, gc, num_predicates=3)
+
+    @pytest.mark.parametrize("budget", [True, 2.5, 0, "all", [2]])
+    def test_bad_budget_is_named(self, budget):
+        preds, gts = random_metric_instance(np.random.default_rng(1))
+        message = f"k per pair must be a positive integer or 'free', got {re.escape(repr(budget))}"
+        with pytest.raises(ValueError, match=message):
+            MatchSpec(k_per_pair=budget)
+        with pytest.raises(ValueError, match=message):
+            vrd_recall(preds, gts, 5, budget, MatchSpec(), num_predicates=3)
+
+    def test_spec_budget_must_agree(self):
+        preds, gts = random_metric_instance(np.random.default_rng(1))
+        with pytest.raises(ValueError, match="k_per_pair 'free' differs from the spec's 2"):
+            vrd_recall(preds, gts, 5, "free", MatchSpec(k_per_pair=2), num_predicates=3)
+        same = vrd_recall(preds, gts, 5, 2, MatchSpec(k_per_pair=2))
+        assert same == vrd_recall(preds, gts, 5, 2, MatchSpec())
 
     def test_graph_constraint_takes_no_other_budget(self):
         # The graph constraint is the per-pair budget 1.

@@ -3,8 +3,8 @@
 ``perfbench/tracing.py`` patches functions at the module attribute where
 the calling module looks them up. A refactor that drops or renames one
 of them must fail here rather than in a traced benchmark run, and so
-must one that calls the matcher or the free-k budgets other than
-through those attributes.
+must one that calls the matcher other than through those attributes or
+sweeps free k other than in one pass.
 """
 
 import importlib
@@ -65,4 +65,6 @@ def test_fine_tracer_sees_the_matcher_lookups():
     assert all(b > a for a, b in zip(after_recall, after_map)), (after_recall, after_map)
     assert tracer.calls["metrics.vrd_recall"] == 1
     assert tracer.calls["metrics.mean_average_precision"] == 1
-    assert tracer.counts["metrics.free_k_budgets"] == num_predicates
+    # Free k is one sweep inside one call: no fixed-budget re-matches.
+    assert tracer.counts["metrics.free_k_calls"] == 1
+    assert tracer.counts["metrics.free_k_budgets"] == 0

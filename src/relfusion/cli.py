@@ -327,7 +327,7 @@ def cmd_eval(args) -> int:
     _check_output(args.out)
     vocab = load_vocabulary(args.vocab)
     dataset = load_dataset(args.test_path, vocab)
-    predictions = load_predictions(args.predictions)
+    predictions = load_predictions(args.predictions, vocab)
     spec = MatchSpec(
         iou_threshold=args.iou_threshold,
         graph_constraint=args.graph_constraint == "on",

@@ -668,18 +668,32 @@ def _parse_items(raw: dict, key: str, parse, image_id: str) -> list:
     return parsed
 
 
-def load_predictions(path: str | os.PathLike) -> dict[str, list[PredictedTriplet]]:
+def load_predictions(
+    path: str | os.PathLike, vocab: Vocabulary | None = None
+) -> dict[str, list[PredictedTriplet]]:
     """Read a prediction file; a malformed line or a repeated image is a DataError naming it.
 
-    Attribute output (``is_triplets``) is checked but not returned.
+    Attribute output (``is_triplets``) is checked, with its labels and attributes in
+    ``vocab``'s ranges when one is given, but not returned.
     """
+
+    def check_is_triplet(item) -> None:
+        _, (label, attribute), _ = _check_item(item, *_IS_TRIPLET_KEYS)
+        if vocab is None:
+            return
+        classes, attributes = len(vocab.object_classes), len(vocab.attributes)
+        if not (0 <= label < classes and 0 <= attribute < attributes):
+            raise DataError(
+                f"label {label} or attribute {attribute} outside object classes "
+                f"0..{classes - 1} and attributes 0..{attributes - 1}"
+            )
 
     def parse(raw: dict) -> tuple[str, list[PredictedTriplet]]:
         image_id = raw.get("image_id")
         if not isinstance(image_id, str):
             raise DataError(f"image_id must be a string, got {image_id!r}")
         triplets = _parse_items(raw, "triplets", _parse_triplet, image_id)
-        _parse_items(raw, "is_triplets", lambda t: _check_item(t, *_IS_TRIPLET_KEYS), image_id)
+        _parse_items(raw, "is_triplets", check_is_triplet, image_id)
         return image_id, triplets
 
     return read_image_lines(path, parse)

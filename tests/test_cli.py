@@ -639,8 +639,11 @@ class TestPredictAndEval:
         [(5, "is_triplets must be a list"),
          ([{"box": [0, 0, 1]}], "is_triplet 0: box: box must be a list of 4 numbers"),
          ([{"box": [0, 0, 1, 1], "label": 0, "attribute": 1, "score": 10**400}],
-          "is_triplet 0: score must be a finite number")],
-        ids=["not a list", "three-number box", "overflowing score"],
+          "is_triplet 0: score must be a finite number"),
+         ([{"box": [0, 0, 1, 1], "label": 0, "attribute": 0, "score": 0.5},
+           {"box": [0, 0, 1, 1], "label": -5, "attribute": 99, "score": 0.5}],
+          "is_triplet 1: label -5 or attribute 99 outside object classes 0..")],
+        ids=["not a list", "three-number box", "overflowing score", "out-of-range labels"],
     )
     def test_malformed_attribute_output_exits_2(self, synth_dir, tmp_path, capsys,
                                                 is_triplets, message):

@@ -25,6 +25,7 @@ from dataclasses import asdict, astuple, dataclass, replace
 import numpy as np
 
 from .datamodel import (
+    Box,
     DataError,
     Detection,
     ImageRecord,
@@ -413,21 +414,15 @@ def predict_image(
     scores = (softmax(logits)[:, 1:] * det_product[:, None]).ravel()
     # A stable sort keeps tied scores in (pair, predicate) order.
     ranked = np.argsort(-scores, kind="stable")[:top_n]
-    out = []
-    for k in ranked.tolist():
-        pair_idx, p = divmod(k, model.num_predicates)
-        di, dj = (record.detections[d] for d in pairs[pair_idx].tolist())
-        out.append(
-            PredictedTriplet(
-                sub_box=di.box,
-                sub_label=di.label,
-                predicate=p + 1,
-                obj_box=dj.box,
-                obj_label=dj.label,
-                score=float(scores[k]),
-            )
+    pair_idx, p = np.divmod(ranked, model.num_predicates)
+    sub, obj = pairs[pair_idx].T
+    dets = record.detections
+    return [
+        PredictedTriplet(dets[i].box, dets[i].label, pred, dets[j].box, dets[j].label, score)
+        for i, j, pred, score in zip(
+            sub.tolist(), obj.tolist(), (p + 1).tolist(), scores[ranked].tolist()
         )
-    return out
+    ]
 
 
 def _stand_ins(record: ImageRecord) -> list[int | None]:
@@ -594,36 +589,42 @@ def load_checkpoint(path: str | os.PathLike) -> FusionModel:
     return FusionModel(freq=freq, mask=BranchMask(**mask), vocab_hash=raw["vocab_hash"], **nets)
 
 
+def _json_scalar(value) -> str:
+    """``json.dumps(value)``; an int or a finite float (not a bool) skips the encoder."""
+    if type(value) is int or type(value) is float and math.isfinite(value):
+        return repr(value)
+    return json.dumps(value)
+
+
 def save_predictions(
     predictions: dict[str, list[PredictedTriplet]],
     path: str | os.PathLike,
     attributes: dict[str, tuple[ImageRecord, list[tuple[int, int, float]]]] | None = None,
 ) -> None:
-    """Write prediction lines; an image's (view, predict_attributes output) is its is_triplets."""
+    """Write prediction lines; an image's (view, predict_attributes output) is its is_triplets.
+
+    A line is ``json.dumps`` of the image's row; each distinct Box is encoded once.
+    """
     lines = []
     for image_id, triplets in predictions.items():
-        row: dict = {
-            "image_id": image_id,
-            "triplets": [
-                {
-                    "sub_box": t.sub_box.to_list(),
-                    "sub_label": t.sub_label,
-                    "predicate": t.predicate,
-                    "obj_box": t.obj_box.to_list(),
-                    "obj_label": t.obj_label,
-                    "score": t.score,
-                }
-                for t in triplets
-            ],
-        }
+        distinct = {id(b): b for t in triplets for b in (t.sub_box, t.obj_box)}
+        box = {key: json.dumps(b.to_list()) for key, b in distinct.items()}
+        items = ", ".join(
+            f'{{"sub_box": {box[id(t.sub_box)]}, "sub_label": {_json_scalar(t.sub_label)}, '
+            f'"predicate": {_json_scalar(t.predicate)}, "obj_box": {box[id(t.obj_box)]}, '
+            f'"obj_label": {_json_scalar(t.obj_label)}, "score": {_json_scalar(t.score)}}}'
+            for t in triplets
+        )
+        line = f'{{"image_id": {json.dumps(image_id)}, "triplets": [{items}]'
         if attributes and image_id in attributes:
             view, predicted = attributes[image_id]
             dets = view.detections
-            row["is_triplets"] = [
+            is_triplets = [
                 {"box": dets[i].box.to_list(), "label": dets[i].label, "attribute": a, "score": s}
                 for i, a, s in predicted
             ]
-        lines.append(json.dumps(row))
+            line += f', "is_triplets": {json.dumps(is_triplets)}'
+        lines.append(line + "}")
     atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
@@ -632,12 +633,12 @@ _TRIPLET_KEYS = (("sub_box", "obj_box"), ("sub_label", "predicate", "obj_label")
 _IS_TRIPLET_KEYS = (("box",), ("label", "attribute"))
 
 
-def _check_item(item, box_keys, int_keys) -> tuple[list, list[int], float]:
-    """An item's boxes, integers and score; a malformed item is a DataError."""
+def _check_item(item, box_keys, int_keys, box) -> tuple[list, list[int], float]:
+    """An item's boxes (each by ``box``), integers and score; a malformed item is a DataError."""
     if type(item) is not dict:
         raise DataError("expected a JSON object")
     try:
-        boxes = [parse_box(item[key], key) for key in box_keys]
+        boxes = [box(item[key], key) for key in box_keys]
         ints, score = [item[key] for key in int_keys], item["score"]
     except KeyError as exc:
         raise DataError(f"missing key {exc}") from None
@@ -649,20 +650,41 @@ def _check_item(item, box_keys, int_keys) -> tuple[list, list[int], float]:
     return boxes, ints, value
 
 
-def _parse_triplet(item) -> PredictedTriplet:
-    (sub_box, obj_box), (sub, pred, obj), score = _check_item(item, *_TRIPLET_KEYS)
+def _line_box_parser():
+    """:func:`parse_box` for one line; a list equal to one that passed it gets that Box.
+
+    A list holding 0 or 1 is not reused: -0.0 and 0.0, and True and 1, are equal keys.
+    """
+    passed: dict[tuple, Box] = {}
+
+    def box(raw, where: str) -> Box:
+        try:
+            return passed[tuple(raw)]
+        except (KeyError, TypeError):  # new, or not a list of hashable values
+            pass
+        parsed = parse_box(raw, where)
+        key = tuple(raw)
+        if 0 not in key and 1 not in key:
+            passed[key] = parsed
+        return parsed
+
+    return box
+
+
+def _parse_triplet(item, box) -> PredictedTriplet:
+    (sub_box, obj_box), (sub, pred, obj), score = _check_item(item, *_TRIPLET_KEYS, box)
     return PredictedTriplet(sub_box, sub, pred, obj_box, obj, score)
 
 
-def _parse_items(raw: dict, key: str, parse, image_id: str) -> list:
-    """``raw[key]`` (default []) must be a list; each item goes through ``parse``."""
+def _parse_items(raw: dict, key: str, parse, image_id: str, box) -> list:
+    """``raw[key]`` (default []) must be a list; each item goes through ``parse(item, box)``."""
     items = raw.get(key, [])
     if not isinstance(items, list):
         raise DataError(f"image {image_id!r}: {key} must be a list")
     parsed = []
     for k, item in enumerate(items):
         try:
-            parsed.append(parse(item))
+            parsed.append(parse(item, box))
         except DataError as exc:  # "triplet 3", "is_triplet 0"
             raise DataError(f"image {image_id!r} {key[:-1]} {k}: {exc}") from exc
     return parsed
@@ -677,8 +699,8 @@ def load_predictions(
     ``vocab``'s ranges when one is given, but not returned.
     """
 
-    def check_is_triplet(item) -> None:
-        _, (label, attribute), _ = _check_item(item, *_IS_TRIPLET_KEYS)
+    def check_is_triplet(item, box) -> None:
+        _, (label, attribute), _ = _check_item(item, *_IS_TRIPLET_KEYS, box)
         if vocab is None:
             return
         classes, attributes = len(vocab.object_classes), len(vocab.attributes)
@@ -692,8 +714,9 @@ def load_predictions(
         image_id = raw.get("image_id")
         if not isinstance(image_id, str):
             raise DataError(f"image_id must be a string, got {image_id!r}")
-        triplets = _parse_items(raw, "triplets", _parse_triplet, image_id)
-        _parse_items(raw, "is_triplets", check_is_triplet, image_id)
+        box = _line_box_parser()
+        triplets = _parse_items(raw, "triplets", _parse_triplet, image_id, box)
+        _parse_items(raw, "is_triplets", check_is_triplet, image_id, box)
         return image_id, triplets
 
     return read_image_lines(path, parse)

@@ -239,8 +239,12 @@ class TestPredictImage:
         for got, (score, _, p, i, j) in zip(preds, expected):
             assert got.score == pytest.approx(score, abs=1e-12)
             assert got.predicate == p
-            assert got.sub_box == record.detections[i].box
-            assert got.obj_box == record.detections[j].box
+            # The detections' own Box objects and labels, Python ints and floats.
+            di, dj = record.detections[i], record.detections[j]
+            assert got.sub_box is di.box and got.obj_box is dj.box
+            assert (got.sub_label, got.obj_label) == (di.label, dj.label)
+            assert [type(v) for v in (got.sub_label, got.predicate, got.obj_label, got.score)] == [
+                int, int, int, float]
 
     def test_top_n_truncates(self):
         model = _toy_model()

@@ -1,0 +1,291 @@
+"""Prediction files: the writer's exact ``json.dumps`` form, and a loader that
+parses each distinct box of a line once yet gives what a per-item parse gives."""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from relfusion.cli import main
+from relfusion.datamodel import Box, DataError, PredictedTriplet, parse_box
+from relfusion.fusion import load_predictions, save_predictions
+
+from util import make_detection, make_record
+
+# Coordinates that json.dumps writes in a special form (signed zero, subnormal,
+# exponent, integer-valued), and 1.0, which compares equal to True.
+SPECIAL = [-0.0, 0.0, 5e-324, 1e16, 1e-7, 1.0, 3.0, 250.0]
+IMAGE_IDS = ["plain", 'say "hi"', "back\\slash", "café 图", "tab\there", "\U0001f600"]
+
+
+def _row(image_id, triplets, attributes) -> dict:
+    """An image's row, which save_predictions must write as ``json.dumps`` does."""
+    row = {
+        "image_id": image_id,
+        "triplets": [
+            {
+                "sub_box": t.sub_box.to_list(),
+                "sub_label": t.sub_label,
+                "predicate": t.predicate,
+                "obj_box": t.obj_box.to_list(),
+                "obj_label": t.obj_label,
+                "score": t.score,
+            }
+            for t in triplets
+        ],
+    }
+    if attributes and image_id in attributes:
+        view, predicted = attributes[image_id]
+        dets = view.detections
+        row["is_triplets"] = [
+            {"box": dets[i].box.to_list(), "label": dets[i].label, "attribute": a, "score": s}
+            for i, a, s in predicted
+        ]
+    return row
+
+
+def _expected_bytes(predictions, attributes) -> bytes:
+    lines = (json.dumps(_row(i, t, attributes)) + "\n" for i, t in predictions.items())
+    return "".join(lines).encode("utf-8")
+
+
+def _coordinate(rng) -> float:
+    if rng.random() < 0.4:
+        return SPECIAL[rng.integers(len(SPECIAL))]
+    return float(rng.uniform(0.0, 500.0))
+
+
+def _random_box(rng) -> Box:
+    x0, x1 = sorted((_coordinate(rng), _coordinate(rng)))
+    y0, y1 = sorted((_coordinate(rng), _coordinate(rng)))
+    return Box(x0, y0, x1, y1)
+
+
+def _random_predictions(rng):
+    """Images with shared detection boxes, equal but separate boxes, and is_triplets."""
+    predictions, attributes = {}, {}
+    for n in range(int(rng.integers(1, 6))):
+        image_id = f"{IMAGE_IDS[rng.integers(len(IMAGE_IDS))]} {n}"
+        dets = [
+            make_detection(int(rng.integers(0, 5)), _random_box(rng))
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        triplets = []
+        for _ in range(int(rng.integers(0, 12))):  # sometimes none
+            i, j = rng.integers(len(dets), size=2).tolist()
+            sub_box, obj_box = dets[i].box, dets[j].box
+            if rng.random() < 0.3:
+                sub_box = Box(*sub_box.to_list())  # equal, another object
+            score = _coordinate(rng) if rng.random() < 0.3 else float(rng.random())
+            triplets.append(PredictedTriplet(
+                sub_box, dets[i].label, int(rng.integers(1, 4)), obj_box, dets[j].label, score
+            ))
+        predictions[image_id] = triplets
+        if rng.random() < 0.5:
+            predicted = [(k, int(rng.integers(3)), float(rng.random())) for k in range(len(dets))]
+            attributes[image_id] = (make_record(image_id, detections=dets), predicted)
+    return predictions, attributes
+
+
+class TestWriter:
+    def test_random_rows_are_written_as_json_dumps_writes_them(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        for seed in range(40):
+            predictions, attributes = _random_predictions(np.random.default_rng(seed))
+            if seed % 2:
+                attributes = None
+            save_predictions(predictions, path, attributes)
+            assert path.read_bytes() == _expected_bytes(predictions, attributes), seed
+
+    def test_equal_boxes_keep_their_own_sign_of_zero(self, tmp_path):
+        a, b = Box(-0.0, 0.0, 1e16, 3.0), Box(0.0, -0.0, 1e16, 3.0)
+        assert a == b and hash(a) == hash(b)
+        predictions = {"x": [PredictedTriplet(a, 0, 1, b, 1, 0.5),
+                             PredictedTriplet(b, 1, 2, a, 0, 1e-7)]}
+        path = tmp_path / "p.jsonl"
+        save_predictions(predictions, path)
+        assert path.read_bytes() == _expected_bytes(predictions, None)
+        assert '{"sub_box": [-0.0, 0.0, 1e+16, 3.0], ' in path.read_text()
+
+    def test_empty_triplets(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        save_predictions({"x": [], "y": []}, path)
+        assert path.read_text() == (
+            '{"image_id": "x", "triplets": []}\n{"image_id": "y", "triplets": []}\n')
+
+    def test_bool_labels_are_written_as_true_and_false(self, tmp_path):
+        b = Box(1.5, 2.5, 3.5, 4.5)
+        predictions = {"x": [PredictedTriplet(b, True, True, b, False, np.float64(0.25))]}
+        path = tmp_path / "p.jsonl"
+        save_predictions(predictions, path)
+        assert path.read_bytes() == _expected_bytes(predictions, None)
+        assert '"sub_label": true, "predicate": true' in path.read_text()
+
+    @pytest.mark.parametrize("label", [np.int64(2), np.int32(2)])
+    def test_numpy_integer_label_is_a_type_error(self, tmp_path, label):
+        b = Box(1.5, 2.5, 3.5, 4.5)
+        predictions = {"x": [PredictedTriplet(b, label, 1, b, 0, 0.5)]}
+        with pytest.raises(TypeError):
+            json.dumps(_row("x", predictions["x"], None))
+        with pytest.raises(TypeError):
+            save_predictions(predictions, tmp_path / "p.jsonl")
+        assert not list(tmp_path.iterdir())
+
+
+def _reference_load(path) -> dict:
+    """Each triplet of each line parsed on its own."""
+    out = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        raw = json.loads(line)
+        out[raw["image_id"]] = [
+            PredictedTriplet(
+                parse_box(t["sub_box"], "sub_box"), t["sub_label"], t["predicate"],
+                parse_box(t["obj_box"], "obj_box"), t["obj_label"], float(t["score"]),
+            )
+            for t in raw["triplets"]
+        ]
+    return out
+
+
+def _fields(t: PredictedTriplet) -> list:
+    """Every field with its type; each coordinate with its sign, so -0.0 differs from 0.0."""
+    coords = [*t.sub_box.to_list(), *t.obj_box.to_list()]
+    return [(type(c), c, math.copysign(1.0, c)) for c in coords] + [
+        (type(v), v) for v in (t.sub_label, t.predicate, t.obj_label, t.score)
+    ]
+
+
+def _assert_loads_as_reference(path) -> dict:
+    loaded = load_predictions(path)
+    reference = _reference_load(path)
+    assert list(loaded) == list(reference)
+    for image_id, triplets in loaded.items():
+        assert [_fields(t) for t in triplets] == [_fields(t) for t in reference[image_id]]
+    line_of = {}  # id of each loaded Box -> the image whose line gave it
+    for image_id, triplets in loaded.items():
+        for t in triplets:
+            for b in (t.sub_box, t.obj_box):
+                assert line_of.setdefault(id(b), image_id) == image_id
+    return loaded
+
+
+# Coordinate lists that compare equal across int and float spellings and
+# across the sign of zero; they share one pool, so lines repeat each other's.
+_LIST_POOL = [
+    [0, 0, 10, 10], [0.0, 0.0, 10.0, 10.0], [-0.0, -0.0, 10, 10.0], [0.0, -0.0, 10, 10],
+    [1, 1, 2, 2], [1.0, 1.0, 2.0, 2.0], [2.5, 3, 7, 250.0], [2.5, 3.0, 7.0, 250],
+    [5e-324, 1e-7, 1e16, 1e16], [3, 4, 5, 6], [-5.5, -4.0, -1e-7, -0.0],
+]
+
+
+def _random_file(rng, path) -> None:
+    rows = []
+    for n in range(int(rng.integers(1, 6))):
+        lists = [_LIST_POOL[k] for k in rng.integers(len(_LIST_POOL), size=4)]
+
+        def pick():
+            return list(lists[rng.integers(len(lists))])
+
+        triplets = [
+            {"sub_box": pick(), "sub_label": int(rng.integers(0, 4)),
+             "predicate": int(rng.integers(1, 4)), "obj_box": pick(),
+             "obj_label": int(rng.integers(0, 4)),
+             "score": [0, 1, 0.5, -0.0, 1e16][rng.integers(5)]}
+            for _ in range(int(rng.integers(0, 10)))
+        ]
+        row = {"image_id": f"{IMAGE_IDS[rng.integers(len(IMAGE_IDS))]} {n}", "triplets": triplets}
+        if rng.random() < 0.5:
+            row["is_triplets"] = [{"box": pick(), "label": 0, "attribute": 1, "score": 0.5}]
+        rows.append(row)
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
+class TestLoader:
+    def test_random_files_load_as_a_per_item_parse(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        for seed in range(40):
+            _random_file(np.random.default_rng(seed), path)
+            _assert_loads_as_reference(path)
+
+    def test_equal_lists_on_one_line_give_one_box(self, tmp_path):
+        def item(sub_box, obj_box):
+            return {"sub_box": sub_box, "sub_label": 0, "predicate": 1,
+                    "obj_box": obj_box, "obj_label": 1, "score": 0.5}
+
+        row = {"image_id": "x", "triplets": [
+            item([2.5, 3, 7, 9.5], [2.5, 3, 7, 9.5]),
+            item([2.5, 3, 7, 9.5], [-0.0, 3, 7, 9.5]),
+            item([0, 3, 7, 9.5], [0.0, 3, 7, 9.5]),
+        ]}
+        path = tmp_path / "p.jsonl"
+        path.write_text(json.dumps(row) + "\n" + json.dumps({**row, "image_id": "y"}) + "\n")
+        loaded = _assert_loads_as_reference(path)
+        x, y = loaded["x"], loaded["y"]
+        assert x[0].sub_box is x[0].obj_box is x[1].sub_box
+        assert y[0].sub_box is not x[0].sub_box
+        assert [math.copysign(1.0, t.obj_box.xmin) for t in x[1:]] == [-1.0, 1.0]
+
+    def test_seed_1_synth_predictions_load_as_a_per_item_parse(self, tmp_path):
+        data = tmp_path / "data"
+        ckpt, path = tmp_path / "model.json", tmp_path / "p.jsonl"
+        common = ["--vocab", str(data / "vocab.json"), "--checkpoint", str(ckpt)]
+        assert main(["gen-synth", "--out", str(data), "--num-images", "40",
+                     "--num-test-images", "20", "--seed", "1"]) == 0
+        assert main(["train", "--train", str(data / "train.jsonl"), *common,
+                     "--epochs", "2"]) == 0
+        assert main(["predict", "--test", str(data / "test.jsonl"), *common,
+                     "--out", str(path), "--attributes"]) == 0
+        loaded = _assert_loads_as_reference(path)
+        assert sum(map(len, loaded.values())) > 0
+        lines = path.read_text().splitlines()
+        assert all("is_triplets" in json.loads(line) for line in lines)
+        assert [json.dumps(json.loads(line)) for line in lines] == lines
+
+
+_GOOD = {"sub_box": [2.5, 3.5, 10.5, 20.5], "sub_label": 0, "predicate": 1,
+         "obj_box": [4.5, 5.5, 30.5, 40.5], "obj_label": 1, "score": 0.5}
+# Items 0..2 pass, and share the boxes the faults below damage.
+_BEFORE = [_GOOD, {**_GOOD, "sub_box": [1, 3.5, 10.5, 20.5]}, _GOOD]
+_MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ({"obj_box": [4.5, 5.5, "30.5", 40.5]},
+         "obj_box: box must be a list of 4 numbers, got [4.5, 5.5, '30.5', 40.5]"),
+        ({"obj_box": _MISSING}, "missing key 'obj_box'"),
+        ({"sub_label": "0"}, "sub_label, predicate and obj_label must be integers"),
+        ({"predicate": 0}, "predicted predicate must be a real class (>= 1)"),
+        ({"sub_box": [10.5, 3.5, 2.5, 20.5]}, "sub_box: inverted box (10.5, 3.5, 2.5, 20.5)"),
+        ({"sub_box": [True, 3.5, 10.5, 20.5]},
+         "sub_box: box must be a list of 4 numbers, got [True, 3.5, 10.5, 20.5]"),
+        ({"sub_box": [[2.5], 3.5, 10.5, 20.5]},
+         "sub_box: box must be a list of 4 numbers, got [[2.5], 3.5, 10.5, 20.5]"),
+    ],
+    ids=["string coordinate", "missing key", "string label", "predicate 0", "inverted box",
+         "true for 1", "nested list"],
+)
+def test_bad_item_after_items_sharing_its_boxes(tmp_path, fault, message):
+    bad = {k: v for k, v in {**_GOOD, **fault}.items() if v is not _MISSING}
+    path = tmp_path / "p.jsonl"
+    path.write_text(json.dumps({"image_id": "ok", "triplets": _BEFORE}) + "\n"
+                    + json.dumps({"image_id": "x", "triplets": [*_BEFORE, bad, _GOOD]}) + "\n")
+    with pytest.raises(DataError) as err:
+        load_predictions(path)
+    assert str(err.value) == f"{path}:2: image 'x' triplet 3: {message}"
+
+
+def test_bad_is_triplet_after_triplets_sharing_its_box(tmp_path):
+    is_triplets = [{"box": box, "label": 0, "attribute": 1, "score": 0.5}
+                   for box in ([2.5, 3.5, 10.5, 20.5], [True, 3.5, 10.5, 20.5])]
+    path = tmp_path / "p.jsonl"
+    path.write_text(json.dumps({"image_id": "x", "triplets": _BEFORE,
+                                "is_triplets": is_triplets}) + "\n")
+    with pytest.raises(DataError) as err:
+        load_predictions(path)
+    assert str(err.value) == (f"{path}:1: image 'x' is_triplet 1: box: box must be a list"
+                              " of 4 numbers, got [True, 3.5, 10.5, 20.5]")

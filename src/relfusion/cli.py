@@ -9,6 +9,7 @@ are parsed like flags, and explicitly passed flags win. Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -235,6 +236,15 @@ def cmd_gen_synth(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """A DataError raised in the block names ``path``, the file whose data it is about."""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
 def _views(path, vocab, mode: str, dim: int | None = None, of: str = "checkpoint"):
     """A dataset file's records, their mode views and the views' feature dim.
 
@@ -242,10 +252,8 @@ def _views(path, vocab, mode: str, dim: int | None = None, of: str = "checkpoint
     so does a dim other than a given ``dim``, which is ``of``'s.
     """
     dataset = load_dataset(path, vocab)
-    try:
+    with _naming(path):
         views = [gt_substitution(r, mode) for r in dataset]
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
     found = next((d.feature.shape[0] for r in views for d in r.detections), None)
     if dim is not None and found not in (None, dim):
         raise DataError(f"{path}: feature dimension {found} != {of}'s {dim}")
@@ -256,7 +264,7 @@ def _training_setup(args, vocab):
     """The training set's records, mode views and feature dim, and the fitted prior."""
     dataset, views, dim = _views(args.train_path, vocab, args.mode)
     if dim is None:
-        raise DataError("training dataset contains no detections")
+        raise DataError(f"{args.train_path}: training dataset contains no detections")
     return dataset, views, dim, fit_frequency(dataset, vocab, smoothing=args.smoothing)
 
 
@@ -279,18 +287,18 @@ def _check_output(path) -> None:
 
 def cmd_train(args) -> int:
     _check_output(args.checkpoint)
+    cfg, mask = _config(TrainConfig, _TRAIN_FLAGS, args), parse_branches(args.branches)
     vocab = load_vocabulary(args.vocab)
     setup = _training_setup(args, vocab)
     dataset, _, feature_dim, _ = setup
-    cfg = _config(TrainConfig, _TRAIN_FLAGS, args)
     rng = np.random.default_rng(cfg.seed)
-    model, history = _fit(setup, vocab, cfg, rng, parse_branches(args.branches))
-
-    if vocab.attributes and any(r.gt_attributes for r in dataset):
-        model.attribute_head = init_mlp(
-            [feature_dim, ATTRIBUTE_HIDDEN, len(vocab.attributes)], rng
-        )
-        train_attribute_head(model.attribute_head, dataset, cfg)
+    with _naming(args.train_path):
+        model, history = _fit(setup, vocab, cfg, rng, mask)
+        if vocab.attributes and any(r.gt_attributes for r in dataset):
+            model.attribute_head = init_mlp(
+                [feature_dim, ATTRIBUTE_HIDDEN, len(vocab.attributes)], rng
+            )
+            train_attribute_head(model.attribute_head, dataset, cfg)
 
     save_checkpoint(model, args.checkpoint)
     csv_lines = ["epoch,loss"] + [f"{i},{v:.6f}" for i, v in enumerate(history)]
@@ -325,14 +333,14 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     _check_output(args.out)
-    vocab = load_vocabulary(args.vocab)
-    dataset = load_dataset(args.test_path, vocab)
-    predictions = load_predictions(args.predictions, vocab)
     spec = MatchSpec(
         iou_threshold=args.iou_threshold,
         graph_constraint=args.graph_constraint == "on",
         k_per_pair=args.k_per_pair,
     )
+    vocab = load_vocabulary(args.vocab)
+    dataset = load_dataset(args.test_path, vocab)
+    predictions = load_predictions(args.predictions, vocab)
     try:
         report = evaluate(predictions, dataset, vocab, mode=args.mode, spec=spec)
     except DataError as exc:  # images the test set lacks, labels the vocabulary lacks
@@ -354,18 +362,19 @@ ABLATION_ROWS = [
 
 def cmd_ablate(args) -> int:
     _check_output(args.out)
+    cfg = _config(TrainConfig, _TRAIN_FLAGS, args)
+    spec = MatchSpec(graph_constraint=args.graph_constraint == "on")
     vocab = load_vocabulary(args.vocab)
     setup = _training_setup(args, vocab)
     _, _, feature_dim, _ = setup
     test_set, test_views, _ = _views(args.test_path, vocab, args.mode, feature_dim, args.train_path)
-    cfg = _config(TrainConfig, _TRAIN_FLAGS, args)
-    spec = MatchSpec(graph_constraint=args.graph_constraint == "on")
 
     csv_lines = ["config,r50,map_rel,map_phr,score"]
     table = [f"{'config':<18s} {'R@50':>7s} {'mAP_rel':>8s} {'mAP_phr':>8s} {'score':>7s}"]
     for name, branches in ABLATION_ROWS:
         rng = np.random.default_rng(cfg.seed)
-        model, _ = _fit(setup, vocab, cfg, rng, parse_branches(branches))
+        with _naming(args.train_path):
+            model, _ = _fit(setup, vocab, cfg, rng, parse_branches(branches))
         predictions = _predict(model, test_views, args.top_n)
         report = evaluate(predictions, test_set, vocab, mode=args.mode, spec=spec)
         r50, mrel, mphr, score = (

@@ -305,6 +305,14 @@ def is_list_of(value, kind: type) -> bool:
     return type(value) is list and all(type(v) is kind for v in value)
 
 
+def check_settings(config, rules) -> None:
+    """A ValueError naming the field of the first (field, ok, rule) in ``rules`` that fails."""
+    for name, ok, rule in rules:
+        if not ok:
+            value = getattr(config, name)
+            raise ValueError(f"{name.replace('_', ' ')} must be {rule}, got {value!r}")
+
+
 def _index(value, n: int) -> bool:
     """True for a JSON integer (not a boolean) in 0..n-1."""
     return type(value) is int and 0 <= value < n

@@ -33,6 +33,7 @@ from .datamodel import (
     Vocabulary,
     atomic_write_text,
     box_array,
+    check_settings,
     iou_matrix,
     is_list_of,
     json_number,
@@ -41,7 +42,7 @@ from .datamodel import (
     read_json,
 )
 from . import numcore
-from .numcore import Mlp, NumericError, OptimizerState, forward, init_mlp, sgd_step, softmax
+from .numcore import Mlp, NumericError, forward, init_mlp, sgd_step, softmax
 from .semantic import FrequencyTable, semantic_logits, table_from_json, table_to_json
 from .spatial import SPATIAL_DIM, spatial_features
 from .visual import predicate_features
@@ -86,10 +87,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size <= 0:
-            raise ValueError("epochs must be >= 0 and batch size positive")
-        if not 0 <= self.negative_ratio < math.inf:
-            raise ValueError("negative ratio must be finite and >= 0")
+        check_settings(self, (
+            ("epochs", self.epochs >= 0, ">= 0"),
+            ("batch_size", self.batch_size > 0, "positive"),
+            ("learning_rate", 0 < self.learning_rate < math.inf, "finite and positive"),
+            ("momentum", 0 <= self.momentum < 1, "in [0, 1)"),
+            ("negative_ratio", 0 <= self.negative_ratio < math.inf, "finite and >= 0"),
+            ("seed", self.seed >= 0, ">= 0"),  # np.random.default_rng takes no other
+        ))
 
 
 @dataclass
@@ -359,7 +364,7 @@ def _sgd_epochs(
     ``step(idx)`` gives the mean loss of examples ``idx`` and its gradients
     aligned with ``params``; ``what`` names the loss if it turns non-finite.
     """
-    state = OptimizerState(learning_rate=cfg.learning_rate, momentum=cfg.momentum)
+    velocities = [np.zeros_like(p) for p in params]
     history: list[float] = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
@@ -370,8 +375,7 @@ def _sgd_epochs(
             if not np.isfinite(loss):
                 raise NumericError(f"{what} loss became non-finite ({loss})")
             epoch_loss += loss * len(idx)
-            if params:
-                sgd_step(params, grads, state)
+            sgd_step(params, grads, velocities, cfg.learning_rate, cfg.momentum)
         history.append(epoch_loss / n)
     return history
 

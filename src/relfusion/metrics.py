@@ -22,6 +22,8 @@ Matching rules, pinned so results are reproducible bit for bit:
 
 from __future__ import annotations
 
+import functools
+import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -46,7 +48,7 @@ class MatchSpec:
 
     def __post_init__(self):
         if not (0.0 < self.iou_threshold <= 1.0):
-            raise ValueError("iou threshold must be in (0, 1]")
+            raise ValueError(f"iou threshold must be in (0, 1], got {self.iou_threshold!r}")
         k = self.k_per_pair
         if not (k is None or k == "free" or (type(k) is int and k >= 1)):
             raise ValueError(f"k per pair must be a positive integer or 'free', got {k!r}")
@@ -177,7 +179,7 @@ def _one_pass(
                 matches["rel", len(kept)] = _greedy_hits(kept[: max(ks)], gts, triplet_match, spec)
             for out, k in zip(recalls, ks):
                 out.append(sum(matches["rel", len(kept)][:k]) / len(gts))
-    means = [[sum(r) / len(r) if r else 0.0 for r in recalls] for recalls in per_image]
+    means = [[_mean(r) for r in recalls] for recalls in per_image]
     return {k: max(m[i] for m in means) for i, k in enumerate(ks)}, {
         mode: {p: _average_precision(hits, npos[p]) for p, hits in table.items()}
         for mode, table in pooled.items()
@@ -249,8 +251,13 @@ def mean_average_precision(
 
 def _mean_ap(table: dict[int, float], num_predicates: int) -> tuple[float, dict[int, float]]:
     per_predicate = {p: table[p] for p in range(1, num_predicates + 1) if p in table}
-    mean = sum(per_predicate.values()) / len(per_predicate) if per_predicate else 0.0
-    return mean, per_predicate
+    return _mean(list(per_predicate.values())), per_predicate
+
+
+def _mean(values: list[float]) -> float:
+    """The mean by a left fold of ``+`` (0.0 of none), so the same bits on every Python:
+    from 3.12 on, builtin ``sum()`` adds floats with compensated summation."""
+    return functools.reduce(operator.add, values, 0.0) / len(values) if values else 0.0
 
 
 def oi_score(r50: float, map_rel: float, map_phr: float) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import base64
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,7 +98,7 @@ def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, dict]:
         z = layer_forward(layer, h)
         preacts.append(z)
         h = relu(z) if i < len(mlp.layers) - 1 else z
-    cache = {"inputs": inputs, "preacts": preacts, "single": single}
+    cache = {"inputs": inputs, "preacts": preacts}
     return (h[0] if single else h), cache
 
 
@@ -153,32 +153,16 @@ def softmax_xent(logits: np.ndarray, target) -> tuple[np.ndarray, np.ndarray]:
     return losses, grad
 
 
-@dataclass
-class OptimizerState:
-    """Momentum-SGD state; velocity buffers are created lazily."""
-
-    learning_rate: float
-    momentum: float = 0.0
-    velocities: list[np.ndarray] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError("learning rate must be finite and positive")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must be in [0, 1)")
-
-
-def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], state: OptimizerState) -> None:
-    """In-place update: v = momentum*v - lr*grad; param += v."""
-    if not state.velocities:
-        state.velocities = [np.zeros_like(p) for p in params]
-    if len(params) != len(grads) or len(params) != len(state.velocities):
+def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], velocities: list[np.ndarray],
+             learning_rate: float, momentum: float) -> None:
+    """In-place momentum update of aligned buffers: v = momentum*v - lr*grad; param += v."""
+    if len(params) != len(grads) or len(params) != len(velocities):
         raise ValueError("params/grads/velocities length mismatch")
-    for p, g, v in zip(params, grads, state.velocities):
-        if p.shape != g.shape:
-            raise ValueError(f"shape mismatch {p.shape} vs {g.shape}")
-        v *= state.momentum
-        v -= state.learning_rate * g
+    for p, g, v in zip(params, grads, velocities):
+        if not p.shape == g.shape == v.shape:
+            raise ValueError(f"shape mismatch: param {p.shape}, grad {g.shape}, velocity {v.shape}")
+        v *= momentum
+        v -= learning_rate * g
         p += v
 
 

@@ -29,6 +29,7 @@ are computable.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -42,6 +43,7 @@ from .datamodel import (
     ImageRecord,
     Vocabulary,
     atomic_write_text,
+    check_settings,
     read_json,
 )
 
@@ -72,16 +74,27 @@ class SynthConfig:
     table_concentration: float = 0.3
 
     def __post_init__(self):
+        lo, hi = self.objects_per_image
+        check_settings(self, (
+            ("num_images", self.num_images >= 0, ">= 0"),
+            ("num_test_images", self.num_test_images >= 0, ">= 0"),
+            ("objects_per_image", 0 <= lo <= hi, "a (min, max) pair with 0 <= min <= max"),
+            ("num_classes", self.num_classes >= 1, ">= 1"),
+            ("num_predicates", self.num_predicates >= 1, ">= 1"),
+            ("feature_dim", self.feature_dim >= 1, ">= 1"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("noise", 0 <= self.noise < math.inf, "finite and >= 0"),
+            ("num_attributes", self.num_attributes >= 0, ">= 0"),
+            ("pair_density", 0 < self.pair_density <= 1, "in (0, 1]"),
+            ("rule_weight", 0 <= self.rule_weight <= 1, "in [0, 1]"),
+            ("appearance_weight", 0 <= self.appearance_weight < math.inf, "finite and >= 0"),
+            ("existence_weight", 0 <= self.existence_weight < math.inf, "finite and >= 0"),
+            ("table_concentration", 0 < self.table_concentration < math.inf, "finite and > 0"),
+        ))
         if not (self.semantic_signal or self.spatial_signal or self.visual_signal):
             raise ValueError("at least one signal source must be enabled")
-        if self.noise < 0:
-            raise ValueError("noise must be >= 0")
         if self.spatial_signal and self.num_predicates < 2:
             raise ValueError("the geometric rule needs at least two predicates")
-        if not (0.0 < self.pair_density <= 1.0):
-            raise ValueError("pair density must be in (0, 1]")
-        if not (0.0 <= self.rule_weight <= 1.0):
-            raise ValueError("rule weight must be in [0, 1]")
 
 
 @dataclass

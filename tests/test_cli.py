@@ -107,6 +107,30 @@ class TestGenSynth:
         assert "unknown signal token 'q'; use s, p, v" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--num-classes", "0"], "num classes must be >= 1, got 0"),
+            (["--min-objects", "5", "--max-objects", "2"],
+             "objects per image must be a (min, max) pair with 0 <= min <= max, got (5, 2)"),
+            (["--num-predicates", "0", "--signals", "s,v"], "num predicates must be >= 1, got 0"),
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
+            (["--noise", "nan"], "noise must be finite and >= 0, got nan"),
+            (["--appearance-weight", "nan"], "appearance weight must be finite and >= 0, got nan"),
+            (["--existence-weight", "inf"], "existence weight must be finite and >= 0, got inf"),
+            (["--num-images", "-3"], "num images must be >= 0, got -3"),
+            (["--feature-dim", "0"], "feature dim must be >= 1, got 0"),
+            (["--num-attributes", "-1"], "num attributes must be >= 0, got -1"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else "message",
+    )
+    def test_bad_value_exits_1_and_writes_nothing(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert main(["gen-synth", "--out", str(out), *flags]) == 1
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrain:
     def test_writes_checkpoint_and_history(self, synth_dir, tmp_path):
         ckpt = _train(synth_dir, tmp_path)
@@ -360,6 +384,14 @@ class TestPredictAndEval:
             "frequency:",
         ),
         "short_counts": (lambda raw: raw["frequency"]["entries"][0][2].pop(), "frequency:"),
+        "frequency_not_object": (lambda raw: raw.update(frequency=[]),
+                                 "frequency: expected a JSON object"),
+        "frequency_without_entries": (lambda raw: raw["frequency"].pop("entries"),
+                                      "frequency: missing key 'entries'"),
+        "entries_not_list": (
+            lambda raw: raw["frequency"].update(entries={}),
+            "frequency: entries must be a list of [subject, object, counts] lists",
+        ),
         "repeated_class_pair": (
             lambda raw: raw["frequency"]["entries"].insert(1, raw["frequency"]["entries"][0]),
             "frequency: entry 1: repeats entry 0's class pair",
@@ -804,6 +836,107 @@ class TestPredictAndEval:
         err = capsys.readouterr().err
         assert code == 2
         assert f"{tmp_path / 'train.jsonl'}: image 'img' gt box 0: prdcls needs" in err, err
+
+
+def _never_read(*args):
+    raise AssertionError("a file was read before the settings were checked")
+
+
+class TestSettingsCheckedBeforeAnyFile:
+    # (command, flags, message)
+    CASES = [
+        ("train", ["--lr", "0"], "learning rate must be finite and positive, got 0.0"),
+        ("train", ["--lr", "nan"], "learning rate must be finite and positive, got nan"),
+        ("train", ["--momentum", "1"], "momentum must be in [0, 1), got 1.0"),
+        ("train", ["--batch-size", "0"], "batch size must be positive, got 0"),
+        ("train", ["--epochs", "-1"], "epochs must be >= 0, got -1"),
+        ("train", ["--neg-ratio", "-1"], "negative ratio must be finite and >= 0, got -1.0"),
+        ("train", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("train", ["--branches", "x"], "unknown branch token 'x'"),
+        ("ablate", ["--lr", "0"], "learning rate must be finite and positive, got 0.0"),
+        ("eval", ["--iou-threshold", "0"], "iou threshold must be in (0, 1], got 0.0"),
+        ("eval", ["--iou-threshold", "1.5"], "iou threshold must be in (0, 1], got 1.5"),
+        ("eval", ["--iou-threshold", "-0.5"], "iou threshold must be in (0, 1], got -0.5"),
+        ("eval", ["--k-per-pair", "0"],
+         "k per pair must be a positive integer or 'free', got 0"),
+        ("eval", ["--graph-constraint", "on", "--k-per-pair", "2"],
+         "the graph constraint is the per-pair budget 1; set no k per pair"),
+    ]
+
+    @pytest.mark.parametrize("command, flags, message", CASES,
+                             ids=[f"{c} {' '.join(f)}" for c, f, _ in CASES])
+    def test_bad_setting_exits_1_before_any_file_is_read(self, tmp_path, monkeypatch, capsys,
+                                                         command, flags, message):
+        for loader in ("load_vocabulary", "load_dataset", "load_checkpoint", "load_predictions"):
+            monkeypatch.setattr(f"relfusion.cli.{loader}", _never_read)
+        absent = str(tmp_path / "absent.jsonl")
+        inputs = {"train": ["--train", absent, "--checkpoint", str(tmp_path / "m.json")],
+                  "ablate": ["--train", absent, "--test", absent, "--out", str(tmp_path / "a.csv")],
+                  "eval": ["--test", absent, "--predictions", absent,
+                           "--out", str(tmp_path / "r.json")]}[command]
+        code = main([command, "--vocab", absent, *inputs, *flags])
+        err = capsys.readouterr().err
+        assert code == 1 and f"usage error: {message}" in err, err
+        assert not any(tmp_path.iterdir())
+
+
+class TestTrainingDataErrorsNameTheFile:
+    @staticmethod
+    def _record(dets, attributes=()):
+        """Gt boxes 0 and 1 are related, and box 2 has attribute 1; only ``dets`` have features."""
+        gt = [GtObject(0, box(0, 0, 10, 10)), GtObject(1, box(5, 5, 20, 20)),
+              GtObject(2, box(60, 60, 90, 90))]
+        return make_record(detections=dets, gt=gt, triplets=[(0, 1, 1)], attributes=attributes)
+
+    MATCHING = [make_detection(0, box(0, 0, 10, 10)), make_detection(1, box(5, 5, 20, 20))]
+    MISSING = [make_detection(0, box(60, 60, 70, 70)), make_detection(1, box(80, 80, 90, 90))]
+    NO_POSITIVES = "no positive training pairs: detections never match ground truth"
+
+    # ablate trains no attribute head, so only train reaches the last message.
+    @pytest.mark.parametrize(
+        "command, dets, attributes, message",
+        [
+            ("train", [], (), "training dataset contains no detections"),
+            ("ablate", [], (), "training dataset contains no detections"),
+            ("train", MISSING, (), NO_POSITIVES),
+            ("ablate", MISSING, (), NO_POSITIVES),
+            ("train", MATCHING, [(2, 1)], "no attribute annotations with usable features"),
+        ],
+        ids=["train no detections", "ablate no detections", "train no positives",
+             "ablate no positives", "train no usable attribute"],
+    )
+    def test_message_names_the_training_file(self, tmp_path, capsys, command, dets, attributes,
+                                             message):
+        train_path, vocab = tmp_path / "train.jsonl", tmp_path / "vocab.json"
+        save_dataset([self._record(dets, attributes)], train_path)
+        save_vocabulary(tiny_vocab(num_attributes=2), vocab)
+        out = ["--checkpoint", str(tmp_path / "m.json")] if command == "train" else [
+            "--test", str(train_path), "--out", str(tmp_path / "a.csv")]
+        code = main([command, "--train", str(train_path), "--vocab", str(vocab), *out,
+                     "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert code == 2 and f"data error: {train_path}: {message}" in err, err
+
+
+@pytest.mark.parametrize(
+    "key, item, message",
+    [("gt_triplets", [0, 1], "gt triplet 0: expected [sub_idx, pred_id, obj_idx]"),
+     ("gt_attributes", [0, 1, 2], "gt attribute 0: expected [gt_idx, attr_id]")],
+    ids=["two-item triplet", "three-item attribute"],
+)
+def test_short_gt_item_exits_2_naming_the_line(synth_dir, tmp_path, capsys, key, item, message):
+    lines = (synth_dir / "test.jsonl").read_text().splitlines(keepends=True)
+    row = json.loads(lines[1])
+    row[key] = [item]
+    lines[1] = json.dumps(row) + "\n"
+    test = tmp_path / "test.jsonl"
+    test.write_text("".join(lines))
+    (tmp_path / "none.jsonl").write_text("")
+    code = main(["eval", "--test", str(test), "--vocab", str(synth_dir / "vocab.json"),
+                 "--predictions", str(tmp_path / "none.jsonl"), "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"{test}:2: image {row['image_id']!r} {message}" in err, err
 
 
 def _train_with_config(synth_dir, tmp_path, config, extra=()):

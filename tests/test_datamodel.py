@@ -254,6 +254,15 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=f"{path}:3: image 'a' already on line 1$"):
             load_dataset(path, tiny_vocab())
 
+    def test_blank_lines_are_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n" + json.dumps(_valid_line("a")) + "\n  \n\n"
+                        + json.dumps(_valid_line("b")) + "\n\n{oops\n")
+        with pytest.raises(DataError, match=f"{path}:7: invalid JSON"):
+            load_dataset(path, tiny_vocab())
+        path.write_text(path.read_text().replace("{oops\n", ""))
+        assert [r.image_id for r in load_dataset(path, tiny_vocab())] == ["a", "b"]
+
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps(_valid_line()) + "\n{oops\n")
@@ -319,6 +328,16 @@ class TestLoadDataset:
                 lambda l: l["gt_triplets"].append(5),
                 "gt_triplets must be a list of lists",
                 id="int triplet",
+            ),
+            pytest.param(
+                lambda l: l.update(gt_triplets=[[0, 1]]),
+                r"d\.jsonl:1: image 'a' gt triplet 0: expected \[sub_idx, pred_id, obj_idx\]",
+                id="two-item triplet",
+            ),
+            pytest.param(
+                lambda l: l.update(gt_attributes=[[0, 0, 0]]),
+                r"d\.jsonl:1: image 'a' gt attribute 0: expected \[gt_idx, attr_id\]",
+                id="three-item attribute",
             ),
             pytest.param(
                 lambda l: l.update(gt_triplets=[["0", 1, 1]]),

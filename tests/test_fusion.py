@@ -211,6 +211,32 @@ class TestTraining:
             assert max_relative_error(g, fd) < 1e-4
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("learning_rate", 0.0, "learning rate must be finite and positive, got 0.0"),
+            ("learning_rate", -1.0, "learning rate must be finite and positive, got -1.0"),
+            ("learning_rate", float("nan"), "learning rate must be finite and positive, got nan"),
+            ("learning_rate", float("inf"), "learning rate must be finite and positive, got inf"),
+            ("momentum", -0.1, "momentum must be in [0, 1), got -0.1"),
+            ("momentum", 1.0, "momentum must be in [0, 1), got 1.0"),
+            ("seed", -1, "seed must be >= 0, got -1"),
+            ("epochs", -1, "epochs must be >= 0, got -1"),
+            ("batch_size", 0, "batch size must be positive, got 0"),
+            ("negative_ratio", float("inf"), "negative ratio must be finite and >= 0, got inf"),
+        ],
+    )
+    def test_bad_setting_is_named(self, name, value, message):
+        with pytest.raises(ValueError) as err:
+            TrainConfig(**{name: value})
+        assert str(err.value) == message
+
+    def test_edge_values_are_accepted(self):
+        TrainConfig(epochs=0, batch_size=1, learning_rate=1e-300, momentum=0.0,
+                    negative_ratio=0.0, seed=0)
+
+
 class TestPredictImage:
     def test_no_detections_empty(self):
         assert predict_image(_toy_model(), make_record()) == []

@@ -1,6 +1,9 @@
 """Evaluation protocols against hand values and the brute-force reference."""
 
 import dataclasses
+import functools
+import math
+import operator
 import re
 
 import numpy as np
@@ -414,6 +417,39 @@ def _brute_kept(ranked, budget):
         t for i, t in enumerate(ranked)
         if budget is None or sum(_pair(u) == _pair(t) for u in ranked[:i]) < budget
     ]
+
+
+class TestMeansAreLeftFolds:
+    """Means add left to right, as builtin sum() did before Python 3.12 compensated."""
+
+    TENTHS = functools.reduce(operator.add, [0.1] * 10, 0.0) / 10
+
+    def test_the_case_tells_a_left_fold_from_compensated_summation(self):
+        assert self.TENTHS != math.fsum([0.1] * 10) / 10
+
+    @staticmethod
+    def _ten_gts(predicate):
+        """Ten ground-truth triplets with one predicate, and a prediction matching the first."""
+        gts = [_gt(box(40 * j, 0, 40 * j + 10, 10), 0, predicate,
+                   box(40 * j + 20, 0, 40 * j + 30, 10), 1) for j in range(10)]
+        g = gts[0]
+        return gts, _pred(g.sub_box, 0, predicate, g.obj_box, 1, 0.5)
+
+    def test_recall_of_ten_images_each_at_one_tenth(self):
+        gts, pred = self._ten_gts(1)
+        ground_truth = {f"img{i}": gts for i in range(10)}
+        predictions = {image_id: [pred] for image_id in ground_truth}
+        assert recall_at_k(predictions, ground_truth, 50, MatchSpec()) == self.TENTHS
+
+    def test_map_of_ten_predicates_each_at_one_tenth(self):
+        gts, preds = [], []
+        for p in range(1, 11):
+            more, pred = self._ten_gts(p)
+            gts += more
+            preds.append(pred)
+        mean, table = mean_average_precision({"a": preds}, {"a": gts}, 10, "rel", MatchSpec())
+        assert list(table.values()) == [0.1] * 10
+        assert mean == self.TENTHS
 
 
 class TestOiScore:

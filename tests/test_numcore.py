@@ -10,7 +10,6 @@ from relfusion.datamodel import DataError
 from relfusion.numcore import (
     DenseLayer,
     Mlp,
-    OptimizerState,
     backward,
     fd_gradient,
     forward,
@@ -216,37 +215,34 @@ class TestSoftmax:
 class TestSgd:
     def test_zero_grad_no_change(self):
         p = np.array([1.0, 2.0])
-        state = OptimizerState(learning_rate=0.1, momentum=0.9)
-        sgd_step([p], [np.zeros(2)], state)
+        sgd_step([p], [np.zeros(2)], [np.zeros(2)], 0.1, 0.9)
         assert np.array_equal(p, [1.0, 2.0])
 
     def test_plain_gradient_descent(self):
         p = np.array([1.0, 2.0])
         g = np.array([0.5, -0.5])
-        state = OptimizerState(learning_rate=0.1, momentum=0.0)
-        sgd_step([p], [g], state)
+        sgd_step([p], [g], [np.zeros(2)], 0.1, 0.0)
         assert np.allclose(p, [0.95, 2.05], atol=1e-15)
 
     def test_quadratic_converges_geometrically(self):
         # f(w) = ||w||^2, grad = 2w, lr 0.1 -> w scales by 0.8 per step
         w = np.array([1.0, 1.0])
-        state = OptimizerState(learning_rate=0.1, momentum=0.0)
+        velocities = [np.zeros(2)]
         for _ in range(100):
-            sgd_step([w], [2.0 * w], state)
+            sgd_step([w], [2.0 * w], velocities, 0.1, 0.0)
         assert np.linalg.norm(w) < 1e-6
         assert np.allclose(w, 0.8**100 * np.ones(2), rtol=1e-9)
 
     def test_shape_mismatch(self):
-        state = OptimizerState(learning_rate=0.1)
         with pytest.raises(ValueError):
-            sgd_step([np.zeros(2)], [np.zeros(3)], state)
+            sgd_step([np.zeros(2)], [np.zeros(3)], [np.zeros(2)], 0.1, 0.0)
 
     def test_momentum_accumulates(self):
         p = np.zeros(1)
         g = np.ones(1)
-        state = OptimizerState(learning_rate=1.0, momentum=0.5)
-        sgd_step([p], [g], state)  # v = -1, p = -1
-        sgd_step([p], [g], state)  # v = -1.5, p = -2.5
+        velocities = [np.zeros(1)]
+        sgd_step([p], [g], velocities, 1.0, 0.5)  # v = -1, p = -1
+        sgd_step([p], [g], velocities, 1.0, 0.5)  # v = -1.5, p = -2.5
         assert p[0] == pytest.approx(-2.5, abs=1e-15)
 
 

@@ -210,6 +210,14 @@ class TestLoader:
             _random_file(np.random.default_rng(seed), path)
             _assert_loads_as_reference(path)
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        rows = [json.dumps({"image_id": i, "triplets": [_GOOD]}) for i in ("x", "y")]
+        plain, spaced = tmp_path / "plain.jsonl", tmp_path / "spaced.jsonl"
+        plain.write_text("".join(row + "\n" for row in rows))
+        spaced.write_text("\n" + rows[0] + "\n \t\n\n" + rows[1] + "\n\n")
+        assert load_predictions(spaced) == load_predictions(plain)
+        assert list(load_predictions(spaced)) == ["x", "y"]
+
     def test_equal_lists_on_one_line_give_one_box(self, tmp_path):
         def item(sub_box, obj_box):
             return {"sub_box": sub_box, "sub_label": 0, "predicate": 1,

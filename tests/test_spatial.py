@@ -7,7 +7,6 @@ import pytest
 
 from relfusion.datamodel import Box, box_array
 from relfusion.numcore import (
-    OptimizerState,
     backward,
     forward,
     init_mlp,
@@ -197,7 +196,7 @@ class TestSpatialLogits:
         rng = np.random.default_rng(7)
         mlp = init_mlp([22, 32, 3], rng)
         params = [p for layer in mlp.layers for p in (layer.weights, layer.bias)]
-        state = OptimizerState(learning_rate=0.05, momentum=0.9)
+        velocities = [np.zeros_like(p) for p in params]
 
         def sample_pair():
             x0, y0 = rng.uniform(0, 60, size=2)
@@ -214,7 +213,7 @@ class TestSpatialLogits:
             out, cache = forward(mlp, feat)
             _, dlogits = softmax_xent(out, target)
             grads = backward(mlp, cache, dlogits)
-            sgd_step(params, [g for dw_db in grads for g in dw_db], state)
+            sgd_step(params, [g for dw_db in grads for g in dw_db], velocities, 0.05, 0.9)
 
         flips = 0
         trials = 50

@@ -57,6 +57,43 @@ class TestGenerate:
         with pytest.raises(ValueError):
             SynthConfig(semantic_signal=False, spatial_signal=False, visual_signal=False)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"num_images": -3}, "num images must be >= 0, got -3"),
+            ({"num_test_images": -1}, "num test images must be >= 0, got -1"),
+            ({"objects_per_image": (5, 2)},
+             "objects per image must be a (min, max) pair with 0 <= min <= max, got (5, 2)"),
+            ({"objects_per_image": (-1, 2)},
+             "objects per image must be a (min, max) pair with 0 <= min <= max, got (-1, 2)"),
+            ({"num_classes": 0}, "num classes must be >= 1, got 0"),
+            ({"num_predicates": 0, "spatial_signal": False}, "num predicates must be >= 1, got 0"),
+            ({"feature_dim": 0}, "feature dim must be >= 1, got 0"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"num_attributes": -1}, "num attributes must be >= 0, got -1"),
+            ({"noise": float("nan")}, "noise must be finite and >= 0, got nan"),
+            ({"noise": -0.5}, "noise must be finite and >= 0, got -0.5"),
+            ({"appearance_weight": float("nan")},
+             "appearance weight must be finite and >= 0, got nan"),
+            ({"existence_weight": float("inf")},
+             "existence weight must be finite and >= 0, got inf"),
+            ({"table_concentration": 0.0}, "table concentration must be finite and > 0, got 0.0"),
+            ({"table_concentration": float("inf")},
+             "table concentration must be finite and > 0, got inf"),
+        ],
+    )
+    def test_bad_field_is_named(self, fields, message):
+        with pytest.raises(ValueError) as err:
+            SynthConfig(**fields)
+        assert str(err.value) == message
+
+    def test_edge_values_generate(self):
+        cfg = SynthConfig(num_images=0, num_test_images=1, objects_per_image=(0, 0),
+                          num_classes=1, num_predicates=2, feature_dim=1, seed=0, noise=0.0,
+                          num_attributes=0, appearance_weight=0.0, existence_weight=0.0)
+        res = generate(cfg)
+        assert res.train == [] and len(res.test) == 1 and res.test[0].detections == []
+
     def test_vocabulary_names(self):
         res = generate(SynthConfig(seed=1, num_images=2, num_test_images=1))
         assert res.vocab.predicates[0] == "__no_rel__"

@@ -81,6 +81,14 @@ def parse_branches(text: str) -> BranchMask:
     return BranchMask(**{name: token in tokens for token, name in _BRANCH_TOKENS.items()})
 
 
+def non_negative_int(text: str) -> int:
+    """The --top-n type: an integer >= 0, checked before any file is read."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"top_n must be >= 0, got {value}")
+    return value
+
+
 def k_per_pair(text: str):
     """The --k-per-pair type: 'free' or an integer; MatchSpec checks the range."""
     return text if text == "free" else int(text)
@@ -104,7 +112,7 @@ _SHARED_FLAGS = {
     "--test": {"required": True, "dest": "test_path"},
     "--vocab": {"required": True},
     "--mode": {"choices": EVAL_MODES, "default": "sgdet"},
-    "--top-n": {"type": int, "default": 100},
+    "--top-n": {"type": non_negative_int, "default": 100},
     "--graph-constraint": {"choices": ("on", "off"), "default": "off"},
     "--smoothing": {"type": float, "default": 1.0},
 }
@@ -224,8 +232,8 @@ def cmd_gen_synth(args) -> int:
         spatial_signal="p" in signals,
         visual_signal="v" in signals,
     )
+    os.makedirs(args.out, exist_ok=True)  # an --out that cannot be a directory fails here
     result = generate(cfg)
-    os.makedirs(args.out, exist_ok=True)
     save_dataset(result.train, os.path.join(args.out, "train.jsonl"))
     save_dataset(result.test, os.path.join(args.out, "test.jsonl"))
     save_vocabulary(result.vocab, os.path.join(args.out, "vocab.json"))

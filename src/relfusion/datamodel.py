@@ -16,11 +16,16 @@ Datasets live in a JSONL file, one image per line:
      "pair_features": [{"sub": int, "obj": int, "feature": [...]}]?}
 
 ``gt_boxes[*].feature`` and ``pair_features`` are optional; when present
-they must match the dataset feature dimension D.
+they must match the dataset feature dimension D. Each ``feature`` is
+either a list of D numbers or an encoded array, the form checkpoints use
+for weights: ``{"dtype": "<f8", "shape": [D], "data": "<base64>"}`` (see
+:func:`array_to_json`). Both forms read to the same float64 bits, and
+:func:`save_dataset` writes the encoded one.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import itertools
 import json
@@ -383,6 +388,12 @@ def parse_box(raw, where: str) -> Box:
         raise DataError(f"{where}: {exc}") from exc
 
 
+def _finite(arr: np.ndarray, where: str) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise DataError(f"{where}: non-finite values")
+    return arr
+
+
 def parse_array(raw, ndim: int, where: str) -> np.ndarray:
     """A float64 array of ``ndim`` (1 or 2) dimensions of JSON numbers; else a DataError."""
     try:
@@ -395,14 +406,57 @@ def parse_array(raw, ndim: int, where: str) -> np.ndarray:
     elements = raw if ndim == 1 else itertools.chain.from_iterable(raw)
     if not _ELEMENT_TYPES.issuperset(map(type, elements)):
         raise DataError(f"{where}: not an array of numbers (holds a string or true/false)")
-    if not np.all(np.isfinite(arr)):
-        raise DataError(f"{where}: non-finite values")
-    return arr
+    return _finite(arr, where)
+
+
+# An encoded array, a checkpoint weight or a dataset feature, is
+# {"dtype": "<f8", "shape": [...], "data": <base64 of its little-endian
+# bytes in C order>}, exact for every float64.
+_DTYPE = "<f8"
+
+
+def array_to_json(arr: np.ndarray) -> dict:
+    data = base64.b64encode(arr.astype(_DTYPE).tobytes()).decode("ascii")
+    return {"dtype": _DTYPE, "shape": list(arr.shape), "data": data}
+
+
+def _array_bytes(raw, ndim: int, where: str) -> tuple[list[int], bytes]:
+    """The shape and data bytes of an ``ndim``-d :func:`array_to_json` object; else a DataError."""
+    if not isinstance(raw, dict):
+        raise DataError(f'{where}: expected a {ndim}-d array {{"dtype": "{_DTYPE}", "shape":'
+                        f' [...], "data": "<base64>"}}, got {raw!r:.40}')
+    dtype, shape, data = raw.get("dtype"), raw.get("shape"), raw.get("data")
+    if dtype != _DTYPE:
+        raise DataError(f"{where}: dtype {dtype!r:.40} is not {_DTYPE!r}")
+    # The bound keeps numpy's size limit off a zero-size array, (0, 10**18) say.
+    if not (is_list_of(shape, int) and len(shape) == ndim and all(0 <= n < 2**31 for n in shape)):
+        raise DataError(f"{where}: shape must be a {ndim}-item list of integers in 0..2**31-1,"
+                        f" got {shape!r:.40}")
+    if type(data) is not str:
+        raise DataError(f"{where}: data must be a base64 string, got {data!r:.40}")
+    try:
+        buf = base64.b64decode(data, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character beyond ASCII
+        raise DataError(f"{where}: data is not base64 ({exc})") from None
+    if len(buf) != (size := 8 * math.prod(shape)):
+        raise DataError(f"{where}: not an array of shape {shape}: {len(buf)} bytes of data,"
+                        f" expected {size}")
+    return shape, buf
+
+
+def array_from_json(raw, ndim: int, where: str) -> np.ndarray:
+    """A finite ``ndim``-d float64 array from :func:`array_to_json`'s object; else a DataError."""
+    shape, buf = _array_bytes(raw, ndim, where)
+    return _finite(np.frombuffer(buf, _DTYPE).reshape(shape).astype(np.float64), where)
 
 
 def _parse_feature(raw, expected_dim: int | None, where: str) -> np.ndarray:
-    """A finite flat feature, of length ``expected_dim`` unless that is None."""
-    feat = parse_array(raw, 1, f"{where} feature")
+    """A finite flat feature, of length ``expected_dim`` unless that is None.
+
+    ``raw`` is a list of numbers or, as an object, an encoded array.
+    """
+    parse = array_from_json if isinstance(raw, dict) else parse_array
+    feat = parse(raw, 1, f"{where} feature")
     if expected_dim is not None and feat.shape[0] != expected_dim:
         raise DataError(
             f"{where}: feature dimension {feat.shape[0]} != dataset dimension {expected_dim}"
@@ -410,17 +464,37 @@ def _parse_feature(raw, expected_dim: int | None, where: str) -> np.ndarray:
     return feat
 
 
+def _encoded_rows(feats: list[dict], where: str) -> np.ndarray:
+    """Encoded 1-d arrays of one length as the rows of one finite array; else a DataError.
+
+    Each item is base64-decoded on its own: joined, the strings of items
+    that end in padding would not decode.
+    """
+    parts = [_array_bytes(feat, 1, where) for feat in feats]
+    dim = parts[0][0][0]
+    if any(shape[0] != dim for shape, _ in parts):
+        raise DataError(f"{where}: features of more than one dimension")
+    rows = np.frombuffer(b"".join(buf for _, buf in parts), _DTYPE).reshape(len(parts), dim)
+    return _finite(rows, where).astype(np.float64)
+
+
 def _feature_rows(group: list[dict], feature_dim: int | None, where: str) -> np.ndarray | None:
     """The group's item features as the rows of one array, or None if one of them is bad.
 
-    One :func:`parse_array` call checks the whole group; on None the caller
-    parses each item with :func:`_parse_feature`, which names the first bad one.
+    One :func:`parse_array` call checks a group of lists, and one
+    :func:`_encoded_rows` call a group of encoded arrays. On None the
+    caller parses each item with :func:`_parse_feature`, which names the
+    first bad one.
     """
+    feats = [item.get("feature") for item in group]
     try:  # an empty group parses as 1-d, so gives None
-        feats = parse_array([item.get("feature") for item in group], 2, where)
+        if feats and isinstance(feats[0], dict):  # a list among them is a DataError
+            rows = _encoded_rows(feats, where)
+        else:
+            rows = parse_array(feats, 2, where)
     except DataError:
         return None
-    return feats if feature_dim in (None, feats.shape[1]) else None
+    return rows if feature_dim in (None, rows.shape[1]) else None
 
 
 def _parse_record(raw: dict, vocab: Vocabulary, feature_dim: int | None) -> tuple[ImageRecord, int | None]:
@@ -560,13 +634,13 @@ def _record_to_json(record: ImageRecord) -> dict:
                 "label": d.label,
                 "box": d.box.to_list(),
                 "score": d.score,
-                "feature": d.feature.tolist(),
+                "feature": array_to_json(d.feature),
             }
             for d in record.detections
         ],
         "gt_boxes": [
             {"label": g.label, "box": g.box.to_list()}
-            | ({"feature": g.feature.tolist()} if g.feature is not None else {})
+            | ({"feature": array_to_json(g.feature)} if g.feature is not None else {})
             for g in record.gt_boxes
         ],
         "gt_triplets": [list(t) for t in record.gt_triplets],
@@ -574,7 +648,7 @@ def _record_to_json(record: ImageRecord) -> dict:
     }
     if record.pair_features:
         out["pair_features"] = [
-            {"sub": s, "obj": o, "feature": f.tolist()}
+            {"sub": s, "obj": o, "feature": array_to_json(f)}
             for (s, o), f in sorted(record.pair_features.items())
         ]
     return out

@@ -8,13 +8,11 @@ finite-difference helper provides the independent check.
 
 from __future__ import annotations
 
-import base64
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import DataError, is_list_of
+from .datamodel import DataError, array_from_json, array_to_json, is_list_of
 
 
 class NumericError(RuntimeError):
@@ -198,47 +196,10 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float =
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
 
 
-# A saved array is {"dtype": "<f8", "shape": [...], "data": <base64 of its
-# little-endian bytes in C order>}, exact for every float64.
-_DTYPE = "<f8"
-
-
-def _array_to_json(arr: np.ndarray) -> dict:
-    data = base64.b64encode(arr.astype(_DTYPE).tobytes()).decode("ascii")
-    return {"dtype": _DTYPE, "shape": list(arr.shape), "data": data}
-
-
-def _array_from_json(raw, ndim: int, where: str) -> np.ndarray:
-    """A finite ``ndim``-d float64 array from :func:`_array_to_json`'s object; else a DataError."""
-    if not isinstance(raw, dict):
-        raise DataError(f'{where}: expected a {ndim}-d array {{"dtype": "{_DTYPE}", "shape":'
-                        f' [...], "data": "<base64>"}}, got {raw!r:.40}')
-    dtype, shape, data = raw.get("dtype"), raw.get("shape"), raw.get("data")
-    if dtype != _DTYPE:
-        raise DataError(f"{where}: dtype {dtype!r:.40} is not {_DTYPE!r}")
-    # The bound keeps numpy's size limit off a zero-size array, (0, 10**18) say.
-    if not (is_list_of(shape, int) and len(shape) == ndim and all(0 <= n < 2**31 for n in shape)):
-        raise DataError(f"{where}: shape must be a {ndim}-item list of integers in 0..2**31-1,"
-                        f" got {shape!r:.40}")
-    if type(data) is not str:
-        raise DataError(f"{where}: data must be a base64 string, got {data!r:.40}")
-    try:
-        buf = base64.b64decode(data, validate=True)
-    except ValueError as exc:  # binascii.Error, or a character beyond ASCII
-        raise DataError(f"{where}: data is not base64 ({exc})") from None
-    if len(buf) != (size := 8 * math.prod(shape)):
-        raise DataError(f"{where}: not an array of shape {shape}: {len(buf)} bytes of data,"
-                        f" expected {size}")
-    arr = np.frombuffer(buf, _DTYPE).reshape(shape).astype(np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise DataError(f"{where}: non-finite values")
-    return arr
-
-
 def mlp_to_json(mlp: Mlp) -> dict:
     return {
         "layers": [
-            {"weights": _array_to_json(l.weights), "bias": _array_to_json(l.bias)}
+            {"weights": array_to_json(l.weights), "bias": array_to_json(l.bias)}
             for l in mlp.layers
         ]
     }
@@ -251,8 +212,8 @@ def mlp_from_json(raw) -> Mlp:
         raise DataError('expected {"layers": [...]}, a non-empty list of objects')
     out = []
     for i, layer in enumerate(layers):
-        weights = _array_from_json(layer.get("weights"), 2, f"layer {i} weights")
-        bias = _array_from_json(layer.get("bias"), 1, f"layer {i} bias")
+        weights = array_from_json(layer.get("weights"), 2, f"layer {i} weights")
+        bias = array_from_json(layer.get("bias"), 1, f"layer {i} bias")
         if bias.shape != weights.shape[:1]:
             raise DataError(f"layer {i}: {bias.shape[0]} biases for {weights.shape[0]} outputs")
         out.append(DenseLayer(weights, bias))

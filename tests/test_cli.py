@@ -131,6 +131,19 @@ class TestGenSynth:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("where", ["a file", "under a file"])
+    def test_out_that_cannot_be_a_directory_exits_1_before_generating(
+            self, tmp_path, capsys, monkeypatch, where):
+        monkeypatch.setattr("relfusion.cli.generate", _never_called)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile if where == "a file" else afile / "out"
+        assert main(["gen-synth", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and str(out) in err, err
+        assert afile.read_text() == ""
+
+
 class TestTrain:
     def test_writes_checkpoint_and_history(self, synth_dir, tmp_path):
         ckpt = _train(synth_dir, tmp_path)
@@ -762,6 +775,31 @@ class TestPredictAndEval:
         code, out = predict(0)
         assert code == 0
         assert all(json.loads(line)["triplets"] == [] for line in out.read_text().splitlines())
+
+    @pytest.mark.parametrize("command", ["predict", "ablate"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_top_n_on_empty_test_set_exits_1_before_any_file_is_read(
+            self, tmp_path, monkeypatch, capsys, command, source):
+        # With no test image, no per-image check would ever see the value.
+        for loader in ("load_vocabulary", "load_dataset", "load_checkpoint"):
+            monkeypatch.setattr(f"relfusion.cli.{loader}", _never_called)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "out"
+        inputs = {"predict": ["--checkpoint", str(tmp_path / "m.json")],
+                  "ablate": ["--train", str(empty)]}[command]
+        argv = [command, "--test", str(empty), "--vocab", str(tmp_path / "vocab.json"),
+                *inputs, "--out", str(out)]
+        if source == "flag":
+            argv += ["--top-n", "-1"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"top_n": -1}))
+            argv = ["--config", str(config), *argv]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1 and "usage error: argument --top-n: top_n must be >= 0, got -1" in err
+        assert not out.exists()
 
     def test_empty_dataset_empty_predictions(self, synth_dir, tmp_path):
         ckpt = _train(synth_dir, tmp_path)

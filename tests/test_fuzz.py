@@ -7,6 +7,12 @@ in an integer too large for a float (10**400) or truncates the text. The command
 or 2 with the file's path in the message. It must never raise, warn or
 exit 3. Two more tests put one byte that is not UTF-8 into each file, or a
 directory in its place.
+
+``gen-synth`` writes features as encoded arrays, so ``test.jsonl`` fuzzes
+that form; ``list-test.jsonl``, the same images with every feature as a
+list of numbers, fuzzes the other. One more test damages one encoded
+feature in each way its reader must reject: bad base64, a wrong byte
+count, a wrong dtype, NaN bytes, a shape other than [D] and another D.
 """
 
 import json
@@ -19,8 +25,11 @@ from relfusion.cli import main
 from relfusion.fusion import EVAL_MODES, load_checkpoint, save_checkpoint
 from relfusion.numcore import init_mlp
 
+from util import array_json, feature_array, list_form, rewrite_features
+
 MUTATIONS = ("delete", "retype", "out_of_range", "nan", "huge", "truncate")
-TARGETS = ("test.jsonl", "vocab.json", "pred.jsonl", "model.json", "config.json")
+TEST_SETS = ("test.jsonl", "list-test.jsonl")
+TARGETS = (*TEST_SETS, "vocab.json", "pred.jsonl", "model.json", "config.json")
 CASES_PER_FILE = 18
 
 CONFIG = {"epochs": 1, "batch_size": 16, "lr": 0.01, "momentum": 0.9, "neg_ratio": 1.0,
@@ -46,6 +55,10 @@ def valid_dir(tmp_path_factory):
                  "--checkpoint", files["model.json"], "--out", files["pred.jsonl"],
                  "--attributes"]) == 0
     (out / "config.json").write_text(json.dumps(CONFIG))
+    lines = (out / "test.jsonl").read_text().splitlines()
+    (out / "list-test.jsonl").write_text(
+        "".join(json.dumps(rewrite_features(json.loads(line), list_form)) + "\n"
+                for line in lines))
     return out
 
 
@@ -120,10 +133,11 @@ def _command(d, target, rng):
     if target == "config.json":
         return ["--config", str(d / "config.json"), "train", "--train", str(d / "train.jsonl"),
                 "--vocab", str(d / "vocab.json"), "--checkpoint", str(d / "out.json")]
-    if target in ("vocab.json", "pred.jsonl") or (target == "test.jsonl" and rng.random() < 0.5):
-        return ["eval", "--test", str(d / "test.jsonl"), "--predictions", str(d / "pred.jsonl"),
+    test = str(d / (target if target in TEST_SETS else "test.jsonl"))
+    if target in ("vocab.json", "pred.jsonl") or (target in TEST_SETS and rng.random() < 0.5):
+        return ["eval", "--test", test, "--predictions", str(d / "pred.jsonl"),
                 "--out", str(d / "report.json"), *common]
-    return ["predict", "--test", str(d / "test.jsonl"), "--checkpoint", str(d / "model.json"),
+    return ["predict", "--test", test, "--checkpoint", str(d / "model.json"),
             "--out", str(d / "out.jsonl"), "--attributes", *common]
 
 
@@ -177,3 +191,42 @@ def test_directory_in_place_of_input_exits_1_naming_it(valid_dir, tmp_path, caps
     code = main(_command(d, target, np.random.default_rng(sum(map(ord, target)))))
     err = capsys.readouterr().err
     assert code == 1 and str(path) in err, err
+
+
+# Damage to one encoded feature: (edit of the feature object, the message).
+# The fixture's feature dimension D is 4.
+ENCODED_DAMAGE = {
+    "bad base64": (lambda f: f | {"data": "*" + f["data"][1:]}, " feature: data is not base64"),
+    "wrong byte count": (lambda f: array_json(feature_array(f)[:-1], shape=f["shape"]),
+                         " feature: not an array of shape [4]: 24 bytes of data, expected 32"),
+    "wrong dtype": (lambda f: f | {"dtype": "<f4"}, " feature: dtype '<f4' is not '<f8'"),
+    "NaN bytes": (lambda f: array_json(np.full(4, np.nan)), " feature: non-finite values"),
+    "shape other than [D]": (lambda f: f | {"shape": [1, 4]},
+                             " feature: shape must be a 1-item list of integers"),
+    "other D": (lambda f: array_json(np.append(feature_array(f), 1.0)),
+                ": feature dimension 5 != dataset dimension 4"),
+}
+
+
+@pytest.mark.parametrize("key, noun", [("detections", "detection"), ("gt_boxes", "gt box"),
+                                       ("pair_features", "pair feature")])
+@pytest.mark.parametrize("damage", ENCODED_DAMAGE)
+def test_damaged_encoded_feature_exits_2_naming_the_line(valid_dir, tmp_path, capsys, key,
+                                                         noun, damage):
+    d = tmp_path / "d"
+    shutil.copytree(valid_dir, d)
+    path = d / "test.jsonl"
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    # The last item of a line after the first, so the first line sets D.
+    k = max(k for k, line in enumerate(lines) if line.get("pair_features"))
+    assert k >= 1
+    line = lines[k]
+    edit, message = ENCODED_DAMAGE[damage]
+    feature = line["detections"][-1]["feature"]  # gt boxes have none; they take this one
+    line[key][-1]["feature"] = edit(feature)
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    code = main(["eval", "--test", str(path), "--predictions", str(d / "pred.jsonl"),
+                 "--out", str(d / "report.json"), "--vocab", str(d / "vocab.json")])
+    err = capsys.readouterr().err
+    where = f"{path}:{k + 1}: image {line['image_id']!r} {noun} {len(line[key]) - 1}"
+    assert code == 2 and f"{where}{message}" in err, err

@@ -59,8 +59,30 @@ def array_json(values, shape=None, dtype="<f8") -> dict:
 
 def edit_array(obj: dict, edit) -> None:
     """Decode the checkpoint array object ``obj``, and store ``edit(array)`` back in it."""
-    arr = np.frombuffer(base64.b64decode(obj["data"]), "<f8").reshape(obj["shape"])
-    obj.update(array_json(edit(arr.copy())))
+    obj.update(array_json(edit(feature_array(obj).copy())))
+
+
+def feature_array(raw) -> np.ndarray:
+    """A list of numbers, or an encoded array object (a dataset feature, a weight), as float64."""
+    if isinstance(raw, dict):
+        return np.frombuffer(base64.b64decode(raw["data"]), "<f8").reshape(raw["shape"])
+    return np.asarray(raw, dtype=np.float64)
+
+
+def rewrite_features(line: dict, encode, keys=("detections", "gt_boxes", "pair_features")):
+    """The dataset line ``line`` (a parsed JSON object, changed in place), each
+    feature of its ``keys`` items replaced by ``encode(array)``: ``list_form``
+    or ``array_json``.
+    """
+    for key in keys:
+        for item in line.get(key, []):
+            if item.get("feature") is not None:
+                item["feature"] = encode(feature_array(item["feature"]))
+    return line
+
+
+def list_form(arr: np.ndarray) -> list:
+    return arr.tolist()
 
 
 def random_box(rng, lo=0.0, hi=100.0, grid=None) -> Box:

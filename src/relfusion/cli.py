@@ -329,10 +329,13 @@ def cmd_predict(args) -> int:
     if head is not None and head.out_dim != len(vocab.attributes):
         raise DataError(f"{args.checkpoint}: attribute_head has {head.out_dim} outputs, not the"
                         f" {len(vocab.attributes)} attributes of {args.vocab}")
+    if args.attributes and head is None:
+        raise DataError(f"{args.checkpoint}: --attributes needs an attribute_head, and the"
+                        " checkpoint has none")
     _, views, _ = _views(args.test_path, vocab, args.mode, model.feature_dim)
     predictions = _predict(model, views, args.top_n)
     attributes = {}
-    if args.attributes and head is not None:
+    if args.attributes:
         attributes = {view.image_id: (view, predict_attributes(head, view)) for view in views}
     save_predictions(predictions, args.out, attributes)
     print(f"wrote predictions for {len(predictions)} images to {args.out}")

@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 
 from .datamodel import (
     Box,
+    _NUMBER_TYPES,
     DataError,
     Detection,
     ImageRecord,
@@ -109,6 +111,8 @@ class FusionModel:
     mask: BranchMask
     vocab_hash: str
     attribute_head: Mlp | None = None  # separate single-object classifier
+    # Built from freq on first use by pair_inputs; freq is frozen from then on.
+    prior: PriorRows | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_predicates(self) -> int:
@@ -117,6 +121,37 @@ class FusionModel:
     @property
     def feature_dim(self) -> int:
         return self.sub_head.in_dim
+
+
+class PriorRows:
+    """The frozen prior's logits: a row per seen class pair and a last, uniform row.
+
+    Every row is :func:`semantic_logits` of its pair, so it has that call's
+    bits; unseen pairs all get the last row. A pair is found by its 1-D
+    code, from class positions numbered in order of first appearance among
+    the seen pairs, so no array is sized by a class id.
+    """
+
+    def __init__(self, freq: FrequencyTable):
+        classes = dict.fromkeys(c for pair in freq.counts for c in pair)
+        self.position = {c: k for k, c in enumerate(classes)}
+        self.width = len(self.position) + 1  # the last position: a class in no seen pair
+        keyed = sorted(
+            (self.position[s] * self.width + self.position[o], s, o) for s, o in freq.counts
+        )
+        # The end code matches no pair: a search that stops there reads the uniform row.
+        self.codes = np.array([code for code, _, _ in keyed] + [self.width**2], dtype=np.int64)
+        unseen = min(self.position, default=0) - 1  # a class id below every seen one
+        pairs = [(s, o) for _, s, o in keyed] + [(unseen, unseen)]
+        self.rows = np.stack([semantic_logits(freq, s, o) for s, o in pairs])
+
+    def take(self, labels: list[int], sub: np.ndarray, obj: np.ndarray) -> np.ndarray:
+        """The rows of the (labels[sub], labels[obj]) class pairs."""
+        unseen = self.width - 1
+        position = np.array([self.position.get(label, unseen) for label in labels])
+        code = position[sub] * self.width + position[obj]
+        at = np.searchsorted(self.codes, code)
+        return self.rows[np.where(self.codes[at] == code, at, len(self.codes) - 1)]
 
 
 # Every trainable net of a FusionModel: the checkpoint keys, in the order
@@ -210,20 +245,19 @@ def pair_inputs(model: FusionModel, record: ImageRecord, pairs) -> PairInputs:
 
     ``pairs`` holds (subject, object) detection indices, as a list of
     tuples or an (N, 2) array. Each input is gathered image-wide by index
-    arrays; the frequency prior is looked up once per distinct class pair.
+    arrays. The frequency prior's rows come from ``model.prior``, which
+    the first call builds from ``model.freq`` with one :func:`semantic_logits`
+    call per seen class pair and one for all unseen pairs.
     """
     sub, obj = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
     dets = record.detections
-    labels = np.array([d.label for d in dets])
     boxes = box_array(d.box for d in dets)
     feats = np.stack([d.feature for d in dets])
 
     def semantic_rows():
-        classes, row = np.unique(
-            np.column_stack([labels[sub], labels[obj]]), axis=0, return_inverse=True
-        )
-        logits = [semantic_logits(model.freq, s, o) for s, o in classes.tolist()]
-        return np.stack(logits)[row.reshape(-1)]
+        if model.prior is None:
+            model.prior = PriorRows(model.freq)
+        return model.prior.take([d.label for d in dets], sub, obj)
 
     rows = {
         "sem": semantic_rows,
@@ -680,6 +714,37 @@ def _parse_triplet(item, box) -> PredictedTriplet:
     return PredictedTriplet(sub_box, sub, pred, obj_box, obj, score)
 
 
+_TRIPLET_FIELDS = operator.itemgetter(
+    "sub_box", "sub_label", "predicate", "obj_box", "obj_label", "score")
+
+
+def _triplet_columns(items: list, box) -> list[PredictedTriplet] | None:
+    """The items as triplets, checked a column at a time; None if any check fails.
+
+    The checks are :func:`_parse_triplet`'s. On None the caller runs that per
+    item, so the first bad item raises its usual message.
+    """
+    try:
+        columns = list(zip(*map(_TRIPLET_FIELDS, items)))
+    except (KeyError, TypeError):  # a missing key, or an item that is no object
+        return None
+    if not columns:
+        return []
+    sub_boxes, sub_labels, predicates, obj_boxes, obj_labels, scores = columns
+    if not ({int}.issuperset(map(type, sub_labels + predicates + obj_labels))
+            and min(predicates) >= 1 and _NUMBER_TYPES.issuperset(map(type, scores))):
+        return None
+    try:
+        values = list(map(float, scores))  # json_number's conversion
+        subs = [box(raw, "sub_box") for raw in sub_boxes]
+        objs = [box(raw, "obj_box") for raw in obj_boxes]
+    except (OverflowError, DataError):  # an integer score beyond float range, a bad box
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return list(map(PredictedTriplet, subs, sub_labels, predicates, objs, obj_labels, values))
+
+
 def _parse_items(raw: dict, key: str, parse, image_id: str, box) -> list:
     """``raw[key]`` (default []) must be a list; each item goes through ``parse(item, box)``."""
     items = raw.get(key, [])
@@ -719,7 +784,10 @@ def load_predictions(
         if not isinstance(image_id, str):
             raise DataError(f"image_id must be a string, got {image_id!r}")
         box = _line_box_parser()
-        triplets = _parse_items(raw, "triplets", _parse_triplet, image_id, box)
+        items = raw.get("triplets")
+        triplets = _triplet_columns(items, box) if type(items) is list else None
+        if triplets is None:
+            triplets = _parse_items(raw, "triplets", _parse_triplet, image_id, box)
         _parse_items(raw, "is_triplets", check_is_triplet, image_id, box)
         return image_id, triplets
 

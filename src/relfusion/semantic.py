@@ -20,7 +20,11 @@ from .datamodel import DataError, ImageRecord, Vocabulary, is_list_of, json_numb
 
 @dataclass
 class FrequencyTable:
-    """Empirical predicate counts per (subject class, object class)."""
+    """Empirical predicate counts per (subject class, object class).
+
+    Frozen once fitted or loaded: a model turns the counts into its prior's
+    rows on first use (``fusion.PriorRows``) and never reads them again.
+    """
 
     num_predicates: int
     smoothing: float = 1.0

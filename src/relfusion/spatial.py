@@ -68,20 +68,21 @@ def normalized_coords(b: Box, width: float, height: float) -> np.ndarray:
 def spatial_features(
     b_sub: np.ndarray, b_obj: np.ndarray, width: float, height: float
 ) -> np.ndarray:
-    """(N, 22) encodings of the subject/object corner arrays' row pairs."""
+    """(N, 22) encodings of the subject/object corner arrays' row pairs.
+
+    The three box deltas are one :func:`box_deltas` call over the stacked
+    pairs, and the two corner sets one :func:`normalized_corners` call.
+    """
     b_pred = np.concatenate(
         [np.minimum(b_sub[:, :2], b_obj[:, :2]), np.maximum(b_sub[:, 2:], b_obj[:, 2:])],
         axis=1,
     )
+    deltas = box_deltas(np.concatenate([b_sub, b_sub, b_pred]),
+                        np.concatenate([b_obj, b_pred, b_obj]))
+    corners = normalized_corners(np.concatenate([b_sub, b_obj]), width, height)
+    n = len(b_sub)
     return np.concatenate(
-        [
-            box_deltas(b_sub, b_obj),
-            box_deltas(b_sub, b_pred),
-            box_deltas(b_pred, b_obj),
-            normalized_corners(b_sub, width, height),
-            normalized_corners(b_obj, width, height),
-        ],
-        axis=1,
+        [deltas[:n], deltas[n : 2 * n], deltas[2 * n :], corners[:n], corners[n:]], axis=1
     )
 
 

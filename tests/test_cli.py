@@ -274,6 +274,22 @@ class TestPredictAndEval:
         entry = first["is_triplets"][0]
         assert set(entry) == {"box", "label", "attribute", "score"}
 
+    def test_attributes_without_an_attribute_head_exits_2(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data"
+        assert main(["gen-synth", "--out", str(data), "--num-images", "10",
+                     "--num-test-images", "3", "--num-attributes", "0", "--seed", "3"]) == 0
+        ckpt = _train(data, tmp_path)
+        assert json.loads(ckpt.read_text())["attribute_head"] is None
+        monkeypatch.setattr("relfusion.cli.predict_image", _never_called)
+        out = tmp_path / "p.jsonl"
+        code = main(["predict", "--test", str(data / "test.jsonl"), "--vocab",
+                     str(data / "vocab.json"), "--checkpoint", str(ckpt), "--out", str(out),
+                     "--attributes"])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"data error: {ckpt}: --attributes needs an attribute_head, and the checkpoint"
+            " has none\n")
+
     def test_vocab_mismatch_exits_2(self, synth_dir, tmp_path):
         ckpt = _train(synth_dir, tmp_path)
         other_vocab = tmp_path / "other_vocab.json"

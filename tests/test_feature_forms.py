@@ -17,6 +17,9 @@ import pytest
 
 from relfusion.cli import main
 from relfusion.datamodel import (
+    DataError,
+    GtObject,
+    _parse_feature,
     array_from_json,
     array_to_json,
     load_dataset,
@@ -162,12 +165,45 @@ def test_a_valid_group_of_one_form_is_parsed_in_one_step(tmp_path, monkeypatch, 
 
     rng = np.random.default_rng(0)
     dets = [make_detection(i, feature=rng.normal(size=5)) for i in range(3)]
+    gts = [GtObject(i, d.box, rng.normal(size=5)) for i, d in enumerate(dets)]
     pairs = {(0, 1): rng.normal(size=5), (2, 0): rng.normal(size=5)}
     path = tmp_path / "d.jsonl"
-    save_dataset([make_record(detections=dets, pair_features=pairs)], path)
+    save_dataset([make_record(detections=dets, gt=gts, pair_features=pairs)], path)
     path.write_text(json.dumps(rewrite_features(json.loads(path.read_text()), encode)) + "\n")
     monkeypatch.setattr("relfusion.datamodel._parse_feature", per_item)
     (back,) = load_dataset(path, tiny_vocab())
     assert [d.feature.tobytes() for d in back.detections] == [d.feature.tobytes() for d in dets]
+    assert [g.feature.tobytes() for g in back.gt_boxes] == [g.feature.tobytes() for g in gts]
     assert {k: f.tobytes() for k, f in back.pair_features.items()} == {
         k: f.tobytes() for k, f in pairs.items()}
+
+
+# Damage to gt box 2's feature, in either form: (edit of the feature, the form).
+GT_DAMAGE = {
+    "null in a list": (lambda f: [None, *f[1:]], list_form),
+    "string in a list": (lambda f: ["1", *f[1:]], list_form),
+    "other D as a list": (lambda f: [*f, 1.0], list_form),
+    "NaN bytes": (lambda f: array_json(np.full(5, np.nan)), array_json),
+    "bad base64": (lambda f: f | {"data": "*" + f["data"][1:]}, array_json),
+    "other D encoded": (lambda f: array_json(np.append(feature_array(f), 1.0)), array_json),
+    "2-d shape": (lambda f: f | {"shape": [1, 5]}, array_json),
+}
+
+
+@pytest.mark.parametrize("damage", GT_DAMAGE)
+def test_damaged_feature_of_a_featured_gt_group_gets_the_per_item_message(tmp_path, damage):
+    """Every gt box carries a feature; the load names the bad one as a parse of it alone does."""
+    edit, encode = GT_DAMAGE[damage]
+    rng = np.random.default_rng(1)
+    dets = [make_detection(i, feature=rng.normal(size=5)) for i in range(2)]
+    gts = [GtObject(i % 4, make_detection().box, rng.normal(size=5)) for i in range(4)]
+    path = tmp_path / "d.jsonl"
+    save_dataset([make_record(detections=dets, gt=gts)], path)
+    line = rewrite_features(json.loads(path.read_text()), encode)
+    line["gt_boxes"][2]["feature"] = bad = edit(line["gt_boxes"][2]["feature"])
+    path.write_text(json.dumps(line) + "\n")
+    with pytest.raises(DataError) as alone:
+        _parse_feature(bad, 5, "image 'img' gt box 2")
+    with pytest.raises(DataError) as loaded:
+        load_dataset(path, tiny_vocab())
+    assert str(loaded.value) == f"{path}:1: {alone.value}"

@@ -11,7 +11,7 @@ import pytest
 
 from relfusion.cli import main
 from relfusion.datamodel import Box, DataError, PredictedTriplet, parse_box
-from relfusion.fusion import load_predictions, save_predictions
+from relfusion.fusion import _line_box_parser, _parse_triplet, load_predictions, save_predictions
 
 from util import make_detection, make_record
 
@@ -297,3 +297,59 @@ def test_bad_is_triplet_after_triplets_sharing_its_box(tmp_path):
         load_predictions(path)
     assert str(err.value) == (f"{path}:1: image 'x' is_triplet 1: box: box must be a list"
                               " of 4 numbers, got [True, 3.5, 10.5, 20.5]")
+
+
+def _retype(key, value):
+    def damage(item):
+        item[key] = value
+    return damage
+
+
+def _edit_box(key, edit):
+    def damage(item):
+        item[key] = edit(item[key])
+    return damage
+
+
+_KEYS = ("sub_box", "sub_label", "predicate", "obj_box", "obj_label", "score")
+# Damage to one triplet of a many-triplet line, by name; some (a float score,
+# a -0.0 coordinate) leave it valid.
+ITEM_DAMAGE = {
+    **{f"no {key}": (lambda item, key=key: item.pop(key)) for key in _KEYS},
+    **{f"{key} as {name}": _retype(key, value) for key in _KEYS
+       for name, value in (("bool", True), ("str", "1"), ("float", 1.5), ("null", None))},
+    "score 10**400": _retype("score", 10**400),
+    "predicate 0": _retype("predicate", 0),
+    **{f"inverted {key}": _edit_box(key, lambda b: [b[2], b[1], b[0], b[3]])
+       for key in ("sub_box", "obj_box")},
+    **{f"{key} as an object": _edit_box(key, lambda b: dict(zip("abcd", b)))
+       for key in ("sub_box", "obj_box")},
+    **{f"-0.0 in {key}": _edit_box(key, lambda b: [-0.0, *b[1:]])
+       for key in ("sub_box", "obj_box")},
+}
+
+
+@pytest.mark.parametrize("damage", ITEM_DAMAGE)
+def test_damaged_triplet_gets_the_message_of_the_per_item_check(tmp_path, damage):
+    """The loader checks a line by columns; its verdict on a damaged triplet is the per-item one."""
+    rng = np.random.default_rng(sorted(ITEM_DAMAGE).index(damage))
+    pool = [[0, 0, 10, 10], [0.5, 2, 30.5, 40], [3, 4, 5, 6.25], [7.5, 1, 8, 250]]
+    triplets = [
+        {"sub_box": list(pool[rng.integers(4)]), "sub_label": int(rng.integers(4)),
+         "predicate": int(rng.integers(1, 4)), "obj_box": list(pool[rng.integers(4)]),
+         "obj_label": int(rng.integers(4)), "score": float(rng.random())}
+        for _ in range(int(rng.integers(20, 60)))
+    ]
+    k = int(rng.integers(len(triplets)))
+    ITEM_DAMAGE[damage](triplets[k])
+    path = tmp_path / "p.jsonl"
+    path.write_text(json.dumps({"image_id": "x", "triplets": triplets}) + "\n")
+    try:
+        alone = _parse_triplet(json.loads(json.dumps(triplets[k])), _line_box_parser())
+    except DataError as exc:
+        with pytest.raises(DataError) as err:
+            load_predictions(path)
+        assert str(err.value) == f"{path}:1: image 'x' triplet {k}: {exc}"
+    else:
+        loaded = _assert_loads_as_reference(path)["x"]
+        assert _fields(loaded[k]) == _fields(alone)

@@ -34,14 +34,11 @@ def _log(x: np.ndarray) -> np.ndarray:
 
 def box_deltas(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """Row-wise :func:`box_delta` of two (N, 4) corner arrays: (N, 4)."""
-    w1, h1 = b1[:, 2] - b1[:, 0], b1[:, 3] - b1[:, 1]
-    w2, h2 = b2[:, 2] - b2[:, 0], b2[:, 3] - b2[:, 1]
-    if np.any((w1 <= 0.0) | (h1 <= 0.0) | (w2 <= 0.0) | (h2 <= 0.0)):
+    size1, size2 = b1[:, 2:] - b1[:, :2], b2[:, 2:] - b2[:, :2]  # (width, height)
+    if (size1 <= 0.0).any() or (size2 <= 0.0).any():
         raise ValueError("box delta undefined for zero-size boxes")
-    x1, y1 = 0.5 * (b1[:, 0] + b1[:, 2]), 0.5 * (b1[:, 1] + b1[:, 3])
-    x2, y2 = 0.5 * (b2[:, 0] + b2[:, 2]), 0.5 * (b2[:, 1] + b2[:, 3])
-    offsets = np.column_stack([(x1 - x2) / w2, (y1 - y2) / h2])
-    return np.concatenate([offsets, _log(np.column_stack([w1 / w2, h1 / h2]))], axis=1)
+    offsets = (0.5 * (b1[:, :2] + b1[:, 2:]) - 0.5 * (b2[:, :2] + b2[:, 2:])) / size2
+    return np.concatenate([offsets, _log(size1 / size2)], axis=1)
 
 
 def box_delta(b1: Box, b2: Box) -> np.ndarray:
@@ -54,10 +51,8 @@ def normalized_corners(b: np.ndarray, width: float, height: float) -> np.ndarray
     if width <= 0 or height <= 0:
         raise ValueError("image dimensions must be positive")
     area = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    return np.column_stack(
-        [b[:, 0] / width, b[:, 1] / height, b[:, 2] / width, b[:, 3] / height,
-         area / (width * height)]
-    )
+    scale = np.array([width, height, width, height], dtype=np.float64)
+    return np.concatenate([b / scale, (area / (width * height))[:, None]], axis=1)
 
 
 def normalized_coords(b: Box, width: float, height: float) -> np.ndarray:

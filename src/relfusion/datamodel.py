@@ -535,9 +535,6 @@ def _parse_record(raw: dict, vocab: Vocabulary, feature_dim: int | None) -> tupl
         detections.append(Detection(label=label, box=box, score=score, feature=feat))
 
     gt_boxes = []
-    featured = [i for i, g in enumerate(items["gt_boxes"]) if g.get("feature") is not None]
-    rows = _feature_rows([items["gt_boxes"][i] for i in featured], feature_dim, where)
-    gt_rows = dict(zip(featured, rows)) if rows is not None else {}
     for i, g in enumerate(items["gt_boxes"]):
         box = parse_box(g.get("box"), f"{where} gt box {i}")
         label = g.get("label")
@@ -545,8 +542,7 @@ def _parse_record(raw: dict, vocab: Vocabulary, feature_dim: int | None) -> tupl
             raise DataError(f"{where} gt box {i}: label {label!r} outside vocabulary")
         feat = None
         if g.get("feature") is not None:
-            feat = gt_rows[i] if rows is not None else _parse_feature(
-                g["feature"], feature_dim, f"{where} gt box {i}")
+            feat = _parse_feature(g["feature"], feature_dim, f"{where} gt box {i}")
             feature_dim = feat.shape[0]
         gt_boxes.append(GtObject(label=label, box=box, feature=feat))
 

@@ -111,8 +111,8 @@ class FusionModel:
     mask: BranchMask
     vocab_hash: str
     attribute_head: Mlp | None = None  # separate single-object classifier
-    # Built from freq on first use by pair_inputs; freq is frozen from then on.
-    prior: PriorRows | None = field(default=None, init=False, repr=False, compare=False)
+    # The prior's row per class pair, filled by pair_inputs; freq is frozen from then on.
+    prior_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_predicates(self) -> int:
@@ -121,37 +121,6 @@ class FusionModel:
     @property
     def feature_dim(self) -> int:
         return self.sub_head.in_dim
-
-
-class PriorRows:
-    """The frozen prior's logits: a row per seen class pair and a last, uniform row.
-
-    Every row is :func:`semantic_logits` of its pair, so it has that call's
-    bits; unseen pairs all get the last row. A pair is found by its 1-D
-    code, from class positions numbered in order of first appearance among
-    the seen pairs, so no array is sized by a class id.
-    """
-
-    def __init__(self, freq: FrequencyTable):
-        classes = dict.fromkeys(c for pair in freq.counts for c in pair)
-        self.position = {c: k for k, c in enumerate(classes)}
-        self.width = len(self.position) + 1  # the last position: a class in no seen pair
-        keyed = sorted(
-            (self.position[s] * self.width + self.position[o], s, o) for s, o in freq.counts
-        )
-        # The end code matches no pair: a search that stops there reads the uniform row.
-        self.codes = np.array([code for code, _, _ in keyed] + [self.width**2], dtype=np.int64)
-        unseen = min(self.position, default=0) - 1  # a class id below every seen one
-        pairs = [(s, o) for _, s, o in keyed] + [(unseen, unseen)]
-        self.rows = np.stack([semantic_logits(freq, s, o) for s, o in pairs])
-
-    def take(self, labels: list[int], sub: np.ndarray, obj: np.ndarray) -> np.ndarray:
-        """The rows of the (labels[sub], labels[obj]) class pairs."""
-        unseen = self.width - 1
-        position = np.array([self.position.get(label, unseen) for label in labels])
-        code = position[sub] * self.width + position[obj]
-        at = np.searchsorted(self.codes, code)
-        return self.rows[np.where(self.codes[at] == code, at, len(self.codes) - 1)]
 
 
 # Every trainable net of a FusionModel: the checkpoint keys, in the order
@@ -240,24 +209,36 @@ def enabled_branches(mask: BranchMask) -> list[Branch]:
     return [branch for branch in BRANCHES if getattr(mask, branch.name)]
 
 
+def _prior_row(model: FusionModel, sub_label: int, obj_label: int) -> np.ndarray:
+    """:func:`semantic_logits` of the class pair, computed once per model."""
+    row = model.prior_rows.get((sub_label, obj_label))
+    if row is None:
+        row = model.prior_rows[sub_label, obj_label] = semantic_logits(
+            model.freq, sub_label, obj_label)
+    return row
+
+
 def pair_inputs(model: FusionModel, record: ImageRecord, pairs) -> PairInputs:
     """Assemble the enabled branches' inputs for a non-empty list of proposals.
 
     ``pairs`` holds (subject, object) detection indices, as a list of
     tuples or an (N, 2) array. Each input is gathered image-wide by index
-    arrays. The frequency prior's rows come from ``model.prior``, which
-    the first call builds from ``model.freq`` with one :func:`semantic_logits`
-    call per seen class pair and one for all unseen pairs.
+    arrays. The frequency prior is looked up once per distinct class pair,
+    in ``model.prior_rows``: a pair's :func:`semantic_logits` row is
+    computed the first time any image of the model needs it.
     """
     sub, obj = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
     dets = record.detections
+    labels = np.array([d.label for d in dets])
     boxes = box_array(d.box for d in dets)
     feats = np.stack([d.feature for d in dets])
 
     def semantic_rows():
-        if model.prior is None:
-            model.prior = PriorRows(model.freq)
-        return model.prior.take([d.label for d in dets], sub, obj)
+        classes, row = np.unique(
+            np.column_stack([labels[sub], labels[obj]]), axis=0, return_inverse=True
+        )
+        logits = [_prior_row(model, s, o) for s, o in classes.tolist()]
+        return np.stack(logits)[row.reshape(-1)]
 
     rows = {
         "sem": semantic_rows,
@@ -732,17 +713,16 @@ def _triplet_columns(items: list, box) -> list[PredictedTriplet] | None:
         return []
     sub_boxes, sub_labels, predicates, obj_boxes, obj_labels, scores = columns
     if not ({int}.issuperset(map(type, sub_labels + predicates + obj_labels))
-            and min(predicates) >= 1 and _NUMBER_TYPES.issuperset(map(type, scores))):
+            and _NUMBER_TYPES.issuperset(map(type, scores))):
         return None
     try:
-        values = list(map(float, scores))  # json_number's conversion
         subs = [box(raw, "sub_box") for raw in sub_boxes]
         objs = [box(raw, "obj_box") for raw in obj_boxes]
-    except (OverflowError, DataError):  # an integer score beyond float range, a bad box
+        # float is json_number's conversion; PredictedTriplet checks the predicate and score.
+        return list(map(
+            PredictedTriplet, subs, sub_labels, predicates, objs, obj_labels, map(float, scores)))
+    except (OverflowError, DataError):  # an integer score beyond float range, a bad value
         return None
-    if not np.isfinite(values).all():
-        return None
-    return list(map(PredictedTriplet, subs, sub_labels, predicates, objs, obj_labels, values))
 
 
 def _parse_items(raw: dict, key: str, parse, image_id: str, box) -> list:

@@ -22,8 +22,9 @@ from .datamodel import DataError, ImageRecord, Vocabulary, is_list_of, json_numb
 class FrequencyTable:
     """Empirical predicate counts per (subject class, object class).
 
-    Frozen once fitted or loaded: a model turns the counts into its prior's
-    rows on first use (``fusion.PriorRows``) and never reads them again.
+    Frozen once fitted or loaded: a model keeps each class pair's
+    :func:`semantic_logits` row once computed (``FusionModel.prior_rows``),
+    so a later edit of ``counts`` does not reach a pair it has already seen.
     """
 
     num_predicates: int

@@ -165,15 +165,13 @@ def test_a_valid_group_of_one_form_is_parsed_in_one_step(tmp_path, monkeypatch, 
 
     rng = np.random.default_rng(0)
     dets = [make_detection(i, feature=rng.normal(size=5)) for i in range(3)]
-    gts = [GtObject(i, d.box, rng.normal(size=5)) for i, d in enumerate(dets)]
     pairs = {(0, 1): rng.normal(size=5), (2, 0): rng.normal(size=5)}
     path = tmp_path / "d.jsonl"
-    save_dataset([make_record(detections=dets, gt=gts, pair_features=pairs)], path)
+    save_dataset([make_record(detections=dets, pair_features=pairs)], path)
     path.write_text(json.dumps(rewrite_features(json.loads(path.read_text()), encode)) + "\n")
     monkeypatch.setattr("relfusion.datamodel._parse_feature", per_item)
     (back,) = load_dataset(path, tiny_vocab())
     assert [d.feature.tobytes() for d in back.detections] == [d.feature.tobytes() for d in dets]
-    assert [g.feature.tobytes() for g in back.gt_boxes] == [g.feature.tobytes() for g in gts]
     assert {k: f.tobytes() for k, f in back.pair_features.items()} == {
         k: f.tobytes() for k, f in pairs.items()}
 
@@ -191,7 +189,7 @@ GT_DAMAGE = {
 
 
 @pytest.mark.parametrize("damage", GT_DAMAGE)
-def test_damaged_feature_of_a_featured_gt_group_gets_the_per_item_message(tmp_path, damage):
+def test_damaged_gt_box_feature_gets_the_per_item_message(tmp_path, damage):
     """Every gt box carries a feature; the load names the bad one as a parse of it alone does."""
     edit, encode = GT_DAMAGE[damage]
     rng = np.random.default_rng(1)

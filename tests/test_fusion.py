@@ -1,5 +1,7 @@
 """Branch assembly, training, prediction and evaluation views."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,26 @@ class TestPairLogits:
         assert np.array_equal(
             pair_logits(model, record, (0, 1)), semantic_logits(model.freq, 0, 1)
         )
+
+    def test_a_pairs_prior_row_is_fixed_at_its_first_use(self, monkeypatch):
+        """The frozen prior: a model computes a class pair's row once and keeps it."""
+        model = _toy_model(BranchMask(True, False, False, False))
+        record = _toy_record()
+        first = semantic_logits(model.freq, 0, 1)
+        calls = []
+
+        def counted(table, sub_label, obj_label):
+            calls.append((sub_label, obj_label))
+            return semantic_logits(table, sub_label, obj_label)
+
+        monkeypatch.setattr("relfusion.fusion.semantic_logits", counted)
+        assert np.array_equal(pair_logits(model, record, (0, 1)), first)
+        model.freq.counts[(0, 1)] += 7  # after first use: the model does not see it
+        assert np.array_equal(pair_logits(model, record, (0, 1)), first)
+        assert calls == [(0, 1)]
+        edited = semantic_logits(model.freq, 0, 1)
+        assert not np.array_equal(edited, first)
+        assert np.array_equal(pair_logits(replace(model), record, (0, 1)), edited)
 
     def test_single_branch_composition_is_exact(self):
         """Any mask's logits equal the canonical fold of its branch vectors."""

@@ -234,11 +234,11 @@ def pair_inputs(model: FusionModel, record: ImageRecord, pairs) -> PairInputs:
     feats = np.stack([d.feature for d in dets])
 
     def semantic_rows():
-        classes, row = np.unique(
-            np.column_stack([labels[sub], labels[obj]]), axis=0, return_inverse=True
-        )
-        logits = [_prior_row(model, s, o) for s, o in classes.tolist()]
-        return np.stack(logits)[row.reshape(-1)]
+        # Distinct class pairs by a dict: np.unique(axis=0) sorts, at more cost than the lookups.
+        distinct: dict[tuple[int, int], int] = {}
+        row = [distinct.setdefault(pair, len(distinct))
+               for pair in zip(labels[sub].tolist(), labels[obj].tolist())]
+        return np.stack([_prior_row(model, s, o) for s, o in distinct])[row]
 
     rows = {
         "sem": semantic_rows,

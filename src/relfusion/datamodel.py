@@ -91,7 +91,8 @@ def iou(a: Box, b: Box) -> float:
     if ix <= 0.0 or iy <= 0.0:
         return 0.0
     inter = ix * iy
-    union = a.area + b.area - inter
+    # Box.area, inline: the same operations in the same order.
+    union = (a.xmax - a.xmin) * (a.ymax - a.ymin) + (b.xmax - b.xmin) * (b.ymax - b.ymin) - inter
     if union <= 0.0:
         return 0.0
     return inter / union

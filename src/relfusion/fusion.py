@@ -622,27 +622,30 @@ def save_predictions(
 ) -> None:
     """Write prediction lines; an image's (view, predict_attributes output) is its is_triplets.
 
-    A line is ``json.dumps`` of the image's row; each distinct Box is encoded once.
+    A line is ``json.dumps`` of the image's row. Its ``boxes`` table holds each
+    distinct Box once, in order of first use; a box field is an index into it.
     """
     lines = []
     for image_id, triplets in predictions.items():
-        distinct = {id(b): b for t in triplets for b in (t.sub_box, t.obj_box)}
-        box = {key: json.dumps(b.to_list()) for key, b in distinct.items()}
+        is_triplets = None
+        if attributes and image_id in attributes:
+            view, predicted = attributes[image_id]
+            is_triplets = [(view.detections[i], a, s) for i, a, s in predicted]
+        used = [b for t in triplets for b in (t.sub_box, t.obj_box)]
+        distinct = {id(b): b for b in used + [d.box for d, _, _ in is_triplets or []]}
+        index = {key: k for k, key in enumerate(distinct)}
         items = ", ".join(
-            f'{{"sub_box": {box[id(t.sub_box)]}, "sub_label": {_json_scalar(t.sub_label)}, '
-            f'"predicate": {_json_scalar(t.predicate)}, "obj_box": {box[id(t.obj_box)]}, '
+            f'{{"sub_box": {index[id(t.sub_box)]}, "sub_label": {_json_scalar(t.sub_label)}, '
+            f'"predicate": {_json_scalar(t.predicate)}, "obj_box": {index[id(t.obj_box)]}, '
             f'"obj_label": {_json_scalar(t.obj_label)}, "score": {_json_scalar(t.score)}}}'
             for t in triplets
         )
-        line = f'{{"image_id": {json.dumps(image_id)}, "triplets": [{items}]'
-        if attributes and image_id in attributes:
-            view, predicted = attributes[image_id]
-            dets = view.detections
-            is_triplets = [
-                {"box": dets[i].box.to_list(), "label": dets[i].label, "attribute": a, "score": s}
-                for i, a, s in predicted
-            ]
-            line += f', "is_triplets": {json.dumps(is_triplets)}'
+        table = json.dumps([b.to_list() for b in distinct.values()])
+        line = f'{{"image_id": {json.dumps(image_id)}, "boxes": {table}, "triplets": [{items}]'
+        if is_triplets is not None:
+            rows = [{"box": index[id(d.box)], "label": d.label, "attribute": a, "score": s}
+                    for d, a, s in is_triplets]
+            line += f', "is_triplets": {json.dumps(rows)}'
         lines.append(line + "}")
     atomic_write_text(path, "".join(line + "\n" for line in lines))
 
@@ -652,12 +655,22 @@ _TRIPLET_KEYS = (("sub_box", "obj_box"), ("sub_label", "predicate", "obj_label")
 _IS_TRIPLET_KEYS = (("box",), ("label", "attribute"))
 
 
-def _check_item(item, box_keys, int_keys, box) -> tuple[list, list[int], float]:
-    """An item's boxes (each by ``box``), integers and score; a malformed item is a DataError."""
+def _box(value, key: str, table: list[Box]) -> Box:
+    """A box field: a list of 4 numbers, or an index into its line's parsed ``boxes``."""
+    if type(value) is list:
+        return parse_box(value, key)
+    if type(value) is int and 0 <= value < len(table):
+        return table[value]
+    raise DataError(f"{key}: box must be a list of 4 numbers or an index into the line's"
+                    f" {len(table)} boxes, got {value!r:.40}")
+
+
+def _check_item(item, box_keys, int_keys, table) -> tuple[list, list[int], float]:
+    """An item's boxes (each by :func:`_box`), integers and score; else a DataError."""
     if type(item) is not dict:
         raise DataError("expected a JSON object")
     try:
-        boxes = [box(item[key], key) for key in box_keys]
+        boxes = [_box(item[key], key, table) for key in box_keys]
         ints, score = [item[key] for key in int_keys], item["score"]
     except KeyError as exc:
         raise DataError(f"missing key {exc}") from None
@@ -669,29 +682,8 @@ def _check_item(item, box_keys, int_keys, box) -> tuple[list, list[int], float]:
     return boxes, ints, value
 
 
-def _line_box_parser():
-    """:func:`parse_box` for one line; a list equal to one that passed it gets that Box.
-
-    A list holding 0 or 1 is not reused: -0.0 and 0.0, and True and 1, are equal keys.
-    """
-    passed: dict[tuple, Box] = {}
-
-    def box(raw, where: str) -> Box:
-        try:
-            return passed[tuple(raw)]
-        except (KeyError, TypeError):  # new, or not a list of hashable values
-            pass
-        parsed = parse_box(raw, where)
-        key = tuple(raw)
-        if 0 not in key and 1 not in key:
-            passed[key] = parsed
-        return parsed
-
-    return box
-
-
-def _parse_triplet(item, box) -> PredictedTriplet:
-    (sub_box, obj_box), (sub, pred, obj), score = _check_item(item, *_TRIPLET_KEYS, box)
+def _parse_triplet(item, table) -> PredictedTriplet:
+    (sub_box, obj_box), (sub, pred, obj), score = _check_item(item, *_TRIPLET_KEYS, table)
     return PredictedTriplet(sub_box, sub, pred, obj_box, obj, score)
 
 
@@ -699,7 +691,7 @@ _TRIPLET_FIELDS = operator.itemgetter(
     "sub_box", "sub_label", "predicate", "obj_box", "obj_label", "score")
 
 
-def _triplet_columns(items: list, box) -> list[PredictedTriplet] | None:
+def _triplet_columns(items: list, table: list[Box]) -> list[PredictedTriplet] | None:
     """The items as triplets, checked a column at a time; None if any check fails.
 
     The checks are :func:`_parse_triplet`'s. On None the caller runs that per
@@ -716,8 +708,8 @@ def _triplet_columns(items: list, box) -> list[PredictedTriplet] | None:
             and _NUMBER_TYPES.issuperset(map(type, scores))):
         return None
     try:
-        subs = [box(raw, "sub_box") for raw in sub_boxes]
-        objs = [box(raw, "obj_box") for raw in obj_boxes]
+        subs = [_box(raw, "sub_box", table) for raw in sub_boxes]
+        objs = [_box(raw, "obj_box", table) for raw in obj_boxes]
         # float is json_number's conversion; PredictedTriplet checks the predicate and score.
         return list(map(
             PredictedTriplet, subs, sub_labels, predicates, objs, obj_labels, map(float, scores)))
@@ -725,15 +717,15 @@ def _triplet_columns(items: list, box) -> list[PredictedTriplet] | None:
         return None
 
 
-def _parse_items(raw: dict, key: str, parse, image_id: str, box) -> list:
-    """``raw[key]`` (default []) must be a list; each item goes through ``parse(item, box)``."""
+def _parse_items(raw: dict, key: str, parse, image_id: str, table) -> list:
+    """``raw[key]`` (default []) must be a list; each item goes through ``parse(item, table)``."""
     items = raw.get(key, [])
     if not isinstance(items, list):
         raise DataError(f"image {image_id!r}: {key} must be a list")
     parsed = []
     for k, item in enumerate(items):
         try:
-            parsed.append(parse(item, box))
+            parsed.append(parse(item, table))
         except DataError as exc:  # "triplet 3", "is_triplet 0"
             raise DataError(f"image {image_id!r} {key[:-1]} {k}: {exc}") from exc
     return parsed
@@ -748,8 +740,8 @@ def load_predictions(
     ``vocab``'s ranges when one is given, but not returned.
     """
 
-    def check_is_triplet(item, box) -> None:
-        _, (label, attribute), _ = _check_item(item, *_IS_TRIPLET_KEYS, box)
+    def check_is_triplet(item, table) -> None:
+        _, (label, attribute), _ = _check_item(item, *_IS_TRIPLET_KEYS, table)
         if vocab is None:
             return
         classes, attributes = len(vocab.object_classes), len(vocab.attributes)
@@ -763,12 +755,15 @@ def load_predictions(
         image_id = raw.get("image_id")
         if not isinstance(image_id, str):
             raise DataError(f"image_id must be a string, got {image_id!r}")
-        box = _line_box_parser()
+        boxes = raw.get("boxes", [])
+        if type(boxes) is not list:
+            raise DataError(f"image {image_id!r}: boxes must be a list")
+        table = [parse_box(b, f"image {image_id!r} box {k}") for k, b in enumerate(boxes)]
         items = raw.get("triplets")
-        triplets = _triplet_columns(items, box) if type(items) is list else None
+        triplets = _triplet_columns(items, table) if type(items) is list else None
         if triplets is None:
-            triplets = _parse_items(raw, "triplets", _parse_triplet, image_id, box)
-        _parse_items(raw, "is_triplets", check_is_triplet, image_id, box)
+            triplets = _parse_items(raw, "triplets", _parse_triplet, image_id, table)
+        _parse_items(raw, "is_triplets", check_is_triplet, image_id, table)
         return image_id, triplets
 
     return read_image_lines(path, parse)

@@ -10,7 +10,10 @@ directory in its place.
 
 ``gen-synth`` writes features as encoded arrays, so ``test.jsonl`` fuzzes
 that form; ``list-test.jsonl``, the same images with every feature as a
-list of numbers, fuzzes the other. One more test damages one encoded
+list of numbers, fuzzes the other. Likewise ``predict`` writes each box of
+a prediction line as an index into the line's ``boxes`` table, so
+``pred.jsonl`` fuzzes that form and ``inline-pred.jsonl``, every box as a
+list of 4 numbers, the other. One more test damages one encoded
 feature in each way its reader must reject: bad base64, a wrong byte
 count, a wrong dtype, NaN bytes, a shape other than [D] and another D.
 """
@@ -29,7 +32,8 @@ from util import array_json, feature_array, list_form, rewrite_features
 
 MUTATIONS = ("delete", "retype", "out_of_range", "nan", "huge", "truncate")
 TEST_SETS = ("test.jsonl", "list-test.jsonl")
-TARGETS = (*TEST_SETS, "vocab.json", "pred.jsonl", "model.json", "config.json")
+PREDICTION_SETS = ("pred.jsonl", "inline-pred.jsonl")
+TARGETS = (*TEST_SETS, "vocab.json", *PREDICTION_SETS, "model.json", "config.json")
 CASES_PER_FILE = 18
 
 CONFIG = {"epochs": 1, "batch_size": 16, "lr": 0.01, "momentum": 0.9, "neg_ratio": 1.0,
@@ -59,7 +63,19 @@ def valid_dir(tmp_path_factory):
     (out / "list-test.jsonl").write_text(
         "".join(json.dumps(rewrite_features(json.loads(line), list_form)) + "\n"
                 for line in lines))
+    (out / "inline-pred.jsonl").write_text(
+        "".join(json.dumps(_inline_boxes(json.loads(line))) + "\n"
+                for line in (out / "pred.jsonl").read_text().splitlines()))
     return out
+
+
+def _inline_boxes(row: dict) -> dict:
+    """A prediction row with each box index replaced by its list from the row's boxes."""
+    table = row.pop("boxes")
+    for key, box_keys in (("triplets", ("sub_box", "obj_box")), ("is_triplets", ("box",))):
+        for item in row.get(key, []):
+            item.update({k: table[item[k]] for k in box_keys})
+    return row
 
 
 def _walk(node, rng, want=None):
@@ -134,8 +150,9 @@ def _command(d, target, rng):
         return ["--config", str(d / "config.json"), "train", "--train", str(d / "train.jsonl"),
                 "--vocab", str(d / "vocab.json"), "--checkpoint", str(d / "out.json")]
     test = str(d / (target if target in TEST_SETS else "test.jsonl"))
-    if target in ("vocab.json", "pred.jsonl") or (target in TEST_SETS and rng.random() < 0.5):
-        return ["eval", "--test", test, "--predictions", str(d / "pred.jsonl"),
+    predictions = str(d / (target if target in PREDICTION_SETS else "pred.jsonl"))
+    if target in ("vocab.json", *PREDICTION_SETS) or (target in TEST_SETS and rng.random() < 0.5):
+        return ["eval", "--test", test, "--predictions", predictions,
                 "--out", str(d / "report.json"), *common]
     return ["predict", "--test", test, "--checkpoint", str(d / "model.json"),
             "--out", str(d / "out.jsonl"), "--attributes", *common]

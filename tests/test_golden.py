@@ -10,6 +10,7 @@ the numbers it moves.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import operator
 from collections import Counter
@@ -19,8 +20,10 @@ import pytest
 
 from relfusion.cli import main
 from relfusion.datamodel import iou, load_dataset, load_vocabulary
-from relfusion.fusion import load_predictions
+from relfusion.fusion import load_predictions, save_predictions
 from relfusion.metrics import MatchSpec, recall_at_k
+
+from util import attributes_of
 
 GOLDEN = Path(__file__).parent / "golden"
 SPECS = {
@@ -38,15 +41,30 @@ def _inputs():
     return dataset, load_predictions(GOLDEN / "predictions.jsonl", vocab)
 
 
-@pytest.mark.parametrize("name", SPECS)
-def test_report_and_table_bytes(tmp_path, capsys, name):
+def _assert_golden_bytes(tmp_path, capsys, name, predictions):
     out = tmp_path / "report.json"
     assert main(["eval", "--test", str(GOLDEN / "test.jsonl"),
                  "--vocab", str(GOLDEN / "vocab.json"),
-                 "--predictions", str(GOLDEN / "predictions.jsonl"),
+                 "--predictions", str(predictions),
                  "--out", str(out), *SPECS[name]]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.report.json").read_bytes()
     assert capsys.readouterr().out == (GOLDEN / f"{name}.table.txt").read_text()
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_report_and_table_bytes(tmp_path, capsys, name):
+    _assert_golden_bytes(tmp_path, capsys, name, GOLDEN / "predictions.jsonl")
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_report_and_table_bytes_from_the_index_form(tmp_path, capsys, name):
+    """The golden predictions (inline boxes) written back in the form ``predict`` writes."""
+    path = GOLDEN / "predictions.jsonl"
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    written = tmp_path / "predictions.jsonl"
+    save_predictions(load_predictions(path), written, attributes_of(rows))
+    assert '"sub_box": 0' in written.read_text() and '"box": [' not in written.read_text()
+    _assert_golden_bytes(tmp_path, capsys, name, written)
 
 
 def test_the_inputs_hit_the_edge_cases():

@@ -1,19 +1,29 @@
-"""Prediction files: the writer's exact ``json.dumps`` form, and a loader that
-parses each distinct box of a line once yet gives what a per-item parse gives."""
+"""Prediction files: the writer's exact ``json.dumps`` form, which holds each
+distinct box of a line once in its ``boxes`` table, and a loader that reads a
+box field as an index into that table or as a list of 4 numbers, and gives
+what a per-item parse gives."""
 
 from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from relfusion.cli import main
 from relfusion.datamodel import Box, DataError, PredictedTriplet, parse_box
-from relfusion.fusion import _line_box_parser, _parse_triplet, load_predictions, save_predictions
+from relfusion.fusion import (
+    _parse_triplet,
+    init_fusion_model,
+    load_predictions,
+    predict_image,
+    save_predictions,
+)
+from relfusion.semantic import FrequencyTable
 
-from util import make_detection, make_record
+from util import attributes_of, make_detection, make_record, tiny_vocab
 
 # Coordinates that json.dumps writes in a special form (signed zero, subnormal,
 # exponent, integer-valued), and 1.0, which compares equal to True.
@@ -22,15 +32,33 @@ IMAGE_IDS = ["plain", 'say "hi"', "back\\slash", "café 图", "tab\there", "\U00
 
 
 def _row(image_id, triplets, attributes) -> dict:
-    """An image's row, which save_predictions must write as ``json.dumps`` does."""
+    """An image's row, which save_predictions must write as ``json.dumps`` does.
+
+    Its ``boxes`` table holds each Box object once, in order of first use by
+    the triplets and then the is_triplets; a box field is an index into it.
+    """
+    used = [b for t in triplets for b in (t.sub_box, t.obj_box)]
+    if attributes and image_id in attributes:
+        view, predicted = attributes[image_id]
+        is_triplets = [(view.detections[i], a, s) for i, a, s in predicted]
+        used += [d.box for d, _, _ in is_triplets]
+    table = []
+    for b in used:
+        if not any(b is seen for seen in table):
+            table.append(b)
+
+    def index(b: Box) -> int:
+        return next(k for k, seen in enumerate(table) if seen is b)
+
     row = {
         "image_id": image_id,
+        "boxes": [b.to_list() for b in table],
         "triplets": [
             {
-                "sub_box": t.sub_box.to_list(),
+                "sub_box": index(t.sub_box),
                 "sub_label": t.sub_label,
                 "predicate": t.predicate,
-                "obj_box": t.obj_box.to_list(),
+                "obj_box": index(t.obj_box),
                 "obj_label": t.obj_label,
                 "score": t.score,
             }
@@ -38,11 +66,9 @@ def _row(image_id, triplets, attributes) -> dict:
         ],
     }
     if attributes and image_id in attributes:
-        view, predicted = attributes[image_id]
-        dets = view.detections
         row["is_triplets"] = [
-            {"box": dets[i].box.to_list(), "label": dets[i].label, "attribute": a, "score": s}
-            for i, a, s in predicted
+            {"box": index(d.box), "label": d.label, "attribute": a, "score": s}
+            for d, a, s in is_triplets
         ]
     return row
 
@@ -90,6 +116,14 @@ def _random_predictions(rng):
     return predictions, attributes
 
 
+def _fields(t: PredictedTriplet) -> list:
+    """Every field with its type; each coordinate with its sign, so -0.0 differs from 0.0."""
+    coords = [*t.sub_box.to_list(), *t.obj_box.to_list()]
+    return [(type(c), c, math.copysign(1.0, c)) for c in coords] + [
+        (type(v), v) for v in (t.sub_label, t.predicate, t.obj_label, t.score)
+    ]
+
+
 class TestWriter:
     def test_random_rows_are_written_as_json_dumps_writes_them(self, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -100,6 +134,16 @@ class TestWriter:
             save_predictions(predictions, path, attributes)
             assert path.read_bytes() == _expected_bytes(predictions, attributes), seed
 
+    def test_random_rows_load_back_as_saved(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        for seed in range(40):
+            predictions, attributes = _random_predictions(np.random.default_rng(seed))
+            save_predictions(predictions, path, attributes)
+            loaded = _assert_loads_as_reference(path)
+            assert list(loaded) == list(predictions)
+            for image_id, triplets in predictions.items():
+                assert [_fields(t) for t in loaded[image_id]] == [_fields(t) for t in triplets]
+
     def test_equal_boxes_keep_their_own_sign_of_zero(self, tmp_path):
         a, b = Box(-0.0, 0.0, 1e16, 3.0), Box(0.0, -0.0, 1e16, 3.0)
         assert a == b and hash(a) == hash(b)
@@ -108,13 +152,32 @@ class TestWriter:
         path = tmp_path / "p.jsonl"
         save_predictions(predictions, path)
         assert path.read_bytes() == _expected_bytes(predictions, None)
-        assert '{"sub_box": [-0.0, 0.0, 1e+16, 3.0], ' in path.read_text()
+        assert path.read_text() == (
+            '{"image_id": "x", "boxes": [[-0.0, 0.0, 1e+16, 3.0], [0.0, -0.0, 1e+16, 3.0]],'
+            ' "triplets": [{"sub_box": 0, "sub_label": 0, "predicate": 1, "obj_box": 1,'
+            ' "obj_label": 1, "score": 0.5}, {"sub_box": 1, "sub_label": 1, "predicate": 2,'
+            ' "obj_box": 0, "obj_label": 0, "score": 1e-07}]}\n')
+        loaded = load_predictions(path)["x"]
+        assert [_fields(t) for t in loaded] == [_fields(t) for t in predictions["x"]]
+
+    def test_is_triplet_boxes_follow_the_triplets_boxes(self, tmp_path):
+        a, b, c = Box(0.0, 0.0, 1.0, 1.0), Box(2.0, 2.0, 3.0, 3.0), Box(4.0, 4.0, 5.0, 5.0)
+        view = make_record("x", detections=[make_detection(0, c), make_detection(1, b)])
+        predictions = {"x": [PredictedTriplet(b, 1, 1, a, 0, 0.5)]}
+        path = tmp_path / "p.jsonl"
+        save_predictions(predictions, path, {"x": (view, [(0, 2, 0.25), (1, 0, 0.75)])})
+        assert path.read_text() == (
+            '{"image_id": "x", "boxes": [[2.0, 2.0, 3.0, 3.0], [0.0, 0.0, 1.0, 1.0],'
+            ' [4.0, 4.0, 5.0, 5.0]], "triplets": [{"sub_box": 0, "sub_label": 1,'
+            ' "predicate": 1, "obj_box": 1, "obj_label": 0, "score": 0.5}],'
+            ' "is_triplets": [{"box": 2, "label": 0, "attribute": 2, "score": 0.25},'
+            ' {"box": 0, "label": 1, "attribute": 0, "score": 0.75}]}\n')
 
     def test_empty_triplets(self, tmp_path):
         path = tmp_path / "p.jsonl"
         save_predictions({"x": [], "y": []}, path)
-        assert path.read_text() == (
-            '{"image_id": "x", "triplets": []}\n{"image_id": "y", "triplets": []}\n')
+        assert path.read_text() == ('{"image_id": "x", "boxes": [], "triplets": []}\n'
+                                    '{"image_id": "y", "boxes": [], "triplets": []}\n')
 
     def test_bool_labels_are_written_as_true_and_false(self, tmp_path):
         b = Box(1.5, 2.5, 3.5, 4.5)
@@ -134,28 +197,46 @@ class TestWriter:
             save_predictions(predictions, tmp_path / "p.jsonl")
         assert not list(tmp_path.iterdir())
 
+    def test_predict_image_output_loads_back_equal(self, tmp_path):
+        """Triplets of predict_image, on boxes with both signs of zero, survive a file."""
+        freq = FrequencyTable(num_predicates=3)
+        freq.counts[(0, 1)] = np.array([0, 5, 1, 0])
+        model = init_fusion_model(freq, 4, tiny_vocab(), np.random.default_rng(0),
+                                  spatial_hidden=(8, 8), spo_hidden=(8, 8))
+        rng = np.random.default_rng(1)
+        boxes = [Box(-0.0, 0.0, 10.0, 20.0), Box(0.0, -0.0, 30.0, 3.0),
+                 Box(2.5, 3.0, 7.0, 25.0), Box(-0.0, -0.0, 50.0, 0.5)]
+        predictions = {}
+        for n in range(3):
+            dets = [make_detection(int(rng.integers(2)), b, score=float(rng.random()),
+                                   feature=rng.normal(size=4)) for b in boxes[n:]]
+            predictions[f"img {n}"] = predict_image(model, make_record(detections=dets))
+        assert sum(map(len, predictions.values())) > 0
+        path = tmp_path / "p.jsonl"
+        save_predictions(predictions, path)
+        loaded = load_predictions(path)
+        assert list(loaded) == list(predictions)
+        for image_id, triplets in predictions.items():
+            assert [_fields(t) for t in loaded[image_id]] == [_fields(t) for t in triplets]
+
 
 def _reference_load(path) -> dict:
-    """Each triplet of each line parsed on its own."""
+    """Each box field of each triplet parsed on its own; an index reads the line's boxes."""
     out = {}
     for line in path.read_text(encoding="utf-8").splitlines():
         raw = json.loads(line)
+
+        def box(value, key):
+            return parse_box(raw["boxes"][value] if type(value) is int else value, key)
+
         out[raw["image_id"]] = [
             PredictedTriplet(
-                parse_box(t["sub_box"], "sub_box"), t["sub_label"], t["predicate"],
-                parse_box(t["obj_box"], "obj_box"), t["obj_label"], float(t["score"]),
+                box(t["sub_box"], "sub_box"), t["sub_label"], t["predicate"],
+                box(t["obj_box"], "obj_box"), t["obj_label"], float(t["score"]),
             )
             for t in raw["triplets"]
         ]
     return out
-
-
-def _fields(t: PredictedTriplet) -> list:
-    """Every field with its type; each coordinate with its sign, so -0.0 differs from 0.0."""
-    coords = [*t.sub_box.to_list(), *t.obj_box.to_list()]
-    return [(type(c), c, math.copysign(1.0, c)) for c in coords] + [
-        (type(v), v) for v in (t.sub_label, t.predicate, t.obj_label, t.score)
-    ]
 
 
 def _assert_loads_as_reference(path) -> dict:
@@ -182,12 +263,15 @@ _LIST_POOL = [
 
 
 def _random_file(rng, path) -> None:
+    """Lines whose box fields are lists, and on some lines indices into a boxes table too."""
     rows = []
     for n in range(int(rng.integers(1, 6))):
         lists = [_LIST_POOL[k] for k in rng.integers(len(_LIST_POOL), size=4)]
+        indexed = rng.random() < 0.5
 
         def pick():
-            return list(lists[rng.integers(len(lists))])
+            k = int(rng.integers(len(lists)))
+            return k if indexed and rng.random() < 0.7 else list(lists[k])
 
         triplets = [
             {"sub_box": pick(), "sub_label": int(rng.integers(0, 4)),
@@ -196,7 +280,10 @@ def _random_file(rng, path) -> None:
              "score": [0, 1, 0.5, -0.0, 1e16][rng.integers(5)]}
             for _ in range(int(rng.integers(0, 10)))
         ]
-        row = {"image_id": f"{IMAGE_IDS[rng.integers(len(IMAGE_IDS))]} {n}", "triplets": triplets}
+        row = {"image_id": f"{IMAGE_IDS[rng.integers(len(IMAGE_IDS))]} {n}"}
+        if indexed:
+            row["boxes"] = lists
+        row["triplets"] = triplets
         if rng.random() < 0.5:
             row["is_triplets"] = [{"box": pick(), "label": 0, "attribute": 1, "score": 0.5}]
         rows.append(row)
@@ -218,23 +305,32 @@ class TestLoader:
         assert load_predictions(spaced) == load_predictions(plain)
         assert list(load_predictions(spaced)) == ["x", "y"]
 
-    def test_equal_lists_on_one_line_give_one_box(self, tmp_path):
-        def item(sub_box, obj_box):
-            return {"sub_box": sub_box, "sub_label": 0, "predicate": 1,
-                    "obj_box": obj_box, "obj_label": 1, "score": 0.5}
+    def test_a_line_mixing_both_forms_loads_as_a_per_item_parse(self, tmp_path):
+        row = {"image_id": "x", "boxes": [[2.5, 3, 7, 9.5], [-0.0, 3, 7, 9.5]], "triplets": [
+            {**_GOOD, "sub_box": 1, "obj_box": [-0.0, 3, 7, 9.5]},
+            {**_GOOD, "sub_box": [0, 3, 7, 9.5], "obj_box": 0},
+            {**_GOOD, "sub_box": 0},
+        ], "is_triplets": [{"box": 1, "label": 0, "attribute": 1, "score": 0.5},
+                           {"box": [0, 0, 1, 1], "label": 0, "attribute": 1, "score": 0.5}]}
+        path = tmp_path / "p.jsonl"
+        path.write_text(json.dumps(row) + "\n")
+        x = _assert_loads_as_reference(path)["x"]
+        assert [math.copysign(1.0, b.xmin) for b in (x[0].sub_box, x[0].obj_box)] == [-1.0, -1.0]
+        assert x[1].obj_box.to_list() == [2.5, 3.0, 7.0, 9.5]
+        assert x[2].obj_box == parse_box(_GOOD["obj_box"], "obj_box")
 
-        row = {"image_id": "x", "triplets": [
-            item([2.5, 3, 7, 9.5], [2.5, 3, 7, 9.5]),
-            item([2.5, 3, 7, 9.5], [-0.0, 3, 7, 9.5]),
-            item([0, 3, 7, 9.5], [0.0, 3, 7, 9.5]),
+    def test_items_naming_one_index_share_its_box(self, tmp_path):
+        row = {"image_id": "x", "boxes": [[2.5, 3, 7, 9.5], [0, 3, 7, 9.5]], "triplets": [
+            {**_GOOD, "sub_box": 0, "obj_box": 0},
+            {**_GOOD, "sub_box": 0, "obj_box": 1},
         ]}
         path = tmp_path / "p.jsonl"
         path.write_text(json.dumps(row) + "\n" + json.dumps({**row, "image_id": "y"}) + "\n")
         loaded = _assert_loads_as_reference(path)
         x, y = loaded["x"], loaded["y"]
         assert x[0].sub_box is x[0].obj_box is x[1].sub_box
+        assert x[1].obj_box is not x[0].sub_box
         assert y[0].sub_box is not x[0].sub_box
-        assert [math.copysign(1.0, t.obj_box.xmin) for t in x[1:]] == [-1.0, 1.0]
 
     def test_seed_1_synth_predictions_load_as_a_per_item_parse(self, tmp_path):
         data = tmp_path / "data"
@@ -249,8 +345,11 @@ class TestLoader:
         loaded = _assert_loads_as_reference(path)
         assert sum(map(len, loaded.values())) > 0
         lines = path.read_text().splitlines()
-        assert all("is_triplets" in json.loads(line) for line in lines)
-        assert [json.dumps(json.loads(line)) for line in lines] == lines
+        rows = [json.loads(line) for line in lines]
+        assert all(list(row) == ["image_id", "boxes", "triplets", "is_triplets"] for row in rows)
+        fields = [t[key] for row in rows for t in row["triplets"] for key in ("sub_box", "obj_box")]
+        assert fields and {type(v) for v in fields} == {int}
+        assert [json.dumps(row) for row in rows] == lines
 
 
 _GOOD = {"sub_box": [2.5, 3.5, 10.5, 20.5], "sub_label": 0, "predicate": 1,
@@ -299,6 +398,71 @@ def test_bad_is_triplet_after_triplets_sharing_its_box(tmp_path):
                               " of 4 numbers, got [True, 3.5, 10.5, 20.5]")
 
 
+_GOLDEN = Path(__file__).parent / "golden"
+_INDEX_ERROR = "box must be a list of 4 numbers or an index into the line's {n} boxes, got {v}"
+_PAST_THE_END = object()
+
+
+def _index_damage(key, value):
+    """Put ``value`` in triplet 2's ``key``, or is_triplet 1's when ``key`` is "box"."""
+    def damage(row):
+        n = len(row["boxes"])
+        value_ = n if value is _PAST_THE_END else value
+        name = "is_triplet 1" if key == "box" else "triplet 2"
+        (row["is_triplets"][1] if key == "box" else row["triplets"][2])[key] = value_
+        return f"image {row['image_id']!r} {name}: {key}: " + _INDEX_ERROR.format(n=n, v=repr(value_))
+    return damage
+
+
+def _table_damage(k, value, message):
+    """Put ``value`` in the line's ``boxes`` entry ``k`` (from the end when negative)."""
+    def damage(row):
+        k_ = k % len(row["boxes"])
+        row["boxes"][k_] = value
+        return f"image {row['image_id']!r} box {k_}: {message}"
+    return damage
+
+
+def _boxes_not_a_list(row):
+    row["boxes"] = {"0": [0, 0, 1, 1]}
+    return f"image {row['image_id']!r}: boxes must be a list"
+
+
+# Damage to an index-form line written by save_predictions -> the message after "path:line: ".
+INDEX_DAMAGE = {
+    "index past the end": _index_damage("sub_box", _PAST_THE_END),
+    "negative index": _index_damage("obj_box", -1),
+    "true": _index_damage("sub_box", True),
+    "1.0": _index_damage("obj_box", 1.0),
+    "string": _index_damage("sub_box", "0"),
+    "is_triplet index past the end": _index_damage("box", _PAST_THE_END),
+    "is_triplet index 1.0": _index_damage("box", 1.0),
+    "boxes not a list": _boxes_not_a_list,
+    "bad table box": _table_damage(-1, [0, 0, 1], "box must be a list of 4 numbers, got [0, 0, 1]"),
+    "inverted table box": _table_damage(0, [5, 0, 1, 1], "inverted box (5.0, 0.0, 1.0, 1.0)"),
+}
+
+
+@pytest.mark.parametrize("damage", INDEX_DAMAGE)
+def test_damaged_index_form_exits_2_naming_the_line_and_item(tmp_path, capsys, damage):
+    rows = [json.loads(line) for line in (_GOLDEN / "predictions.jsonl").read_text().splitlines()]
+    k = next(k for k, row in enumerate(rows)
+             if len(row["triplets"]) >= 3 and len(row.get("is_triplets", [])) >= 2)
+    predictions = load_predictions(_GOLDEN / "predictions.jsonl")
+    path = tmp_path / "pred.jsonl"
+    save_predictions(predictions, path, attributes_of(rows))
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    message = INDEX_DAMAGE[damage](lines[k])
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    code = main(["eval", "--test", str(_GOLDEN / "test.jsonl"),
+                 "--vocab", str(_GOLDEN / "vocab.json"),
+                 "--predictions", str(path), "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"{path}:{k + 1}: {message}" in err, err
+    assert "Traceback" not in err
+
+
 def _retype(key, value):
     def damage(item):
         item[key] = value
@@ -313,7 +477,7 @@ def _edit_box(key, edit):
 
 _KEYS = ("sub_box", "sub_label", "predicate", "obj_box", "obj_label", "score")
 # Damage to one triplet of a many-triplet line, by name; some (a float score,
-# a -0.0 coordinate) leave it valid.
+# a -0.0 coordinate, an index in range) leave it valid.
 ITEM_DAMAGE = {
     **{f"no {key}": (lambda item, key=key: item.pop(key)) for key in _KEYS},
     **{f"{key} as {name}": _retype(key, value) for key in _KEYS
@@ -326,6 +490,7 @@ ITEM_DAMAGE = {
        for key in ("sub_box", "obj_box")},
     **{f"-0.0 in {key}": _edit_box(key, lambda b: [-0.0, *b[1:]])
        for key in ("sub_box", "obj_box")},
+    **{f"{key} as index {v}": _retype(key, v) for key in ("sub_box", "obj_box") for v in (-1, 3, 4)},
 }
 
 
@@ -343,9 +508,10 @@ def test_damaged_triplet_gets_the_message_of_the_per_item_check(tmp_path, damage
     k = int(rng.integers(len(triplets)))
     ITEM_DAMAGE[damage](triplets[k])
     path = tmp_path / "p.jsonl"
-    path.write_text(json.dumps({"image_id": "x", "triplets": triplets}) + "\n")
+    path.write_text(json.dumps({"image_id": "x", "boxes": pool, "triplets": triplets}) + "\n")
+    table = [parse_box(b, "box") for b in pool]
     try:
-        alone = _parse_triplet(json.loads(json.dumps(triplets[k])), _line_box_parser())
+        alone = _parse_triplet(json.loads(json.dumps(triplets[k])), table)
     except DataError as exc:
         with pytest.raises(DataError) as err:
             load_predictions(path)

@@ -14,6 +14,7 @@ from relfusion.datamodel import (
     PredictedTriplet,
     ResolvedTriplet,
     Vocabulary,
+    parse_box,
 )
 
 
@@ -206,3 +207,18 @@ def _shift(b: Box, rng) -> Box:
     dx = float(rng.choice([-2.0, 0.0, 2.0]))
     dy = float(rng.choice([-2.0, 0.0, 2.0]))
     return Box(b.xmin + dx, b.ymin + dy, b.xmax + dx, b.ymax + dy)
+
+
+def attributes_of(rows: list[dict]) -> dict:
+    """``save_predictions``'s attributes that write back the is_triplets of prediction rows.
+
+    Each is_triplet's box must be a list of 4 numbers.
+    """
+    out = {}
+    for row in rows:
+        if "is_triplets" in row:
+            items = row["is_triplets"]
+            dets = [make_detection(it["label"], parse_box(it["box"], "box")) for it in items]
+            out[row["image_id"]] = (make_record(row["image_id"], detections=dets),
+                                    [(k, it["attribute"], it["score"]) for k, it in enumerate(items)])
+    return out

@@ -282,9 +282,10 @@ def _fit(setup, vocab, cfg, rng, mask):
     return train(init_fusion_model(freq, dim, vocab, rng, mask=mask), views, cfg)
 
 
-def _predict(model, views, top_n: int) -> dict:
-    """Each view's ranked triplets, by image id."""
-    return {view.image_id: predict_image(model, view, top_n=top_n) for view in views}
+def _predict(model, views, top_n: int, path) -> dict:
+    """Each view's ranked triplets, by image id; a DataError names ``path``, the views' file."""
+    with _naming(path):
+        return {view.image_id: predict_image(model, view, top_n=top_n) for view in views}
 
 
 def _check_output(path) -> None:
@@ -333,7 +334,7 @@ def cmd_predict(args) -> int:
         raise DataError(f"{args.checkpoint}: --attributes needs an attribute_head, and the"
                         " checkpoint has none")
     _, views, _ = _views(args.test_path, vocab, args.mode, model.feature_dim)
-    predictions = _predict(model, views, args.top_n)
+    predictions = _predict(model, views, args.top_n, args.test_path)
     attributes = {}
     if args.attributes:
         attributes = {view.image_id: (view, predict_attributes(head, view)) for view in views}
@@ -386,7 +387,7 @@ def cmd_ablate(args) -> int:
         rng = np.random.default_rng(cfg.seed)
         with _naming(args.train_path):
             model, _ = _fit(setup, vocab, cfg, rng, parse_branches(branches))
-        predictions = _predict(model, test_views, args.top_n)
+        predictions = _predict(model, test_views, args.top_n, args.test_path)
         report = evaluate(predictions, test_set, vocab, mode=args.mode, spec=spec)
         r50, mrel, mphr, score = (
             100 * v for v in (report.recall_at[50], report.map_rel, report.map_phr, report.oi_score)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 from dataclasses import asdict, astuple, dataclass, field, replace
 
@@ -27,7 +26,6 @@ import numpy as np
 
 from .datamodel import (
     Box,
-    _NUMBER_TYPES,
     DataError,
     Detection,
     ImageRecord,
@@ -240,9 +238,21 @@ def pair_inputs(model: FusionModel, record: ImageRecord, pairs) -> PairInputs:
                for pair in zip(labels[sub].tolist(), labels[obj].tolist())]
         return np.stack([_prior_row(model, s, o) for s, o in distinct])[row]
 
+    def spatial_rows():
+        # A box far smaller or larger than its partner overflows the pair's encoding:
+        # a data error naming the first such pair, not a numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            spat = spatial_features(boxes[sub], boxes[obj], record.width, record.height)
+        finite = np.isfinite(spat).all(axis=1)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise DataError(f"image {record.image_id!r} detection pair ({sub[k]}, {obj[k]}):"
+                            " spatial encoding is not finite")
+        return spat
+
     rows = {
         "sem": semantic_rows,
-        "spat": lambda: spatial_features(boxes[sub], boxes[obj], record.width, record.height),
+        "spat": spatial_rows,
         "v_sub": lambda: feats[sub],
         "v_pred": lambda: predicate_features(feats, record, sub, obj),
         "v_obj": lambda: feats[obj],
@@ -650,11 +660,6 @@ def save_predictions(
     atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
-# The items of a prediction line: (box keys, integer keys) besides "score".
-_TRIPLET_KEYS = (("sub_box", "obj_box"), ("sub_label", "predicate", "obj_label"))
-_IS_TRIPLET_KEYS = (("box",), ("label", "attribute"))
-
-
 def _box(value, key: str, table: list[Box]) -> Box:
     """A box field: a list of 4 numbers, or an index into its line's parsed ``boxes``."""
     if type(value) is list:
@@ -665,56 +670,28 @@ def _box(value, key: str, table: list[Box]) -> Box:
                     f" {len(table)} boxes, got {value!r:.40}")
 
 
-def _check_item(item, box_keys, int_keys, table) -> tuple[list, list[int], float]:
-    """An item's boxes (each by :func:`_box`), integers and score; else a DataError."""
+def _score(value) -> float:
+    """A score field as a float; a DataError unless it is a finite JSON number."""
+    score = json_number(value)
+    if score is None:
+        raise DataError(f"score must be a finite number, got {value!r:.40}")
+    return score
+
+
+def _parse_triplet(item, table: list[Box]) -> PredictedTriplet:
+    """A triplet item; else a DataError for its first bad field (boxes, keys, integers, score)."""
     if type(item) is not dict:
         raise DataError("expected a JSON object")
     try:
-        boxes = [_box(item[key], key, table) for key in box_keys]
-        ints, score = [item[key] for key in int_keys], item["score"]
+        sub_box = _box(item["sub_box"], "sub_box", table)
+        obj_box = _box(item["obj_box"], "obj_box", table)
+        sub, pred, obj = item["sub_label"], item["predicate"], item["obj_label"]
+        score = item["score"]
     except KeyError as exc:
         raise DataError(f"missing key {exc}") from None
-    if not is_list_of(ints, int):
-        raise DataError(f"{', '.join(int_keys[:-1])} and {int_keys[-1]} must be integers")
-    value = json_number(score)
-    if value is None:
-        raise DataError(f"score must be a finite number, got {score!r:.40}")
-    return boxes, ints, value
-
-
-def _parse_triplet(item, table) -> PredictedTriplet:
-    (sub_box, obj_box), (sub, pred, obj), score = _check_item(item, *_TRIPLET_KEYS, table)
-    return PredictedTriplet(sub_box, sub, pred, obj_box, obj, score)
-
-
-_TRIPLET_FIELDS = operator.itemgetter(
-    "sub_box", "sub_label", "predicate", "obj_box", "obj_label", "score")
-
-
-def _triplet_columns(items: list, table: list[Box]) -> list[PredictedTriplet] | None:
-    """The items as triplets, checked a column at a time; None if any check fails.
-
-    The checks are :func:`_parse_triplet`'s. On None the caller runs that per
-    item, so the first bad item raises its usual message.
-    """
-    try:
-        columns = list(zip(*map(_TRIPLET_FIELDS, items)))
-    except (KeyError, TypeError):  # a missing key, or an item that is no object
-        return None
-    if not columns:
-        return []
-    sub_boxes, sub_labels, predicates, obj_boxes, obj_labels, scores = columns
-    if not ({int}.issuperset(map(type, sub_labels + predicates + obj_labels))
-            and _NUMBER_TYPES.issuperset(map(type, scores))):
-        return None
-    try:
-        subs = [_box(raw, "sub_box", table) for raw in sub_boxes]
-        objs = [_box(raw, "obj_box", table) for raw in obj_boxes]
-        # float is json_number's conversion; PredictedTriplet checks the predicate and score.
-        return list(map(
-            PredictedTriplet, subs, sub_labels, predicates, objs, obj_labels, map(float, scores)))
-    except (OverflowError, DataError):  # an integer score beyond float range, a bad value
-        return None
+    if not (type(sub) is int and type(pred) is int and type(obj) is int):
+        raise DataError("sub_label, predicate and obj_label must be integers")
+    return PredictedTriplet(sub_box, sub, pred, obj_box, obj, _score(score))
 
 
 def _parse_items(raw: dict, key: str, parse, image_id: str, table) -> list:
@@ -740,8 +717,17 @@ def load_predictions(
     ``vocab``'s ranges when one is given, but not returned.
     """
 
-    def check_is_triplet(item, table) -> None:
-        _, (label, attribute), _ = _check_item(item, *_IS_TRIPLET_KEYS, table)
+    def check_is_triplet(item, table: list[Box]) -> None:
+        if type(item) is not dict:
+            raise DataError("expected a JSON object")
+        try:
+            _box(item["box"], "box", table)
+            label, attribute, score = item["label"], item["attribute"], item["score"]
+        except KeyError as exc:
+            raise DataError(f"missing key {exc}") from None
+        if not (type(label) is int and type(attribute) is int):
+            raise DataError("label and attribute must be integers")
+        _score(score)
         if vocab is None:
             return
         classes, attributes = len(vocab.object_classes), len(vocab.attributes)
@@ -759,10 +745,7 @@ def load_predictions(
         if type(boxes) is not list:
             raise DataError(f"image {image_id!r}: boxes must be a list")
         table = [parse_box(b, f"image {image_id!r} box {k}") for k, b in enumerate(boxes)]
-        items = raw.get("triplets")
-        triplets = _triplet_columns(items, table) if type(items) is list else None
-        if triplets is None:
-            triplets = _parse_items(raw, "triplets", _parse_triplet, image_id, table)
+        triplets = _parse_items(raw, "triplets", _parse_triplet, image_id, table)
         _parse_items(raw, "is_triplets", check_is_triplet, image_id, table)
         return image_id, triplets
 

@@ -29,7 +29,12 @@ SPATIAL_DIM = 22
 
 def _log(x: np.ndarray) -> np.ndarray:
     # np.log's SIMD kernels may differ from libm in the last bit.
-    return np.fromiter(map(math.log, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+    values = x.ravel().tolist()
+    try:
+        logs = np.fromiter(map(math.log, values), np.float64, x.size)
+    except ValueError:  # a size ratio that underflowed to 0 logs to -inf, as np.log's does
+        logs = np.array([math.log(v) if v > 0.0 else -math.inf for v in values])
+    return logs.reshape(x.shape)
 
 
 def box_deltas(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:

@@ -993,6 +993,45 @@ def test_short_gt_item_exits_2_naming_the_line(synth_dir, tmp_path, capsys, key,
     assert f"{test}:2: image {row['image_id']!r} {message}" in err, err
 
 
+class TestOverflowingSpatialEncoding:
+    """A detection box with a positive but subnormal height overflows its pairs' encoding."""
+
+    @staticmethod
+    def _damaged_copy(path, tmp_path):
+        """``path`` with line 2's detection 0 that tall; the copy and that line's image id."""
+        lines = path.read_text().splitlines(keepends=True)
+        row = json.loads(lines[1])
+        x0, _, x1, _ = row["detections"][0]["box"]
+        row["detections"][0]["box"] = [x0, 0.0, x1, 5e-324]
+        lines[1] = json.dumps(row) + "\n"
+        copy = tmp_path / path.name
+        copy.write_text("".join(lines))
+        return copy, row["image_id"]
+
+    def test_predict_exits_2_naming_the_file_image_and_pair(self, synth_dir, tmp_path, capsys):
+        ckpt = _train(synth_dir, tmp_path)
+        test, image_id = self._damaged_copy(synth_dir / "test.jsonl", tmp_path)
+        code = main(["predict", "--test", str(test), "--vocab", str(synth_dir / "vocab.json"),
+                     "--checkpoint", str(ckpt), "--out", str(tmp_path / "p.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err == (f"data error: {test}: image {image_id!r} detection pair (0, 1):"
+                       " spatial encoding is not finite\n")
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_training_exits_2_naming_the_file_image_and_pair(self, synth_dir, tmp_path, capsys,
+                                                             command):
+        train, image_id = self._damaged_copy(synth_dir / "train.jsonl", tmp_path)
+        out = ["--checkpoint", str(tmp_path / "m.json")] if command == "train" else [
+            "--test", str(synth_dir / "test.jsonl"), "--out", str(tmp_path / "a.csv")]
+        code = main([command, "--train", str(train), "--vocab", str(synth_dir / "vocab.json"),
+                     *out, "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"data error: {train}: image {image_id!r} detection pair ("), err
+        assert err.endswith("): spatial encoding is not finite\n"), err
+
+
 def _train_with_config(synth_dir, tmp_path, config, extra=()):
     """Exit code of a train run under ``config``, and its epoch count."""
     config_path = tmp_path / "config.json"

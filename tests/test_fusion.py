@@ -163,6 +163,20 @@ class TestPairLogits:
         for row, pair in zip(logits, pairs):
             assert np.allclose(row, pair_logits(model, record, pair), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "extreme",
+        [box(0, 0, 20, 5e-324), box(-1e308, 0, 1e308, 15), box(1e308, 0, 1.5e308, 15)],
+        ids=["subnormal height", "width beyond float range", "center beyond float range"],
+    )
+    def test_a_spatial_encoding_that_overflows_names_its_pair(self, extreme):
+        """Finite, not zero-area boxes; no RuntimeWarning (an error under the test settings)."""
+        model = _toy_model()
+        record = _toy_record()
+        record.detections[1] = replace(record.detections[1], box=extreme)
+        with pytest.raises(DataError) as err:
+            pair_inputs(model, record, [(0, 2), (0, 1), (1, 2)])
+        assert str(err.value) == "image 'img' detection pair (0, 1): spatial encoding is not finite"
+
 
 class TestTraining:
     def test_zero_epochs_leaves_parameters(self):

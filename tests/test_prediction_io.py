@@ -496,7 +496,7 @@ ITEM_DAMAGE = {
 
 @pytest.mark.parametrize("damage", ITEM_DAMAGE)
 def test_damaged_triplet_gets_the_message_of_the_per_item_check(tmp_path, damage):
-    """The loader checks a line by columns; its verdict on a damaged triplet is the per-item one."""
+    """A damaged triplet among many gets the verdict that ``_parse_triplet`` gives it alone."""
     rng = np.random.default_rng(sorted(ITEM_DAMAGE).index(damage))
     pool = [[0, 0, 10, 10], [0.5, 2, 30.5, 40], [3, 4, 5, 6.25], [7.5, 1, 8, 250]]
     triplets = [
@@ -519,3 +519,117 @@ def test_damaged_triplet_gets_the_message_of_the_per_item_check(tmp_path, damage
     else:
         loaded = _assert_loads_as_reference(path)["x"]
         assert _fields(loaded[k]) == _fields(alone)
+
+
+_IS_KEYS = ("box", "label", "attribute", "score")
+# Damage to one is_triplet: each key missing or retyped (a float score leaves it valid).
+IS_ITEM_DAMAGE = {
+    **{f"no {key}": (lambda item, key=key: item.pop(key)) for key in _IS_KEYS},
+    **{f"{key} as {name}": _retype(key, value) for key in _IS_KEYS
+       for name, value in (("bool", True), ("str", "1"), ("float", 1.5), ("null", None))},
+    "inverted box": _edit_box("box", lambda b: [b[2], b[1], b[0], b[3]]),
+}
+_POOL = [[0, 0, 10, 10], [0.5, 2, 30.5, 40], [3, 4, 5, 6.25], [7.5, 1, 8, 250]]
+_NOT_INTS = "sub_label, predicate and obj_label must be integers"
+_NOT_A_BOX = "box must be a list of 4 numbers or an index into the line's 4 boxes, got "
+# The message after "path:1: image 'x' triplet 2: " (or "is_triplet 2") of each damage to
+# item 2 of _damaged_line's triplets or is_triplets; None where the item stays valid.
+PINNED_MESSAGES = {
+    ("triplets", "no sub_box"): "missing key 'sub_box'",
+    ("triplets", "no sub_label"): "missing key 'sub_label'",
+    ("triplets", "no predicate"): "missing key 'predicate'",
+    ("triplets", "no obj_box"): "missing key 'obj_box'",
+    ("triplets", "no obj_label"): "missing key 'obj_label'",
+    ("triplets", "no score"): "missing key 'score'",
+    ("triplets", "sub_box as bool"): "sub_box: " + _NOT_A_BOX + "True",
+    ("triplets", "sub_box as str"): "sub_box: " + _NOT_A_BOX + "'1'",
+    ("triplets", "sub_box as float"): "sub_box: " + _NOT_A_BOX + "1.5",
+    ("triplets", "sub_box as null"): "sub_box: " + _NOT_A_BOX + "None",
+    ("triplets", "sub_label as bool"): _NOT_INTS,
+    ("triplets", "sub_label as str"): _NOT_INTS,
+    ("triplets", "sub_label as float"): _NOT_INTS,
+    ("triplets", "sub_label as null"): _NOT_INTS,
+    ("triplets", "predicate as bool"): _NOT_INTS,
+    ("triplets", "predicate as str"): _NOT_INTS,
+    ("triplets", "predicate as float"): _NOT_INTS,
+    ("triplets", "predicate as null"): _NOT_INTS,
+    ("triplets", "obj_box as bool"): "obj_box: " + _NOT_A_BOX + "True",
+    ("triplets", "obj_box as str"): "obj_box: " + _NOT_A_BOX + "'1'",
+    ("triplets", "obj_box as float"): "obj_box: " + _NOT_A_BOX + "1.5",
+    ("triplets", "obj_box as null"): "obj_box: " + _NOT_A_BOX + "None",
+    ("triplets", "obj_label as bool"): _NOT_INTS,
+    ("triplets", "obj_label as str"): _NOT_INTS,
+    ("triplets", "obj_label as float"): _NOT_INTS,
+    ("triplets", "obj_label as null"): _NOT_INTS,
+    ("triplets", "score as bool"): "score must be a finite number, got True",
+    ("triplets", "score as str"): "score must be a finite number, got '1'",
+    ("triplets", "score as float"): None,
+    ("triplets", "score as null"): "score must be a finite number, got None",
+    ("triplets", "score 10**400"): "score must be a finite number, got 1" + "0" * 39,
+    ("triplets", "predicate 0"): "predicted predicate must be a real class (>= 1)",
+    ("triplets", "inverted sub_box"): "sub_box: inverted box (5.0, 4.0, 3.0, 6.25)",
+    ("triplets", "inverted obj_box"): "obj_box: inverted box (30.5, 2.0, 0.5, 40.0)",
+    ("triplets", "sub_box as an object"):
+        "sub_box: " + _NOT_A_BOX + "{'a': 3, 'b': 4, 'c': 5, 'd': 6.25}",
+    ("triplets", "obj_box as an object"):
+        "obj_box: " + _NOT_A_BOX + "{'a': 0.5, 'b': 2, 'c': 30.5, 'd': 40}",
+    ("triplets", "-0.0 in sub_box"): None,
+    ("triplets", "-0.0 in obj_box"): None,
+    ("triplets", "sub_box as index -1"): "sub_box: " + _NOT_A_BOX + "-1",
+    ("triplets", "sub_box as index 3"): None,
+    ("triplets", "sub_box as index 4"): "sub_box: " + _NOT_A_BOX + "4",
+    ("triplets", "obj_box as index -1"): "obj_box: " + _NOT_A_BOX + "-1",
+    ("triplets", "obj_box as index 3"): None,
+    ("triplets", "obj_box as index 4"): "obj_box: " + _NOT_A_BOX + "4",
+    ("is_triplets", "no box"): "missing key 'box'",
+    ("is_triplets", "no label"): "missing key 'label'",
+    ("is_triplets", "no attribute"): "missing key 'attribute'",
+    ("is_triplets", "no score"): "missing key 'score'",
+    ("is_triplets", "box as bool"): "box: " + _NOT_A_BOX + "True",
+    ("is_triplets", "box as str"): "box: " + _NOT_A_BOX + "'1'",
+    ("is_triplets", "box as float"): "box: " + _NOT_A_BOX + "1.5",
+    ("is_triplets", "box as null"): "box: " + _NOT_A_BOX + "None",
+    ("is_triplets", "label as bool"): "label and attribute must be integers",
+    ("is_triplets", "label as str"): "label and attribute must be integers",
+    ("is_triplets", "label as float"): "label and attribute must be integers",
+    ("is_triplets", "label as null"): "label and attribute must be integers",
+    ("is_triplets", "attribute as bool"): "label and attribute must be integers",
+    ("is_triplets", "attribute as str"): "label and attribute must be integers",
+    ("is_triplets", "attribute as float"): "label and attribute must be integers",
+    ("is_triplets", "attribute as null"): "label and attribute must be integers",
+    ("is_triplets", "score as bool"): "score must be a finite number, got True",
+    ("is_triplets", "score as str"): "score must be a finite number, got '1'",
+    ("is_triplets", "score as float"): None,
+    ("is_triplets", "score as null"): "score must be a finite number, got None",
+    ("is_triplets", "inverted box"): "box: inverted box (5.0, 4.0, 3.0, 6.25)",
+}
+
+
+def _damaged_line(path, key: str, damage) -> None:
+    """4 triplets and 4 is_triplets, box fields as lists, with item 2 of ``key`` damaged."""
+    row = {"image_id": "x", "boxes": _POOL, "triplets": [
+        {"sub_box": list(_POOL[k]), "sub_label": k, "predicate": 1 + k % 3,
+         "obj_box": list(_POOL[3 - k]), "obj_label": 3 - k, "score": 0.25 * k}
+        for k in range(4)
+    ], "is_triplets": [
+        {"box": list(_POOL[k]), "label": k % 2, "attribute": k % 3, "score": 0.5}
+        for k in range(4)
+    ]}
+    damage(row[key][2])
+    path.write_text(json.dumps(row) + "\n")
+
+
+@pytest.mark.parametrize("key, damage", [
+    *(("triplets", name) for name in ITEM_DAMAGE),
+    *(("is_triplets", name) for name in IS_ITEM_DAMAGE),
+])
+def test_damaged_item_gets_its_pinned_message(tmp_path, key, damage):
+    path = tmp_path / "p.jsonl"
+    _damaged_line(path, key, (ITEM_DAMAGE if key == "triplets" else IS_ITEM_DAMAGE)[damage])
+    message = PINNED_MESSAGES[key, damage]
+    if message is None:
+        _assert_loads_as_reference(path)
+    else:
+        with pytest.raises(DataError) as err:
+            load_predictions(path)
+        assert str(err.value) == f"{path}:1: image 'x' {key[:-1]} 2: {message}"

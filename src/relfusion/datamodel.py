@@ -379,14 +379,17 @@ def json_number(value) -> float | None:
 
 
 def parse_box(raw, where: str) -> Box:
-    """A box from a JSON list of 4 numbers; anything else is a DataError naming ``where``."""
+    """A box from a JSON list of 4 numbers with finite sides, else a DataError naming ``where``."""
     if (not isinstance(raw, (list, tuple)) or len(raw) != 4
             or not _NUMBER_TYPES.issuperset(map(type, raw))):
         raise DataError(f"{where}: box must be a list of 4 numbers, got {raw!r}")
     try:
-        return Box(float(raw[0]), float(raw[1]), float(raw[2]), float(raw[3]))
+        box = Box(float(raw[0]), float(raw[1]), float(raw[2]), float(raw[3]))
     except (OverflowError, DataError) as exc:
         raise DataError(f"{where}: {exc}") from exc
+    if math.isinf(box.xmax - box.xmin) or math.isinf(box.ymax - box.ymin):
+        raise DataError(f"{where}: box width or height overflows the float range, got {raw!r}")
+    return box
 
 
 def _finite(arr: np.ndarray, where: str) -> np.ndarray:

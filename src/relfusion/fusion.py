@@ -273,13 +273,13 @@ def batch_logits(model: FusionModel, inputs: PairInputs) -> tuple[np.ndarray, li
                 mlp = getattr(model, net)
                 term, cache = forward(mlp, term)
                 caches.append((mlp, cache))
-            out = term if out is None else out + term
+            out = term if out is None else np.add(out, term, out=out)
         vectors.append(out)
     # Right fold so that peeling branches off the front of the canonical
     # order splits the sum without any re-rounding.
     logits = np.zeros((len(inputs), model.num_predicates + 1))
     for out in reversed(vectors):
-        logits = out + logits
+        np.add(out, logits, out=logits)
     return logits, caches
 
 
@@ -301,7 +301,7 @@ def trainable_params(model: FusionModel) -> list[np.ndarray]:
 def _xent_and_grads(logits: np.ndarray, caches: list, targets: np.ndarray):
     """Mean softmax cross-entropy and its gradients through the (net, cache) pairs."""
     losses, dlogits = numcore.softmax_xent(logits, targets)
-    dlogits = dlogits / len(targets)
+    dlogits /= len(targets)
     grads: list[np.ndarray] = []
     for net, cache in caches:
         for dw_db in numcore.backward(net, cache, dlogits):

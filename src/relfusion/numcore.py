@@ -1,9 +1,10 @@
 """Minimal dense-network machinery for the trainable branches.
 
-Everything runs in float64. Layers apply ``y = x @ W.T + b`` with a
-rectifier between layers (never after the last), which is all the
-relationship heads need. Gradients are exact reverse-mode; a central
-finite-difference helper provides the independent check.
+Everything runs in float64. Layers apply ``y = x @ W.T + b`` with a rectifier
+between layers (never after the last), which is all the relationship heads need.
+Gradients are exact reverse-mode; a central finite-difference helper provides the
+independent check. The passes allocate only what they keep: the forward cache holds
+layer inputs only, and bias, rectifier, backward mask and SGD scaling run in place.
 """
 
 from __future__ import annotations
@@ -44,9 +45,7 @@ class Mlp:
     def __post_init__(self):
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if prev.out_dim != nxt.in_dim:
-                raise ValueError(
-                    f"layer dims do not chain: {prev.out_dim} -> {nxt.in_dim}"
-                )
+                raise ValueError(f"layer dims do not chain: {prev.out_dim} -> {nxt.in_dim}")
 
     @property
     def in_dim(self) -> int:
@@ -71,39 +70,38 @@ def init_mlp(dims: list[int], rng: np.random.Generator) -> Mlp:
     return Mlp([init_layer(a, b, rng) for a, b in zip(dims, dims[1:])])
 
 
-def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
-
-
 def layer_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    return x @ layer.weights.T + layer.bias
+    """``x @ W.T + b``, the bias added in place on the fresh matmul output."""
+    z = x @ layer.weights.T
+    z += layer.bias
+    return z
 
 
 def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, dict]:
     """Run the affine/rectifier chain.
 
     ``x`` is a single vector (in_dim,) or a batch (N, in_dim). Returns the
-    output plus a cache sufficient for :func:`backward`.
+    output plus the cache :func:`backward` reads: ``{"inputs": [...]}``, each
+    layer's input only (``x``, unwritten, then each hidden output, rectified in place).
     """
     single = x.ndim == 1
     h = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if h.shape[1] != mlp.in_dim:
         raise ValueError(f"input dim {h.shape[1]} != mlp input dim {mlp.in_dim}")
     inputs = []
-    preacts = []
     for i, layer in enumerate(mlp.layers):
         inputs.append(h)
-        z = layer_forward(layer, h)
-        preacts.append(z)
-        h = relu(z) if i < len(mlp.layers) - 1 else z
-    cache = {"inputs": inputs, "preacts": preacts}
-    return (h[0] if single else h), cache
+        h = layer_forward(layer, h)
+        if i < len(mlp.layers) - 1:
+            np.maximum(h, 0.0, out=h)
+    return (h[0] if single else h), {"inputs": inputs}
 
 
-def backward(
-    mlp: Mlp, cache: dict, grad_out: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Exact reverse-mode parameter gradients of :func:`forward`: (dW, db) per layer."""
+def backward(mlp: Mlp, cache: dict, grad_out: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Exact reverse-mode parameter gradients of :func:`forward`: (dW, db) per layer.
+
+    Each fresh ``g @ W`` is masked in place by its cached rectified input: ``relu(z) > 0``
+    is ``z > 0`` bit for bit, NaN included. ``grad_out`` and the cache are not written."""
     if len(cache["inputs"]) != len(mlp.layers):
         raise ValueError("cache does not match the mlp it came from")
     g = np.atleast_2d(np.asarray(grad_out, dtype=np.float64))
@@ -114,7 +112,8 @@ def backward(
             raise ValueError("gradient shape does not match cached activations")
         grads[i] = (g.T @ x, g.sum(axis=0))
         if i > 0:
-            g = (g @ mlp.layers[i].weights) * (cache["preacts"][i - 1] > 0.0)
+            g = g @ mlp.layers[i].weights
+            g *= x > 0.0
     return grads
 
 
@@ -153,14 +152,15 @@ def softmax_xent(logits: np.ndarray, target) -> tuple[np.ndarray, np.ndarray]:
 
 def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], velocities: list[np.ndarray],
              learning_rate: float, momentum: float) -> None:
-    """In-place momentum update of aligned buffers: v = momentum*v - lr*grad; param += v."""
+    """In place: v = momentum*v - lr*grad; param += v. Consumes ``grads``: each ends as lr*grad."""
     if len(params) != len(grads) or len(params) != len(velocities):
         raise ValueError("params/grads/velocities length mismatch")
     for p, g, v in zip(params, grads, velocities):
         if not p.shape == g.shape == v.shape:
             raise ValueError(f"shape mismatch: param {p.shape}, grad {g.shape}, velocity {v.shape}")
         v *= momentum
-        v -= learning_rate * g
+        g *= learning_rate
+        v -= g
         p += v
 
 
@@ -197,12 +197,8 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float =
 
 
 def mlp_to_json(mlp: Mlp) -> dict:
-    return {
-        "layers": [
-            {"weights": array_to_json(l.weights), "bias": array_to_json(l.bias)}
-            for l in mlp.layers
-        ]
-    }
+    return {"layers": [{"weights": array_to_json(l.weights), "bias": array_to_json(l.bias)}
+                       for l in mlp.layers]}
 
 
 def mlp_from_json(raw) -> Mlp:

@@ -1,6 +1,7 @@
 """Command-line behavior: wiring, determinism, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -1030,6 +1031,56 @@ class TestOverflowingSpatialEncoding:
         assert code == 2, err
         assert err.startswith(f"data error: {train}: image {image_id!r} detection pair ("), err
         assert err.endswith("): spatial encoding is not finite\n"), err
+
+
+class TestOverflowingBoxSide:
+    """A box whose width overflows the float range is a data error on input."""
+
+    BOX_MESSAGE = "box width or height overflows the float range, got [-1e+308, {}, 1e+308, {}]"
+
+    @staticmethod
+    def _widen(box):
+        return [-1e308, box[1], 1e308, box[3]]
+
+    @pytest.mark.parametrize("mode", ["sgcls", "sgdet"])
+    def test_training_exits_2_naming_the_line_and_detection(self, synth_dir, tmp_path, capsys,
+                                                            mode):
+        lines = (synth_dir / "train.jsonl").read_text().splitlines(keepends=True)
+        row = json.loads(lines[1])
+        box = row["detections"][0]["box"] = self._widen(row["detections"][0]["box"])
+        lines[1] = json.dumps(row) + "\n"
+        train = tmp_path / "train.jsonl"
+        train.write_text("".join(lines))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = main(["train", "--train", str(train), "--vocab", str(synth_dir / "vocab.json"),
+                         "--checkpoint", str(tmp_path / "m.json"), "--mode", mode,
+                         "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert not seen, [str(w.message) for w in seen]
+        assert err == (f"data error: {train}:2: image {row['image_id']!r} detection 0: "
+                       f"{self.BOX_MESSAGE.format(box[1], box[3])}\n")
+        assert not (tmp_path / "m.json").exists()
+
+    def test_eval_exits_2_naming_the_line_and_box(self, synth_dir, tmp_path, capsys):
+        ckpt = _train(synth_dir, tmp_path)
+        pred = tmp_path / "p.jsonl"
+        assert main(["predict", "--test", str(synth_dir / "test.jsonl"),
+                     "--vocab", str(synth_dir / "vocab.json"), "--checkpoint", str(ckpt),
+                     "--out", str(pred), "--attributes"]) == 0
+        lines = pred.read_text().splitlines(keepends=True)
+        row = json.loads(lines[0])
+        box = row["boxes"][1] = self._widen(row["boxes"][1])
+        lines[0] = json.dumps(row) + "\n"
+        pred.write_text("".join(lines))
+        code = main(["eval", "--test", str(synth_dir / "test.jsonl"),
+                     "--vocab", str(synth_dir / "vocab.json"), "--predictions", str(pred),
+                     "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err == (f"data error: {pred}:1: image {row['image_id']!r} box 1: "
+                       f"{self.BOX_MESSAGE.format(box[1], box[3])}\n")
 
 
 def _train_with_config(synth_dir, tmp_path, config, extra=()):

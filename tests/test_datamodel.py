@@ -20,6 +20,7 @@ from relfusion.datamodel import (
     iou_matrix,
     load_dataset,
     load_vocabulary,
+    parse_box,
     save_dataset,
     save_vocabulary,
     union_box,
@@ -34,6 +35,15 @@ class TestBox:
             Box(5, 0, 0, 5)
         with pytest.raises(DataError):
             Box(0, 0, math.inf, 5)
+
+    def test_a_side_past_the_float_range_is_rejected_on_input(self):
+        for raw in ([-1e308, 0, 1e308, 1], [0, -1e308, 1, 1e308]):
+            with pytest.raises(DataError, match=r"^w: box width or height overflows the float"):
+                parse_box(raw, "w")
+        # Finite sides pass, however large, and so does a huge box built in memory.
+        assert parse_box([0, 0, 1e308, 1e308], "w") == Box(0.0, 0.0, 1e308, 1e308)
+        assert parse_box([-1e308, -1e308, 0, 0], "w").width == 1e308
+        assert Box(-1e308, 0, 1e308, 1).width == math.inf
 
     def test_zero_area_accepted(self):
         b = Box(3, 3, 3, 3)

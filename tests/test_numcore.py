@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,135 @@ class TestBackward:
                 ) < 1e-4
 
 
+def _same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes: -0.0 differs from 0.0, a NaN equals its own bits."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _reference_forward(mlp, x):
+    """The plain formula, relu(x @ W.T + b) per hidden layer, keeping each pre-activation."""
+    h = np.atleast_2d(x)
+    inputs, preacts = [], []
+    for i, layer in enumerate(mlp.layers):
+        inputs.append(h)
+        z = h @ layer.weights.T + layer.bias
+        preacts.append(z)
+        h = np.maximum(z, 0.0) if i < len(mlp.layers) - 1 else z
+    return h, inputs, preacts
+
+
+def _reference_backward(mlp, inputs, preacts, g):
+    """The plain reverse pass, masking each propagated gradient by its pre-activation."""
+    grads = [None] * len(mlp.layers)
+    for i in range(len(mlp.layers) - 1, -1, -1):
+        grads[i] = (g.T @ inputs[i], g.sum(axis=0))
+        if i > 0:
+            g = (g @ mlp.layers[i].weights) * (preacts[i - 1] > 0.0)
+    return grads
+
+
+def _boundary_case(seed: int):
+    """An mlp and a batch whose pre-activations hit the rectifier's edge.
+
+    Weights and inputs are small integers (so many pre-activations are exactly
+    zero), inputs and biases hold -0.0, some rows are integer multiples of the
+    smallest subnormal, and one row holds a NaN.
+    """
+    rng = np.random.default_rng(seed)
+    dims = [6, 7, 5, 3]
+    layers = [
+        DenseLayer(rng.integers(-1, 2, size=(b, a)).astype(float),
+                   np.concatenate([[0.0, -0.0], rng.choice([0.0, -0.0, 1.0, -1.0], size=b - 2)]))
+        for a, b in zip(dims, dims[1:])
+    ]
+    x = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], size=(12, dims[0]))
+    x[4:8] *= 5e-324
+    x[9, 2] = np.nan
+    g = rng.choice([-1.0, -0.0, 0.0, 0.5, 5e-324, -5e-324], size=(12, dims[-1]))
+    return Mlp(layers), x, g
+
+
+class TestLeanPasses:
+    """forward, backward and sgd_step give the bits of their plain formulas."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_forward_and_backward_match_the_pre_activation_formulas(self, seed):
+        mlp, x, g = _boundary_case(seed)
+        x_before, g_before = x.copy(), g.copy()
+        ref_out, ref_inputs, ref_preacts = _reference_forward(mlp, x)
+        assert any(np.any(z == 0.0) for z in ref_preacts)
+        assert any(np.any((z != 0.0) & (np.abs(z) < 1e-300)) for z in ref_preacts)
+        out, cache = forward(mlp, x)
+        assert _same_bits(out, ref_out)
+        assert set(cache) == {"inputs"}
+        assert all(_same_bits(a, b) for a, b in zip(cache["inputs"], ref_inputs, strict=True))
+        grads = backward(mlp, cache, g)
+        expected = _reference_backward(mlp, ref_inputs, ref_preacts, g)
+        for (dw, db), (rw, rb) in zip(grads, expected, strict=True):
+            assert _same_bits(dw, rw) and _same_bits(db, rb)
+        assert _same_bits(x, x_before) and _same_bits(g, g_before)
+
+    def test_a_single_vector_matches_its_batch_formula(self):
+        mlp, x, g = _boundary_case(7)
+        out, cache = forward(mlp, x[5])
+        ref_out, ref_inputs, ref_preacts = _reference_forward(mlp, x[5])
+        assert _same_bits(out, ref_out[0])
+        for (dw, db), (rw, rb) in zip(backward(mlp, cache, g[5]),
+                                      _reference_backward(mlp, ref_inputs, ref_preacts,
+                                                          g[5:6])):
+            assert _same_bits(dw, rw) and _same_bits(db, rb)
+
+    def test_branch_sized_net_matches_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        mlp = init_mlp([48, 256, 256, 15], rng)
+        x = rng.normal(size=(462, 48))
+        g = rng.normal(size=(462, 15))
+        out, cache = forward(mlp, x)
+        ref_out, ref_inputs, ref_preacts = _reference_forward(mlp, x)
+        assert _same_bits(out, ref_out)
+        for (dw, db), (rw, rb) in zip(backward(mlp, cache, g),
+                                      _reference_backward(mlp, ref_inputs, ref_preacts, g)):
+            assert _same_bits(dw, rw) and _same_bits(db, rb)
+
+    def test_sgd_step_matches_the_momentum_formula_and_consumes_grads(self):
+        rng = np.random.default_rng(22)
+        shapes = [(7, 5), (7,), (3, 7), (3,)]
+        params = [rng.normal(size=s) for s in shapes]
+        params[0][0, :3] = [-0.0, 0.0, 5e-324]
+        velocities = [rng.normal(scale=1e-3, size=s) for s in shapes]
+        velocities[1][:2] = [-0.0, 5e-324]
+        grads = [rng.normal(size=s) for s in shapes]
+        grads[2][0, :3] = [-0.0, 0.0, -5e-324]
+        lr, momentum = 0.03, 0.9
+        v_ref = [momentum * v - lr * g for v, g in zip(velocities, grads)]
+        p_ref = [p + v for p, v in zip(params, v_ref)]
+        scaled = [lr * g for g in grads]
+        sgd_step(params, grads, velocities, lr, momentum)
+        assert all(_same_bits(a, b) for a, b in zip(velocities, v_ref))
+        assert all(_same_bits(a, b) for a, b in zip(params, p_ref))
+        # The gradients are consumed: each holds lr * grad afterwards.
+        assert all(_same_bits(a, b) for a, b in zip(grads, scaled))
+
+    def test_forward_keeps_no_pre_activation_copies(self):
+        """One spo_head-sized forward peaks under 2.5 activations (462 x 256 floats).
+
+        The output and cache alive at the end are two; a pass that also keeps
+        each pre-activation peaks at about four.
+        """
+        rng = np.random.default_rng(23)
+        mlp = init_mlp([48, 256, 256, 15], rng)
+        x = rng.normal(size=(462, 48))
+        forward(mlp, x)  # first-call allocations of numpy and BLAS stay out of the count
+        tracemalloc.start()
+        try:
+            out, cache = forward(mlp, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 462 * 256 * 8
+
+
 class TestSoftmaxXent:
     def test_uniform_logits_loss(self):
         for n in (2, 5, 10):
@@ -239,11 +369,21 @@ class TestSgd:
 
     def test_momentum_accumulates(self):
         p = np.zeros(1)
+        velocities = [np.zeros(1)]
+        # A fresh gradient per call: sgd_step consumes the one it is given.
+        sgd_step([p], [np.ones(1)], velocities, 0.5, 0.5)  # v = -0.5, p = -0.5
+        sgd_step([p], [np.ones(1)], velocities, 0.5, 0.5)  # v = -0.75, p = -1.25
+        assert p[0] == pytest.approx(-1.25, abs=1e-15)
+
+    def test_a_reused_gradient_is_the_scaled_one(self):
+        """sgd_step scales ``grads`` in place, so a reused array steps by lr * lr * g."""
+        p = np.zeros(1)
         g = np.ones(1)
         velocities = [np.zeros(1)]
-        sgd_step([p], [g], velocities, 1.0, 0.5)  # v = -1, p = -1
-        sgd_step([p], [g], velocities, 1.0, 0.5)  # v = -1.5, p = -2.5
-        assert p[0] == pytest.approx(-2.5, abs=1e-15)
+        sgd_step([p], [g], velocities, 0.5, 0.0)
+        assert g[0] == 0.5 and p[0] == -0.5
+        sgd_step([p], [g], velocities, 0.5, 0.0)
+        assert g[0] == 0.25 and p[0] == -0.75
 
 
 class TestInitLayer:

@@ -378,8 +378,13 @@ def json_number(value) -> float | None:
     return number if math.isfinite(number) else None
 
 
+# Coordinates of magnitude at most 2**510 keep every side below 2**511, so a box area,
+# the sum of two areas and the area of an enclosing box stay below 2**1023: finite.
+_MAX_COORDINATE = 2.0**510
+
+
 def parse_box(raw, where: str) -> Box:
-    """A box from a JSON list of 4 numbers with finite sides, else a DataError naming ``where``."""
+    """A box from a JSON list of 4 numbers within +-2**510, else a DataError naming ``where``."""
     if (not isinstance(raw, (list, tuple)) or len(raw) != 4
             or not _NUMBER_TYPES.issuperset(map(type, raw))):
         raise DataError(f"{where}: box must be a list of 4 numbers, got {raw!r}")
@@ -387,8 +392,11 @@ def parse_box(raw, where: str) -> Box:
         box = Box(float(raw[0]), float(raw[1]), float(raw[2]), float(raw[3]))
     except (OverflowError, DataError) as exc:
         raise DataError(f"{where}: {exc}") from exc
-    if math.isinf(box.xmax - box.xmin) or math.isinf(box.ymax - box.ymin):
-        raise DataError(f"{where}: box width or height overflows the float range, got {raw!r}")
+    # Not inverted, so xmin <= xmax and ymin <= ymax bound the other two magnitudes.
+    if max(-box.xmin, -box.ymin, box.xmax, box.ymax) > _MAX_COORDINATE:
+        if math.isinf(box.xmax - box.xmin) or math.isinf(box.ymax - box.ymin):
+            raise DataError(f"{where}: box width or height overflows the float range, got {raw!r}")
+        raise DataError(f"{where}: box coordinate beyond +-2**510, got {raw!r}")
     return box
 
 
@@ -510,6 +518,8 @@ def _parse_record(raw: dict, vocab: Vocabulary, feature_dim: int | None) -> tupl
     width, height = raw.get("width"), raw.get("height")
     if not all(type(v) is int and json_number(v) is not None and v > 0 for v in (width, height)):
         raise DataError(f"{where}: width/height must be positive integers within float range")
+    if json_number(width * height) is None:  # the spatial encoding divides by the image area
+        raise DataError(f"{where}: width * height overflows the float range")
 
     items = {}
     for key, kind in (("detections", dict), ("gt_boxes", dict), ("gt_triplets", list),

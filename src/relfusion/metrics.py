@@ -9,9 +9,8 @@ Matching rules, pinned so results are reproducible bit for bit:
 - One greedy matcher serves R@K, free-k and both AP box modes: in score
   order (stable), each prediction takes the first unmatched ground-truth
   entry with its three labels (annotation order) it can match, and
-  consumes that entry. One pass ranks each image once, matches it once
-  per AP box mode and once per distinct list a per-pair budget keeps,
-  and reads every R@k off that list's match.
+  consumes that entry. One pass ranks each image once and reads every
+  R@k off the match of the list a per-pair budget keeps.
 - The variable-k protocol keeps the top k predicates per ordered
   localization pair (same subject box+label and object box+label);
   free-k reports the best fixed k in 1..P. The graph constraint is the
@@ -22,10 +21,14 @@ Matching rules, pinned so results are reproducible bit for bit:
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .datamodel import (
     DataError,
@@ -67,31 +70,29 @@ def triplet_match(pred: PredictedTriplet, gt: ResolvedTriplet, spec: MatchSpec) 
     )
 
 
-def _phrase_match(pred: PredictedTriplet, gt: ResolvedTriplet, spec: MatchSpec) -> bool:
-    """IoU of the enclosing boxes; ``_greedy_hits`` only offers same-label ground truth."""
-    union = union_box(gt.sub_box, gt.obj_box)
-    return iou(union_box(pred.sub_box, pred.obj_box), union) >= spec.iou_threshold
+def _phrase_test(ranked: list[PredictedTriplet], gts: list[ResolvedTriplet], spec: MatchSpec):
+    """Phrase mode's test of (rank, gt index): IoU of the enclosing boxes, each built once."""
+    pred_union = functools.cache(lambda i: union_box(ranked[i].sub_box, ranked[i].obj_box))
+    gt_union = functools.cache(lambda g: union_box(gts[g].sub_box, gts[g].obj_box))
+    return lambda i, g: iou(pred_union(i), gt_union(g)) >= spec.iou_threshold
 
 
-def _greedy_hits(
-    preds: list[PredictedTriplet], gts: list[ResolvedTriplet], match, spec: MatchSpec
-) -> list[bool]:
-    """Per ranked prediction: did it consume a still-unmatched ground-truth entry.
+def _walk(candidates: list[tuple[int, int, list[int]]], test, limit: int) -> list[int]:
+    """The list positions of one ranked list's greedy hits, ascending.
 
-    Only ground truth with the prediction's three labels can match it, so
-    each prediction tries just that label's unmatched entries, in
-    annotation order.
+    ``candidates`` holds (list position, rank, indices of the gts with its three labels)
+    in list order. Each takes the first unmatched gt, in annotation order, that
+    ``test(rank, gt index)`` passes. Positions from ``limit`` on are not walked.
     """
-    unmatched: dict[tuple[int, int, int], list[ResolvedTriplet]] = {}
-    for gt in gts:
-        unmatched.setdefault((gt.sub_label, gt.predicate, gt.obj_label), []).append(gt)
-    hits = [False] * len(preds)
-    for pi, pred in enumerate(preds):
-        candidates = unmatched.get((pred.sub_label, pred.predicate, pred.obj_label), ())
-        for gi, gt in enumerate(candidates):
-            if match(pred, gt, spec):
-                del candidates[gi]
-                hits[pi] = True
+    taken: set[int] = set()
+    hits = []
+    for pos, i, options in candidates:
+        if pos >= limit:
+            break
+        for g in options:
+            if g not in taken and test(i, g):
+                taken.add(g)
+                hits.append(pos)
                 break
     return hits
 
@@ -109,23 +110,18 @@ def _pair_ranks(ranked: list[PredictedTriplet]) -> list[int]:
     return ranks
 
 
-def _average_precision(hits: list[tuple[float, bool]], npos: int) -> float:
-    """All-points-interpolated AP of one predicate's pooled (score, hit) pairs."""
-    hits.sort(key=lambda it: -it[0])
-    mrec, mpre, tp = [0.0], [0.0], 0
-    for rank, (_, hit) in enumerate(hits, start=1):
-        tp += 1 if hit else 0
-        mrec.append(tp / npos)
-        mpre.append(tp / rank)
-    mrec.append(1.0)
-    mpre.append(0.0)
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
-    ap = 0.0
-    for i in range(len(mrec) - 1):
-        if mrec[i + 1] != mrec[i]:
-            ap += (mrec[i + 1] - mrec[i]) * mpre[i + 1]
-    return ap
+def _average_precision(scores: np.ndarray, hit: np.ndarray, npos: int) -> float:
+    """All-points-interpolated AP of one predicate's pooled scores and hit flags.
+
+    Recall moves only at a hit, and its last step, to 1, meets an envelope of 0.0, so
+    the fold over the hits adds the terms of a fold over all recall points, in order.
+    """
+    hit = hit[np.argsort(-scores, kind="stable")]
+    tp = np.cumsum(hit)
+    envelope = np.maximum.accumulate((tp / np.arange(1, len(tp) + 1))[::-1])[::-1]
+    at = np.flatnonzero(hit)
+    steps = np.diff(tp[at] / npos, prepend=0.0) * envelope[at]
+    return functools.reduce(operator.add, steps.tolist(), 0.0)
 
 
 def _one_pass(
@@ -140,12 +136,15 @@ def _one_pass(
 
     The budget rule: the graph constraint is the budget 1, an integer k per pair or
     None (keep all) is used as is, and "free" sweeps 1..``num_predicates``, each k
-    taking its best. Budget b keeps the predictions whose pair rank is below b. Kept
-    lists grow with b, so each image is sorted once and each distinct length is matched
-    once, down to ``max(ks)``: the matcher walks a list in order, so its first k hits
-    ignore what follows. The whole ranking's rel match also serves mAP_rel. AP pools
-    each prediction's (score, hit) under its predicate, which equals matching that
-    predicate's predictions alone; it applies no budget.
+    taking its best. Budget b keeps the predictions whose pair rank is below b, so it
+    cuts an image's ranking only if a pair rank reaches b. Each image is sorted and
+    its ground truth indexed by label triple once; walks visit only the candidates,
+    the predictions whose labels have ground truth. The whole ranking is walked once
+    per box mode (its rel walk serves each budget that cuts nothing), and each cut
+    list once, down to ``max(ks)``: a walk goes in order, so its first k hits ignore
+    what follows. If a budget cuts, the rel walks share one verdict per (prediction,
+    gt) pair. AP pools each prediction's score and hit under its predicate, which
+    equals matching that predicate's predictions alone; it applies no budget.
     """
     if any(k <= 0 for k in ks):
         raise ValueError("k must be positive")
@@ -158,32 +157,54 @@ def _one_pass(
             raise ValueError("k_per_pair='free' needs num_predicates")
         budgets = list(range(1, num_predicates + 1))
     npos = Counter(g.predicate for gts in ground_truth.values() for g in gts)
-    pooled = {mode: {p: [] for p in npos} for mode in box_modes}
+    pooled: list[PredictedTriplet] = []  # every image's ranking, in turn
+    pooled_hits: dict[str, list[int]] = {mode: [] for mode in box_modes}  # indices in pooled
     per_image: list[list[list[float]]] = [[[] for _ in ks] for _ in budgets]
     for image_id, gts in ground_truth.items():
         # Stable, so the caller-provided order breaks score ties.
         ranked = sorted(predictions.get(image_id, []), key=lambda t: -t.score)
-        matches: dict[tuple[str, int], list[bool]] = {}  # (box mode, list length) -> hits
+        index: dict[tuple[int, int, int], list[int]] = {}
+        for g, gt in enumerate(gts):
+            index.setdefault((gt.sub_label, gt.predicate, gt.obj_label), []).append(g)
+        candidates = [(i, i, options) for i, t in enumerate(ranked)
+                      if (options := index.get((t.sub_label, t.predicate, t.obj_label)))]
+        ranks = _pair_ranks(ranked) if ks and gts and budgets != [None] else []
+        cuts = [b for b in budgets if b is not None and b <= max(ranks, default=0)]
+        rel = lambda i, g: triplet_match(ranked[i], gts[g], spec)  # noqa: E731
+        rel = functools.cache(rel) if cuts else rel
+        walks: dict[str | int, list[int]] = {}
         for mode in box_modes:
-            match = triplet_match if mode == "rel" else _phrase_match
-            hits = matches[mode, len(ranked)] = _greedy_hits(ranked, gts, match, spec)
-            for t, hit in zip(ranked, hits):
-                if t.predicate in pooled[mode]:
-                    pooled[mode][t.predicate].append((t.score, hit))
+            test = rel if mode == "rel" else _phrase_test(ranked, gts, spec)
+            walks[mode] = _walk(candidates, test, len(ranked))
+            pooled_hits[mode] += [len(pooled) + pos for pos in walks[mode]]
+        pooled += ranked
         if not (gts and ks):
             continue
-        ranks = _pair_ranks(ranked) if any(b is not None for b in budgets) else []
-        for recalls, budget in zip(per_image, budgets):
-            kept = ranked if budget is None else [t for t, r in zip(ranked, ranks) if r < budget]
-            if ("rel", len(kept)) not in matches:
-                matches["rel", len(kept)] = _greedy_hits(kept[: max(ks)], gts, triplet_match, spec)
+        if len(cuts) < len(budgets) and "rel" not in walks:
+            walks["rel"] = _walk(candidates, rel, max(ks))
+        if cuts:  # per candidate: how many earlier predictions have each pair rank or less
+            below, counts, start = {}, [0] * (max(ranks) + 1), 0
+            for _, i, _ in candidates:
+                for r in ranks[start:i]:
+                    counts[r] += 1
+                below[i], start = list(itertools.accumulate(counts)), i
+        for b in cuts:
+            kept = [(below[i][b - 1], i, options) for _, i, options in candidates if ranks[i] < b]
+            walks[b] = _walk(kept, rel, max(ks))
+        for recalls, b in zip(per_image, budgets):
+            hits = walks[b if b in cuts else "rel"]
             for out, k in zip(recalls, ks):
-                out.append(sum(matches["rel", len(kept)][:k]) / len(gts))
+                out.append(bisect.bisect_left(hits, k) / len(gts))
     means = [[_mean(r) for r in recalls] for recalls in per_image]
-    return {k: max(m[i] for m in means) for i, k in enumerate(ks)}, {
-        mode: {p: _average_precision(hits, npos[p]) for p, hits in table.items()}
-        for mode, table in pooled.items()
-    }
+    predicates = np.array([t.predicate for t in pooled], dtype=np.int64)
+    scores = np.array([t.score for t in pooled], dtype=float)
+    rows = {p: predicates == p for p in npos}
+    tables = {}
+    for mode, hit_rows in pooled_hits.items():
+        hit = np.zeros(len(pooled), dtype=bool)
+        hit[hit_rows] = True
+        tables[mode] = {p: _average_precision(scores[r], hit[r], npos[p]) for p, r in rows.items()}
+    return {k: max(m[i] for m in means) for i, k in enumerate(ks)}, tables
 
 
 def recall_at_k(

@@ -40,10 +40,19 @@ class TestBox:
         for raw in ([-1e308, 0, 1e308, 1], [0, -1e308, 1, 1e308]):
             with pytest.raises(DataError, match=r"^w: box width or height overflows the float"):
                 parse_box(raw, "w")
-        # Finite sides pass, however large, and so does a huge box built in memory.
-        assert parse_box([0, 0, 1e308, 1e308], "w") == Box(0.0, 0.0, 1e308, 1e308)
-        assert parse_box([-1e308, -1e308, 0, 0], "w").width == 1e308
+        # A huge box built in memory is still a Box.
         assert Box(-1e308, 0, 1e308, 1).width == math.inf
+
+    def test_a_coordinate_past_two_to_the_510_is_rejected_on_input(self):
+        # Finite sides, but an area (or a sum of two areas) past the float range.
+        for raw in ([0, 0, 1e308, 1e308], [-1e308, -1e308, 0, 0], [0, 0, 1, 2.0**510 * 1.5],
+                    [-(2.0**511), 0, 0, 1]):
+            with pytest.raises(DataError, match=r"^w: box coordinate beyond \+-2\*\*510, got "):
+                parse_box(raw, "w")
+        edge = parse_box([-(2.0**510), -(2.0**510), 2.0**510, 2.0**510], "w")
+        assert edge.area == 2.0**1022 and math.isfinite(edge.area + edge.area)
+        assert iou(edge, edge) == 1.0
+        assert iou_matrix(box_array([edge]), box_array([edge])).tolist() == [[1.0]]
 
     def test_zero_area_accepted(self):
         b = Box(3, 3, 3, 3)

@@ -19,6 +19,7 @@ count, a wrong dtype, NaN bytes, a shape other than [D] and another D.
 """
 
 import json
+import re
 import shutil
 
 import numpy as np
@@ -247,3 +248,73 @@ def test_damaged_encoded_feature_exits_2_naming_the_line(valid_dir, tmp_path, ca
     err = capsys.readouterr().err
     where = f"{path}:{k + 1}: image {line['image_id']!r} {noun} {len(line[key]) - 1}"
     assert code == 2 and f"{where}{message}" in err, err
+
+
+# Edge values of box coordinates, each in an image of the set's size, then edge image
+# sizes, each with a box on the image's border. A case puts its box in place of one box
+# (a detection or gt box) of the train and test sets and of a prediction line.
+BORDER = None  # the whole image: [0, 0, width, height]
+EDGE_CASES = (
+    ([0, 0, 1e308, 1e308], None),  # finite sides, an area past the float range
+    ([-1e308, -1e308, 0, 0], None),
+    ([-1e308, 0, 1e308, 10], None),  # a side past the float range
+    ([0, 0, 5e-324, 10], None),  # a subnormal side
+    ([3, 0, 3 + 5e-324, 10], None),  # a subnormal side that 3 absorbs: zero width
+    ([1e16, 0, 1e16 + 1, 10], None),  # a side of 1 that 1e16 absorbs
+    ([5, 5, 5, 5], None),  # zero area
+    ([0, 4, 9, 4], None),  # zero height
+    (BORDER, None),
+    (BORDER, 1),
+    (BORDER, 2**510),  # the largest coordinate a box may have
+    (BORDER, int(np.finfo(np.float64).max)),  # an image area past the float range
+)
+
+
+def _edge_edit(path, rng, edge_box, size, key=None):
+    """Put ``edge_box`` in place of one random box of one random line of ``path``; with
+    ``size``, that line's image becomes ``size`` wide and tall. ``key="boxes"`` edits a
+    prediction line."""
+    lines = path.read_text().splitlines()
+    k = int(rng.integers(len(lines)))
+    row = json.loads(lines[k])
+    if size is not None:
+        row["width"] = row["height"] = size
+    edge = edge_box or [0, 0, row.get("width", 10), row.get("height", 10)]  # BORDER
+    if key == "boxes":  # a prediction line's box table
+        row["boxes"][int(rng.integers(len(row["boxes"])))] = edge
+    else:
+        items = row["detections"] + row["gt_boxes"]
+        items[int(rng.integers(len(items)))]["box"] = edge
+    lines[k] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_edge_boxes_and_image_sizes_exit_0_or_2_naming_the_file(valid_dir, tmp_path, capsys,
+                                                                 recwarn):
+    rng = np.random.default_rng(8)
+    rejected = 0
+    for case, (edge_box, size) in enumerate(EDGE_CASES):
+        d = tmp_path / str(case)
+        shutil.copytree(valid_dir, d)
+        for name in ("train.jsonl", "test.jsonl"):
+            _edge_edit(d / name, rng, edge_box, size)
+        _edge_edit(d / "pred.jsonl", rng, edge_box, None, key="boxes")
+        files = [str(d / name) for name in ("train.jsonl", "test.jsonl", "pred.jsonl")]
+        for mode in EVAL_MODES:
+            runs = [
+                ["train", "--train", files[0], "--checkpoint", str(d / "m.json"),
+                 "--epochs", "1"],
+                ["predict", "--test", files[1], "--checkpoint", str(d / "model.json"),
+                 "--out", str(d / "p.jsonl"), "--attributes"],
+                ["eval", "--test", files[1], "--predictions", files[2],
+                 "--out", str(d / "r.json")],
+            ]
+            for argv in runs:
+                code = main([*argv, "--vocab", str(d / "vocab.json"), "--mode", mode])
+                err = capsys.readouterr().err
+                named = re.match(r"data error: (.+?)(:\d+)?: image '", err)
+                assert code in (0, 2), (case, argv[0], mode, err)
+                assert code == 0 or (named and named[1] in files), (case, argv[0], mode, err)
+                assert not recwarn.list, (case, argv[0], mode, [str(w.message) for w in recwarn])
+                rejected += code == 2
+    assert rejected > 0

@@ -1,7 +1,9 @@
 """Evaluation protocols against hand values and the brute-force reference."""
 
+import collections
 import dataclasses
 import functools
+import hashlib
 import math
 import operator
 import re
@@ -9,11 +11,10 @@ import re
 import numpy as np
 import pytest
 
-from relfusion import metrics
+from relfusion import datamodel, metrics
 from relfusion.datamodel import DataError, GtObject, PredictedTriplet, ResolvedTriplet
 from relfusion.metrics import (
     MatchSpec,
-    _greedy_hits,
     _one_pass,
     average_precision,
     evaluate,
@@ -218,7 +219,8 @@ class TestOneMatchPerImage:
                         alone = average_precision(alone_preds, alone_gts, p, mode, spec)
                         assert full == alone
 
-    def test_same_label_ground_truth_is_consumed_in_annotation_order(self):
+    @pytest.mark.parametrize("mode", ["rel", "phr"])
+    def test_same_label_ground_truth_is_consumed_in_annotation_order(self, monkeypatch, mode):
         first = _gt(B1, 0, 1, B2, 1)
         other = _gt(B1, 0, 2, B2, 1)
         second = _gt(box(0, 0, 10, 12), 0, 1, B2, 1)
@@ -228,18 +230,21 @@ class TestOneMatchPerImage:
             _pred(box(0, 0, 10, 12), 0, 1, B2, 1, 0.7),
             _pred(B1, 0, 2, B2, 1, 0.6),
         ]
-        tried = []
-
-        def match(pred, gt, spec):
-            tried.append((pred, gt))
-            return triplet_match(pred, gt, spec)
-
+        preds, gts = _unshared({"a": ranked}, {"a": [first, other, second]})
         spec = MatchSpec(iou_threshold=0.7)
-        assert _greedy_hits(ranked, [first, other, second], match, spec) == [
-            True, False, True, True
-        ]
+        # The first prediction takes ``first``, so the second finds no gt it reaches: hits
+        # at ranks 1, 3 and 4. Both box modes test only same-label pairs.
+        spy = _TestSpy(monkeypatch, preds, gts)
+        if mode == "rel":
+            assert [recall_at_k(preds, gts, k, spec) for k in (1, 2, 3, 4)] == [
+                1 / 3, 1 / 3, 2 / 3, 1.0
+            ]
+        else:
+            ap = average_precision(preds, gts, 1, "phr", spec)
+            assert ap == ref_average_precision(preds, gts, 1, True, threshold=0.7)
         labels = lambda t: (t.sub_label, t.predicate, t.obj_label)  # noqa: E731
-        assert all(labels(pred) == labels(gt) for pred, gt in tried)
+        assert spy.tests and {m for m, _, _ in spy.tests} == {mode}
+        assert all(labels(pred) == labels(gt) for _, pred, gt in spy.tests)
 
 
 def _records(ground_truth):
@@ -295,91 +300,60 @@ class TestOneMatchPerBudget:
                     k: vrd_recall(preds, gts, k, "free", spec, p) for k in (20, 50, 100)
                 }
 
-    @staticmethod
-    def _matches(monkeypatch, preds, gts, spec):
-        """(box mode, list length, ground truth) of each match one ``evaluate`` makes."""
-        seen = []
-        real = metrics._greedy_hits
-
-        def spy(ranked, ground_truth, match, spec):
-            mode = "phr" if match is metrics._phrase_match else "rel"
-            seen.append((mode, len(ranked), ground_truth))
-            return real(ranked, ground_truth, match, spec)
-
-        monkeypatch.setattr(metrics, "_greedy_hits", spy)
-        for name in ("recall_at_k", "vrd_recall", "average_precision", "mean_average_precision"):
-            monkeypatch.setattr(metrics, name, None)
-        evaluate(preds, _records(gts), tiny_vocab(num_objects=3), spec=spec)
-        return seen
-
-    @staticmethod
-    def _one_match_per_box_mode_and_shorter_list(preds, gts, budgets):
-        calls = []
-        for image_id, image_gts in gts.items():
-            ranked = _brute_ranked(preds.get(image_id, []))
-            calls += [("rel", len(ranked), image_gts), ("phr", len(ranked), image_gts)]
-            if image_gts:
-                lengths = dict.fromkeys(len(_brute_kept(ranked, b)) for b in budgets)
-                calls += [("rel", n, image_gts) for n in lengths if n < len(ranked)]
-        return calls
-
     @pytest.mark.parametrize(
-        "spec, budgets",
-        [(MatchSpec(), [None]), (MatchSpec(graph_constraint=True), [1]),
-         (MatchSpec(k_per_pair=2), [2]), (MatchSpec(k_per_pair="free"), [1, 2, 3])],
+        "spec", [MatchSpec(), MatchSpec(graph_constraint=True), MatchSpec(k_per_pair=2),
+                 MatchSpec(k_per_pair="free")],
         ids=["no budget", "graph constraint", "budget 2", "free"],
     )
-    def test_evaluate_matches_once_per_budget(self, monkeypatch, spec, budgets):
-        # One match per image and box mode. The whole ranking's rel match serves
-        # every budget that keeps it all; each shorter kept list adds one match.
-        preds, gts = random_metric_instance(np.random.default_rng(3), num_predicates=3)
-        seen = self._matches(monkeypatch, preds, gts, spec)
-        assert seen == self._one_match_per_box_mode_and_shorter_list(preds, gts, budgets)
-        if spec.k_per_pair == "free":  # some budget cuts some image's ranking
-            assert len(seen) > 2 * len(gts)
+    def test_evaluate_tests_each_pair_once_per_box_mode(self, monkeypatch, spec):
+        # Each (prediction, gt) pair is tested at most once per box mode, however many
+        # budgets re-walk the ranking, and each enclosing box is built at most once.
+        rng = np.random.default_rng(3)
+        cut = 0
+        for _ in range(20):
+            preds, gts = _unshared(*random_metric_instance(rng, num_predicates=3))
+            spy = _TestSpy(monkeypatch, preds, gts)
+            evaluate(preds, _records(gts), tiny_vocab(num_objects=3), spec=spec)
+            tested = collections.Counter((m, id(pred), id(gt)) for m, pred, gt in spy.tests)
+            assert max(tested.values(), default=1) == 1
+            assert max(spy.unions_built.values(), default=1) == 1
+            for image_id, image_gts in gts.items():
+                ranked = _brute_ranked(preds.get(image_id, []))
+                cut += image_gts != [] and len(_brute_kept(ranked, 1)) < len(ranked)
+        assert cut > 0  # the graph constraint and free k re-walk some cut lists
 
-    def test_free_k_matches_twice_per_image_with_one_prediction_per_pair(self, monkeypatch):
+    def test_free_k_tests_what_no_budget_tests_when_no_budget_cuts(self, monkeypatch):
         preds, gts = random_metric_instance(np.random.default_rng(3), num_predicates=3)
         single = {}
         for image_id, ts in preds.items():
             firsts = {_pair(t): t for t in reversed(ts)}
             single[image_id] = [t for t in ts if firsts[_pair(t)] is t]
         assert sum(map(len, single.values())) < sum(map(len, preds.values()))
-        seen = self._matches(monkeypatch, single, gts, MatchSpec(k_per_pair="free"))
-        assert len(seen) == 2 * len(gts)
+        single, gts = _unshared(single, gts)
+        tested = []
+        for spec in (MatchSpec(), MatchSpec(k_per_pair="free")):
+            spy = _TestSpy(monkeypatch, single, gts)
+            evaluate(single, _records(gts), tiny_vocab(num_objects=3), spec=spec)
+            tested.append([(m, id(pred), id(gt)) for m, pred, gt in spy.tests])
+        assert tested[0] == tested[1] and tested[0]
 
-    def test_free_vrd_recall_matches_once_per_kept_length(self, monkeypatch):
-        # Budgets that keep equally long lists of an image share one match.
-        seen = []
-        real = metrics._greedy_hits
+    def test_free_vrd_recall_tests_the_pairs_of_its_budgets_once(self, monkeypatch):
+        # The free sweep tests what budgets 1..P test one by one, and no pair twice.
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            preds, gts = _unshared(*random_metric_instance(rng, num_predicates=3))
+            spy = _TestSpy(monkeypatch, preds, gts)
+            union = set()
+            for budget in (1, 2, 3):
+                spy.tests.clear()
+                vrd_recall(preds, gts, 10**6, budget, MatchSpec())
+                union |= {(id(pred), id(gt)) for _, pred, gt in spy.tests}
+            spy.tests.clear()
+            vrd_recall(preds, gts, 10**6, "free", MatchSpec(), num_predicates=3)
+            free = [(id(pred), id(gt)) for _, pred, gt in spy.tests]
+            assert len(free) == len(set(free)) and set(free) == union
 
-        def spy(ranked, ground_truth, match, spec):
-            seen.append((match, len(ranked), ground_truth))
-            return real(ranked, ground_truth, match, spec)
-
-        monkeypatch.setattr(metrics, "_greedy_hits", spy)
-        preds, gts = random_metric_instance(np.random.default_rng(3), num_predicates=3)
-        vrd_recall(preds, gts, 10**6, "free", MatchSpec(), num_predicates=3)
-        want = []
-        for image_id, image_gts in gts.items():
-            if image_gts:
-                ranked = _brute_ranked(preds.get(image_id, []))
-                lengths = dict.fromkeys(len(_brute_kept(ranked, b)) for b in (1, 2, 3))
-                want += [(triplet_match, n, image_gts) for n in lengths]
-        assert seen == want
-        assert len(want) < 3 * sum(map(bool, gts.values()))  # some lengths repeat
-
-    def test_budget_keeps_the_predictions_with_fewer_earlier_ones_on_their_pair(
-        self, monkeypatch
-    ):
-        kept_lists = []
-        real = metrics._greedy_hits
-
-        def spy(ranked, ground_truth, match, spec):
-            kept_lists.append(ranked)
-            return real(ranked, ground_truth, match, spec)
-
-        monkeypatch.setattr(metrics, "_greedy_hits", spy)
+    def test_each_budgets_recall_is_a_greedy_match_of_its_kept_list(self):
         rng = np.random.default_rng(37)
         cut = 0
         for _ in range(60):
@@ -391,14 +365,19 @@ class TestOneMatchPerBudget:
                 # tie with their original inside its pair.
                 for i in rng.integers(0, len(ts), size=len(ts) // 2):
                     ts.append(ts[i] if rng.random() < 0.5 else dataclasses.replace(ts[i]))
-            for budget in range(1, p + 2):
-                kept_lists.clear()
-                vrd_recall(preds, gts, 10**6, budget, MatchSpec())
-                ranked = [_brute_ranked(preds.get(i, [])) for i, image_gts in gts.items()
-                          if image_gts]
-                want = [_brute_kept(r, budget) for r in ranked]
-                assert [list(map(id, k)) for k in kept_lists] == [list(map(id, k)) for k in want]
-                cut += sum(len(k) < len(r) for k, r in zip(want, ranked))
+            spec = MatchSpec(iou_threshold=float(rng.choice([0.5, 0.7])))
+            for k in (1, 3, 10**6):
+                want = {b: _brute_recall(preds, gts, k, b, spec) for b in range(1, p + 2)}
+                for budget in range(1, p + 2):
+                    assert vrd_recall(preds, gts, k, budget, spec) == want[budget]
+                assert recall_at_k(preds, gts, k, spec) == _brute_recall(preds, gts, k, None, spec)
+                gc = dataclasses.replace(spec, graph_constraint=True)
+                assert recall_at_k(preds, gts, k, gc) == want[1]
+                assert vrd_recall(preds, gts, k, "free", spec, p) == max(
+                    want[b] for b in range(1, p + 1))
+            for image_id, image_gts in gts.items():
+                ranked = _brute_ranked(preds.get(image_id, []))
+                cut += image_gts != [] and len(_brute_kept(ranked, 1)) < len(ranked)
         assert cut > 0
 
 
@@ -417,6 +396,68 @@ def _brute_kept(ranked, budget):
         t for i, t in enumerate(ranked)
         if budget is None or sum(_pair(u) == _pair(t) for u in ranked[:i]) < budget
     ]
+
+
+def _brute_recall(preds, gts, k, budget, spec):
+    """Mean over images of the greedy hits among the first k of ``_brute_kept``."""
+    recalls = []
+    for image_id, image_gts in gts.items():
+        if not image_gts:
+            continue
+        unmatched, hits = list(image_gts), 0
+        for t in _brute_kept(_brute_ranked(preds.get(image_id, [])), budget)[:k]:
+            gt = next((g for g in unmatched if triplet_match(t, g, spec)), None)
+            if gt is not None:
+                unmatched.remove(gt)
+                hits += 1
+        recalls.append(hits / len(image_gts))
+    return functools.reduce(operator.add, recalls, 0.0) / len(recalls) if recalls else 0.0
+
+
+def _unshared(preds, gts):
+    """Copies in which every triplet has box objects of its own, so its boxes name it."""
+    fresh = lambda t: dataclasses.replace(  # noqa: E731
+        t, sub_box=dataclasses.replace(t.sub_box), obj_box=dataclasses.replace(t.obj_box))
+    return ({i: [fresh(t) for t in ts] for i, ts in preds.items()},
+            {i: [fresh(g) for g in gs] for i, gs in gts.items()})
+
+
+class _TestSpy:
+    """Records each match test a metric run makes through ``metrics``' globals.
+
+    ``tests`` holds (box mode, prediction, gt): a ``triplet_match`` call is a rel test,
+    an ``iou`` call on two enclosing boxes a phrase test. The triplets must own their
+    boxes (``_unshared``); a gt is named by the input triplet with its boxes, since
+    ``evaluate`` resolves its own copies. ``unions_built`` counts each enclosing box's
+    builds by its triplet.
+    """
+
+    def __init__(self, monkeypatch, preds, gts):
+        owner = {(id(t.sub_box), id(t.obj_box)): t
+                 for ts in (*preds.values(), *gts.values()) for t in ts}
+        unions = {}  # id -> (enclosing box, kept alive so ids stay unique; its triplet)
+        self.tests, self.unions_built = [], collections.Counter()
+        # The functions themselves, not ``metrics``' globals: those may be an earlier spy.
+        real_union, real_iou, real_match = datamodel.union_box, datamodel.iou, triplet_match
+
+        def spy_union(a, b):
+            u = real_union(a, b)
+            unions[id(u)] = (u, owner[id(a), id(b)])
+            self.unions_built[id(owner[id(a), id(b)])] += 1
+            return u
+
+        def spy_iou(a, b):
+            if id(a) in unions:
+                self.tests.append(("phr", unions[id(a)][1], unions[id(b)][1]))
+            return real_iou(a, b)
+
+        def spy_match(pred, gt, spec):
+            self.tests.append(("rel", pred, owner[id(gt.sub_box), id(gt.obj_box)]))
+            return real_match(pred, gt, spec)
+
+        for name, spy in (("union_box", spy_union), ("iou", spy_iou),
+                          ("triplet_match", spy_match)):
+            monkeypatch.setattr(metrics, name, spy)
 
 
 class TestMeansAreLeftFolds:
@@ -625,3 +666,31 @@ class TestEvaluate:
         assert blob["recall_at"]["50"] == 1.0
         assert "p1" in blob["ap_rel"]
         assert "score" in report.format_table(vocab)
+
+
+class TestPinnedResults:
+    # sha256 of the reprs below, generated once before the matcher's rework: any change
+    # to a matching, tie, budget or fold rule moves it, however small the deviation.
+    DIGEST = "09233ef6bcafa43c6e901927ef32d53db0201d93b9fe9752ae7cdb31bb16c209"
+
+    def test_public_metric_results_are_pinned_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        digest = hashlib.sha256()
+        for _ in range(400):
+            p = int(rng.integers(1, 5))
+            preds, gts = random_metric_instance(rng, max_images=5, max_objects=5,
+                                                num_predicates=p)
+            spec = MatchSpec(iou_threshold=float(rng.choice([0.5, 0.7])))
+            gc = dataclasses.replace(spec, graph_constraint=True)
+            records, vocab = _records(gts), tiny_vocab(num_objects=3, num_predicates=p)
+            results = [
+                [recall_at_k(preds, gts, k, s) for k in (1, 5, 20) for s in (spec, gc)],
+                [vrd_recall(preds, gts, 5, b, spec, p) for b in (2, "free")],
+                [average_precision(preds, gts, q, m, spec) for q in range(1, p + 1)
+                 for m in ("rel", "phr")],
+                [mean_average_precision(preds, gts, p, m, spec) for m in ("rel", "phr")],
+                [evaluate(preds, records, vocab, spec=s)
+                 for s in (spec, gc, dataclasses.replace(spec, k_per_pair="free"))],
+            ]
+            digest.update(repr(results).encode())
+        assert digest.hexdigest() == self.DIGEST

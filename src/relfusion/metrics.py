@@ -142,9 +142,9 @@ def _one_pass(
     the predictions whose labels have ground truth. The whole ranking is walked once
     per box mode (its rel walk serves each budget that cuts nothing), and each cut
     list once, down to ``max(ks)``: a walk goes in order, so its first k hits ignore
-    what follows. If a budget cuts, the rel walks share one verdict per (prediction,
-    gt) pair. AP pools each prediction's score and hit under its predicate, which
-    equals matching that predicate's predictions alone; it applies no budget.
+    what follows. The rel walks share one verdict per (prediction, gt) pair. AP pools
+    each prediction's score and hit under its predicate, which equals matching that
+    predicate's predictions alone; it applies no budget.
     """
     if any(k <= 0 for k in ks):
         raise ValueError("k must be positive")
@@ -166,12 +166,11 @@ def _one_pass(
         index: dict[tuple[int, int, int], list[int]] = {}
         for g, gt in enumerate(gts):
             index.setdefault((gt.sub_label, gt.predicate, gt.obj_label), []).append(g)
-        candidates = [(i, i, options) for i, t in enumerate(ranked)
-                      if (options := index.get((t.sub_label, t.predicate, t.obj_label)))]
+        options = [index.get((t.sub_label, t.predicate, t.obj_label)) for t in ranked]
+        candidates = [(i, i, o) for i, o in enumerate(options) if o]
         ranks = _pair_ranks(ranked) if ks and gts and budgets != [None] else []
         cuts = [b for b in budgets if b is not None and b <= max(ranks, default=0)]
-        rel = lambda i, g: triplet_match(ranked[i], gts[g], spec)  # noqa: E731
-        rel = functools.cache(rel) if cuts else rel
+        rel = functools.cache(lambda i, g: triplet_match(ranked[i], gts[g], spec))
         walks: dict[str | int, list[int]] = {}
         for mode in box_modes:
             test = rel if mode == "rel" else _phrase_test(ranked, gts, spec)
@@ -182,15 +181,10 @@ def _one_pass(
             continue
         if len(cuts) < len(budgets) and "rel" not in walks:
             walks["rel"] = _walk(candidates, rel, max(ks))
-        if cuts:  # per candidate: how many earlier predictions have each pair rank or less
-            below, counts, start = {}, [0] * (max(ranks) + 1), 0
-            for _, i, _ in candidates:
-                for r in ranks[start:i]:
-                    counts[r] += 1
-                below[i], start = list(itertools.accumulate(counts)), i
-        for b in cuts:
-            kept = [(below[i][b - 1], i, options) for _, i, options in candidates if ranks[i] < b]
-            walks[b] = _walk(kept, rel, max(ks))
+        for b in cuts:  # the first max(ks) kept predictions, each at its list position
+            kept = itertools.islice((i for i, r in enumerate(ranks) if r < b), max(ks))
+            walks[b] = _walk([(pos, i, options[i]) for pos, i in enumerate(kept) if options[i]],
+                             rel, max(ks))
         for recalls, b in zip(per_image, budgets):
             hits = walks[b if b in cuts else "rel"]
             for out, k in zip(recalls, ks):

@@ -1083,7 +1083,6 @@ class TestOverflowingBoxSide:
                        f"{self.BOX_MESSAGE.format(box[1], box[3])}\n")
 
 
-
 class TestBoxAreaPastTheFloatRange(TestOverflowingBoxSide):
     """A box with finite sides but an area past the float range is a data error on input:
     its far corner lies beyond 2**510. The same train (sgcls, sgdet) and eval runs apply."""
@@ -1093,6 +1092,7 @@ class TestBoxAreaPastTheFloatRange(TestOverflowingBoxSide):
     @staticmethod
     def _widen(box):
         return [0, box[1], 1e308, 1e308]
+
 
 def _train_with_config(synth_dir, tmp_path, config, extra=()):
     """Exit code of a train run under ``config``, and its epoch count."""

@@ -7,6 +7,7 @@ import hashlib
 import math
 import operator
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -379,6 +380,20 @@ class TestOneMatchPerBudget:
                 ranked = _brute_ranked(preds.get(image_id, []))
                 cut += image_gts != [] and len(_brute_kept(ranked, 1)) < len(ranked)
         assert cut > 0
+
+    def test_many_predictions_on_one_pair_take_memory_linear_in_their_number(self):
+        # Pair ranks run to n - 1: a table per prediction over all pair ranks would take
+        # n * n slots (tens of MB here); the budgets' kept lists take O(n).
+        n = 2000
+        preds = {"a": [_pred(B1, 0, 1, B2, 1, 1.0 - i / n) for i in range(n)]}
+        gts = {"a": [_gt(B1, 0, 1, B2, 1), _gt(B3, 0, 1, B2, 1)]}
+        for spec in (MatchSpec(graph_constraint=True), MatchSpec(k_per_pair="free")):
+            tracemalloc.start()
+            recall, _ = _one_pass(preds, gts, (20, 50, 100), ("rel", "phr"), spec, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert recall == {20: 0.5, 50: 0.5, 100: 0.5}
+            assert peak < 4 * 2**20, peak
 
 
 def _pair(t):

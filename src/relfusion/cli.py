@@ -191,7 +191,6 @@ def _apply_config(parser: _Parser, args: argparse.Namespace, argv: list[str]):
     subparser = parser.subcommands[args.command]
     # -h has no value to default.
     actions = {a.dest: a for a in subparser._actions if a.default is not argparse.SUPPRESS}
-    with_choices = []
     for key, value in config.items():
         action = actions.get(key)
         if action is None:
@@ -206,21 +205,15 @@ def _apply_config(parser: _Parser, args: argparse.Namespace, argv: list[str]):
             raise UsageError(f"{key!r} must be {kind}, got {json.dumps(value)}")
         if type(value) in (int, float) and json_number(value) is None:
             raise UsageError(f"{key!r} must be a finite number, got {value!r:.40}")
-        if action.choices:
-            with_choices.append(action)
-    # argparse applies a flag's type to string defaults only, and checks
-    # choices only for command-line tokens.
+        # argparse checks choices only for command-line tokens; the flags with
+        # choices take strings, so the config value is what it would compare.
+        if action.choices and value not in action.choices:
+            raise UsageError(f"{args.config}: {key!r} must be one of "
+                             f"{', '.join(map(str, action.choices))}, got {value!r}")
+    # argparse applies a flag's type to string defaults only.
     defaults = {k: str(v) if type(v) in (int, float) else v for k, v in config.items()}
     subparser.set_defaults(**defaults)
-    args = parser.parse_args(argv)
-    for action in with_choices:
-        value = getattr(args, action.dest)
-        if value not in action.choices:
-            raise UsageError(
-                f"{args.config}: {action.dest!r} must be one of "
-                f"{', '.join(map(str, action.choices))}, got {value!r}"
-            )
-    return args
+    return parser.parse_args(argv)
 
 
 def cmd_gen_synth(args) -> int:
@@ -246,11 +239,13 @@ def cmd_gen_synth(args) -> int:
 
 @contextlib.contextmanager
 def _naming(path):
-    """A DataError raised in the block names ``path``, the file whose data it is about."""
+    """A DataError raised in the block names ``path``, the file whose data it is about,
+    and the line of that file when the error knows it."""
     try:
         yield
     except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+        where = path if exc.line is None else f"{path}:{exc.line}"
+        raise DataError(f"{where}: {exc}") from exc
 
 
 def _views(path, vocab, mode: str, dim: int | None = None, of: str = "checkpoint"):

@@ -41,7 +41,15 @@ logger = logging.getLogger(__name__)
 
 
 class DataError(ValueError):
-    """Raised for malformed or invariant-violating dataset content."""
+    """Raised for malformed or invariant-violating dataset content.
+
+    ``line`` is the file line of the record at fault, when it is known; the
+    caller that knows the file names both.
+    """
+
+    def __init__(self, message: str = "", line: int | None = None):
+        super().__init__(message)
+        self.line = line
 
 
 @dataclass(frozen=True)
@@ -177,6 +185,7 @@ class ImageRecord:
     gt_triplets: list[tuple[int, int, int]]
     gt_attributes: list[tuple[int, int]] = field(default_factory=list)
     pair_features: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    line: int | None = field(default=None, compare=False)  # its file line, if loaded
 
     def resolved_triplets(self) -> list[ResolvedTriplet]:
         out = []
@@ -280,7 +289,7 @@ def read_json(path: str | os.PathLike) -> dict:
 
 
 def read_image_lines(path: str | os.PathLike, parse) -> dict:
-    """Image id -> value of each non-blank line of a JSONL file, by ``parse(raw)``.
+    """Image id -> value of each non-blank line of a JSONL file, by ``parse(raw, line)``.
 
     ``parse`` gives (image id, value). A DataError it raises, and an image
     id that an earlier line holds, is a DataError naming ``path:line``.
@@ -294,7 +303,7 @@ def read_image_lines(path: str | os.PathLike, parse) -> dict:
                     continue
                 raw = _decode_object(line, path, lineno)  # names path:line itself
                 try:
-                    image_id, value = parse(raw)
+                    image_id, value = parse(raw, lineno)
                     if image_id in lines:
                         raise DataError(f"image {image_id!r} already on line {lines[image_id]}")
                 except DataError as exc:
@@ -630,9 +639,10 @@ def load_dataset(path: str | os.PathLike, vocab: Vocabulary) -> list[ImageRecord
     """
     feature_dim: int | None = None
 
-    def parse(raw: dict) -> tuple[str, ImageRecord]:
+    def parse(raw: dict, line: int) -> tuple[str, ImageRecord]:
         nonlocal feature_dim
         record, feature_dim = _parse_record(raw, vocab, feature_dim)
+        record.line = line
         return record.image_id, record
 
     return list(read_image_lines(path, parse).values())

@@ -247,7 +247,7 @@ def pair_inputs(model: FusionModel, record: ImageRecord, pairs) -> PairInputs:
         if not finite.all():
             k = int(np.argmin(finite))
             raise DataError(f"image {record.image_id!r} detection pair ({sub[k]}, {obj[k]}):"
-                            " spatial encoding is not finite")
+                            " spatial encoding is not finite", record.line)
         return spat
 
     rows = {
@@ -493,7 +493,7 @@ def gt_substitution(record: ImageRecord, mode: str) -> ImageRecord:
             if feature is None:
                 raise DataError(
                     f"image {record.image_id!r} gt box {gt_idx}: prdcls needs its gt feature"
-                    " or an overlapping detection"
+                    " or an overlapping detection", record.line
                 )
             det = Detection(label=gt.label, box=gt.box, score=1.0, feature=feature)
         elif match is None:  # sgcls
@@ -737,7 +737,7 @@ def load_predictions(
                 f"0..{classes - 1} and attributes 0..{attributes - 1}"
             )
 
-    def parse(raw: dict) -> tuple[str, list[PredictedTriplet]]:
+    def parse(raw: dict, _line: int) -> tuple[str, list[PredictedTriplet]]:
         image_id = raw.get("image_id")
         if not isinstance(image_id, str):
             raise DataError(f"image_id must be a string, got {image_id!r}")

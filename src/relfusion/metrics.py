@@ -77,18 +77,16 @@ def _phrase_test(ranked: list[PredictedTriplet], gts: list[ResolvedTriplet], spe
     return lambda i, g: iou(pred_union(i), gt_union(g)) >= spec.iou_threshold
 
 
-def _walk(candidates: list[tuple[int, int, list[int]]], test, limit: int) -> list[int]:
+def _walk(candidates: list[tuple[int, int, list[int]]], test) -> list[int]:
     """The list positions of one ranked list's greedy hits, ascending.
 
     ``candidates`` holds (list position, rank, indices of the gts with its three labels)
     in list order. Each takes the first unmatched gt, in annotation order, that
-    ``test(rank, gt index)`` passes. Positions from ``limit`` on are not walked.
+    ``test(rank, gt index)`` passes.
     """
     taken: set[int] = set()
     hits = []
     for pos, i, options in candidates:
-        if pos >= limit:
-            break
         for g in options:
             if g not in taken and test(i, g):
                 taken.add(g)
@@ -140,11 +138,11 @@ def _one_pass(
     cuts an image's ranking only if a pair rank reaches b. Each image is sorted and
     its ground truth indexed by label triple once; walks visit only the candidates,
     the predictions whose labels have ground truth. The whole ranking is walked once
-    per box mode (its rel walk serves each budget that cuts nothing), and each cut
-    list once, down to ``max(ks)``: a walk goes in order, so its first k hits ignore
-    what follows. The rel walks share one verdict per (prediction, gt) pair. AP pools
-    each prediction's score and hit under its predicate, which equals matching that
-    predicate's predictions alone; it applies no budget.
+    per box mode. One loop reads each budget's recalls: a budget that cuts nothing
+    reuses the rel walk (recall alone walks it only below ``max(ks)``), one that cuts
+    walks its first ``max(ks)`` kept predictions; a walk goes in order, so its first k
+    hits ignore what follows. The rel walks share one verdict per (prediction, gt) pair.
+    AP pools scores and hits per predicate, as matching each alone would; no budget.
     """
     if any(k <= 0 for k in ks):
         raise ValueError("k must be positive")
@@ -169,24 +167,25 @@ def _one_pass(
         options = [index.get((t.sub_label, t.predicate, t.obj_label)) for t in ranked]
         candidates = [(i, i, o) for i, o in enumerate(options) if o]
         ranks = _pair_ranks(ranked) if ks and gts and budgets != [None] else []
-        cuts = [b for b in budgets if b is not None and b <= max(ranks, default=0)]
+        top = max(ranks, default=0)  # a budget cuts the ranking only if it is at most this
         rel = functools.cache(lambda i, g: triplet_match(ranked[i], gts[g], spec))
-        walks: dict[str | int, list[int]] = {}
+        walks: dict[str, list[int]] = {}
         for mode in box_modes:
             test = rel if mode == "rel" else _phrase_test(ranked, gts, spec)
-            walks[mode] = _walk(candidates, test, len(ranked))
+            walks[mode] = _walk(candidates, test)
             pooled_hits[mode] += [len(pooled) + pos for pos in walks[mode]]
         pooled += ranked
         if not (gts and ks):
             continue
-        if len(cuts) < len(budgets) and "rel" not in walks:
-            walks["rel"] = _walk(candidates, rel, max(ks))
-        for b in cuts:  # the first max(ks) kept predictions, each at its list position
-            kept = itertools.islice((i for i, r in enumerate(ranks) if r < b), max(ks))
-            walks[b] = _walk([(pos, i, options[i]) for pos, i in enumerate(kept) if options[i]],
-                             rel, max(ks))
         for recalls, b in zip(per_image, budgets):
-            hits = walks[b if b in cuts else "rel"]
+            if b is not None and b <= top:  # b's first max(ks) kept, each at its list position
+                kept = itertools.islice((i for i, r in enumerate(ranks) if r < b), max(ks))
+                hits = _walk([(j, i, options[i]) for j, i in enumerate(kept) if options[i]], rel)
+            elif "rel" in walks:
+                hits = walks["rel"]
+            else:  # recall alone reads no hit past max(ks)
+                below = bisect.bisect_left(candidates, max(ks), key=operator.itemgetter(0))
+                hits = walks["rel"] = _walk(candidates[:below], rel)
             for out, k in zip(recalls, ks):
                 out.append(bisect.bisect_left(hits, k) / len(gts))
     means = [[_mean(r) for r in recalls] for recalls in per_image]

@@ -890,7 +890,7 @@ class TestPredictAndEval:
                      "--checkpoint", str(tmp_path / "m.json"), "--mode", "prdcls"])
         err = capsys.readouterr().err
         assert code == 2
-        assert f"{tmp_path / 'train.jsonl'}: image 'img' gt box 0: prdcls needs" in err, err
+        assert f"{tmp_path / 'train.jsonl'}:1: image 'img' gt box 0: prdcls needs" in err, err
 
 
 def _never_read(*args):
@@ -1016,7 +1016,7 @@ class TestOverflowingSpatialEncoding:
                      "--checkpoint", str(ckpt), "--out", str(tmp_path / "p.jsonl")])
         err = capsys.readouterr().err
         assert code == 2, err
-        assert err == (f"data error: {test}: image {image_id!r} detection pair (0, 1):"
+        assert err == (f"data error: {test}:2: image {image_id!r} detection pair (0, 1):"
                        " spatial encoding is not finite\n")
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
@@ -1029,7 +1029,7 @@ class TestOverflowingSpatialEncoding:
                      *out, "--epochs", "1"])
         err = capsys.readouterr().err
         assert code == 2, err
-        assert err.startswith(f"data error: {train}: image {image_id!r} detection pair ("), err
+        assert err.startswith(f"data error: {train}:2: image {image_id!r} detection pair ("), err
         assert err.endswith("): spatial encoding is not finite\n"), err
 
 
@@ -1188,36 +1188,48 @@ class TestConfigFile:
         assert _train_with_config(synth_dir, tmp_path, config) == (1, None)
         assert f"(flag defaults from {tmp_path / 'config.json'})" in capsys.readouterr().err
 
+    @staticmethod
+    def _eval_with_config(synth_dir, tmp_path, config, *flags):
+        """Exit code, config path and report path of an eval under ``config`` and ``flags``."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        predictions = tmp_path / "none.jsonl"
+        predictions.write_text("")
+        report = tmp_path / "report.json"
+        code = main(["--config", str(config_path), "eval",
+                     "--test", str(synth_dir / "test.jsonl"),
+                     "--vocab", str(synth_dir / "vocab.json"),
+                     "--predictions", str(predictions), "--out", str(report), *flags])
+        return code, config_path, report
+
     @pytest.mark.parametrize(
         "config",
         [{"mode": "bogus"}, {"graph_constraint": "maybe"}],
         ids=["mode", "graph_constraint"],
     )
     def test_value_outside_choices_is_usage_error(self, synth_dir, tmp_path, capsys, config):
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config))
-        predictions = tmp_path / "none.jsonl"
-        predictions.write_text("")
-        report = tmp_path / "report.json"
-        code = main(
-            [
-                "--config",
-                str(config_path),
-                "eval",
-                "--test",
-                str(synth_dir / "test.jsonl"),
-                "--vocab",
-                str(synth_dir / "vocab.json"),
-                "--predictions",
-                str(predictions),
-                "--out",
-                str(report),
-            ]
-        )
+        code, config_path, report = self._eval_with_config(synth_dir, tmp_path, config)
         err = capsys.readouterr().err
         assert code == 1 and not report.exists()
         (key,) = config
         assert f"{config_path}: {key!r} must be one of" in err
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"mode": "bogus"}, {"graph_constraint": "maybe"},
+         {"mode": "bogus", "graph_constraint": "maybe"}],
+        ids=["mode", "graph_constraint", "both"],
+    )
+    def test_value_outside_choices_is_usage_error_when_a_flag_wins(
+            self, synth_dir, tmp_path, capsys, config):
+        # The config value is checked, not the value that wins.
+        code, config_path, report = self._eval_with_config(
+            synth_dir, tmp_path, config, "--mode", "sgdet", "--graph-constraint", "off")
+        err = capsys.readouterr().err
+        assert code == 1 and not report.exists()
+        key, value = next(iter(config.items()))
+        choices = "prdcls, sgcls, sgdet" if key == "mode" else "on, off"
+        assert f"{config_path}: {key!r} must be one of {choices}, got {value!r}" in err
 
     def _predict_with_config(self, synth_dir, tmp_path, config):
         config_path = tmp_path / "config.json"

@@ -1,5 +1,6 @@
 """Data types, box geometry, and dataset IO."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -257,6 +258,18 @@ class TestLoadDataset:
                 np.array_equal(d1.feature, d2.feature)
                 for d1, d2 in zip(r1.detections, r2.detections)
             )
+
+    def test_records_keep_their_line_which_is_neither_compared_nor_written(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n" + json.dumps(_valid_line("a")) + "\n"
+                        + json.dumps(_valid_line("b")) + "\n")
+        records = load_dataset(path, tiny_vocab())
+        assert [r.line for r in records] == [2, 3]
+        assert dataclasses.replace(records[0], line=None) == records[0]
+        out = tmp_path / "copy.jsonl"
+        save_dataset(records, out)
+        assert all("line" not in json.loads(text) for text in out.read_text().splitlines())
+        assert [r.line for r in load_dataset(out, tiny_vocab())] == [1, 2]
 
     def test_feature_dimension_enforced_across_lines(self, tmp_path):
         path = tmp_path / "d.jsonl"

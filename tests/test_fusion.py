@@ -434,6 +434,15 @@ class TestGtSubstitution:
         with pytest.raises(ValueError):
             gt_substitution(_toy_record(), "nonsense")
 
+    def test_views_keep_their_records_line_for_its_data_errors(self):
+        record = replace(_toy_record(), line=4)
+        for mode in EVAL_MODES:
+            assert gt_substitution(record, mode).line == 4
+        disjoint = replace(self._disjoint_record(), line=4)
+        with pytest.raises(DataError, match="prdcls needs") as err:
+            gt_substitution(disjoint, "prdcls")
+        assert err.value.line == 4
+
     def _disjoint_record(self):
         """One detection (label 3) and one gt box, with an attribute, that it misses."""
         det = make_detection(label=3, b=box(0, 0, 10, 10), feature=np.ones(4))

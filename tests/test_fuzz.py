@@ -270,12 +270,6 @@ EDGE_CASES = (
 )
 
 
-# The two data errors that name the file and image but no line: they are raised on an
-# ImageRecord, which keeps no line number. Any other error must name file:line.
-LINELESS = ("spatial encoding is not finite",
-            "prdcls needs its gt feature or an overlapping detection")
-
-
 def _edge_edit(path, rng, edge_box, size, key=None):
     """Put ``edge_box`` in place of one random box of one random line of ``path``; with
     ``size``, that line's image becomes ``size`` wide and tall. ``key="boxes"`` edits a
@@ -318,11 +312,9 @@ def test_edge_boxes_and_image_sizes_exit_0_or_2_naming_the_file(valid_dir, tmp_p
             for argv in runs:
                 code = main([*argv, "--vocab", str(d / "vocab.json"), "--mode", mode])
                 err = capsys.readouterr().err
-                named = re.match(r"data error: (.+?)(:\d+)?: image '", err)
+                named = re.match(r"data error: (.+?):\d+: image '", err)
                 assert code in (0, 2), (case, argv[0], mode, err)
-                assert code == 0 or (named and named[1] in files and (
-                    named[2] or any(err.endswith(m + "\n") for m in LINELESS))), (
-                    case, argv[0], mode, err)
+                assert code == 0 or (named and named[1] in files), (case, argv[0], mode, err)
                 assert not recwarn.list, (case, argv[0], mode, [str(w.message) for w in recwarn])
                 rejected += code == 2
     assert rejected > 0

@@ -354,6 +354,38 @@ class TestOneMatchPerBudget:
             free = [(id(pred), id(gt)) for _, pred, gt in spy.tests]
             assert len(free) == len(set(free)) and set(free) == union
 
+    def test_recall_only_calls_test_only_the_first_k_kept(self, monkeypatch):
+        # Recall reads no hit past rank k, so a call that computes no AP tests only the
+        # first k of the list its budget keeps; free k, those of some budget in 1..P.
+        rng = np.random.default_rng(43)
+        calls = {
+            "no budget": ([None], lambda p, g, k: recall_at_k(p, g, k, MatchSpec())),
+            "graph constraint": (
+                [1], lambda p, g, k: recall_at_k(p, g, k, MatchSpec(graph_constraint=True))),
+            "budget 2": ([2], lambda p, g, k: vrd_recall(p, g, k, 2, MatchSpec())),
+            "free": ([1, 2, 3], lambda p, g, k: vrd_recall(p, g, k, "free", MatchSpec(), 3)),
+        }
+        past_k = collections.Counter()
+        for _ in range(15):
+            preds, gts = _unshared(*random_metric_instance(rng, max_objects=7, num_predicates=3))
+            spy = _TestSpy(monkeypatch, preds, gts)
+            for name, (budgets, call) in calls.items():
+                for k in (1, 3, 20):
+                    first_k, later = set(), 0
+                    for image_id, image_gts in gts.items():
+                        labels = {(g.sub_label, g.predicate, g.obj_label) for g in image_gts}
+                        for b in budgets:
+                            kept = _brute_kept(_brute_ranked(preds.get(image_id, [])), b)
+                            first_k |= {id(t) for t in kept[:k]}
+                            later += sum((t.sub_label, t.predicate, t.obj_label) in labels
+                                         for t in kept[k:])
+                    spy.tests.clear()
+                    call(preds, gts, k)
+                    assert {id(pred) for _, pred, _ in spy.tests} <= first_k, (name, k)
+                    past_k[name, k] += later > 0
+        # Every call and k met candidates past rank k, which a whole-ranking walk would test.
+        assert len(past_k) == 12 and min(past_k.values()) > 0, past_k
+
     def test_each_budgets_recall_is_a_greedy_match_of_its_kept_list(self):
         rng = np.random.default_rng(37)
         cut = 0

@@ -28,6 +28,7 @@ are computable.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
@@ -43,6 +44,7 @@ from .datamodel import (
     ImageRecord,
     Vocabulary,
     atomic_write_text,
+    box_array,
     check_settings,
     read_json,
 )
@@ -130,17 +132,19 @@ class SynthResult:
     vocab: Vocabulary
 
 
-def _boxes_overlap(a: Box, b: Box) -> bool:
-    return min(a.xmax, b.xmax) > max(a.xmin, b.xmin) and min(a.ymax, b.ymax) > max(
-        a.ymin, b.ymin
+def rule_outcomes(sub: np.ndarray, obj: np.ndarray) -> np.ndarray:
+    """The geometric rule on broadcasting corner arrays: 0 where the boxes
+    do not overlap, else the class the subject's center height decides."""
+    overlap = (np.minimum(sub[..., 2], obj[..., 2]) > np.maximum(sub[..., 0], obj[..., 0])) & (
+        np.minimum(sub[..., 3], obj[..., 3]) > np.maximum(sub[..., 1], obj[..., 1])
     )
+    above = 0.5 * (sub[..., 1] + sub[..., 3]) < 0.5 * (obj[..., 1] + obj[..., 3])
+    return np.where(overlap, np.where(above, ON_CLASS, UNDER_CLASS), 0)
 
 
 def rule_outcome(sub_box: Box, obj_box: Box) -> int | None:
-    """The geometric rule: overlap decides applicability, center height the class."""
-    if not _boxes_overlap(sub_box, obj_box):
-        return None
-    return ON_CLASS if sub_box.center[1] < obj_box.center[1] else UNDER_CLASS
+    """:func:`rule_outcomes` on one box pair; None where the rule does not apply."""
+    return int(rule_outcomes(box_array([sub_box]), box_array([obj_box]))[0]) or None
 
 
 def make_vocabulary(cfg: SynthConfig) -> Vocabulary:
@@ -159,50 +163,50 @@ def make_vocabulary(cfg: SynthConfig) -> Vocabulary:
     )
 
 
-def _base_distribution(
-    oracle: OracleTables,
-    sub_label: int,
-    obj_label: int,
-    sub_feature: np.ndarray | None,
-    obj_feature: np.ndarray | None,
-) -> np.ndarray:
+def _image_pairs(oracle: OracleTables, labels, boxes, features) -> tuple[np.ndarray, np.ndarray]:
+    """The rule outcome (n, n) and the predicate distribution before the rule
+    (n, n, P; ids 1..P on the last axis) of every ordered pair of n objects.
+
+    The outcome is 0 where the rule does not apply or is off; ``features``
+    is None without the appearance tilt.
+    """
+    n = len(boxes)
+    outcomes = np.zeros((n, n), dtype=np.int64)
+    if oracle.spatial_signal:
+        corners = box_array(boxes)
+        outcomes = rule_outcomes(corners[:, None], corners[None, :])
     if oracle.semantic_signal:
-        base = oracle.table[sub_label, obj_label].copy()
+        labels = np.asarray(labels)
+        base = oracle.table[labels[:, None], labels[None, :]]
     else:
-        base = np.full(oracle.num_predicates, 1.0 / oracle.num_predicates)
-    if (
-        oracle.visual_signal
-        and oracle.appearance_weight > 0.0
-        and sub_feature is not None
-        and obj_feature is not None
-    ):
-        tilt = oracle.appearance_weight * (
-            oracle.sub_weights @ sub_feature + oracle.obj_weights @ obj_feature
-        )
-        base = base * np.exp(tilt - tilt.max())
-        base /= base.sum()
-    return base
+        base = np.full((n, n, oracle.num_predicates), 1.0 / oracle.num_predicates)
+    if oracle.visual_signal and oracle.appearance_weight > 0.0 and features is not None:
+        p = oracle.num_predicates
+        sub = np.array([oracle.sub_weights @ f for f in features]).reshape(n, 1, p)
+        obj = np.array([oracle.obj_weights @ f for f in features]).reshape(1, n, p)
+        tilt = oracle.appearance_weight * (sub + obj)
+        base = base * np.exp(tilt - tilt.max(axis=-1, keepdims=True))
+        base /= base.sum(axis=-1, keepdims=True)
+    return outcomes, base
 
 
-def _prior(
-    oracle: OracleTables,
-    sub_label: int,
-    obj_label: int,
-    sub_box: Box,
-    obj_box: Box,
-    sub_feature: np.ndarray | None,
-    obj_feature: np.ndarray | None,
-) -> np.ndarray:
-    """Predicate distribution (ids 1..P at indices 0..P-1) before the pair feature."""
-    base = _base_distribution(oracle, sub_label, obj_label, sub_feature, obj_feature)
-    if not oracle.spatial_signal:
-        return base
-    outcome = rule_outcome(sub_box, obj_box)
-    if outcome is None:
-        return base
-    prior = (1.0 - oracle.rule_weight) * base
-    prior[outcome - 1] += oracle.rule_weight
-    return prior
+def _posterior(oracle: OracleTables, base, outcome, pair_feature) -> np.ndarray:
+    """One pair's posterior from its :func:`_image_pairs` distribution and outcome."""
+    prior = base
+    if outcome:
+        prior = (1.0 - oracle.rule_weight) * base
+        prior[outcome - 1] += oracle.rule_weight
+    if not oracle.visual_signal or pair_feature is None:
+        return prior / prior.sum()
+    diffs = oracle.cluster_means - pair_feature
+    sq = np.sum(diffs * diffs, axis=1)
+    if oracle.noise == 0.0:
+        # Degenerate clusters: the nearest mean is certain.
+        post = np.where(sq == sq.min(), prior, 0.0)
+    else:
+        loglik = -sq / (2.0 * oracle.noise**2)
+        post = prior * np.exp(loglik - loglik.max())
+    return post / post.sum()
 
 
 def pair_posterior(
@@ -216,18 +220,9 @@ def pair_posterior(
     obj_feature: np.ndarray | None = None,
 ) -> np.ndarray:
     """True posterior over predicates 1..P for one ground-truth pair."""
-    prior = _prior(oracle, sub_label, obj_label, sub_box, obj_box, sub_feature, obj_feature)
-    if not oracle.visual_signal or pair_feature is None:
-        return prior / prior.sum()
-    diffs = oracle.cluster_means - pair_feature
-    sq = np.sum(diffs * diffs, axis=1)
-    if oracle.noise == 0.0:
-        # Degenerate clusters: the nearest mean is certain.
-        post = np.where(sq == sq.min(), prior, 0.0)
-    else:
-        loglik = -sq / (2.0 * oracle.noise**2)
-        post = prior * np.exp(loglik - loglik.max())
-    return post / post.sum()
+    features = None if sub_feature is None or obj_feature is None else [sub_feature, obj_feature]
+    outcomes, base = _image_pairs(oracle, [sub_label, obj_label], [sub_box, obj_box], features)
+    return _posterior(oracle, base[0, 1], outcomes[0, 1], pair_feature)
 
 
 def _sample_box(rng: np.random.Generator) -> Box:
@@ -250,6 +245,31 @@ def _jitter_box(box: Box, rng: np.random.Generator) -> tuple[Box, float]:
     return jittered, score
 
 
+def _pair_tables(cfg: SynthConfig, oracle: OracleTables, labels, boxes, features) -> tuple:
+    """What an image's pair loop reads that draws no random number, as [i][j] lists.
+
+    Per ordered pair: the rule outcome, the chance that the pair is
+    related, and the predicate CDF as ``Generator.choice`` builds it from
+    the distribution: cumsum, then a divide by the last entry. A tilt past
+    float64's range leaves a NaN CDF, which the loop reports only if it
+    draws from it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcomes, base = _image_pairs(oracle, labels, boxes, features)
+        cdfs = np.cumsum(base, axis=-1)
+        cdfs /= cdfs[..., -1:]
+    density = np.full(outcomes.shape, cfg.pair_density)
+    if cfg.spatial_signal:
+        density[outcomes == 0] *= FAR_DENSITY_FACTOR
+    if cfg.visual_signal and cfg.existence_weight > 0.0:
+        sub = np.array([oracle.exist_sub @ f for f in features]).reshape(-1, 1)
+        obj = np.array([oracle.exist_obj @ f for f in features]).reshape(1, -1)
+        with np.errstate(over="ignore"):  # exp's overflow to inf gives the limit, a factor of 0
+            tilt = cfg.existence_weight * (sub + obj)
+            density = np.minimum(1.0, density * 2.0 / (1.0 + np.exp(-tilt)))
+    return outcomes.tolist(), density.tolist(), cdfs.tolist()
+
+
 def _generate_record(
     cfg: SynthConfig, oracle: OracleTables, image_id: str, rng: np.random.Generator
 ) -> ImageRecord:
@@ -268,33 +288,27 @@ def _generate_record(
             feat = feat + oracle.attr_means[a]
         features.append(feat)
 
+    outcomes, density, cdfs = _pair_tables(cfg, oracle, labels, boxes, features)
+    rule_only = cfg.spatial_signal and not (cfg.semantic_signal or cfg.visual_signal)
     gt_triplets: list[tuple[int, int, int]] = []
     pair_features: dict[tuple[int, int], np.ndarray] = {}
     for i in range(n):
         for j in range(n):
-            if i == j:
+            outcome = outcomes[i][j]
+            if i == j or (rule_only and not outcome):
+                continue  # with geometry the only source, only the rule relates a pair
+            if rng.random() >= density[i][j]:
                 continue
-            outcome = rule_outcome(boxes[i], boxes[j])
-            density = cfg.pair_density
-            if outcome is None:
-                if cfg.spatial_signal and not (cfg.semantic_signal or cfg.visual_signal):
-                    continue  # geometry is the only relationship source
-                if cfg.spatial_signal:
-                    density *= FAR_DENSITY_FACTOR
-            if cfg.visual_signal and cfg.existence_weight > 0.0:
-                tilt = cfg.existence_weight * (
-                    oracle.exist_sub @ features[i] + oracle.exist_obj @ features[j]
-                )
-                density = min(1.0, density * 2.0 / (1.0 + np.exp(-tilt)))
-            if rng.random() >= density:
-                continue
-            if cfg.spatial_signal and outcome is not None and rng.random() < cfg.rule_weight:
+            if outcome and rng.random() < cfg.rule_weight:
                 pred = outcome
             else:
-                base = _base_distribution(
-                    oracle, int(labels[i]), int(labels[j]), features[i], features[j]
-                )
-                pred = 1 + int(rng.choice(cfg.num_predicates, p=base))
+                cdf = cdfs[i][j]
+                if math.isnan(cdf[-1]):
+                    raise ValueError(
+                        f"appearance weight {cfg.appearance_weight!r} is too large: pair "
+                        f"({i}, {j}) of image {image_id!r} has no finite predicate distribution"
+                    )
+                pred = 1 + bisect.bisect_right(cdf, rng.random())  # choice's side="right" search
             gt_triplets.append((i, pred, j))
             if cfg.visual_signal:
                 pair_features[(i, j)] = oracle.cluster_means[pred - 1] + rng.normal(
@@ -384,24 +398,22 @@ def bayes_accuracy(oracle: OracleTables, dataset: list[ImageRecord]) -> float:
                 f"image {record.image_id!r}: detections are not aligned with gt boxes; "
                 "not a generated dataset"
             )
+        if not record.gt_triplets:
+            continue
+        if max(g.label for g in record.gt_boxes) >= oracle.num_classes:
+            raise ValueError(f"image {record.image_id!r}: label outside the oracle's classes")
+        features = [d.feature for d in record.detections] if oracle.visual_signal else None
+        outcomes, base = _image_pairs(
+            oracle, [g.label for g in record.gt_boxes], [g.box for g in record.gt_boxes], features
+        )
         for sub_idx, pred, obj_idx in record.gt_triplets:
-            sub = record.gt_boxes[sub_idx]
-            obj = record.gt_boxes[obj_idx]
-            if sub.label >= oracle.num_classes or obj.label >= oracle.num_classes:
-                raise ValueError(
-                    f"image {record.image_id!r}: label outside the oracle's classes"
-                )
             feature = record.pair_features.get((sub_idx, obj_idx))
             if oracle.visual_signal and feature is None:
                 raise ValueError(
                     f"image {record.image_id!r}: pair ({sub_idx}, {obj_idx}) lacks the "
                     "pair feature this oracle expects"
                 )
-            sub_feat = record.detections[sub_idx].feature if oracle.visual_signal else None
-            obj_feat = record.detections[obj_idx].feature if oracle.visual_signal else None
-            post = pair_posterior(
-                oracle, sub.label, obj.label, sub.box, obj.box, feature, sub_feat, obj_feat
-            )
+            post = _posterior(oracle, base[sub_idx, obj_idx], outcomes[sub_idx, obj_idx], feature)
             if 1 + int(np.argmax(post)) == pred:
                 correct += 1
             total += 1

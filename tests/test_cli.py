@@ -132,6 +132,22 @@ class TestGenSynth:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("weight", ["800", "1e308"])
+    def test_existence_weight_past_exp_range_generates(self, tmp_path, capsys, weight):
+        # exp overflows to inf: the existence factor is its limit, 0, with no warning.
+        out = tmp_path / "out"
+        assert main(["gen-synth", "--out", str(out), "--num-images", "4",
+                     "--num-test-images", "1", "--existence-weight", weight]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "train.jsonl").exists()
+
+    def test_appearance_weight_past_float_range_is_named(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["gen-synth", "--out", str(out), "--appearance-weight", "1e308"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: appearance weight 1e+308 is too large: pair "), err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("where", ["a file", "under a file"])
     def test_out_that_cannot_be_a_directory_exits_1_before_generating(
             self, tmp_path, capsys, monkeypatch, where):

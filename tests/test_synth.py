@@ -1,6 +1,9 @@
 """Synthetic data generator and its exact-posterior oracle."""
 
 import dataclasses
+import pathlib
+import runpy
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +28,10 @@ from relfusion.synth import (
     save_oracle,
 )
 
+from reference_synth import reference_generate, reference_posteriors
 from util import box
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 class TestGenerate:
@@ -99,6 +105,112 @@ class TestGenerate:
         assert res.vocab.predicates[0] == "__no_rel__"
         assert res.vocab.predicates[1] == "on"
         assert res.vocab.predicates[2] == "under"
+
+
+def _workload_configs() -> dict:
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"]
+    return {
+        f"{name}-seed{seed}": SynthConfig(**w.synth_kwargs(seed))
+        for name, w in workloads.items()
+        for seed in (1, 2)
+    }
+
+
+def _small(**fields) -> SynthConfig:
+    return SynthConfig(**{"seed": 5, "num_images": 30, "num_test_images": 10, **fields})
+
+
+_SIGNALS = ("semantic_signal", "spatial_signal", "visual_signal")
+REFERENCE_CONFIGS = {
+    **_workload_configs(),
+    "default": SynthConfig(),
+    **{
+        f"signals-{','.join(signals)}": _small(
+            **{flag: token in signals for flag, token in zip(_SIGNALS, "spv")}
+        )
+        for signals in ("s", "p", "v", "sp", "pv")
+    },
+    "objects-0": _small(objects_per_image=(0, 0)),
+    "objects-1": _small(objects_per_image=(1, 1)),
+    "no-attributes": _small(num_attributes=0),
+    "noise-0": _small(noise=0.0),
+    "rule-weight-0": _small(rule_weight=0.0),
+    "rule-weight-1": _small(rule_weight=1.0),
+    # Existence tilts past exp's range: the factor is its limit, 0 or 2.
+    "existence-weight-800": _small(existence_weight=800.0),
+    "existence-weight-1e308": _small(existence_weight=1e308),
+    # One object: the only CDF built is the diagonal's, NaN in most images, never drawn from.
+    "appearance-weight-1e308-one-object": _small(objects_per_image=(1, 1), appearance_weight=1e308),
+}
+
+
+class TestMatchesPerPairReference:
+    """The array-built pair tables draw what the per-pair generator draws."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+    def test_generate_equals_reference(self, name, tmp_path):
+        cfg = REFERENCE_CONFIGS[name]
+        res = generate(cfg)
+        with np.errstate(over="ignore"):  # the per-pair exp overflows where the tilt saturates
+            ref = reference_generate(cfg)
+        for split in ("train", "test"):
+            got, want = getattr(res, split), getattr(ref, split)
+            assert [r.gt_triplets for r in got] == [r.gt_triplets for r in want]
+            save_dataset(got, tmp_path / "got.jsonl")
+            save_dataset(want, tmp_path / "want.jsonl")
+            assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+        dataset = res.train + res.test
+        if not any(r.gt_triplets for r in dataset):
+            return
+        posts = reference_posteriors(res.oracle, dataset)
+        hits = [1 + int(np.argmax(post)) == p
+                for post, (_, p, _) in zip(posts, (t for r in dataset for t in r.gt_triplets))]
+        assert bayes_accuracy(res.oracle, dataset) == sum(hits) / len(hits)
+
+    def test_posteriors_equal_reference(self):
+        res = generate(_small(seed=8))
+        dataset = res.train + res.test
+        posts = iter(reference_posteriors(res.oracle, dataset))
+        for r in dataset:
+            for i, _, j in r.gt_triplets:
+                post = pair_posterior(
+                    res.oracle, r.gt_boxes[i].label, r.gt_boxes[j].label, r.gt_boxes[i].box,
+                    r.gt_boxes[j].box, r.pair_features[(i, j)], r.detections[i].feature,
+                    r.detections[j].feature,
+                )
+                assert post.tolist() == next(posts).tolist()
+
+    def test_uniform_on_a_cdf_step_draws_the_next_predicate(self):
+        # Every single uniform (choice asks for size ()) is 0.5, an exact step
+        # of the flat 4-predicate CDF: choice's side="right" search picks
+        # predicate 3, not 2.
+        class Halves(np.random.Generator):
+            def random(self, size=None, dtype=np.float64, out=None):
+                return 0.5 if size in (None, ()) else super().random(size, dtype, out)
+
+        cfg = _small(num_predicates=4, semantic_signal=False, spatial_signal=False,
+                     appearance_weight=0.0, num_images=3, num_test_images=0)
+        with mock.patch("numpy.random.default_rng", lambda seed: Halves(np.random.PCG64(seed))):
+            res, ref = generate(cfg), reference_generate(cfg)
+        triplets = [r.gt_triplets for r in res.train]
+        assert triplets == [r.gt_triplets for r in ref.train]
+        assert {p for image in triplets for _, p, _ in image} == {3}
+
+    def test_nan_predicate_distribution_raises_at_the_reference_draw(self):
+        cfg = _small(appearance_weight=1e308)
+        rngs = []
+        default_rng = np.random.default_rng
+
+        def recording(seed):
+            rngs.append(default_rng(seed))
+            return rngs[-1]
+
+        with mock.patch("numpy.random.default_rng", recording):
+            with pytest.raises(ValueError, match=r"^appearance weight 1e\+308 is too large"):
+                generate(cfg)
+            with np.errstate(all="ignore"), pytest.raises(ValueError, match="contain NaN"):
+                reference_generate(cfg)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 class TestSpatialRule:

@@ -52,7 +52,11 @@ class DataError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__  # stores a frozen instance's field: once per field in an __init__
+_isfinite = math.isfinite
+
+
+@dataclass(frozen=True, slots=True)
 class Box:
     """Axis-aligned box, corner form, absolute pixels."""
 
@@ -61,12 +65,15 @@ class Box:
     xmax: float
     ymax: float
 
-    def __post_init__(self):
-        coords = (self.xmin, self.ymin, self.xmax, self.ymax)
-        if not all(math.isfinite(c) for c in coords):
-            raise DataError(f"non-finite box coordinates {coords}")
-        if self.xmin > self.xmax or self.ymin > self.ymax:
-            raise DataError(f"inverted box {coords}")
+    def __init__(self, xmin, ymin, xmax, ymax):
+        if not (_isfinite(xmin) and _isfinite(ymin) and _isfinite(xmax) and _isfinite(ymax)):
+            raise DataError(f"non-finite box coordinates {(xmin, ymin, xmax, ymax)}")
+        if xmin > xmax or ymin > ymax:
+            raise DataError(f"inverted box {(xmin, ymin, xmax, ymax)}")
+        _set(self, "xmin", xmin)
+        _set(self, "ymin", ymin)
+        _set(self, "xmax", xmax)
+        _set(self, "ymax", ymax)
 
     @property
     def width(self) -> float:
@@ -139,7 +146,7 @@ def union_box(a: Box, b: Box) -> Box:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """One detected object: class id, box, detector confidence, ROI feature."""
 
@@ -153,7 +160,7 @@ class Detection:
             raise DataError(f"detection score {self.score} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GtObject:
     """Ground-truth object: class id, box, and an optional ROI feature."""
 
@@ -162,7 +169,7 @@ class GtObject:
     feature: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResolvedTriplet:
     """A ground-truth triplet with its boxes and labels resolved."""
 
@@ -196,7 +203,7 @@ class ImageRecord:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictedTriplet:
     """One scored (subject, predicate, object) prediction."""
 
@@ -207,11 +214,17 @@ class PredictedTriplet:
     obj_label: int
     score: float
 
-    def __post_init__(self):
-        if self.predicate < 1:
+    def __init__(self, sub_box, sub_label, predicate, obj_box, obj_label, score):
+        if predicate < 1:
             raise DataError("predicted predicate must be a real class (>= 1)")
-        if not math.isfinite(self.score):
+        if not _isfinite(score):
             raise DataError("prediction score must be finite")
+        _set(self, "sub_box", sub_box)
+        _set(self, "sub_label", sub_label)
+        _set(self, "predicate", predicate)
+        _set(self, "obj_box", obj_box)
+        _set(self, "obj_label", obj_label)
+        _set(self, "score", score)
 
 
 @dataclass(frozen=True)

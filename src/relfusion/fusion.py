@@ -338,10 +338,16 @@ def match_positive_pairs(
     proposable = np.array([not d.box.is_degenerate() for d in dets], dtype=bool)
     # fits[k, g]: detection k may stand in for gt box g
     fits = (overlaps >= iou_threshold) & same_label & proposable[:, None]
-    hits = fits.T[triplets[:, 0], :, None] & fits.T[triplets[:, 2], None, :]
-    hits[:, np.arange(len(dets)), np.arange(len(dets))] = False
-    t, i, j = np.nonzero(hits)
-    return np.column_stack([i, j]), triplets[t, 1]
+    gt_of, det_of = np.nonzero(fits.T)  # each gt box's fitting detections, in index order
+    start = np.searchsorted(gt_of, np.arange(len(gts) + 1))
+    n_sub, n_obj = np.diff(start)[triplets[:, [0, 2]]].T
+    size = n_sub * n_obj  # candidate pairs per triplet
+    # Triplet t's p-th pair is its subject's (p // n_obj)-th and object's (p % n_obj)-th fit.
+    t = np.repeat(np.arange(len(triplets)), size)
+    p = np.arange(len(t)) - (np.cumsum(size) - size)[t]
+    i = det_of[start[triplets[t, 0]] + p // n_obj[t]]
+    j = det_of[start[triplets[t, 2]] + p % n_obj[t]]
+    return np.column_stack([i, j])[i != j], triplets[t[i != j], 1]
 
 
 def build_training_inputs(

@@ -158,9 +158,10 @@ def _one_pass(
     pooled: list[PredictedTriplet] = []  # every image's ranking, in turn
     pooled_hits: dict[str, list[int]] = {mode: [] for mode in box_modes}  # indices in pooled
     per_image: list[list[list[float]]] = [[[] for _ in ks] for _ in budgets]
+    by_score = operator.attrgetter("score")
     for image_id, gts in ground_truth.items():
-        # Stable, so the caller-provided order breaks score ties.
-        ranked = sorted(predictions.get(image_id, []), key=lambda t: -t.score)
+        # Stable, reversed too, so the caller-provided order breaks score ties.
+        ranked = sorted(predictions.get(image_id, []), key=by_score, reverse=True)
         index: dict[tuple[int, int, int], list[int]] = {}
         for g, gt in enumerate(gts):
             index.setdefault((gt.sub_label, gt.predicate, gt.obj_label), []).append(g)

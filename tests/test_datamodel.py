@@ -14,6 +14,10 @@ import pytest
 from relfusion.datamodel import (
     Box,
     DataError,
+    Detection,
+    GtObject,
+    PredictedTriplet,
+    ResolvedTriplet,
     Vocabulary,
     atomic_write_text,
     box_array,
@@ -129,6 +133,123 @@ class TestUnionBox:
             assert u == union_box(b, a)
             assert u.xmin <= min(a.xmin, b.xmin) and u.xmax >= max(a.xmax, b.xmax)
             assert u.area >= max(a.area, b.area)
+
+
+def _value_objects():
+    """One instance of each value type, with the repr that it prints."""
+    a, b = Box(0.0, 1.0, 2.0, 3.0), Box(4.0, 5.0, 6.5, 7.0)
+    feature = np.zeros(2)
+    return [
+        (a, "Box(xmin=0.0, ymin=1.0, xmax=2.0, ymax=3.0)"),
+        (Detection(1, a, 0.5, feature),
+         f"Detection(label=1, box={a!r}, score=0.5, feature=array([0., 0.]))"),
+        (GtObject(2, b), f"GtObject(label=2, box={b!r}, feature=None)"),
+        (ResolvedTriplet(1, a, 3, 2, b),
+         f"ResolvedTriplet(sub_label=1, sub_box={a!r}, predicate=3, obj_label=2, obj_box={b!r})"),
+        (PredictedTriplet(a, 1, 3, b, 2, 0.25),
+         f"PredictedTriplet(sub_box={a!r}, sub_label=1, predicate=3, obj_box={b!r}, obj_label=2, "
+         "score=0.25)"),
+    ]
+
+
+REPLACEMENTS = {
+    Box: {"xmin": -1.0},
+    Detection: {"score": 1.0},
+    GtObject: {"label": 3},
+    ResolvedTriplet: {"predicate": 1},
+    PredictedTriplet: {"score": 0.75},
+}
+
+FIELD_NAMES = {
+    Box: ("xmin", "ymin", "xmax", "ymax"),
+    Detection: ("label", "box", "score", "feature"),
+    GtObject: ("label", "box", "feature"),
+    ResolvedTriplet: ("sub_label", "sub_box", "predicate", "obj_label", "obj_box"),
+    PredictedTriplet: ("sub_box", "sub_label", "predicate", "obj_box", "obj_label", "score"),
+}
+
+
+class TestValueObjects:
+    @pytest.mark.parametrize("obj, text", _value_objects(), ids=lambda v: type(v).__name__)
+    def test_frozen_slotted_values(self, obj, text):
+        cls = type(obj)
+        names = tuple(f.name for f in dataclasses.fields(obj))
+        assert names == FIELD_NAMES[cls]
+        assert not hasattr(obj, "__dict__") and cls.__slots__ == names
+        for name in names:
+            message = f"^cannot assign to field '{name}'$"
+            with pytest.raises(dataclasses.FrozenInstanceError, match=message):
+                setattr(obj, name, 1)
+        # Nowhere to store a new name either. The frozen __setattr__ of a slotted dataclass
+        # raises a TypeError here on Python 3.11, as it refers to the class before slots.
+        with pytest.raises((AttributeError, TypeError)):
+            obj.extra = 1
+        assert repr(obj) == text
+        # Keyword construction and replace give an equal value with the same hash.
+        values = {name: getattr(obj, name) for name in names}
+        again = cls(**values)
+        assert all(getattr(again, name) is value for name, value in values.items())
+        assert again == obj and dataclasses.replace(obj) == obj
+        if cls is not Detection:  # its ndarray feature is not hashable
+            assert hash(again) == hash(obj)
+        changed = dataclasses.replace(obj, **REPLACEMENTS[cls])
+        assert changed != obj
+        assert {n: getattr(changed, n) for n in names} == {**values, **REPLACEMENTS[cls]}
+
+    def test_asdict_recurses_into_boxes(self):
+        a, b = Box(0.0, 1.0, 2.0, 3.0), Box(4.0, 5.0, 6.5, 7.0)
+        box_a = {"xmin": 0.0, "ymin": 1.0, "xmax": 2.0, "ymax": 3.0}
+        box_b = {"xmin": 4.0, "ymin": 5.0, "xmax": 6.5, "ymax": 7.0}
+        assert dataclasses.asdict(a) == box_a
+        assert dataclasses.asdict(GtObject(2, b)) == {"label": 2, "box": box_b, "feature": None}
+        assert dataclasses.asdict(ResolvedTriplet(1, a, 3, 2, b)) == {
+            "sub_label": 1, "sub_box": box_a, "predicate": 3, "obj_label": 2, "obj_box": box_b}
+        assert dataclasses.asdict(PredictedTriplet(a, 1, 3, b, 2, 0.25)) == {
+            "sub_box": box_a, "sub_label": 1, "predicate": 3, "obj_box": box_b, "obj_label": 2,
+            "score": 0.25}
+        det = dataclasses.asdict(Detection(1, a, 0.5, np.arange(2.0)))
+        assert det.pop("feature").tolist() == [0.0, 1.0]
+        assert det == {"label": 1, "box": box_a, "score": 0.5}
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Box(0, 0, math.inf, 5), "non-finite box coordinates (0, 0, inf, 5)"),
+            (lambda: Box(math.nan, 0, 1, 1), "non-finite box coordinates (nan, 0, 1, 1)"),
+            # Finiteness is checked before order.
+            (lambda: Box(5, 0, 0, -math.inf), "non-finite box coordinates (5, 0, 0, -inf)"),
+            (lambda: Box(5, 0, 0, 5), "inverted box (5, 0, 0, 5)"),
+            (lambda: Box(0, 2.5, 1, 2), "inverted box (0, 2.5, 1, 2)"),
+            (lambda: PredictedTriplet(Box(0, 0, 1, 1), 0, 0, Box(0, 0, 1, 1), 0, 0.5),
+             "predicted predicate must be a real class (>= 1)"),
+            # The predicate is checked before the score.
+            (lambda: PredictedTriplet(Box(0, 0, 1, 1), 0, 0, Box(0, 0, 1, 1), 0, math.nan),
+             "predicted predicate must be a real class (>= 1)"),
+            (lambda: PredictedTriplet(Box(0, 0, 1, 1), 0, 1, Box(0, 0, 1, 1), 0, math.nan),
+             "prediction score must be finite"),
+            (lambda: PredictedTriplet(Box(0, 0, 1, 1), 0, 1, Box(0, 0, 1, 1), 0, -math.inf),
+             "prediction score must be finite"),
+            (lambda: Detection(0, Box(0, 0, 1, 1), 1.5, np.zeros(2)),
+             "detection score 1.5 outside [0, 1]"),
+            (lambda: Detection(0, Box(0, 0, 1, 1), -0.25, np.zeros(2)),
+             "detection score -0.25 outside [0, 1]"),
+            (lambda: Detection(0, Box(0, 0, 1, 1), math.nan, np.zeros(2)),
+             "detection score nan outside [0, 1]"),
+        ],
+        ids=["inf box", "nan box", "inverted and non-finite box", "inverted x", "inverted y",
+             "predicate 0", "predicate 0 and nan score", "nan score", "infinite score",
+             "detection score above 1", "detection score below 0", "nan detection score"],
+    )
+    def test_exact_data_errors(self, build, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_replace_runs_the_checks(self):
+        with pytest.raises(DataError, match=r"^inverted box \(3\.0, 1\.0, 2\.0, 3\.0\)$"):
+            dataclasses.replace(Box(0.0, 1.0, 2.0, 3.0), xmin=3.0)
+        t = PredictedTriplet(Box(0, 0, 1, 1), 0, 1, Box(0, 0, 1, 1), 0, 0.5)
+        with pytest.raises(DataError, match=r"^prediction score must be finite$"):
+            dataclasses.replace(t, score=math.inf)
 
 
 class TestVocabulary:

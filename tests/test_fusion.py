@@ -589,6 +589,33 @@ def test_array_paths_match_per_pair_reference():
     assert all(checked.values()), checked
 
 
+def test_positive_matching_edge_cases_match_per_pair_reference():
+    a, b = box(0, 0, 10, 10), box(40, 0, 50, 10)
+    # gt 0 and gt 2 are fitted by detections 0 and 2 alike; detection 3 has zero area.
+    gt = [GtObject(0, a), GtObject(1, b), GtObject(0, box(0, 0, 10, 11))]
+    dets = [make_detection(0, a), make_detection(1, b), make_detection(0, box(0, 0, 10, 9)),
+            make_detection(0, box(5, 5, 5, 5))]
+    triplets = [(0, 1, 1), (1, 2, 0), (0, 3, 2), (2, 1, 1)]
+    records = {
+        "all cases": make_record(detections=dets, gt=gt, triplets=triplets),
+        "no detections": make_record(gt=gt, triplets=triplets),
+        "no triplets": make_record(detections=dets, gt=gt),
+    }
+    # At threshold 0 every overlap fits, so only the proposal rule keeps detection 3 out.
+    for threshold in (0.5, 0.0):
+        for name, record in records.items():
+            pairs, predicates = match_positive_pairs(record, threshold)
+            assert pairs.dtype == predicates.dtype == np.intp
+            assert pairs.shape == (len(predicates), 2)
+            got = list(zip(map(tuple, pairs.tolist()), predicates.tolist()))
+            assert got == _reference_positives(record, threshold), (name, threshold)
+            if name == "all cases":
+                assert got == [((0, 1), 1), ((2, 1), 1), ((1, 0), 2), ((1, 2), 2),
+                               ((0, 2), 3), ((2, 0), 3), ((0, 1), 1), ((2, 1), 1)]
+            else:
+                assert got == []
+
+
 class TestCheckpoint:
     def test_roundtrip_preserves_predictions(self, tmp_path):
         model = _toy_model(seed=8)

@@ -42,7 +42,7 @@ from .metrics import (
     vrd_recall,
 )
 from .semantic import FrequencyTable, fit_frequency, semantic_logits
-from .spatial import box_delta, normalized_coords, spatial_feature
+from .spatial import spatial_feature
 from .synth import SynthConfig, bayes_accuracy, generate
 from .visual import predicate_feature
 

@@ -366,7 +366,8 @@ def build_training_inputs(
         matched = np.zeros((len(record.detections),) * 2, dtype=bool)
         matched[positives[:, 0], positives[:, 1]] = True
         unmatched = proposals[~matched[proposals[:, 0], proposals[:, 1]]]
-        n_neg = min(len(unmatched), int(round(cfg.negative_ratio * len(predicates))))
+        # min first: a ratio past float64's range makes the product inf
+        n_neg = round(min(cfg.negative_ratio * len(predicates), len(unmatched)))
         chosen = unmatched[:0]
         if n_neg > 0:
             chosen = unmatched[np.sort(rng.choice(len(unmatched), size=n_neg, replace=False))]

@@ -126,27 +126,19 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def softmax_xent(logits: np.ndarray, target) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax cross-entropy loss and its gradient in the logits.
-
-    Vector logits with an integer target give (scalar loss, vector grad);
-    a (N, C) batch with N targets gives per-example losses and the (N, C)
-    gradient of their sum-of-per-example losses (unscaled).
-    """
+    """Softmax cross-entropy of a (N, C) batch with N integer targets: the
+    per-example losses and the (N, C) gradient of their (unscaled) sum."""
     z = np.asarray(logits, dtype=np.float64)
-    single = z.ndim == 1
-    z2 = np.atleast_2d(z)
-    t = np.atleast_1d(np.asarray(target, dtype=np.intp))
-    if np.any(t < 0) or np.any(t >= z2.shape[1]):
-        raise ValueError(f"target outside 0..{z2.shape[1] - 1}")
-    shifted = z2 - z2.max(axis=1, keepdims=True)
+    t = np.asarray(target, dtype=np.intp)
+    if np.any(t < 0) or np.any(t >= z.shape[1]):
+        raise ValueError(f"target outside 0..{z.shape[1] - 1}")
+    shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=1)
-    rows = np.arange(z2.shape[0])
+    rows = np.arange(z.shape[0])
     losses = np.log(total) - shifted[rows, t]
-    grad = e / total[:, None]  # softmax(z2), bit for bit
+    grad = e / total[:, None]  # softmax(z), bit for bit
     grad[rows, t] -= 1.0
-    if single:
-        return losses[0], grad[0]
     return losses, grad
 
 

@@ -44,6 +44,13 @@ class FrequencyTable:
         total = counts.sum()
         return (counts + self.smoothing) / (total + size * self.smoothing)
 
+    def rows_defined(self) -> bool:
+        """Whether :meth:`probabilities` is finite and positive on every row, unseen pairs' too."""
+        rows = np.array([[0] * (self.num_predicates + 1), *self.counts.values()], dtype=np.int64)
+        total = rows.sum(axis=1, keepdims=True) + rows.shape[1] * self.smoothing
+        probs = (rows + self.smoothing) / total
+        return bool(np.all(np.isfinite(probs) & (probs > 0.0)))
+
 
 def fit_frequency(
     dataset: list[ImageRecord], vocab: Vocabulary, smoothing: float = 1.0
@@ -64,6 +71,9 @@ def fit_frequency(
                 counts = np.zeros(size, dtype=np.int64)
                 table.counts[key] = counts
             counts[pred] += 1
+    if not table.rows_defined():
+        raise ValueError(f"smoothing {smoothing!r} leaves a prior row with a zero or non-finite "
+                         "probability")
     return table
 
 
@@ -117,4 +127,7 @@ def table_from_json(raw) -> FrequencyTable:
         if min(counts) < 0 or sum(counts) >= 2**63:
             raise DataError(f"entry {k}: counts must be >= 0, with a total below 2**63")
         table.counts[(s, o)] = np.array(counts, dtype=np.int64)
+    if not table.rows_defined():
+        raise DataError(f"smoothing {smoothing!r:.40} leaves a prior row with a zero or "
+                        "non-finite probability")
     return table

@@ -9,11 +9,11 @@ anchor-normalized center-offset / log-size-ratio parameterization used by
 region-proposal detectors, and coords are image-normalized corners plus
 the box/image area ratio.
 
-The encoders work on (N, 4) corner arrays, one pair per row; the
-single-box-pair functions are one-row calls to them. Every value is the
-same float operation a scalar evaluation would make, and the logarithms
-are taken with ``math.log``, so a pair's encoding does not depend on the
-batch it is computed in.
+The encoders work on (N, 4) corner arrays, one pair per row;
+:func:`spatial_feature` is a one-row call for a single box pair. Every
+value is the same float operation a scalar evaluation would make, and the
+logarithms are taken with ``math.log``, so a pair's encoding does not
+depend on the batch it is computed in.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def _log(x: np.ndarray) -> np.ndarray:
 
 
 def box_deltas(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`box_delta` of two (N, 4) corner arrays: (N, 4)."""
+    """Rows ((x1-x2)/w2, (y1-y2)/h2, log(w1/w2), log(h1/h2)) on box centers: (N, 4)."""
     size1, size2 = b1[:, 2:] - b1[:, :2], b2[:, 2:] - b2[:, :2]  # (width, height)
     if (size1 <= 0.0).any() or (size2 <= 0.0).any():
         raise ValueError("box delta undefined for zero-size boxes")
@@ -46,23 +46,13 @@ def box_deltas(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     return np.concatenate([offsets, _log(size1 / size2)], axis=1)
 
 
-def box_delta(b1: Box, b2: Box) -> np.ndarray:
-    """((x1-x2)/w2, (y1-y2)/h2, log(w1/w2), log(h1/h2)) on box centers."""
-    return box_deltas(box_array([b1]), box_array([b2]))[0]
-
-
 def normalized_corners(b: np.ndarray, width: float, height: float) -> np.ndarray:
-    """Row-wise :func:`normalized_coords` of an (N, 4) corner array: (N, 5)."""
+    """Rows of corners scaled by image size plus the box/image area ratio: (N, 5)."""
     if width <= 0 or height <= 0:
         raise ValueError("image dimensions must be positive")
     area = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
     scale = np.array([width, height, width, height], dtype=np.float64)
     return np.concatenate([b / scale, (area / (width * height))[:, None]], axis=1)
-
-
-def normalized_coords(b: Box, width: float, height: float) -> np.ndarray:
-    """Corners scaled by image size plus the box/image area ratio."""
-    return normalized_corners(box_array([b]), width, height)[0]
 
 
 def spatial_features(

@@ -142,11 +142,6 @@ def rule_outcomes(sub: np.ndarray, obj: np.ndarray) -> np.ndarray:
     return np.where(overlap, np.where(above, ON_CLASS, UNDER_CLASS), 0)
 
 
-def rule_outcome(sub_box: Box, obj_box: Box) -> int | None:
-    """:func:`rule_outcomes` on one box pair; None where the rule does not apply."""
-    return int(rule_outcomes(box_array([sub_box]), box_array([obj_box]))[0]) or None
-
-
 def make_vocabulary(cfg: SynthConfig) -> Vocabulary:
     predicates = [NO_RELATIONSHIP]
     for p in range(1, cfg.num_predicates + 1):
@@ -207,22 +202,6 @@ def _posterior(oracle: OracleTables, base, outcome, pair_feature) -> np.ndarray:
         loglik = -sq / (2.0 * oracle.noise**2)
         post = prior * np.exp(loglik - loglik.max())
     return post / post.sum()
-
-
-def pair_posterior(
-    oracle: OracleTables,
-    sub_label: int,
-    obj_label: int,
-    sub_box: Box,
-    obj_box: Box,
-    pair_feature: np.ndarray | None,
-    sub_feature: np.ndarray | None = None,
-    obj_feature: np.ndarray | None = None,
-) -> np.ndarray:
-    """True posterior over predicates 1..P for one ground-truth pair."""
-    features = None if sub_feature is None or obj_feature is None else [sub_feature, obj_feature]
-    outcomes, base = _image_pairs(oracle, [sub_label, obj_label], [sub_box, obj_box], features)
-    return _posterior(oracle, base[0, 1], outcomes[0, 1], pair_feature)
 
 
 def _sample_box(rng: np.random.Generator) -> Box:
@@ -314,6 +293,12 @@ def _generate_record(
                 pair_features[(i, j)] = oracle.cluster_means[pred - 1] + rng.normal(
                     0.0, cfg.noise, size=cfg.feature_dim
                 )
+    if pair_features:  # one check per image: a noise draw past float64's range is inf
+        finite = np.isfinite(np.concatenate(list(pair_features.values())))
+        if not finite.all():
+            i, j = list(pair_features)[int(np.argmin(finite)) // cfg.feature_dim]
+            raise ValueError(f"noise {cfg.noise!r} is too large: pair ({i}, {j}) of image "
+                             f"{image_id!r} has a non-finite pair feature")
 
     detections = []
     gt_boxes = []
@@ -388,10 +373,8 @@ def generate(cfg: SynthConfig) -> SynthResult:
     return SynthResult(train=train, test=test, oracle=oracle, vocab=make_vocabulary(cfg))
 
 
-def bayes_accuracy(oracle: OracleTables, dataset: list[ImageRecord]) -> float:
-    """Accuracy of the true-posterior argmax classifier on ground-truth pairs."""
-    correct = 0
-    total = 0
+def _gt_posteriors(oracle: OracleTables, dataset: list[ImageRecord]):
+    """(gt predicate, true posterior over predicates 1..P) per gt triplet, in dataset order."""
     for record in dataset:
         if oracle.visual_signal and len(record.detections) != len(record.gt_boxes):
             raise ValueError(
@@ -406,20 +389,22 @@ def bayes_accuracy(oracle: OracleTables, dataset: list[ImageRecord]) -> float:
         outcomes, base = _image_pairs(
             oracle, [g.label for g in record.gt_boxes], [g.box for g in record.gt_boxes], features
         )
-        for sub_idx, pred, obj_idx in record.gt_triplets:
-            feature = record.pair_features.get((sub_idx, obj_idx))
+        for i, pred, j in record.gt_triplets:
+            feature = record.pair_features.get((i, j))
             if oracle.visual_signal and feature is None:
                 raise ValueError(
-                    f"image {record.image_id!r}: pair ({sub_idx}, {obj_idx}) lacks the "
+                    f"image {record.image_id!r}: pair ({i}, {j}) lacks the "
                     "pair feature this oracle expects"
                 )
-            post = _posterior(oracle, base[sub_idx, obj_idx], outcomes[sub_idx, obj_idx], feature)
-            if 1 + int(np.argmax(post)) == pred:
-                correct += 1
-            total += 1
-    if total == 0:
+            yield pred, _posterior(oracle, base[i, j], outcomes[i, j], feature)
+
+
+def bayes_accuracy(oracle: OracleTables, dataset: list[ImageRecord]) -> float:
+    """Accuracy of the true-posterior argmax classifier on ground-truth pairs."""
+    hits = [1 + int(np.argmax(post)) == pred for pred, post in _gt_posteriors(oracle, dataset)]
+    if not hits:
         raise ValueError("dataset has no ground-truth pairs")
-    return correct / total
+    return sum(hits) / len(hits)
 
 
 def save_oracle(oracle: OracleTables, path: str | os.PathLike) -> None:

@@ -148,6 +148,15 @@ class TestGenSynth:
         assert err.startswith("usage error: appearance weight 1e+308 is too large: pair "), err
         assert list(out.iterdir()) == []
 
+    def test_noise_past_float_range_is_named(self, tmp_path, capsys):
+        # Such a noise draws infinite pair features, which the dataset loader rejects.
+        out = tmp_path / "out"
+        assert main(["gen-synth", "--out", str(out), "--noise", "1e308"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: noise 1e+308 is too large: pair ("), err
+        assert "of image 'train_0000' has a non-finite pair feature" in err, err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("where", ["a file", "under a file"])
     def test_out_that_cannot_be_a_directory_exits_1_before_generating(
             self, tmp_path, capsys, monkeypatch, where):
@@ -200,6 +209,24 @@ class TestTrain:
             ]
         )
         assert code == 1
+
+    def test_neg_ratio_past_float_range_samples_every_unmatched_pair(self, synth_dir, tmp_path):
+        huge = _train(synth_dir, tmp_path, "huge.json", extra=["--neg-ratio", "1e308"])
+        every = _train(synth_dir, tmp_path, "every.json", extra=["--neg-ratio", "1000000"])
+        assert huge.read_bytes() == every.read_bytes()
+
+    @pytest.mark.parametrize("smoothing", ["1e308", "5e-324"])
+    def test_smoothing_leaving_a_zero_prior_probability_is_named(
+            self, synth_dir, tmp_path, capsys, recwarn, smoothing):
+        ckpt = tmp_path / "m.json"
+        assert main(["train", "--train", str(synth_dir / "train.jsonl"), "--vocab",
+                     str(synth_dir / "vocab.json"), "--checkpoint", str(ckpt),
+                     "--smoothing", smoothing]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: smoothing {float(smoothing)!r} leaves a prior row "
+                              "with a zero or non-finite probability"), err
+        assert not ckpt.exists()
+        assert not recwarn.list, [str(w.message) for w in recwarn.list]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_loss_exits_3(self, synth_dir, tmp_path):
@@ -498,6 +525,10 @@ class TestPredictAndEval:
         "overflowing_smoothing": (
             lambda raw: raw["frequency"].update(smoothing=10**400),
             "frequency: smoothing must be a finite positive number",
+        ),
+        "smoothing_past_float_range": (
+            lambda raw: raw["frequency"].update(smoothing=1e308),
+            "frequency: smoothing 1e+308 leaves a prior row with a zero or non-finite",
         ),
         "class_ids_outside_vocabulary": (
             lambda raw: raw["frequency"]["entries"].append(
@@ -1302,6 +1333,16 @@ class TestAblate:
         assert len(lines) == 5
         names = [line.split(",")[0] for line in lines[1:]]
         assert names == ["baseline", "<SPO>", "<SPO>+S+O", "<SPO>+S+O+spt"]
+
+    def test_neg_ratio_past_float_range_samples_every_unmatched_pair(self, synth_dir, tmp_path):
+        def ablate(ratio):
+            out = tmp_path / f"ablation_{ratio}.csv"
+            assert main(["ablate", "--train", str(synth_dir / "train.jsonl"), "--test",
+                         str(synth_dir / "test.jsonl"), "--vocab", str(synth_dir / "vocab.json"),
+                         "--out", str(out), "--epochs", "1", "--neg-ratio", ratio]) == 0
+            return out.read_bytes()
+
+        assert ablate("1e308") == ablate("1000000")
 
     def test_feature_dim_mismatch_exits_2_before_training(self, synth_dir, tmp_path, capsys,
                                                           monkeypatch):

@@ -133,10 +133,10 @@ class TestBackward:
 
         def loss():
             out, _ = forward(mlp, x)
-            return float(softmax_xent(out, target)[0])
+            return float(softmax_xent(out[None], [target])[0][0])
 
         out, cache = forward(mlp, x)
-        _, dlogits = softmax_xent(out, target)
+        _, dlogits = softmax_xent(out[None], [target])
         grads = backward(mlp, cache, dlogits)
         for layer, (dw, _) in zip(mlp.layers, grads):
             flat = layer.weights.reshape(-1)
@@ -287,24 +287,24 @@ class TestLeanPasses:
 class TestSoftmaxXent:
     def test_uniform_logits_loss(self):
         for n in (2, 5, 10):
-            loss, _ = softmax_xent(np.zeros(n), 0)
+            (loss,), _ = softmax_xent(np.zeros((1, n)), [0])
             assert loss == pytest.approx(math.log(n), abs=1e-12)
 
     def test_grad_sums_to_zero(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
-            z = rng.normal(scale=10, size=6)
-            _, grad = softmax_xent(z, int(rng.integers(0, 6)))
+            z = rng.normal(scale=10, size=(1, 6))
+            _, grad = softmax_xent(z, [int(rng.integers(0, 6))])
             assert abs(grad.sum()) < 1e-12
 
     def test_extreme_logits_stable(self):
-        loss, grad = softmax_xent(np.array([1000.0, 0.0]), 0)
+        (loss,), grad = softmax_xent(np.array([[1000.0, 0.0]]), [0])
         assert 0.0 <= loss < 1e-9
         assert np.all(np.isfinite(grad))
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
-            softmax_xent(np.zeros(3), 3)
+            softmax_xent(np.zeros((1, 3)), [3])
 
     def test_grad_is_softmax_minus_one_hot_bit_for_bit(self):
         rng = np.random.default_rng(12)
@@ -314,7 +314,7 @@ class TestSoftmaxXent:
             expected = softmax(z)
             expected[np.arange(50), t] -= 1.0
             assert np.array_equal(softmax_xent(z, t)[1], expected)
-            assert np.array_equal(softmax_xent(z[3], int(t[3]))[1], expected[3])
+            assert np.array_equal(softmax_xent(z[3:4], t[3:4])[1], expected[3:4])
 
     def test_batch_mode(self):
         rng = np.random.default_rng(9)
@@ -322,7 +322,7 @@ class TestSoftmaxXent:
         t = np.array([0, 1, 2, 3])
         losses, grads = softmax_xent(z, t)
         for i in range(4):
-            li, gi = softmax_xent(z[i], int(t[i]))
+            (li,), (gi,) = softmax_xent(z[i : i + 1], t[i : i + 1])
             assert losses[i] == pytest.approx(li, abs=1e-14)
             assert np.allclose(grads[i], gi, atol=1e-14)
 

@@ -15,8 +15,8 @@ from relfusion.numcore import (
 )
 from relfusion.spatial import (
     SPATIAL_DIM,
-    box_delta,
-    normalized_coords,
+    box_deltas,
+    normalized_corners,
     spatial_feature,
     spatial_features,
 )
@@ -35,46 +35,46 @@ def _delta_oracle(b1: Box, b2: Box):
     )
 
 
-class TestBoxDelta:
+class TestBoxDeltas:
     def test_identity(self):
-        b = box(3, 4, 13, 24)
-        assert np.array_equal(box_delta(b, b), np.zeros(4))
+        b = box_array([box(3, 4, 13, 24)])
+        assert np.array_equal(box_deltas(b, b), np.zeros((1, 4)))
 
     def test_hand_example(self):
-        b1 = box(20, 35, 40, 45)  # center (30, 40), size (20, 10)
-        b2 = box(0, 10, 20, 30)  # center (10, 20), size (20, 20)
+        b1 = box_array([box(20, 35, 40, 45)])  # center (30, 40), size (20, 10)
+        b2 = box_array([box(0, 10, 20, 30)])  # center (10, 20), size (20, 20)
         expected = np.array([1.0, 1.0, 0.0, math.log(0.5)])
-        assert np.all(np.abs(box_delta(b1, b2) - expected) < 1e-12)
-        assert box_delta(b1, b2)[3] == pytest.approx(-0.69315, abs=1e-5)
+        (delta,) = box_deltas(b1, b2)
+        assert np.all(np.abs(delta - expected) < 1e-12)
+        assert delta[3] == pytest.approx(-0.69315, abs=1e-5)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
+        b1s, b2s, scales = [], [], []
         for _ in range(200):
-            b1, b2 = random_box(rng), random_box(rng)
-            s = float(rng.uniform(0.1, 10))
-            scaled = box_delta(
-                box(s * b1.xmin, s * b1.ymin, s * b1.xmax, s * b1.ymax),
-                box(s * b2.xmin, s * b2.ymin, s * b2.xmax, s * b2.ymax),
-            )
-            assert np.all(np.abs(scaled - box_delta(b1, b2)) < 1e-9)
+            b1s.append(random_box(rng))
+            b2s.append(random_box(rng))
+            scales.append(float(rng.uniform(0.1, 10)))
+        b1, b2 = box_array(b1s), box_array(b2s)
+        s = np.array(scales)[:, None]
+        assert np.all(np.abs(box_deltas(s * b1, s * b2) - box_deltas(b1, b2)) < 1e-9)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(1)
+        b1s, b2s, shifts = [], [], []
         for _ in range(200):
-            b1, b2 = random_box(rng), random_box(rng)
-            dx, dy = rng.uniform(-50, 50, size=2)
-            shifted = box_delta(
-                box(b1.xmin + dx, b1.ymin + dy, b1.xmax + dx, b1.ymax + dy),
-                box(b2.xmin + dx, b2.ymin + dy, b2.xmax + dx, b2.ymax + dy),
-            )
-            assert np.all(np.abs(shifted - box_delta(b1, b2)) < 1e-9)
+            b1s.append(random_box(rng))
+            b2s.append(random_box(rng))
+            shifts.append(rng.uniform(-50, 50, size=2))
+        b1, b2 = box_array(b1s), box_array(b2s)
+        d = np.tile(np.array(shifts), 2)  # (dx, dy, dx, dy) per row
+        assert np.all(np.abs(box_deltas(b1 + d, b2 + d) - box_deltas(b1, b2)) < 1e-9)
 
     def test_position_antisymmetry_against_oracle(self):
         rng = np.random.default_rng(2)
-        for _ in range(500):
-            a, b = random_box(rng), random_box(rng)
-            fwd = box_delta(a, b)
-            rev = box_delta(b, a)
+        pairs = [(random_box(rng), random_box(rng)) for _ in range(500)]
+        subs, objs = box_array([a for a, _ in pairs]), box_array([b for _, b in pairs])
+        for (a, b), fwd, rev in zip(pairs, box_deltas(subs, objs), box_deltas(objs, subs)):
             assert np.allclose(fwd, _delta_oracle(a, b), atol=1e-12)
             # first two components flip sign under swap, rescaled by the
             # size ratio of the two anchors
@@ -83,24 +83,24 @@ class TestBoxDelta:
 
     def test_degenerate_boxes_rejected(self):
         with pytest.raises(ValueError):
-            box_delta(box(0, 0, 0, 10), box(0, 0, 10, 10))
+            box_deltas(box_array([box(0, 0, 0, 10)]), box_array([box(0, 0, 10, 10)]))
         with pytest.raises(ValueError):
-            box_delta(box(0, 0, 10, 10), box(0, 0, 10, 0))
+            box_deltas(box_array([box(0, 0, 10, 10)]), box_array([box(0, 0, 10, 0)]))
 
 
-class TestNormalizedCoords:
+class TestNormalizedCorners:
     def test_full_image_box(self):
         assert np.array_equal(
-            normalized_coords(box(0, 0, 100, 50), 100, 50), [0, 0, 1, 1, 1]
+            normalized_corners(box_array([box(0, 0, 100, 50)]), 100, 50), [[0, 0, 1, 1, 1]]
         )
 
     def test_quarter_box(self):
-        out = normalized_coords(box(25, 25, 75, 75), 100, 100)
+        out = normalized_corners(box_array([box(25, 25, 75, 75)]), 100, 100)
         assert np.all(np.abs(out - [0.25, 0.25, 0.75, 0.75, 0.25]) < 1e-12)
 
     def test_zero_area_box(self):
-        out = normalized_coords(box(30, 40, 30, 40), 100, 200)
-        assert np.array_equal(out, [0.3, 0.2, 0.3, 0.2, 0.0])
+        out = normalized_corners(box_array([box(30, 40, 30, 40)]), 100, 200)
+        assert np.array_equal(out, [[0.3, 0.2, 0.3, 0.2, 0.0]])
 
 
 class TestSpatialFeature:
@@ -211,7 +211,7 @@ class TestSpatialLogits:
             else:
                 feat, target = spatial_feature(bottom, top, 120, 120), 2
             out, cache = forward(mlp, feat)
-            _, dlogits = softmax_xent(out, target)
+            _, dlogits = softmax_xent(out[None], [target])
             grads = backward(mlp, cache, dlogits)
             sgd_step(params, [g for dw_db in grads for g in dw_db], velocities, 0.05, 0.9)
 

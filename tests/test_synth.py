@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from relfusion.datamodel import save_dataset
+from relfusion.datamodel import box_array, save_dataset
 from relfusion.fusion import (
     BranchMask,
     TrainConfig,
@@ -20,11 +20,11 @@ from relfusion.fusion import (
 from relfusion.semantic import fit_frequency
 from relfusion.synth import (
     SynthConfig,
+    _gt_posteriors,
     bayes_accuracy,
     generate,
     load_oracle,
-    pair_posterior,
-    rule_outcome,
+    rule_outcomes,
     save_oracle,
 )
 
@@ -170,15 +170,9 @@ class TestMatchesPerPairReference:
     def test_posteriors_equal_reference(self):
         res = generate(_small(seed=8))
         dataset = res.train + res.test
-        posts = iter(reference_posteriors(res.oracle, dataset))
-        for r in dataset:
-            for i, _, j in r.gt_triplets:
-                post = pair_posterior(
-                    res.oracle, r.gt_boxes[i].label, r.gt_boxes[j].label, r.gt_boxes[i].box,
-                    r.gt_boxes[j].box, r.pair_features[(i, j)], r.detections[i].feature,
-                    r.detections[j].feature,
-                )
-                assert post.tolist() == next(posts).tolist()
+        got = [post.tolist() for _, post in _gt_posteriors(res.oracle, dataset)]
+        assert got == [post.tolist() for post in reference_posteriors(res.oracle, dataset)]
+        assert len(got) == sum(len(r.gt_triplets) for r in dataset)
 
     def test_uniform_on_a_cdf_step_draws_the_next_predicate(self):
         # Every single uniform (choice asks for size ()) is 0.5, an exact step
@@ -215,11 +209,14 @@ class TestMatchesPerPairReference:
 
 class TestSpatialRule:
     def test_rule_requires_overlap(self):
-        assert rule_outcome(box(0, 0, 10, 10), box(50, 50, 60, 60)) is None
+        # 0: the rule does not apply
+        assert rule_outcomes(box_array([box(0, 0, 10, 10)]),
+                             box_array([box(50, 50, 60, 60)])).tolist() == [0]
 
     def test_above_is_on(self):
-        assert rule_outcome(box(0, 0, 10, 10), box(0, 5, 10, 20)) == 1
-        assert rule_outcome(box(0, 5, 10, 20), box(0, 0, 10, 10)) == 2
+        upper, lower = box(0, 0, 10, 10), box(0, 5, 10, 20)
+        outcomes = rule_outcomes(box_array([upper, lower]), box_array([lower, upper]))
+        assert outcomes.tolist() == [1, 2]
 
     def test_spatial_only_rule_accuracy(self):
         cfg = SynthConfig(
@@ -232,8 +229,10 @@ class TestSpatialRule:
         res = generate(cfg)
         hits = total = 0
         for record in res.train + res.test:
+            corners = box_array([g.box for g in record.gt_boxes])
+            outcomes = rule_outcomes(corners[:, None], corners[None, :])
             for (i, p, j) in record.gt_triplets:
-                hits += rule_outcome(record.gt_boxes[i].box, record.gt_boxes[j].box) == p
+                hits += outcomes[i, j] == p
                 total += 1
         assert total > 500
         assert hits / total >= 0.95
@@ -299,20 +298,7 @@ class TestBayesAccuracy:
         pairs = sum(len(r.gt_triplets) for r in res.train)
         assert pairs > 10000
         acc = bayes_accuracy(res.oracle, res.train)
-        expected = []
-        for r in res.train:
-            for (i, p, j) in r.gt_triplets:
-                post = pair_posterior(
-                    res.oracle,
-                    r.gt_boxes[i].label,
-                    r.gt_boxes[j].label,
-                    r.gt_boxes[i].box,
-                    r.gt_boxes[j].box,
-                    r.pair_features[(i, j)],
-                    r.detections[i].feature,
-                    r.detections[j].feature,
-                )
-                expected.append(post.max())
+        expected = [post.max() for _, post in _gt_posteriors(res.oracle, res.train)]
         assert abs(acc - float(np.mean(expected))) < 0.02
 
     def test_mismatch_detected(self):
@@ -372,18 +358,8 @@ class TestOracleSerialization:
         assert np.allclose(again.cluster_means, res.oracle.cluster_means, atol=0)
         assert np.allclose(again.sub_weights, res.oracle.sub_weights, atol=0)
         assert again.rule_weight == res.oracle.rule_weight
-        # posterior computed from the reloaded oracle matches exactly
-        record = res.train[0]
-        (i, p, j) = record.gt_triplets[0]
-        args = (
-            record.gt_boxes[i].label,
-            record.gt_boxes[j].label,
-            record.gt_boxes[i].box,
-            record.gt_boxes[j].box,
-            record.pair_features[(i, j)],
-            record.detections[i].feature,
-            record.detections[j].feature,
-        )
-        assert np.allclose(
-            pair_posterior(res.oracle, *args), pair_posterior(again, *args), atol=0
-        )
+        # posteriors computed from the reloaded oracle match exactly, on every train gt pair
+        want = [post for _, post in _gt_posteriors(res.oracle, res.train)]
+        got = [post for _, post in _gt_posteriors(again, res.train)]
+        assert len(got) == len(want) == sum(len(r.gt_triplets) for r in res.train) > 0
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))

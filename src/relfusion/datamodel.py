@@ -26,14 +26,19 @@ for weights: ``{"dtype": "<f8", "shape": [D], "data": "<base64>"}`` (see
 from __future__ import annotations
 
 import base64
+import binascii
+import functools
 import hashlib
 import itertools
 import json
 import logging
 import math
+import operator
 import os
 import re
+import sys
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -330,7 +335,7 @@ def read_image_lines(path: str | os.PathLike, parse) -> dict:
 
 def is_list_of(value, kind: type) -> bool:
     """True for a JSON list whose items all have type ``kind`` (a bool is no int)."""
-    return type(value) is list and all(type(v) is kind for v in value)
+    return type(value) is list and {kind}.issuperset(map(type, value))
 
 
 def check_settings(config, rules) -> None:
@@ -344,6 +349,11 @@ def check_settings(config, rules) -> None:
 def _index(value, n: int) -> bool:
     """True for a JSON integer (not a boolean) in 0..n-1."""
     return type(value) is int and 0 <= value < n
+
+
+def _indices(values: list, n: int) -> bool:
+    """:func:`_index` of every item of the list ``values``, in a few builtin passes."""
+    return is_list_of(values, int) and (not values or (min(values) >= 0 and max(values) < n))
 
 
 def load_vocabulary(path: str | os.PathLike) -> Vocabulary:
@@ -447,6 +457,10 @@ def parse_array(raw, ndim: int, where: str) -> np.ndarray:
 # {"dtype": "<f8", "shape": [...], "data": <base64 of its little-endian
 # bytes in C order>}, exact for every float64.
 _DTYPE = "<f8"
+# base64.b64decode(data, validate=True) without its Python wrapper: the same bytes, and the
+# same ValueError for text beyond ASCII and for bad base64. Python 3.10 has no strict mode.
+_b64decode = (functools.partial(binascii.a2b_base64, strict_mode=True)
+              if sys.version_info >= (3, 11) else functools.partial(base64.b64decode, validate=True))
 
 
 def array_to_json(arr: np.ndarray) -> dict:
@@ -469,7 +483,7 @@ def _array_bytes(raw, ndim: int, where: str) -> tuple[list[int], bytes]:
     if type(data) is not str:
         raise DataError(f"{where}: data must be a base64 string, got {data!r:.40}")
     try:
-        buf = base64.b64decode(data, validate=True)
+        buf = _b64decode(data)
     except ValueError as exc:  # binascii.Error, or a character beyond ASCII
         raise DataError(f"{where}: data is not base64 ({exc})") from None
     if len(buf) != (size := 8 * math.prod(shape)):
@@ -498,40 +512,120 @@ def _parse_feature(raw, expected_dim: int | None, where: str) -> np.ndarray:
     return feat
 
 
-def _encoded_rows(feats: list[dict], where: str) -> np.ndarray:
-    """Encoded 1-d arrays of one length as the rows of one finite array; else a DataError.
+def _encoded_rows(feats: list[dict]) -> np.ndarray | None:
+    """Encoded 1-d arrays of one length as the rows of one finite array, else None.
 
-    Each item is base64-decoded on its own: joined, the strings of items
-    that end in padding would not decode.
+    The checks are :func:`_array_bytes`'s and :func:`_finite`'s, each made
+    on all the objects in a few builtin passes. Each item is base64-decoded
+    on its own: joined, the strings of items that end in padding would not
+    decode.
     """
-    parts = [_array_bytes(feat, 1, where) for feat in feats]
-    dim = parts[0][0][0]
-    if any(shape[0] != dim for shape, _ in parts):
-        raise DataError(f"{where}: features of more than one dimension")
-    rows = np.frombuffer(b"".join(buf for _, buf in parts), _DTYPE).reshape(len(parts), dim)
-    return _finite(rows, where).astype(np.float64)
+    n = len(feats)
+    if list(map(dict.get, feats, itertools.repeat("dtype"))).count(_DTYPE) != n:
+        return None
+    shapes = list(map(dict.get, feats, itertools.repeat("shape")))
+    shape = shapes[0]
+    # A list equal to [D] may still hold a float or a boolean: [3.0] == [True] * 3 == [3].
+    if not (type(shape) is list and len(shape) == 1 and shapes.count(shape) == n
+            and {int}.issuperset(map(type, itertools.chain.from_iterable(shapes)))
+            and 0 <= shape[0] < 2**31):
+        return None
+    data = list(map(dict.get, feats, itertools.repeat("data")))
+    if not {str}.issuperset(map(type, data)):
+        return None
+    try:
+        bufs = list(map(_b64decode, data))
+    except ValueError:
+        return None
+    if list(map(len, bufs)).count(8 * shape[0]) != n:
+        return None
+    rows = np.frombuffer(b"".join(bufs), _DTYPE).reshape(n, shape[0])
+    return rows.astype(np.float64) if np.isfinite(rows).all() else None
 
 
 def _feature_rows(group: list[dict], feature_dim: int | None, where: str) -> np.ndarray | None:
     """The group's item features as the rows of one array, or None if one of them is bad.
 
-    One :func:`parse_array` call checks a group of lists, and one
-    :func:`_encoded_rows` call a group of encoded arrays. On None the
-    caller parses each item with :func:`_parse_feature`, which names the
-    first bad one.
+    :func:`_encoded_rows` checks a group of encoded arrays and one
+    :func:`parse_array` call a group of lists; a group that holds both
+    forms is parsed item by item. On None the caller parses each item
+    with :func:`_parse_feature`, which names the first bad one.
     """
-    feats = [item.get("feature") for item in group]
+    feats = list(map(dict.get, group, itertools.repeat("feature")))
+    kinds = set(map(type, feats))
     try:  # an empty group parses as 1-d, so gives None
-        if feats and isinstance(feats[0], dict):  # a list among them is a DataError
-            rows = _encoded_rows(feats, where)
+        if kinds == {dict}:
+            rows = _encoded_rows(feats)
+        elif dict in kinds:
+            rows = np.array([_parse_feature(feat, None, where) for feat in feats])
         else:
             rows = parse_array(feats, 2, where)
-    except DataError:
+    except ValueError:  # a DataError, or items of more than one length
         return None
-    return rows if feature_dim in (None, rows.shape[1]) else None
+    return rows if rows is not None and feature_dim in (None, rows.shape[1]) else None
+
+
+# A group of items that fails its check in _parse_record is walked item by
+# item, so that its first bad item is named; the walk always finds one.
+
+
+def _no_bad_item(group: str, where: str) -> RuntimeError:
+    return RuntimeError(f"{where}: internal error: {group} failed the group check, but no item did")
+
+
+def _name_bad_triplet(triplets: list[list], num_boxes: int, num_predicates: int,
+                      where: str) -> NoReturn:
+    for i, t in enumerate(triplets):
+        if len(t) != 3:
+            raise DataError(f"{where} gt triplet {i}: expected [sub_idx, pred_id, obj_idx]")
+        sub_idx, pred, obj_idx = t
+        if not (_index(sub_idx, num_boxes) and _index(obj_idx, num_boxes)):
+            raise DataError(f"{where} gt triplet {i}: index out of range for {num_boxes} gt boxes")
+        if sub_idx == obj_idx:
+            raise DataError(f"{where} gt triplet {i}: subject and object index coincide")
+        if not _index(pred, num_predicates + 1) or pred == 0:
+            raise DataError(
+                f"{where} gt triplet {i}: predicate {pred!r} outside 1..{num_predicates}"
+            )
+    raise _no_bad_item("gt triplets", where)
+
+
+def _name_bad_attribute(attributes: list[list], num_boxes: int, num_attributes: int,
+                        where: str) -> NoReturn:
+    for i, a in enumerate(attributes):
+        if len(a) != 2:
+            raise DataError(f"{where} gt attribute {i}: expected [gt_idx, attr_id]")
+        gt_idx, attr = a
+        if not _index(gt_idx, num_boxes):
+            raise DataError(f"{where} gt attribute {i}: gt index {gt_idx!r} out of range")
+        if not _index(attr, num_attributes):
+            raise DataError(f"{where} gt attribute {i}: attribute {attr!r} outside vocabulary")
+    raise _no_bad_item("gt attributes", where)
+
+
+def _name_bad_pair_feature(pairs: list[dict], rows: np.ndarray | None, num_detections: int,
+                           feature_dim: int | None, where: str) -> NoReturn:
+    firsts: dict[tuple[int, int], int] = {}
+    for i, p in enumerate(pairs):
+        sub, obj = p.get("sub"), p.get("obj")
+        if not (_index(sub, num_detections) and _index(obj, num_detections)) or sub == obj:
+            raise DataError(f"{where} pair feature {i}: invalid detection pair ({sub!r}, {obj!r})")
+        if (first := firsts.setdefault((sub, obj), i)) != i:
+            raise DataError(f"{where} pair feature {i}: repeats pair feature {first}'s"
+                            f" detection pair ({sub}, {obj})")
+        if rows is None:
+            feature_dim = _parse_feature(
+                p.get("feature"), feature_dim, f"{where} pair feature {i}").shape[0]
+    raise _no_bad_item("pair features", where)
 
 
 def _parse_record(raw: dict, vocab: Vocabulary, feature_dim: int | None) -> tuple[ImageRecord, int | None]:
+    """The record of one dataset line, and the feature dimension D after it.
+
+    Triplets, attributes, pair features and the feature groups are checked
+    a group at a time, in a few builtin passes over their JSON values; a
+    group that fails is walked item by item to name its first bad item.
+    """
     image_id = raw.get("image_id")
     if not isinstance(image_id, str) or not image_id:
         raise DataError("missing or empty image_id")
@@ -582,48 +676,35 @@ def _parse_record(raw: dict, vocab: Vocabulary, feature_dim: int | None) -> tupl
             feature_dim = feat.shape[0]
         gt_boxes.append(GtObject(label=label, box=box, feature=feat))
 
-    gt_triplets = []
-    for i, t in enumerate(items["gt_triplets"]):
-        if len(t) != 3:
-            raise DataError(f"{where} gt triplet {i}: expected [sub_idx, pred_id, obj_idx]")
-        sub_idx, pred, obj_idx = t
-        if not (_index(sub_idx, len(gt_boxes)) and _index(obj_idx, len(gt_boxes))):
-            raise DataError(
-                f"{where} gt triplet {i}: index out of range for {len(gt_boxes)} gt boxes"
-            )
-        if sub_idx == obj_idx:
-            raise DataError(f"{where} gt triplet {i}: subject and object index coincide")
-        if not _index(pred, num_predicates + 1) or pred == 0:
-            raise DataError(
-                f"{where} gt triplet {i}: predicate {pred!r} outside 1..{num_predicates}"
-            )
-        gt_triplets.append((sub_idx, pred, obj_idx))
+    num_boxes = len(gt_boxes)
+    triplets = items["gt_triplets"]
+    flat = list(itertools.chain.from_iterable(triplets))
+    subs, preds, objs = flat[0::3], flat[1::3], flat[2::3]
+    if not ({3}.issuperset(map(len, triplets)) and _indices(subs, num_boxes)
+            and _indices(objs, num_boxes) and not any(map(operator.eq, subs, objs))
+            and _indices(preds, num_predicates + 1) and 0 not in preds):
+        _name_bad_triplet(triplets, num_boxes, num_predicates, where)
+    gt_triplets = list(zip(subs, preds, objs))
 
-    gt_attributes = []
-    for i, a in enumerate(items["gt_attributes"]):
-        if len(a) != 2:
-            raise DataError(f"{where} gt attribute {i}: expected [gt_idx, attr_id]")
-        gt_idx, attr = a
-        if not _index(gt_idx, len(gt_boxes)):
-            raise DataError(f"{where} gt attribute {i}: gt index {gt_idx!r} out of range")
-        if not _index(attr, num_attributes):
-            raise DataError(f"{where} gt attribute {i}: attribute {attr!r} outside vocabulary")
-        gt_attributes.append((gt_idx, attr))
+    attributes = items["gt_attributes"]
+    flat = list(itertools.chain.from_iterable(attributes))
+    gt_indices, attrs = flat[0::2], flat[1::2]
+    if not ({2}.issuperset(map(len, attributes)) and _indices(gt_indices, num_boxes)
+            and _indices(attrs, num_attributes)):
+        _name_bad_attribute(attributes, num_boxes, num_attributes, where)
+    gt_attributes = list(zip(gt_indices, attrs))
 
     pair_features = {}
-    pair_items: dict[tuple[int, int], int] = {}
-    rows = _feature_rows(items["pair_features"], feature_dim, where)
-    for i, p in enumerate(items["pair_features"]):
-        sub, obj = p.get("sub"), p.get("obj")
-        if not (_index(sub, len(detections)) and _index(obj, len(detections))) or sub == obj:
-            raise DataError(f"{where} pair feature {i}: invalid detection pair ({sub!r}, {obj!r})")
-        if (first := pair_items.setdefault((sub, obj), i)) != i:
-            raise DataError(f"{where} pair feature {i}: repeats pair feature {first}'s"
-                            f" detection pair ({sub}, {obj})")
-        feat = rows[i] if rows is not None else _parse_feature(
-            p.get("feature"), feature_dim, f"{where} pair feature {i}")
-        feature_dim = feat.shape[0]
-        pair_features[(sub, obj)] = feat
+    if pairs := items["pair_features"]:
+        rows = _feature_rows(pairs, feature_dim, where)
+        subs = list(map(dict.get, pairs, itertools.repeat("sub")))
+        objs = list(map(dict.get, pairs, itertools.repeat("obj")))
+        if (rows is not None and _indices(subs, len(detections)) and _indices(objs, len(detections))
+                and not any(map(operator.eq, subs, objs))):
+            pair_features = dict(zip(zip(subs, objs), rows))
+        if len(pair_features) < len(pairs):  # a failed check, or a repeated pair
+            _name_bad_pair_feature(pairs, rows, len(detections), feature_dim, where)
+        feature_dim = rows.shape[1]
 
     zero_area = sum(o.box.is_degenerate() for o in [*detections, *gt_boxes])
     if zero_area:

@@ -395,20 +395,22 @@ def _sgd_epochs(
 
     ``step(idx)`` gives the mean loss of examples ``idx`` and its gradients
     aligned with ``params``; ``what`` names the loss if it turns non-finite.
+    Overflow is no warning: a non-finite loss is the NumericError below.
     """
     velocities = [np.zeros_like(p) for p in params]
     history: list[float] = []
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss, grads = step(idx)
-            if not np.isfinite(loss):
-                raise NumericError(f"{what} loss became non-finite ({loss})")
-            epoch_loss += loss * len(idx)
-            sgd_step(params, grads, velocities, cfg.learning_rate, cfg.momentum)
-        history.append(epoch_loss / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                loss, grads = step(idx)
+                if not np.isfinite(loss):
+                    raise NumericError(f"{what} loss became non-finite ({loss})")
+                epoch_loss += loss * len(idx)
+                sgd_step(params, grads, velocities, cfg.learning_rate, cfg.momentum)
+            history.append(epoch_loss / n)
     return history
 
 

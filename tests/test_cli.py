@@ -249,6 +249,21 @@ class TestTrain:
         )
         assert code == 3
 
+    def test_huge_noise_set_exits_3_without_a_warning(self, tmp_path, capsys):
+        # Such a set loads, but its features overflow the forward pass: a numeric error.
+        data = tmp_path / "data"
+        assert main(["gen-synth", "--out", str(data), "--noise", "1e150",
+                     "--num-images", "6"]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train", "--train", str(data / "train.jsonl"), "--vocab",
+                         str(data / "vocab.json"), "--checkpoint", str(tmp_path / "m.json"),
+                         "--epochs", "1"])
+        assert (code, capsys.readouterr().err) == (
+            3, "numeric error: training loss became non-finite (nan)\n")
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestPredictAndEval:
     def test_predict_roundtrip_and_determinism(self, synth_dir, tmp_path):

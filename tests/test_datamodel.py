@@ -1,5 +1,6 @@
 """Data types, box geometry, and dataset IO."""
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -31,7 +32,7 @@ from relfusion.datamodel import (
     union_box,
 )
 
-from util import box, random_box, tiny_vocab
+from util import array_json, box, feature_array, random_box, tiny_vocab
 
 
 class TestBox:
@@ -703,6 +704,20 @@ class TestFeatureGroups:
         assert self._message(tmp_path, line) == (
             "d.jsonl:1: image 'a' pair feature 1: invalid detection pair (7, 0)")
 
+    @pytest.mark.parametrize("field, value, expected", [
+        ("shape", [3, 1], "shape must be a 1-item list of integers in 0..2**31-1, got [3, 1]"),
+        ("shape", [3.0], "shape must be a 1-item list of integers in 0..2**31-1, got [3.0]"),
+        ("dtype", "<f4", "dtype '<f4' is not '<f8'"),
+    ])
+    @pytest.mark.parametrize("key, item", [("detections", "detection 0"),
+                                           ("pair_features", "pair feature 0")])
+    def test_a_group_of_items_bad_alike_names_the_first(self, tmp_path, key, item, field, value,
+                                                        expected):
+        line = _group_line()
+        for entry in line[key]:
+            entry["feature"] = array_json(entry["feature"]) | {field: value}
+        assert self._message(tmp_path, line) == f"d.jsonl:1: image 'a' {item} feature: {expected}"
+
     def test_dimension_change_across_records(self, tmp_path):
         assert self._message(tmp_path, _group_line("a", 3), _group_line("b", 4)) == (
             "d.jsonl:2: image 'b' detection 0: feature dimension 4 != dataset dimension 3")
@@ -725,3 +740,163 @@ class TestFeatureGroups:
             assert det.feature.dtype == np.float64 and det.feature.shape == (3,)
         for raw in line["pair_features"]:
             assert np.array_equal(record.pair_features[(raw["sub"], raw["obj"])], raw["feature"])
+
+
+PINNED_VOCAB = dict(num_objects=4, num_predicates=3, num_attributes=3)
+DELETE = object()  # a _set value: remove the field
+
+
+def _pinned_line(rng, image_id: str, encoded: bool) -> dict:
+    """A valid line: 5 detections, 4 gt boxes with features, 5 triplets, 4 attributes, 6 pairs."""
+    def feature():
+        arr = rng.normal(size=3)
+        return array_json(arr) if encoded else arr.tolist()
+
+    def box():
+        x0, y0, w, h = (int(v) for v in rng.integers(1, 50, size=4))
+        return [x0, y0, x0 + w, y0 + h]
+
+    def pairs(n, k):
+        every = [(s, o) for s in range(n) for o in range(n) if s != o]
+        return [every[j] for j in rng.choice(len(every), size=k, replace=False)]
+
+    return {
+        "image_id": image_id, "width": 120, "height": 90,
+        "detections": [{"label": int(rng.integers(4)), "box": box(), "score": float(rng.uniform()),
+                        "feature": feature()} for _ in range(5)],
+        "gt_boxes": [{"label": int(rng.integers(4)), "box": box(), "feature": feature()}
+                     for _ in range(4)],
+        "gt_triplets": [[s, int(rng.integers(1, 4)), o] for s, o in pairs(4, 5)],
+        "gt_attributes": [[int(rng.integers(4)), int(rng.integers(3))] for _ in range(4)],
+        "pair_features": [{"sub": s, "obj": o, "feature": feature()}
+                          for s, o in pairs(5, 6)],
+    }
+
+
+def _set(path, value):
+    """An edit of item ``i``: the field at ``path`` becomes ``value``, or ``value(old)`` if callable."""
+    def edit(group, i):
+        node = group[i]
+        for key in path[:-1]:
+            node = node[key]
+        if value is DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value(node[path[-1]]) if callable(value) else value
+    return edit
+
+
+def _replace(make):
+    """An edit of item ``i``: it becomes ``make(item)``."""
+    def edit(group, i):
+        group[i] = make(group[i])
+    return edit
+
+
+def _b64(values) -> str:
+    return array_json(values)["data"]
+
+
+def _repeat_previous_pair(group, i):
+    group[i].update(sub=group[i - 1]["sub"], obj=group[i - 1]["obj"])
+
+
+# (group, form, edit): the edit applies to one item of the group, drawn from the seed, in a
+# line whose features have that form. Every field of every group gets bad values.
+PINNED_CORRUPTIONS = [
+    *[("detections", "encoded", _set(("box",), v))
+      for v in (["a", 0, 1, 1], [0, 0, 1], [5, 5, 1, 1], [0, 0, math.inf, 1], None, [0, 0, 2**600, 1],
+                [0, 0, 1, True])],
+    *[("detections", "encoded", _set(("label",), v)) for v in (4, -1, True, 1.0, None, "0")],
+    *[("detections", "encoded", _set(("score",), v))
+      for v in (1.5, -0.5, True, "0.5", None, math.nan, DELETE)],
+    *[(key, "encoded", _set(("feature",), v))
+      for key in ("detections", "gt_boxes", "pair_features") for v in ("abc", 5, True, [])],
+    ("detections", "encoded", _set(("feature",), DELETE)),
+    *[(key, "encoded", _set(("feature", "dtype"), v))
+      for key in ("detections", "gt_boxes", "pair_features") for v in (">f8", "<f4", None, DELETE)],
+    *[(key, "encoded", _set(("feature", "shape"), v))
+      for key in ("detections", "gt_boxes", "pair_features")
+      for v in ([4], [2], [3.0], [True], [-1], [3, 1], [], "3", None, [2**31])],
+    *[(key, "encoded", _set(("feature", "data"), v))
+      for key in ("detections", "gt_boxes", "pair_features")
+      for v in (lambda d: d[:-1], lambda d: d + "AA=", lambda d: "=" + d[1:],
+                lambda d: "é" + d[1:], lambda d: d[:4] + "!" + d[5:],
+                _b64([1.0, 2.0]), _b64([1.0, 2.0, 3.0, 4.0]), _b64([0.0, math.nan, 1.0]),
+                _b64([math.inf, 0.0, 1.0]), 7, None, DELETE)],
+    *[(key, "list", _set(("feature", 1), v))
+      for key in ("detections", "gt_boxes", "pair_features")
+      for v in ("x", "1", True, None, 10**400, [1.0], {"a": 1})],
+    *[(key, "list", _set(("feature",), v))
+      for key in ("detections", "gt_boxes", "pair_features")
+      for v in (lambda f: f[:2], lambda f: f + [0.0], lambda f: [f])],
+    *[("gt_boxes", "encoded", _set(("box",), v)) for v in ([0, 0, 1], [1, 1, 0, 0], "box")],
+    *[("gt_boxes", "encoded", _set(("label",), v)) for v in (4, -1, False, 2.0, DELETE)],
+    *[("gt_triplets", "encoded", _replace(make))
+      for make in (lambda t: t[:2], lambda t: t + [1], lambda t: [], lambda t: [t[0], t[1], t[0]])],
+    *[("gt_triplets", "encoded", _set((k,), v))
+      for k in range(3) for v in (True, 1.0, -1, 4, "1", None)],
+    *[("gt_triplets", "encoded", _set((1,), v)) for v in (0, 4, False)],
+    *[("gt_attributes", "encoded", _replace(make))
+      for make in (lambda a: a[:1], lambda a: a + [0], lambda a: [])],
+    *[("gt_attributes", "encoded", _set((k,), v))
+      for k, end in ((0, 4), (1, 3)) for v in (True, 1.0, -1, end, "1", None)],
+    *[("pair_features", "encoded", _set((key,), v))
+      for key in ("sub", "obj") for v in (DELETE, True, 1.0, -1, 5, "1", None)],
+    ("pair_features", "encoded", _repeat_previous_pair),
+    ("pair_features", "encoded", _replace(lambda p: p | {"obj": p["sub"]})),
+]
+
+
+def _record_values(record) -> tuple:
+    """Every field and feature byte of a loaded record."""
+    def feature(f):
+        return None if f is None else (f.dtype.str, f.shape, f.tobytes())
+    return (record.image_id, record.width, record.height, record.line,
+            [(d.label, d.box.to_list(), d.score, feature(d.feature)) for d in record.detections],
+            [(g.label, g.box.to_list(), feature(g.feature)) for g in record.gt_boxes],
+            record.gt_triplets, record.gt_attributes,
+            [(pair, feature(f)) for pair, f in record.pair_features.items()])
+
+
+class TestPinnedLoaderResults:
+    # sha256 of the messages and of the values below, generated before the loader checked
+    # item lists as groups: a changed message, or a value read differently, moves one.
+    MESSAGES = "d20390a7c157921d95a26806e32cc22f6c93904052d3d15dbb0b398cb4b20d6b"
+    VALUES = "db07cae109d1b773d93b7984a20b30862d5e52e4df391eadb815899d55748ff8"
+
+    def _lines(self, rng):
+        """Valid lines: encoded, list form, and both forms within one group."""
+        encoded = [_pinned_line(rng, f"e{k}", True) for k in range(3)]
+        listed = [_pinned_line(rng, f"l{k}", False) for k in range(3)]
+        mixed = _pinned_line(rng, "m", True)
+        for item in mixed["detections"][1::2] + mixed["pair_features"][::2]:
+            item["feature"] = feature_array(item["feature"]).tolist()
+        sparse = _pinned_line(rng, "s", False)
+        del sparse["gt_boxes"][1]["feature"], sparse["pair_features"], sparse["gt_attributes"]
+        sparse["gt_boxes"][2]["feature"] = None
+        return encoded, listed, [mixed, sparse]
+
+    def test_messages_and_values_are_pinned(self, tmp_path):
+        rng = np.random.default_rng(27)
+        encoded, listed, others = self._lines(rng)
+        vocab = tiny_vocab(**PINNED_VOCAB)
+        path = tmp_path / "d.jsonl"
+
+        def load(lines):
+            path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+            return load_dataset(path, vocab)
+
+        values = [_record_values(r) for r in load([*encoded, *listed, *others])]
+        messages = []
+        for n, (key, form, edit) in enumerate(PINNED_CORRUPTIONS):
+            valid = encoded if form == "encoded" else listed
+            line = copy.deepcopy(valid[n % len(valid)])
+            edit(line[key], int(rng.integers(len(line[key]))))
+            for lines in ([line], [valid[(n + 1) % len(valid)], line]):
+                with pytest.raises(DataError) as info:
+                    load(lines)
+                messages.append(str(info.value).replace(str(path), "d.jsonl"))
+        assert len(messages) == 2 * len(PINNED_CORRUPTIONS)
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == self.VALUES
+        assert hashlib.sha256("\n".join(messages).encode()).hexdigest() == self.MESSAGES

@@ -463,9 +463,14 @@ _b64decode = (functools.partial(binascii.a2b_base64, strict_mode=True)
               if sys.version_info >= (3, 11) else functools.partial(base64.b64decode, validate=True))
 
 
+def _array_base64(arr: np.ndarray) -> str:
+    # tobytes copies in C order, so a float64 array needs no astype copy before it.
+    data = arr.astype(_DTYPE, copy=False).tobytes()
+    return binascii.b2a_base64(data, newline=False).decode("ascii")
+
+
 def array_to_json(arr: np.ndarray) -> dict:
-    data = base64.b64encode(arr.astype(_DTYPE).tobytes()).decode("ascii")
-    return {"dtype": _DTYPE, "shape": list(arr.shape), "data": data}
+    return {"dtype": _DTYPE, "shape": list(arr.shape), "data": _array_base64(arr)}
 
 
 def _array_bytes(raw, ndim: int, where: str) -> tuple[list[int], bytes]:
@@ -742,37 +747,51 @@ def load_dataset(path: str | os.PathLike, vocab: Vocabulary) -> list[ImageRecord
     return list(read_image_lines(path, parse).values())
 
 
-def _record_to_json(record: ImageRecord) -> dict:
-    out: dict = {
-        "image_id": record.image_id,
-        "width": record.width,
-        "height": record.height,
-        "detections": [
-            {
-                "label": d.label,
-                "box": d.box.to_list(),
-                "score": d.score,
-                "feature": array_to_json(d.feature),
-            }
-            for d in record.detections
-        ],
-        "gt_boxes": [
-            {"label": g.label, "box": g.box.to_list()}
-            | ({"feature": array_to_json(g.feature)} if g.feature is not None else {})
-            for g in record.gt_boxes
-        ],
-        "gt_triplets": [list(t) for t in record.gt_triplets],
-        "gt_attributes": [list(a) for a in record.gt_attributes],
-    }
+def _json_scalar(value) -> str:
+    """``json.dumps(value)``; an int or a finite float (not a bool) skips the encoder."""
+    if type(value) is int or type(value) is float and _isfinite(value):
+        return repr(value)
+    return json.dumps(value)
+
+
+def _json_box(box: Box) -> str:
+    s = _json_scalar
+    return f"[{s(box.xmin)}, {s(box.ymin)}, {s(box.xmax)}, {s(box.ymax)}]"
+
+
+def _json_array(arr: np.ndarray) -> str:
+    """``json.dumps(array_to_json(arr))``: base64 needs no escapes."""
+    return f'{{"dtype": "{_DTYPE}", "shape": {list(arr.shape)}, "data": "{_array_base64(arr)}"}}'
+
+
+def _record_line(record: ImageRecord) -> str:
+    """The record's JSON line, the exact text ``json.dumps`` gives its dict."""
+    s = _json_scalar
+    detections = ", ".join(
+        f'{{"label": {s(d.label)}, "box": {_json_box(d.box)}, "score": {s(d.score)},'
+        f' "feature": {_json_array(d.feature)}}}'
+        for d in record.detections
+    )
+    gt_boxes = ", ".join(
+        f'{{"label": {s(g.label)}, "box": {_json_box(g.box)}'
+        + (f', "feature": {_json_array(g.feature)}}}' if g.feature is not None else "}")
+        for g in record.gt_boxes
+    )
+    line = (
+        f'{{"image_id": {json.dumps(record.image_id)}, "width": {s(record.width)},'
+        f' "height": {s(record.height)}, "detections": [{detections}], "gt_boxes": [{gt_boxes}],'
+        f' "gt_triplets": {json.dumps(record.gt_triplets)},'
+        f' "gt_attributes": {json.dumps(record.gt_attributes)}'
+    )
     if record.pair_features:
-        out["pair_features"] = [
-            {"sub": s, "obj": o, "feature": array_to_json(f)}
-            for (s, o), f in sorted(record.pair_features.items())
-        ]
-    return out
+        pairs = ", ".join(
+            f'{{"sub": {s(i)}, "obj": {s(j)}, "feature": {_json_array(f)}}}'
+            for (i, j), f in sorted(record.pair_features.items())
+        )
+        line += f', "pair_features": [{pairs}]'
+    return line + "}"
 
 
 def save_dataset(records: list[ImageRecord], path: str | os.PathLike) -> None:
     """Write records as JSONL; inverse of :func:`load_dataset`."""
-    lines = [json.dumps(_record_to_json(r)) for r in records]
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    atomic_write_text(path, "".join(_record_line(r) + "\n" for r in records))

@@ -31,6 +31,7 @@ from .datamodel import (
     ImageRecord,
     PredictedTriplet,
     Vocabulary,
+    _json_scalar,
     atomic_write_text,
     box_array,
     check_settings,
@@ -625,13 +626,6 @@ def load_checkpoint(path: str | os.PathLike) -> FusionModel:
                 f" {want[0]} -> {want[1]} (sub_head takes {dim} inputs)"
             )
     return FusionModel(freq=freq, mask=BranchMask(**mask), vocab_hash=raw["vocab_hash"], **nets)
-
-
-def _json_scalar(value) -> str:
-    """``json.dumps(value)``; an int or a finite float (not a bool) skips the encoder."""
-    if type(value) is int or type(value) is float and math.isfinite(value):
-        return repr(value)
-    return json.dumps(value)
 
 
 def save_predictions(

@@ -270,7 +270,8 @@ def _generate_record(
     outcomes, density, cdfs = _pair_tables(cfg, oracle, labels, boxes, features)
     rule_only = cfg.spatial_signal and not (cfg.semantic_signal or cfg.visual_signal)
     gt_triplets: list[tuple[int, int, int]] = []
-    pair_features: dict[tuple[int, int], np.ndarray] = {}
+    # Each related pair's standard normals, one row per pair in draw order.
+    draws = np.empty((n * n, cfg.feature_dim)) if cfg.visual_signal else None
     for i in range(n):
         for j in range(n):
             outcome = outcomes[i][j]
@@ -288,17 +289,21 @@ def _generate_record(
                         f"({i}, {j}) of image {image_id!r} has no finite predicate distribution"
                     )
                 pred = 1 + bisect.bisect_right(cdf, rng.random())  # choice's side="right" search
-            gt_triplets.append((i, pred, j))
             if cfg.visual_signal:
-                pair_features[(i, j)] = oracle.cluster_means[pred - 1] + rng.normal(
-                    0.0, cfg.noise, size=cfg.feature_dim
-                )
-    if pair_features:  # one check per image: a noise draw past float64's range is inf
-        finite = np.isfinite(np.concatenate(list(pair_features.values())))
+                rng.standard_normal(out=draws[len(gt_triplets)])
+            gt_triplets.append((i, pred, j))
+    pair_features: dict[tuple[int, int], np.ndarray] = {}
+    if cfg.visual_signal and gt_triplets:
+        means = oracle.cluster_means[[pred - 1 for _, pred, _ in gt_triplets]]
+        # Generator.normal(0.0, noise) is 0.0 + noise * z per draw z: the same bits.
+        with np.errstate(over="ignore"):
+            feats = means + (0.0 + cfg.noise * draws[: len(gt_triplets)])
+        finite = np.isfinite(feats).all(axis=1)  # a noise draw past float64's range is inf
         if not finite.all():
-            i, j = list(pair_features)[int(np.argmin(finite)) // cfg.feature_dim]
+            i, _, j = gt_triplets[int(np.argmin(finite))]
             raise ValueError(f"noise {cfg.noise!r} is too large: pair ({i}, {j}) of image "
                              f"{image_id!r} has a non-finite pair feature")
+        pair_features = {(i, j): f for (i, _, j), f in zip(gt_triplets, feats)}
 
     detections = []
     gt_boxes = []

@@ -228,7 +228,6 @@ class TestTrain:
         assert not ckpt.exists()
         assert not recwarn.list, [str(w.message) for w in recwarn.list]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_loss_exits_3(self, synth_dir, tmp_path):
         code = main(
             [

@@ -144,6 +144,12 @@ REFERENCE_CONFIGS = {
 }
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal float64 arrays, signs of zero included."""
+    return (a.dtype == b.dtype == np.float64 and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
 class TestMatchesPerPairReference:
     """The array-built pair tables draw what the per-pair generator draws."""
 
@@ -156,6 +162,13 @@ class TestMatchesPerPairReference:
         for split in ("train", "test"):
             got, want = getattr(res, split), getattr(ref, split)
             assert [r.gt_triplets for r in got] == [r.gt_triplets for r in want]
+            for g, w in zip(got, want):  # on the arrays too, not only through the writer
+                assert len(g.detections) == len(w.detections)
+                for a, b in zip(g.detections, w.detections):
+                    assert _same_bits(a.feature, b.feature)
+                assert list(g.pair_features) == list(w.pair_features)
+                for key, feature in g.pair_features.items():
+                    assert _same_bits(feature, w.pair_features[key])
             save_dataset(got, tmp_path / "got.jsonl")
             save_dataset(want, tmp_path / "want.jsonl")
             assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()

@@ -271,12 +271,6 @@ def _training_setup(args, vocab):
     return dataset, views, dim, fit_frequency(dataset, vocab, smoothing=args.smoothing)
 
 
-def _fit(setup, vocab, cfg, rng, mask):
-    """A model initialised from ``rng`` and trained on the setup's views, and its loss history."""
-    _, views, dim, freq = setup
-    return train(init_fusion_model(freq, dim, vocab, rng, mask=mask), views, cfg)
-
-
 def _predict(model, views, top_n: int, path) -> dict:
     """Each view's ranked triplets, by image id; a DataError names ``path``, the views' file."""
     with _naming(path):
@@ -293,15 +287,12 @@ def cmd_train(args) -> int:
     _check_output(args.checkpoint)
     cfg, mask = _config(TrainConfig, _TRAIN_FLAGS, args), parse_branches(args.branches)
     vocab = load_vocabulary(args.vocab)
-    setup = _training_setup(args, vocab)
-    dataset, _, feature_dim, _ = setup
+    dataset, views, dim, freq = _training_setup(args, vocab)
     rng = np.random.default_rng(cfg.seed)
     with _naming(args.train_path):
-        model, history = _fit(setup, vocab, cfg, rng, mask)
+        model, history = train(init_fusion_model(freq, dim, vocab, rng, mask=mask), views, cfg)
         if vocab.attributes and any(r.gt_attributes for r in dataset):
-            model.attribute_head = init_mlp(
-                [feature_dim, ATTRIBUTE_HIDDEN, len(vocab.attributes)], rng
-            )
+            model.attribute_head = init_mlp([dim, ATTRIBUTE_HIDDEN, len(vocab.attributes)], rng)
             train_attribute_head(model.attribute_head, dataset, cfg)
 
     save_checkpoint(model, args.checkpoint)
@@ -332,7 +323,7 @@ def cmd_predict(args) -> int:
     predictions = _predict(model, views, args.top_n, args.test_path)
     attributes = {}
     if args.attributes:
-        attributes = {view.image_id: (view, predict_attributes(head, view)) for view in views}
+        attributes = {view.image_id: predict_attributes(head, view) for view in views}
     save_predictions(predictions, args.out, attributes)
     print(f"wrote predictions for {len(predictions)} images to {args.out}")
     return 0
@@ -372,16 +363,16 @@ def cmd_ablate(args) -> int:
     cfg = _config(TrainConfig, _TRAIN_FLAGS, args)
     spec = MatchSpec(graph_constraint=args.graph_constraint == "on")
     vocab = load_vocabulary(args.vocab)
-    setup = _training_setup(args, vocab)
-    _, _, feature_dim, _ = setup
-    test_set, test_views, _ = _views(args.test_path, vocab, args.mode, feature_dim, args.train_path)
+    _, views, dim, freq = _training_setup(args, vocab)
+    test_set, test_views, _ = _views(args.test_path, vocab, args.mode, dim, args.train_path)
 
     csv_lines = ["config,r50,map_rel,map_phr,score"]
     table = [f"{'config':<18s} {'R@50':>7s} {'mAP_rel':>8s} {'mAP_phr':>8s} {'score':>7s}"]
     for name, branches in ABLATION_ROWS:
         rng = np.random.default_rng(cfg.seed)
         with _naming(args.train_path):
-            model, _ = _fit(setup, vocab, cfg, rng, parse_branches(branches))
+            mask = parse_branches(branches)
+            model, _ = train(init_fusion_model(freq, dim, vocab, rng, mask=mask), views, cfg)
         predictions = _predict(model, test_views, args.top_n, args.test_path)
         report = evaluate(predictions, test_set, vocab, mode=args.mode, spec=spec)
         r50, mrel, mphr, score = (

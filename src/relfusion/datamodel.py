@@ -88,14 +88,6 @@ class Box:
     def height(self) -> float:
         return self.ymax - self.ymin
 
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.xmin + self.xmax), 0.5 * (self.ymin + self.ymax))
-
     def is_degenerate(self) -> bool:
         """True when the box has zero width or zero height."""
         return self.width <= 0.0 or self.height <= 0.0
@@ -111,7 +103,7 @@ def iou(a: Box, b: Box) -> float:
     if ix <= 0.0 or iy <= 0.0:
         return 0.0
     inter = ix * iy
-    # Box.area, inline: the same operations in the same order.
+    # Each area is width * height, written out on the corners.
     union = (a.xmax - a.xmin) * (a.ymax - a.ymin) + (b.xmax - b.xmin) * (b.ymax - b.ymin) - inter
     if union <= 0.0:
         return 0.0

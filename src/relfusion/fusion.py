@@ -554,13 +554,13 @@ def train_attribute_head(head: Mlp, dataset: list[ImageRecord], cfg: TrainConfig
     return _sgd_epochs(step, feats.shape[0], _layer_params([head]), cfg, rng, "attribute")
 
 
-def predict_attributes(head: Mlp, record: ImageRecord) -> list[tuple[int, int, float]]:
-    """Top attribute per detection: (detection index, attribute, score)."""
+def predict_attributes(head: Mlp, record: ImageRecord) -> list[tuple[Detection, int, float]]:
+    """Top attribute per detection: (detection, attribute, score)."""
     out = []
-    for idx, det in enumerate(record.detections):
+    for det in record.detections:
         probs = softmax(forward(head, det.feature)[0])
         best = int(np.argmax(probs))
-        out.append((idx, best, float(probs[best] * det.score)))
+        out.append((det, best, float(probs[best] * det.score)))
     return out
 
 
@@ -631,19 +631,16 @@ def load_checkpoint(path: str | os.PathLike) -> FusionModel:
 def save_predictions(
     predictions: dict[str, list[PredictedTriplet]],
     path: str | os.PathLike,
-    attributes: dict[str, tuple[ImageRecord, list[tuple[int, int, float]]]] | None = None,
+    attributes: dict[str, list[tuple[Detection, int, float]]] | None = None,
 ) -> None:
-    """Write prediction lines; an image's (view, predict_attributes output) is its is_triplets.
+    """Write prediction lines; an image's predict_attributes rows are its is_triplets.
 
     A line is ``json.dumps`` of the image's row. Its ``boxes`` table holds each
     distinct Box once, in order of first use; a box field is an index into it.
     """
     lines = []
     for image_id, triplets in predictions.items():
-        is_triplets = None
-        if attributes and image_id in attributes:
-            view, predicted = attributes[image_id]
-            is_triplets = [(view.detections[i], a, s) for i, a, s in predicted]
+        is_triplets = attributes.get(image_id) if attributes else None
         used = [b for t in triplets for b in (t.sub_box, t.obj_box)]
         distinct = {id(b): b for b in used + [d.box for d, _, _ in is_triplets or []]}
         index = {key: k for k, key in enumerate(distinct)}

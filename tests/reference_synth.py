@@ -43,7 +43,9 @@ def _boxes_overlap(a: Box, b: Box) -> bool:
 def rule_outcome(sub_box: Box, obj_box: Box) -> int | None:
     if not _boxes_overlap(sub_box, obj_box):
         return None
-    return ON_CLASS if sub_box.center[1] < obj_box.center[1] else UNDER_CLASS
+    sub_center_y = 0.5 * (sub_box.ymin + sub_box.ymax)
+    obj_center_y = 0.5 * (obj_box.ymin + obj_box.ymax)
+    return ON_CLASS if sub_center_y < obj_center_y else UNDER_CLASS
 
 
 def _base_distribution(oracle, sub_label, obj_label, sub_feature, obj_feature) -> np.ndarray:

@@ -39,8 +39,7 @@ def _row(image_id, triplets, attributes) -> dict:
     """
     used = [b for t in triplets for b in (t.sub_box, t.obj_box)]
     if attributes and image_id in attributes:
-        view, predicted = attributes[image_id]
-        is_triplets = [(view.detections[i], a, s) for i, a, s in predicted]
+        is_triplets = attributes[image_id]
         used += [d.box for d, _, _ in is_triplets]
     table = []
     for b in used:
@@ -111,8 +110,7 @@ def _random_predictions(rng):
             ))
         predictions[image_id] = triplets
         if rng.random() < 0.5:
-            predicted = [(k, int(rng.integers(3)), float(rng.random())) for k in range(len(dets))]
-            attributes[image_id] = (make_record(image_id, detections=dets), predicted)
+            attributes[image_id] = [(d, int(rng.integers(3)), float(rng.random())) for d in dets]
     return predictions, attributes
 
 
@@ -162,10 +160,10 @@ class TestWriter:
 
     def test_is_triplet_boxes_follow_the_triplets_boxes(self, tmp_path):
         a, b, c = Box(0.0, 0.0, 1.0, 1.0), Box(2.0, 2.0, 3.0, 3.0), Box(4.0, 4.0, 5.0, 5.0)
-        view = make_record("x", detections=[make_detection(0, c), make_detection(1, b)])
+        dets = [make_detection(0, c), make_detection(1, b)]
         predictions = {"x": [PredictedTriplet(b, 1, 1, a, 0, 0.5)]}
         path = tmp_path / "p.jsonl"
-        save_predictions(predictions, path, {"x": (view, [(0, 2, 0.25), (1, 0, 0.75)])})
+        save_predictions(predictions, path, {"x": [(dets[0], 2, 0.25), (dets[1], 0, 0.75)]})
         assert path.read_text() == (
             '{"image_id": "x", "boxes": [[2.0, 2.0, 3.0, 3.0], [0.0, 0.0, 1.0, 1.0],'
             ' [4.0, 4.0, 5.0, 5.0]], "triplets": [{"sub_box": 0, "sub_label": 1,'

@@ -140,7 +140,7 @@ class TestAttributeHead:
         hits = total = 0
         counts = np.zeros(cfg.num_attributes, dtype=int)
         for record in result.test:
-            best = {i: a for i, a, _ in predict_attributes(head, record)}
+            best = {k: a for k, (_, a, _) in enumerate(predict_attributes(head, record))}
             for gt_idx, attr in record.gt_attributes:
                 counts[attr] += 1
                 hits += best.get(gt_idx) == attr

@@ -22,12 +22,20 @@ def box(x0, y0, x1, y1) -> Box:
     return Box(float(x0), float(y0), float(x1), float(y1))
 
 
+def area(b: Box) -> float:
+    return (b.xmax - b.xmin) * (b.ymax - b.ymin)
+
+
+def center(b: Box) -> tuple[float, float]:
+    return (0.5 * (b.xmin + b.xmax), 0.5 * (b.ymin + b.ymax))
+
+
 def spatial_reference(b_sub: Box, b_obj: Box, width, height) -> np.ndarray:
     """The 22-d spatial encoding computed one scalar at a time."""
 
     def delta(b1: Box, b2: Box):
-        x1, y1 = b1.center
-        x2, y2 = b2.center
+        x1, y1 = center(b1)
+        x2, y2 = center(b2)
         return [
             (x1 - x2) / b2.width,
             (y1 - y2) / b2.height,
@@ -37,7 +45,7 @@ def spatial_reference(b_sub: Box, b_obj: Box, width, height) -> np.ndarray:
 
     def coords(b: Box):
         return [b.xmin / width, b.ymin / height, b.xmax / width, b.ymax / height,
-                b.area / (width * height)]
+                area(b) / (width * height)]
 
     b_pred = Box(
         min(b_sub.xmin, b_obj.xmin),
@@ -214,11 +222,11 @@ def attributes_of(rows: list[dict]) -> dict:
 
     Each is_triplet's box must be a list of 4 numbers.
     """
-    out = {}
-    for row in rows:
-        if "is_triplets" in row:
-            items = row["is_triplets"]
-            dets = [make_detection(it["label"], parse_box(it["box"], "box")) for it in items]
-            out[row["image_id"]] = (make_record(row["image_id"], detections=dets),
-                                    [(k, it["attribute"], it["score"]) for k, it in enumerate(items)])
-    return out
+    return {
+        row["image_id"]: [
+            (make_detection(it["label"], parse_box(it["box"], "box")), it["attribute"], it["score"])
+            for it in row["is_triplets"]
+        ]
+        for row in rows
+        if "is_triplets" in row
+    }

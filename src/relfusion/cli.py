@@ -31,6 +31,7 @@ from .fusion import (
     ATTRIBUTE_HIDDEN,
     EVAL_MODES,
     BranchMask,
+    ScoreError,
     TrainConfig,
     gt_substitution,
     init_fusion_model,
@@ -245,7 +246,7 @@ def _naming(path):
         yield
     except DataError as exc:
         where = path if exc.line is None else f"{path}:{exc.line}"
-        raise DataError(f"{where}: {exc}") from exc
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def _views(path, vocab, mode: str, dim: int | None = None, of: str = "checkpoint"):
@@ -272,7 +273,7 @@ def _training_setup(args, vocab):
 
 
 def _predict(model, views, top_n: int, path) -> dict:
-    """Each view's ranked triplets, by image id; a DataError names ``path``, the views' file."""
+    """Each view's Ranking, by image id; a DataError names ``path``, the views' file."""
     with _naming(path):
         return {view.image_id: predict_image(model, view, top_n=top_n) for view in views}
 
@@ -320,10 +321,12 @@ def cmd_predict(args) -> int:
         raise DataError(f"{args.checkpoint}: --attributes needs an attribute_head, and the"
                         " checkpoint has none")
     _, views, _ = _views(args.test_path, vocab, args.mode, model.feature_dim)
-    predictions = _predict(model, views, args.top_n, args.test_path)
-    attributes = {}
-    if args.attributes:
-        attributes = {view.image_id: predict_attributes(head, view) for view in views}
+    try:
+        predictions = _predict(model, views, args.top_n, args.test_path)
+        with _naming(args.test_path):  # empty without --attributes
+            attributes = {v.image_id: predict_attributes(head, v) for v in views if args.attributes}
+    except ScoreError as exc:  # the nets overflow on these inputs: name the checkpoint too
+        raise DataError(f"{exc} (checkpoint {args.checkpoint})") from exc
     save_predictions(predictions, args.out, attributes)
     print(f"wrote predictions for {len(predictions)} images to {args.out}")
     return 0
@@ -373,7 +376,8 @@ def cmd_ablate(args) -> int:
         with _naming(args.train_path):
             mask = parse_branches(branches)
             model, _ = train(init_fusion_model(freq, dim, vocab, rng, mask=mask), views, cfg)
-        predictions = _predict(model, test_views, args.top_n, args.test_path)
+        rankings = _predict(model, test_views, args.top_n, args.test_path)
+        predictions = {image_id: r.triplets() for image_id, r in rankings.items()}
         report = evaluate(predictions, test_set, vocab, mode=args.mode, spec=spec)
         r50, mrel, mphr, score = (
             100 * v for v in (report.recall_at[50], report.map_rel, report.map_phr, report.oi_score)

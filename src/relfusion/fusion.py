@@ -433,35 +433,55 @@ def train(
     return model, history
 
 
-def predict_image(
-    model: FusionModel, record: ImageRecord, top_n: int = 100
-) -> list[PredictedTriplet]:
+class ScoreError(DataError):
+    """A predicted score is not finite: the nets overflowed on an image."""
+
+
+@dataclass(frozen=True, slots=True)
+class Ranking:
+    """One image's kept triplets, best first, as columns over its view's detections."""
+
+    detections: list[Detection]
+    sub: list[int]  # subject detection index per triplet
+    obj: list[int]  # object detection index per triplet
+    predicates: list[int]
+    scores: list[float]
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def triplets(self) -> list[PredictedTriplet]:
+        d = self.detections
+        return [PredictedTriplet(d[i].box, d[i].label, p, d[j].box, d[j].label, s)
+                for i, j, p, s in zip(self.sub, self.obj, self.predicates, self.scores)]
+
+
+def predict_image(model: FusionModel, record: ImageRecord, top_n: int = 100) -> Ranking:
     """Ranked triplets for one image.
 
     Every (proposal pair, real predicate) combination is scored with
     softmax probability times both detector confidences; the global top_n
-    survive. Ties break on (pair index, predicate index).
+    survive. Ties break on (pair index, predicate index). A kept score that
+    is not finite is a ScoreError, not a numpy warning.
     """
     if top_n < 0:
         raise ValueError(f"top_n must be >= 0, got {top_n}")
     pairs = np.array(pair_proposals(record), dtype=np.intp).reshape(-1, 2)
     if not len(pairs):
-        return []
-    logits, _ = batch_logits(model, pair_inputs(model, record, pairs))
+        return Ranking(record.detections, [], [], [], [])
     det_scores = np.array([d.score for d in record.detections])
     det_product = det_scores[pairs[:, 0]] * det_scores[pairs[:, 1]]
-    scores = (softmax(logits)[:, 1:] * det_product[:, None]).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, _ = batch_logits(model, pair_inputs(model, record, pairs))
+        scores = (softmax(logits)[:, 1:] * det_product[:, None]).ravel()
     # A stable sort keeps tied scores in (pair, predicate) order.
     ranked = np.argsort(-scores, kind="stable")[:top_n]
+    kept = scores[ranked]
+    if not np.isfinite(kept).all():
+        raise ScoreError(f"image {record.image_id!r}: prediction score is not finite", record.line)
     pair_idx, p = np.divmod(ranked, model.num_predicates)
     sub, obj = pairs[pair_idx].T
-    dets = record.detections
-    return [
-        PredictedTriplet(dets[i].box, dets[i].label, pred, dets[j].box, dets[j].label, score)
-        for i, j, pred, score in zip(
-            sub.tolist(), obj.tolist(), (p + 1).tolist(), scores[ranked].tolist()
-        )
-    ]
+    return Ranking(record.detections, sub.tolist(), obj.tolist(), (p + 1).tolist(), kept.tolist())
 
 
 def _stand_ins(record: ImageRecord) -> list[int | None]:
@@ -555,12 +575,17 @@ def train_attribute_head(head: Mlp, dataset: list[ImageRecord], cfg: TrainConfig
 
 
 def predict_attributes(head: Mlp, record: ImageRecord) -> list[tuple[Detection, int, float]]:
-    """Top attribute per detection: (detection, attribute, score)."""
+    """Top attribute per detection: (detection, attribute, score); a ScoreError if not finite."""
     out = []
-    for det in record.detections:
-        probs = softmax(forward(head, det.feature)[0])
-        best = int(np.argmax(probs))
-        out.append((det, best, float(probs[best] * det.score)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, det in enumerate(record.detections):
+            probs = softmax(forward(head, det.feature)[0])
+            best = int(np.argmax(probs))
+            score = float(probs[best] * det.score)
+            if not math.isfinite(score):
+                raise ScoreError(f"image {record.image_id!r} detection {k}: attribute score is"
+                                 " not finite", record.line)
+            out.append((det, best, score))
     return out
 
 
@@ -629,27 +654,29 @@ def load_checkpoint(path: str | os.PathLike) -> FusionModel:
 
 
 def save_predictions(
-    predictions: dict[str, list[PredictedTriplet]],
+    predictions: dict[str, Ranking],
     path: str | os.PathLike,
     attributes: dict[str, list[tuple[Detection, int, float]]] | None = None,
 ) -> None:
-    """Write prediction lines; an image's predict_attributes rows are its is_triplets.
+    """Write each Ranking as a line; an image's predict_attributes rows are its is_triplets.
 
-    A line is ``json.dumps`` of the image's row. Its ``boxes`` table holds each
-    distinct Box once, in order of first use; a box field is an index into it.
+    A line is ``json.dumps`` of the image's row. Its ``boxes`` table holds each distinct
+    Box object once, in order of first use; a box field is an index into it.
     """
     lines = []
-    for image_id, triplets in predictions.items():
+    for image_id, ranking in predictions.items():
         is_triplets = attributes.get(image_id) if attributes else None
-        used = [b for t in triplets for b in (t.sub_box, t.obj_box)]
-        distinct = {id(b): b for b in used + [d.box for d, _, _ in is_triplets or []]}
+        dets = ranking.detections
+        used = dict.fromkeys([k for pair in zip(ranking.sub, ranking.obj) for k in pair])
+        boxes = [dets[k].box for k in used] + [d.box for d, _, _ in is_triplets or []]
+        distinct = {id(b): b for b in boxes}
         index = {key: k for k, key in enumerate(distinct)}
-        items = ", ".join(
-            f'{{"sub_box": {index[id(t.sub_box)]}, "sub_label": {_json_scalar(t.sub_label)}, '
-            f'"predicate": {_json_scalar(t.predicate)}, "obj_box": {index[id(t.obj_box)]}, '
-            f'"obj_label": {_json_scalar(t.obj_label)}, "score": {_json_scalar(t.score)}}}'
-            for t in triplets
-        )
+        # Per used detection, the text before a triplet's predicate and before its score.
+        text = {k: (index[id(dets[k].box)], _json_scalar(dets[k].label)) for k in used}
+        heads = {k: '{"sub_box": %d, "sub_label": %s, "predicate": ' % t for k, t in text.items()}
+        tails = {k: ', "obj_box": %d, "obj_label": %s, "score": ' % t for k, t in text.items()}
+        items = ", ".join([f"{heads[i]}{p}{tails[j]}{s!r}}}" for i, j, p, s in zip(
+            ranking.sub, ranking.obj, ranking.predicates, ranking.scores)])
         table = json.dumps([b.to_list() for b in distinct.values()])
         line = f'{{"image_id": {json.dumps(image_id)}, "boxes": {table}, "triplets": [{items}]'
         if is_triplets is not None:

@@ -213,15 +213,14 @@ def _sample_box(rng: np.random.Generator) -> Box:
 
 
 def _jitter_box(box: Box, rng: np.random.Generator) -> tuple[Box, float]:
-    u = rng.uniform(-0.05, 0.05, size=4)
+    u0, u1, u2, u3 = rng.uniform(-0.05, 0.05, size=4).tolist()
     jittered = Box(
-        min(max(box.xmin + u[0] * box.width, 0.0), IMAGE_SIZE),
-        min(max(box.ymin + u[1] * box.height, 0.0), IMAGE_SIZE),
-        min(max(box.xmax + u[2] * box.width, 0.0), IMAGE_SIZE),
-        min(max(box.ymax + u[3] * box.height, 0.0), IMAGE_SIZE),
+        min(max(box.xmin + u0 * box.width, 0.0), IMAGE_SIZE),
+        min(max(box.ymin + u1 * box.height, 0.0), IMAGE_SIZE),
+        min(max(box.xmax + u2 * box.width, 0.0), IMAGE_SIZE),
+        min(max(box.ymax + u3 * box.height, 0.0), IMAGE_SIZE),
     )
-    score = 1.0 - float(np.mean(np.abs(u)))
-    return jittered, score
+    return jittered, 1.0 - (abs(u0) + abs(u1) + abs(u2) + abs(u3)) / 4  # np.mean, bit for bit
 
 
 def _pair_tables(cfg: SynthConfig, oracle: OracleTables, labels, boxes, features) -> tuple:

@@ -1094,6 +1094,32 @@ class TestOverflowingSpatialEncoding:
         assert err.endswith("): spatial encoding is not finite\n"), err
 
 
+class TestNonFiniteScores:
+    """A checkpoint head whose weights are scaled by 1e200 overflows on every test image:
+    predict exits 2 with one data error naming the test file's line, the image and the
+    checkpoint. Tier-1 makes a numpy RuntimeWarning an error, so a warning fails here too."""
+
+    @pytest.mark.parametrize("net, what", [
+        ("spo_head", ": prediction score"),
+        ("attribute_head", " detection 0: attribute score"),
+    ])
+    def test_predict_exits_2_naming_the_line_image_and_checkpoint(self, synth_dir, tmp_path,
+                                                                  capsys, net, what):
+        raw = json.loads(_train(synth_dir, tmp_path).read_text())
+        for layer in raw[net]["layers"]:
+            edit_array(layer["weights"], lambda w: w * 1e200)
+        ckpt, out, test = tmp_path / "scaled.json", tmp_path / "p.jsonl", synth_dir / "test.jsonl"
+        ckpt.write_text(json.dumps(raw))
+        code = main(["predict", "--test", str(test), "--vocab", str(synth_dir / "vocab.json"),
+                     "--checkpoint", str(ckpt), "--out", str(out), "--attributes"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        image_id = json.loads(test.read_text().splitlines()[0])["image_id"]
+        assert err == (f"data error: {test}:1: image {image_id!r}{what} is not finite"
+                       f" (checkpoint {ckpt})\n")
+        assert not out.exists()
+
+
 class TestOverflowingBoxSide:
     """A box whose width overflows the float range is a data error on input."""
 

@@ -275,12 +275,12 @@ class TestTrainConfig:
 
 class TestPredictImage:
     def test_no_detections_empty(self):
-        assert predict_image(_toy_model(), make_record()) == []
+        assert predict_image(_toy_model(), make_record()).triplets() == []
 
     def test_sorted_and_tie_broken(self):
         model = _toy_model()
         record = _toy_record()
-        preds = predict_image(model, record, top_n=50)
+        preds = predict_image(model, record, top_n=50).triplets()
         scores = [p.score for p in preds]
         assert scores == sorted(scores, reverse=True)
         assert all(0.0 <= s <= 1.0 for s in scores)
@@ -288,7 +288,7 @@ class TestPredictImage:
     def test_matches_bruteforce_enumeration(self):
         model = _toy_model(seed=6)
         record = _toy_record(n=2, seed=6)
-        preds = predict_image(model, record, top_n=1000)
+        preds = predict_image(model, record, top_n=1000).triplets()
         # brute force: enumerate every (ordered pair, predicate) candidate
         expected = []
         for pair_idx, (i, j) in enumerate(pair_proposals(record)):
@@ -308,6 +308,18 @@ class TestPredictImage:
             assert [type(v) for v in (got.sub_label, got.predicate, got.obj_label, got.score)] == [
                 int, int, int, float]
 
+    def test_ranking_columns_index_the_views_detections(self):
+        record = _toy_record(seed=6)
+        ranking = predict_image(_toy_model(seed=6), record, top_n=7)
+        assert ranking.detections is record.detections and len(ranking) == 7
+        for column, kind in ((ranking.sub, int), (ranking.obj, int), (ranking.predicates, int),
+                             (ranking.scores, float)):
+            assert type(column) is list and [type(v) for v in column] == [kind] * 7
+        dets = record.detections
+        assert [(t.sub_box, t.predicate, t.obj_box, t.score) for t in ranking.triplets()] == [
+            (dets[i].box, p, dets[j].box, s)
+            for i, j, p, s in zip(ranking.sub, ranking.obj, ranking.predicates, ranking.scores)]
+
     def test_top_n_truncates(self):
         model = _toy_model()
         record = _toy_record()
@@ -316,7 +328,7 @@ class TestPredictImage:
     def test_negative_top_n_rejected_and_zero_allowed(self):
         model = _toy_model()
         record = _toy_record()
-        assert predict_image(model, record, top_n=0) == []
+        assert predict_image(model, record, top_n=0).triplets() == []
         with pytest.raises(ValueError, match="top_n"):
             predict_image(model, record, top_n=-1)
         with pytest.raises(ValueError, match="top_n"):
@@ -333,7 +345,7 @@ class TestPredictImage:
             Detection(d.label, d.box, 0.5 if k % 2 else 0.9, d.feature)
             for k, d in enumerate(record.detections)
         ]
-        preds = predict_image(model, record, top_n=1000)
+        preds = predict_image(model, record, top_n=1000).triplets()
         assert len({p.score for p in preds}) == 3
         pairs = pair_proposals(record)
         expected = sorted(
@@ -623,8 +635,8 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_checkpoint(model, path)
         again = load_checkpoint(path)
-        a = predict_image(model, record)
-        b = predict_image(again, record)
+        a = predict_image(model, record).triplets()
+        b = predict_image(again, record).triplets()
         assert [(p.score, p.predicate) for p in a] == [(q.score, q.predicate) for q in b]
 
     def test_resave_is_byte_identical(self, tmp_path):

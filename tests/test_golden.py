@@ -23,7 +23,7 @@ from relfusion.datamodel import iou, load_dataset, load_vocabulary
 from relfusion.fusion import load_predictions, save_predictions
 from relfusion.metrics import MatchSpec, recall_at_k
 
-from util import attributes_of
+from util import attributes_of, ranking_of
 
 GOLDEN = Path(__file__).parent / "golden"
 SPECS = {
@@ -62,7 +62,8 @@ def test_report_and_table_bytes_from_the_index_form(tmp_path, capsys, name):
     path = GOLDEN / "predictions.jsonl"
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     written = tmp_path / "predictions.jsonl"
-    save_predictions(load_predictions(path), written, attributes_of(rows))
+    rankings = {i: ranking_of(t) for i, t in load_predictions(path).items()}
+    save_predictions(rankings, written, attributes_of(rows))
     assert '"sub_box": 0' in written.read_text() and '"box": [' not in written.read_text()
     _assert_golden_bytes(tmp_path, capsys, name, written)
 

@@ -13,17 +13,27 @@ import numpy as np
 import pytest
 
 from relfusion.cli import main
-from relfusion.datamodel import Box, DataError, PredictedTriplet, parse_box
+from relfusion.datamodel import (
+    Box,
+    DataError,
+    PredictedTriplet,
+    load_dataset,
+    load_vocabulary,
+    parse_box,
+)
 from relfusion.fusion import (
     _parse_triplet,
+    gt_substitution,
     init_fusion_model,
+    load_checkpoint,
     load_predictions,
+    predict_attributes,
     predict_image,
     save_predictions,
 )
 from relfusion.semantic import FrequencyTable
 
-from util import attributes_of, make_detection, make_record, tiny_vocab
+from util import attributes_of, make_detection, make_record, ranking_of, tiny_vocab
 
 # Coordinates that json.dumps writes in a special form (signed zero, subnormal,
 # exponent, integer-valued), and 1.0, which compares equal to True.
@@ -70,6 +80,11 @@ def _row(image_id, triplets, attributes) -> dict:
             for d, a, s in is_triplets
         ]
     return row
+
+
+def _save(predictions, path, attributes=None) -> None:
+    """``save_predictions`` of each image's triplet list as its ``ranking_of``."""
+    save_predictions({i: ranking_of(t) for i, t in predictions.items()}, path, attributes)
 
 
 def _expected_bytes(predictions, attributes) -> bytes:
@@ -129,14 +144,14 @@ class TestWriter:
             predictions, attributes = _random_predictions(np.random.default_rng(seed))
             if seed % 2:
                 attributes = None
-            save_predictions(predictions, path, attributes)
+            _save(predictions, path, attributes)
             assert path.read_bytes() == _expected_bytes(predictions, attributes), seed
 
     def test_random_rows_load_back_as_saved(self, tmp_path):
         path = tmp_path / "p.jsonl"
         for seed in range(40):
             predictions, attributes = _random_predictions(np.random.default_rng(seed))
-            save_predictions(predictions, path, attributes)
+            _save(predictions, path, attributes)
             loaded = _assert_loads_as_reference(path)
             assert list(loaded) == list(predictions)
             for image_id, triplets in predictions.items():
@@ -148,7 +163,7 @@ class TestWriter:
         predictions = {"x": [PredictedTriplet(a, 0, 1, b, 1, 0.5),
                              PredictedTriplet(b, 1, 2, a, 0, 1e-7)]}
         path = tmp_path / "p.jsonl"
-        save_predictions(predictions, path)
+        _save(predictions, path)
         assert path.read_bytes() == _expected_bytes(predictions, None)
         assert path.read_text() == (
             '{"image_id": "x", "boxes": [[-0.0, 0.0, 1e+16, 3.0], [0.0, -0.0, 1e+16, 3.0]],'
@@ -163,7 +178,7 @@ class TestWriter:
         dets = [make_detection(0, c), make_detection(1, b)]
         predictions = {"x": [PredictedTriplet(b, 1, 1, a, 0, 0.5)]}
         path = tmp_path / "p.jsonl"
-        save_predictions(predictions, path, {"x": [(dets[0], 2, 0.25), (dets[1], 0, 0.75)]})
+        _save(predictions, path, {"x": [(dets[0], 2, 0.25), (dets[1], 0, 0.75)]})
         assert path.read_text() == (
             '{"image_id": "x", "boxes": [[2.0, 2.0, 3.0, 3.0], [0.0, 0.0, 1.0, 1.0],'
             ' [4.0, 4.0, 5.0, 5.0]], "triplets": [{"sub_box": 0, "sub_label": 1,'
@@ -173,17 +188,19 @@ class TestWriter:
 
     def test_empty_triplets(self, tmp_path):
         path = tmp_path / "p.jsonl"
-        save_predictions({"x": [], "y": []}, path)
+        _save({"x": [], "y": []}, path)
         assert path.read_text() == ('{"image_id": "x", "boxes": [], "triplets": []}\n'
                                     '{"image_id": "y", "boxes": [], "triplets": []}\n')
 
     def test_bool_labels_are_written_as_true_and_false(self, tmp_path):
+        """A Ranking's predicates are ints (``tolist`` of an index array); labels may be bools."""
         b = Box(1.5, 2.5, 3.5, 4.5)
-        predictions = {"x": [PredictedTriplet(b, True, True, b, False, np.float64(0.25))]}
+        predictions = {"x": [PredictedTriplet(b, True, 1, b, False, np.float64(0.25))]}
         path = tmp_path / "p.jsonl"
-        save_predictions(predictions, path)
+        _save(predictions, path)
         assert path.read_bytes() == _expected_bytes(predictions, None)
-        assert '"sub_label": true, "predicate": true' in path.read_text()
+        assert '"sub_label": true, "predicate": 1, "obj_box": 0, "obj_label": false' in (
+            path.read_text())
 
     @pytest.mark.parametrize("label", [np.int64(2), np.int32(2)])
     def test_numpy_integer_label_is_a_type_error(self, tmp_path, label):
@@ -192,7 +209,7 @@ class TestWriter:
         with pytest.raises(TypeError):
             json.dumps(_row("x", predictions["x"], None))
         with pytest.raises(TypeError):
-            save_predictions(predictions, tmp_path / "p.jsonl")
+            _save(predictions, tmp_path / "p.jsonl")
         assert not list(tmp_path.iterdir())
 
     def test_predict_image_output_loads_back_equal(self, tmp_path):
@@ -214,8 +231,36 @@ class TestWriter:
         save_predictions(predictions, path)
         loaded = load_predictions(path)
         assert list(loaded) == list(predictions)
-        for image_id, triplets in predictions.items():
-            assert [_fields(t) for t in loaded[image_id]] == [_fields(t) for t in triplets]
+        for image_id, ranking in predictions.items():
+            assert [_fields(t) for t in loaded[image_id]] == [
+                _fields(t) for t in ranking.triplets()]
+
+
+@pytest.mark.parametrize("mode", ["sgdet", "sgcls"])
+def test_predict_writes_its_rankings_without_building_triplets(tmp_path, monkeypatch, mode):
+    """``predict`` builds no PredictedTriplet, and its file is ``json.dumps`` of the rows of
+    the triplets that ``Ranking.triplets`` gives: the bytes a triplet-list writer wrote."""
+    data, ckpt, out = tmp_path / "data", tmp_path / "m.json", tmp_path / "p.jsonl"
+    assert main(["gen-synth", "--out", str(data), "--num-images", "12",
+                 "--num-test-images", "4", "--seed", "5"]) == 0
+    files = ["--vocab", str(data / "vocab.json"), "--mode", mode]
+    assert main(["train", "--train", str(data / "train.jsonl"), *files,
+                 "--checkpoint", str(ckpt), "--epochs", "1"]) == 0
+
+    def refuse(*args):
+        raise AssertionError("predict built a PredictedTriplet")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("relfusion.fusion.PredictedTriplet", refuse)
+        assert main(["predict", "--test", str(data / "test.jsonl"), *files,
+                     "--checkpoint", str(ckpt), "--out", str(out), "--attributes"]) == 0
+    model = load_checkpoint(ckpt)
+    views = [gt_substitution(r, mode)
+             for r in load_dataset(data / "test.jsonl", load_vocabulary(data / "vocab.json"))]
+    triplets = {v.image_id: predict_image(model, v).triplets() for v in views}
+    attributes = {v.image_id: predict_attributes(model.attribute_head, v) for v in views}
+    assert sum(map(len, triplets.values())) > 0
+    assert out.read_bytes() == _expected_bytes(triplets, attributes)
 
 
 def _reference_load(path) -> dict:
@@ -448,7 +493,7 @@ def test_damaged_index_form_exits_2_naming_the_line_and_item(tmp_path, capsys, d
              if len(row["triplets"]) >= 3 and len(row.get("is_triplets", [])) >= 2)
     predictions = load_predictions(_GOLDEN / "predictions.jsonl")
     path = tmp_path / "pred.jsonl"
-    save_predictions(predictions, path, attributes_of(rows))
+    _save(predictions, path, attributes_of(rows))
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     message = INDEX_DAMAGE[damage](lines[k])
     path.write_text("".join(json.dumps(line) + "\n" for line in lines))

@@ -16,6 +16,7 @@ from relfusion.datamodel import (
     Vocabulary,
     parse_box,
 )
+from relfusion.fusion import Ranking
 
 
 def box(x0, y0, x1, y1) -> Box:
@@ -230,3 +231,21 @@ def attributes_of(rows: list[dict]) -> dict:
         for row in rows
         if "is_triplets" in row
     }
+
+
+def ranking_of(triplets) -> Ranking:
+    """The Ranking that ``save_predictions`` writes as these triplets: one detection per
+    distinct (Box object, label), in order of first use; scores as Python floats."""
+    detections, index = [], {}
+
+    def det(b: Box, label) -> int:
+        key = (id(b), type(label), label)  # True and 1 stay apart
+        if key not in index:
+            index[key] = len(detections)
+            detections.append(make_detection(label, b))
+        return index[key]
+
+    columns = [(det(t.sub_box, t.sub_label), det(t.obj_box, t.obj_label), t.predicate,
+                t.score) for t in triplets]
+    sub, obj, predicates, scores = map(list, zip(*columns)) if columns else ([], [], [], [])
+    return Ranking(detections, sub, obj, predicates, np.array(scores, dtype=float).tolist())

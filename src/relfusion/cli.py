@@ -33,6 +33,7 @@ from .fusion import (
     BranchMask,
     ScoreError,
     TrainConfig,
+    featurized_views,
     gt_substitution,
     init_fusion_model,
     load_checkpoint,
@@ -275,7 +276,8 @@ def _training_setup(args, vocab):
 def _predict(model, views, top_n: int, path) -> dict:
     """Each view's Ranking, by image id; a DataError names ``path``, the views' file."""
     with _naming(path):
-        return {view.image_id: predict_image(model, view, top_n=top_n) for view in views}
+        return {view.image_id: predict_image(model, view, pairs, inputs, top_n)
+                for view, pairs, inputs in featurized_views(model, views)}
 
 
 def _check_output(path) -> None:

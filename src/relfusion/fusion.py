@@ -13,6 +13,13 @@ place, the :data:`BRANCHES` table: its terms, each a net (or the frozen
 prior) and the per-pair inputs it reads. The table's order is both the
 summation order of the fused logits and the order of
 :func:`trainable_params`.
+
+Featurization spans images: :func:`pair_inputs` stacks the inputs of
+many images' pairs in one pass, which training makes once over all its
+examples and prediction once per group of views
+(:func:`featurized_views`). Matching, sampling, forward passes and
+ranking stay per image, since a matrix product may round a row
+differently when other rows join it.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from .datamodel import (
 from . import numcore
 from .numcore import Mlp, NumericError, forward, init_mlp, sgd_step, softmax
 from .semantic import FrequencyTable, semantic_logits, table_from_json, table_to_json
-from .spatial import SPATIAL_DIM, spatial_features
+from .spatial import SPATIAL_DIM, image_size, spatial_features
 from .visual import predicate_features
 
 # The per-pair definitions that the array paths below reproduce, and the
@@ -217,20 +224,26 @@ def _prior_row(model: FusionModel, sub_label: int, obj_label: int) -> np.ndarray
     return row
 
 
-def pair_inputs(model: FusionModel, record: ImageRecord, pairs) -> PairInputs:
-    """Assemble the enabled branches' inputs for a non-empty list of proposals.
+def pair_inputs(model: FusionModel, records: list[ImageRecord], pairs) -> PairInputs:
+    """Assemble the enabled branches' inputs for the proposals of several records.
 
-    ``pairs`` holds (subject, object) detection indices, as a list of
-    tuples or an (N, 2) array. Each input is gathered image-wide by index
-    arrays. The frequency prior is looked up once per distinct class pair,
-    in ``model.prior_rows``: a pair's :func:`semantic_logits` row is
-    computed the first time any image of the model needs it.
+    ``pairs`` holds each record's (subject, object) detection indices, as
+    a list of tuples or an (N, 2) array, at least one pair in all. The
+    rows are stacked in record order. Each input is gathered by index
+    arrays from one table of all the records' detections, and the spatial
+    encoding is one call with each row's image size. The frequency prior
+    is looked up once per distinct class pair, in ``model.prior_rows``: a
+    pair's :func:`semantic_logits` row is computed the first time any image
+    of the model needs it.
     """
-    sub, obj = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
-    dets = record.detections
+    index = [np.asarray(p, dtype=np.intp).reshape(-1, 2) for p in pairs]
+    starts = np.cumsum([0] + [len(r.detections) for r in records])
+    rec = np.repeat(np.arange(len(records)), [len(p) for p in index])
+    sub, obj = (np.concatenate(index) + starts[rec, None]).T
+    dets = [d for r in records for d in r.detections]
     labels = np.array([d.label for d in dets])
     boxes = box_array(d.box for d in dets)
-    feats = np.stack([d.feature for d in dets])
+    feats = np.concatenate([d.feature for d in dets]).reshape(len(dets), -1)  # as np.stack
 
     def semantic_rows():
         # Distinct class pairs by a dict: np.unique(axis=0) sorts, at more cost than the lookups.
@@ -240,22 +253,24 @@ def pair_inputs(model: FusionModel, record: ImageRecord, pairs) -> PairInputs:
         return np.stack([_prior_row(model, s, o) for s, o in distinct])[row]
 
     def spatial_rows():
+        sizes = np.array([image_size(r.width, r.height) for r in records])[rec]
         # A box far smaller or larger than its partner overflows the pair's encoding:
         # a data error naming the first such pair, not a numpy warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            spat = spatial_features(boxes[sub], boxes[obj], record.width, record.height)
+            spat = spatial_features(boxes[sub], boxes[obj], sizes)
         finite = np.isfinite(spat).all(axis=1)
         if not finite.all():
             k = int(np.argmin(finite))
-            raise DataError(f"image {record.image_id!r} detection pair ({sub[k]}, {obj[k]}):"
-                            " spatial encoding is not finite", record.line)
+            record, start = records[rec[k]], starts[rec[k]]
+            raise DataError(f"image {record.image_id!r} detection pair ({sub[k] - start},"
+                            f" {obj[k] - start}): spatial encoding is not finite", record.line)
         return spat
 
     rows = {
         "sem": semantic_rows,
         "spat": spatial_rows,
         "v_sub": lambda: feats[sub],
-        "v_pred": lambda: predicate_features(feats, record, sub, obj),
+        "v_pred": lambda: predicate_features(feats, sub, obj, records, starts),
         "v_obj": lambda: feats[obj],
     }
     names = [n for b in enabled_branches(model.mask) for _, inputs in b.terms for n in inputs]
@@ -288,7 +303,7 @@ def pair_logits(
     model: FusionModel, record: ImageRecord, pair: tuple[int, int]
 ) -> np.ndarray:
     """Fused (P+1)-vector for one ordered detection pair."""
-    logits, _ = batch_logits(model, pair_inputs(model, record, [pair]))
+    logits, _ = batch_logits(model, pair_inputs(model, [record], [[pair]]))
     return logits[0]
 
 
@@ -357,8 +372,12 @@ def build_training_inputs(
     cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> PairInputs:
-    """Positive examples plus per-image sampled no-relationship negatives."""
-    per_record: list[PairInputs] = []
+    """Positive examples plus per-image sampled no-relationship negatives.
+
+    Each image is matched and sampled on its own, in dataset order; then
+    every image's examples are featurized by one :func:`pair_inputs` call.
+    """
+    records, examples, targets = [], [], []
     total_positives = 0
     for record in dataset:
         positives, predicates = match_positive_pairs(record)
@@ -374,19 +393,14 @@ def build_training_inputs(
             chosen = unmatched[np.sort(rng.choice(len(unmatched), size=n_neg, replace=False))]
         if len(positives) + n_neg == 0:
             continue
-        inputs = pair_inputs(model, record, np.concatenate([positives, chosen]))
-        inputs.targets = np.concatenate([predicates, np.zeros(n_neg, dtype=np.intp)])
-        per_record.append(inputs)
+        records.append(record)
+        examples.append(np.concatenate([positives, chosen]))
+        targets += [predicates, np.zeros(n_neg, dtype=np.intp)]
     if total_positives == 0:
         raise DataError("no positive training pairs: detections never match ground truth")
-
-    return PairInputs(
-        {
-            name: np.concatenate([p.arrays[name] for p in per_record])
-            for name in per_record[0].arrays
-        },
-        targets=np.concatenate([p.targets for p in per_record]),
-    )
+    inputs = pair_inputs(model, records, examples)
+    inputs.targets = np.concatenate(targets)
+    return inputs
 
 
 def _sgd_epochs(
@@ -456,23 +470,62 @@ class Ranking:
                 for i, j, p, s in zip(self.sub, self.obj, self.predicates, self.scores)]
 
 
-def predict_image(model: FusionModel, record: ImageRecord, top_n: int = 100) -> Ranking:
-    """Ranked triplets for one image.
+# The most proposal rows that predict featurizes in one pair_inputs call. A group's inputs
+# stay allocated while its views run their forward passes, so the cap bounds that memory on
+# any test set. It is small because big groups cost page faults: with six 462-pair views in
+# one group, the spo head's (462, 256) hidden arrays were paged in afresh for every view.
+PREDICT_GROUP_ROWS = 2**9
 
-    Every (proposal pair, real predicate) combination is scored with
-    softmax probability times both detector confidences; the global top_n
-    survive. Ties break on (pair index, predicate index). A kept score that
-    is not finite is a ScoreError, not a numpy warning.
+
+def featurized_views(model: FusionModel, views: list[ImageRecord]):
+    """Yield each view with its proposals, an (N, 2) array, and their PairInputs, in order.
+
+    Consecutive views are featurized together, one :func:`pair_inputs`
+    call per group of at most PREDICT_GROUP_ROWS proposal rows; a view with
+    more is a group of its own. A view without proposals gets None inputs.
+    """
+
+    def featurize(group):
+        inputs = None
+        if any(len(pairs) for _, pairs in group):
+            inputs = pair_inputs(model, [view for view, _ in group], [p for _, p in group])
+        start = 0
+        for view, pairs in group:
+            stop = start + len(pairs)
+            yield view, pairs, inputs.take(slice(start, stop)) if stop > start else None
+            start = stop
+
+    group, rows = [], 0
+    for view in views:
+        pairs = np.array(pair_proposals(view), dtype=np.intp).reshape(-1, 2)
+        if group and rows + len(pairs) > PREDICT_GROUP_ROWS:
+            yield from featurize(group)
+            group, rows = [], 0
+        group.append((view, pairs))
+        rows += len(pairs)
+    yield from featurize(group)
+
+
+def predict_image(
+    model: FusionModel, record: ImageRecord, pairs: np.ndarray, inputs: PairInputs | None,
+    top_n: int = 100,
+) -> Ranking:
+    """Ranked triplets for one image from its proposals and their inputs.
+
+    ``pairs`` and ``inputs`` are the image's as :func:`featurized_views`
+    yields them. Every (proposal pair, real predicate) combination is
+    scored with softmax probability times both detector confidences; the
+    global top_n survive. Ties break on (pair index, predicate index). A
+    kept score that is not finite is a ScoreError, not a numpy warning.
     """
     if top_n < 0:
         raise ValueError(f"top_n must be >= 0, got {top_n}")
-    pairs = np.array(pair_proposals(record), dtype=np.intp).reshape(-1, 2)
     if not len(pairs):
         return Ranking(record.detections, [], [], [], [])
     det_scores = np.array([d.score for d in record.detections])
     det_product = det_scores[pairs[:, 0]] * det_scores[pairs[:, 1]]
     with np.errstate(over="ignore", invalid="ignore"):
-        logits, _ = batch_logits(model, pair_inputs(model, record, pairs))
+        logits, _ = batch_logits(model, inputs)
         scores = (softmax(logits)[:, 1:] * det_product[:, None]).ravel()
     # A stable sort keeps tied scores in (pair, predicate) order.
     ranked = np.argsort(-scores, kind="stable")[:top_n]
@@ -575,18 +628,25 @@ def train_attribute_head(head: Mlp, dataset: list[ImageRecord], cfg: TrainConfig
 
 
 def predict_attributes(head: Mlp, record: ImageRecord) -> list[tuple[Detection, int, float]]:
-    """Top attribute per detection: (detection, attribute, score); a ScoreError if not finite."""
-    out = []
+    """Top attribute per detection: (detection, attribute, score); a ScoreError if not finite.
+
+    The head runs once per detection, since a batched forward may round
+    otherwise; the softmax, argmax and scores are one pass over the image.
+    """
+    dets = record.detections
+    if not dets:
+        return []
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, det in enumerate(record.detections):
-            probs = softmax(forward(head, det.feature)[0])
-            best = int(np.argmax(probs))
-            score = float(probs[best] * det.score)
-            if not math.isfinite(score):
-                raise ScoreError(f"image {record.image_id!r} detection {k}: attribute score is"
-                                 " not finite", record.line)
-            out.append((det, best, score))
-    return out
+        logits = np.concatenate([forward(head, det.feature)[0] for det in dets])
+        probs = softmax(logits.reshape(len(dets), -1))
+        best = probs.argmax(axis=1)
+        scores = probs[np.arange(len(dets)), best] * np.array([det.score for det in dets])
+    finite = np.isfinite(scores)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ScoreError(f"image {record.image_id!r} detection {k}: attribute score is"
+                         " not finite", record.line)
+    return list(zip(dets, best.tolist(), scores.tolist()))
 
 
 # --- checkpoint and prediction files ----------------------------------------
@@ -660,7 +720,8 @@ def save_predictions(
 ) -> None:
     """Write each Ranking as a line; an image's predict_attributes rows are its is_triplets.
 
-    A line is ``json.dumps`` of the image's row. Its ``boxes`` table holds each distinct
+    A line is ``json.dumps`` of the image's row, written from templates with each label,
+    attribute and score through ``_json_scalar``. Its ``boxes`` table holds each distinct
     Box object once, in order of first use; a box field is an index into it.
     """
     lines = []
@@ -680,9 +741,10 @@ def save_predictions(
         table = json.dumps([b.to_list() for b in distinct.values()])
         line = f'{{"image_id": {json.dumps(image_id)}, "boxes": {table}, "triplets": [{items}]'
         if is_triplets is not None:
-            rows = [{"box": index[id(d.box)], "label": d.label, "attribute": a, "score": s}
-                    for d, a, s in is_triplets]
-            line += f', "is_triplets": {json.dumps(rows)}'
+            js = _json_scalar
+            rows = ", ".join([f'{{"box": {index[id(d.box)]}, "label": {js(d.label)}, "attribute":'
+                              f' {js(a)}, "score": {js(s)}}}' for d, a, s in is_triplets])
+            line += f', "is_triplets": [{rows}]'
         lines.append(line + "}")
     atomic_write_text(path, "".join(line + "\n" for line in lines))
 

@@ -9,7 +9,8 @@ anchor-normalized center-offset / log-size-ratio parameterization used by
 region-proposal detectors, and coords are image-normalized corners plus
 the box/image area ratio.
 
-The encoders work on (N, 4) corner arrays, one pair per row;
+The encoders work on (N, 4) corner arrays, one pair per row, and an
+image size per row, so one call can encode the pairs of many images;
 :func:`spatial_feature` is a one-row call for a single box pair. Every
 value is the same float operation a scalar evaluation would make, and the
 logarithms are taken with ``math.log``, so a pair's encoding does not
@@ -46,22 +47,36 @@ def box_deltas(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     return np.concatenate([offsets, _log(size1 / size2)], axis=1)
 
 
-def normalized_corners(b: np.ndarray, width: float, height: float) -> np.ndarray:
-    """Rows of corners scaled by image size plus the box/image area ratio: (N, 5)."""
-    if width <= 0 or height <= 0:
+def image_size(width, height) -> np.ndarray:
+    """The (width, height, area) row of an image, as floats.
+
+    The area is the product rounded once, as a scalar ``width * height``
+    of the image's integers gives it: ``float(w) * float(h)`` may differ.
+    """
+    return np.array([float(width), float(height), float(width * height)])
+
+
+def normalized_corners(b: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Corners scaled by image size plus the box/image area ratio: (..., 5).
+
+    ``b`` holds (..., 4) corner rows and ``sizes`` the :func:`image_size`
+    rows that they broadcast against: one per box, or one for all.
+    """
+    if (sizes[..., :2] <= 0).any():
         raise ValueError("image dimensions must be positive")
-    area = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    scale = np.array([width, height, width, height], dtype=np.float64)
-    return np.concatenate([b / scale, (area / (width * height))[:, None]], axis=1)
+    area = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    return np.concatenate(
+        [b / sizes[..., [0, 1, 0, 1]], (area / sizes[..., 2])[..., None]], axis=-1
+    )
 
 
-def spatial_features(
-    b_sub: np.ndarray, b_obj: np.ndarray, width: float, height: float
-) -> np.ndarray:
+def spatial_features(b_sub: np.ndarray, b_obj: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """(N, 22) encodings of the subject/object corner arrays' row pairs.
 
-    The three box deltas are one :func:`box_deltas` call over the stacked
-    pairs, and the two corner sets one :func:`normalized_corners` call.
+    ``sizes`` holds the :func:`image_size` of each pair's image, an (N, 3)
+    array, or one (3,) row for all. The three box deltas are one
+    :func:`box_deltas` call over the stacked pairs, and the two corner sets
+    one :func:`normalized_corners` call.
     """
     b_pred = np.concatenate(
         [np.minimum(b_sub[:, :2], b_obj[:, :2]), np.maximum(b_sub[:, 2:], b_obj[:, 2:])],
@@ -69,13 +84,13 @@ def spatial_features(
     )
     deltas = box_deltas(np.concatenate([b_sub, b_sub, b_pred]),
                         np.concatenate([b_obj, b_pred, b_obj]))
-    corners = normalized_corners(np.concatenate([b_sub, b_obj]), width, height)
+    corners = normalized_corners(np.stack([b_sub, b_obj]), sizes)
     n = len(b_sub)
     return np.concatenate(
-        [deltas[:n], deltas[n : 2 * n], deltas[2 * n :], corners[:n], corners[n:]], axis=1
+        [deltas[:n], deltas[n : 2 * n], deltas[2 * n :], corners[0], corners[1]], axis=1
     )
 
 
 def spatial_feature(b_sub: Box, b_obj: Box, width: float, height: float) -> np.ndarray:
     """22-d encoding of a subject/object box pair within an image."""
-    return spatial_features(box_array([b_sub]), box_array([b_obj]), width, height)[0]
+    return spatial_features(box_array([b_sub]), box_array([b_obj]), image_size(width, height))[0]

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from relfusion import fusion
 from relfusion.datamodel import DataError, Detection, GtObject, iou
 from relfusion.fusion import (
     ATTRIBUTE_HIDDEN,
@@ -14,6 +15,7 @@ from relfusion.fusion import (
     TrainConfig,
     batch_logits,
     build_training_inputs,
+    featurized_views,
     gt_substitution,
     init_fusion_model,
     load_checkpoint,
@@ -32,7 +34,7 @@ from relfusion.semantic import FrequencyTable, fit_frequency, semantic_logits
 from relfusion.synth import SynthConfig, generate
 from relfusion.visual import predicate_feature
 
-from util import box, make_detection, make_record, spatial_reference, tiny_vocab
+from util import box, make_detection, make_record, predict_one, spatial_reference, tiny_vocab
 
 
 def _freq(num_predicates=3):
@@ -159,7 +161,7 @@ class TestPairLogits:
         model = _toy_model()
         record = _toy_record()
         pairs = pair_proposals(record)
-        logits, _ = batch_logits(model, pair_inputs(model, record, pairs))
+        logits, _ = batch_logits(model, pair_inputs(model, [record], [pairs]))
         for row, pair in zip(logits, pairs):
             assert np.allclose(row, pair_logits(model, record, pair), atol=1e-12)
 
@@ -174,8 +176,56 @@ class TestPairLogits:
         record = _toy_record()
         record.detections[1] = replace(record.detections[1], box=extreme)
         with pytest.raises(DataError) as err:
-            pair_inputs(model, record, [(0, 2), (0, 1), (1, 2)])
+            pair_inputs(model, [record], [[(0, 2), (0, 1), (1, 2)]])
         assert str(err.value) == "image 'img' detection pair (0, 1): spatial encoding is not finite"
+
+
+class TestMultiRecordInputs:
+    """``pair_inputs`` over several records gives each record's own rows, bit for bit."""
+
+    @staticmethod
+    def _records():
+        rng = np.random.default_rng(21)
+        wide = replace(_toy_record(n=4, seed=1), image_id="wide", width=2**53 + 1, height=3)
+        assert float(wide.width) * float(wide.height) != float(wide.width * wide.height)
+        paired = _toy_record(n=5, seed=2)
+        paired.image_id = "paired"
+        paired.pair_features = {(0, 1): rng.normal(size=4), (3, 0): rng.normal(size=4),
+                                (4, 2): rng.normal(size=4)}
+        lonely = make_record(image_id="lonely", detections=[make_detection(1, feature=[1] * 4)])
+        sgcls = gt_substitution(paired, "sgcls")
+        assert sgcls.pair_features
+        return [wide, paired, lonely, _toy_record(n=2, seed=3), sgcls]
+
+    @pytest.mark.parametrize("form", ["tuples", "arrays"])
+    def test_equals_per_record_calls(self, form):
+        model = _toy_model(seed=5)
+        records = self._records()
+        pairs = [pair_proposals(r) for r in records]
+        assert pairs[2] == [] and all(pairs[:2] + pairs[3:])
+        if form == "arrays":
+            pairs = [np.array(p, dtype=np.intp).reshape(-1, 2) for p in pairs]
+        got = pair_inputs(model, records, pairs).arrays
+        alone = [pair_inputs(model, [r], [p]).arrays for r, p in zip(records, pairs) if len(p)]
+        assert set(got) == {"sem", "spat", "v_sub", "v_pred", "v_obj"}
+        for name, array in got.items():
+            expected = np.concatenate([a[name] for a in alone])
+            assert array.tobytes() == expected.tobytes(), name
+        # The wide image's area divisor is float(width * height) of its integers.
+        wide = records[0]
+        dets = wide.detections
+        reference = np.stack([spatial_reference(dets[i].box, dets[j].box, wide.width, wide.height)
+                              for i, j in pair_proposals(wide)])
+        assert got["spat"][: len(reference)].tobytes() == reference.tobytes()
+
+    def test_a_spatial_fault_names_its_own_image_pair_and_line(self):
+        records = [replace(_toy_record(seed=k), image_id=f"img{k}", line=k + 3) for k in range(4)]
+        bad = records[2]
+        bad.detections[1] = replace(bad.detections[1], box=box(0, 0, 20, 5e-324))
+        with pytest.raises(DataError) as err:
+            pair_inputs(_toy_model(), records, [pair_proposals(r) for r in records])
+        assert str(err.value) == "image 'img2' detection pair (0, 1): spatial encoding is not finite"
+        assert err.value.line == 5
 
 
 class TestTraining:
@@ -275,12 +325,12 @@ class TestTrainConfig:
 
 class TestPredictImage:
     def test_no_detections_empty(self):
-        assert predict_image(_toy_model(), make_record()).triplets() == []
+        assert predict_one(_toy_model(), make_record()).triplets() == []
 
     def test_sorted_and_tie_broken(self):
         model = _toy_model()
         record = _toy_record()
-        preds = predict_image(model, record, top_n=50).triplets()
+        preds = predict_one(model, record, top_n=50).triplets()
         scores = [p.score for p in preds]
         assert scores == sorted(scores, reverse=True)
         assert all(0.0 <= s <= 1.0 for s in scores)
@@ -288,7 +338,7 @@ class TestPredictImage:
     def test_matches_bruteforce_enumeration(self):
         model = _toy_model(seed=6)
         record = _toy_record(n=2, seed=6)
-        preds = predict_image(model, record, top_n=1000).triplets()
+        preds = predict_one(model, record, top_n=1000).triplets()
         # brute force: enumerate every (ordered pair, predicate) candidate
         expected = []
         for pair_idx, (i, j) in enumerate(pair_proposals(record)):
@@ -310,7 +360,7 @@ class TestPredictImage:
 
     def test_ranking_columns_index_the_views_detections(self):
         record = _toy_record(seed=6)
-        ranking = predict_image(_toy_model(seed=6), record, top_n=7)
+        ranking = predict_one(_toy_model(seed=6), record, top_n=7)
         assert ranking.detections is record.detections and len(ranking) == 7
         for column, kind in ((ranking.sub, int), (ranking.obj, int), (ranking.predicates, int),
                              (ranking.scores, float)):
@@ -323,16 +373,16 @@ class TestPredictImage:
     def test_top_n_truncates(self):
         model = _toy_model()
         record = _toy_record()
-        assert len(predict_image(model, record, top_n=5)) == 5
+        assert len(predict_one(model, record, top_n=5)) == 5
 
     def test_negative_top_n_rejected_and_zero_allowed(self):
         model = _toy_model()
         record = _toy_record()
-        assert predict_image(model, record, top_n=0).triplets() == []
+        assert predict_one(model, record, top_n=0).triplets() == []
         with pytest.raises(ValueError, match="top_n"):
-            predict_image(model, record, top_n=-1)
+            predict_one(model, record, top_n=-1)
         with pytest.raises(ValueError, match="top_n"):
-            predict_image(model, make_record(), top_n=-1)
+            predict_one(model, make_record(), top_n=-1)
 
     def test_score_ties_ordered_by_pair_then_predicate(self):
         # An empty frequency table gives every pair the same uniform logits,
@@ -345,7 +395,7 @@ class TestPredictImage:
             Detection(d.label, d.box, 0.5 if k % 2 else 0.9, d.feature)
             for k, d in enumerate(record.detections)
         ]
-        preds = predict_image(model, record, top_n=1000).triplets()
+        preds = predict_one(model, record, top_n=1000).triplets()
         assert len({p.score for p in preds}) == 3
         pairs = pair_proposals(record)
         expected = sorted(
@@ -502,6 +552,28 @@ class TestGtSubstitution:
 
 
 class TestMatchPositivePairs:
+    def test_groups_split_by_the_row_cap_rank_as_one_group(self, monkeypatch):
+        model = _toy_model(seed=7)
+        views = [_toy_record(n=n, seed=n) for n in (3, 1, 4, 2, 0, 5, 3)]
+        for k, view in enumerate(views):
+            view.image_id = f"img{k}"
+
+        def rankings():
+            return [(v.image_id, predict_image(model, v, pairs, inputs, 9))
+                    for v, pairs, inputs in featurized_views(model, views)]
+
+        whole = rankings()
+        calls = []
+        real = fusion.pair_inputs
+        monkeypatch.setattr(fusion, "pair_inputs", lambda *a: calls.append(a[1]) or real(*a))
+        monkeypatch.setattr(fusion, "PREDICT_GROUP_ROWS", 12)
+        split = rankings()
+        # Rows 6 + 0, then 12, then 2 + 0, then 20 (past the cap, so alone), then 6.
+        assert [[len(r.detections) for r in c] for c in calls] == [[3, 1], [4], [2, 0], [5], [3]]
+        assert [i for i, _ in split] == [i for i, _ in whole] == [v.image_id for v in views]
+        for (_, a), (_, b) in zip(whole, split):
+            assert (a.sub, a.obj, a.predicates, a.scores) == (b.sub, b.obj, b.predicates, b.scores)
+
     def _record(self, sub_box):
         gt = [GtObject(label=0, box=box(0, 0, 10, 20)), GtObject(label=1, box=box(50, 0, 60, 20))]
         dets = [make_detection(label=0, b=sub_box), make_detection(label=1, b=gt[1].box)]
@@ -586,7 +658,7 @@ def test_array_paths_match_per_pair_reference():
                 checked["pair_features"] += len(expected)
 
             pairs = pair_proposals(view)
-            got = pair_inputs(model, view, pairs).arrays
+            got = pair_inputs(model, [view], [pairs]).arrays
             expected = _reference_pair_inputs(model, view, pairs)
             assert set(got) == set(expected)
             for name, array in expected.items():
@@ -635,8 +707,8 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_checkpoint(model, path)
         again = load_checkpoint(path)
-        a = predict_image(model, record).triplets()
-        b = predict_image(again, record).triplets()
+        a = predict_one(model, record).triplets()
+        b = predict_one(again, record).triplets()
         assert [(p.score, p.predicate) for p in a] == [(q.score, q.predicate) for q in b]
 
     def test_resave_is_byte_identical(self, tmp_path):

@@ -1,5 +1,6 @@
 """Golden train and predict outputs: ``train`` then ``predict --top-n 20 --attributes`` on
-the small set in tests/golden_train must give the committed results, in sgdet and sgcls.
+the small set in tests/golden_train must give the committed results, in sgdet, sgcls and
+prdcls.
 
 Labels, predicates, box indices, attributes and the order of images and triplets must be
 equal; weights, losses and scores must agree within 1e-12 relative. Exact bytes would tie
@@ -32,7 +33,7 @@ from relfusion.datamodel import array_from_json
 from relfusion.fusion import NETS
 
 GOLDEN = Path(__file__).parent / "golden_train"
-MODES = ("sgdet", "sgcls")
+MODES = ("sgdet", "sgcls", "prdcls")
 SYNTH = ["--num-images", "12", "--num-test-images", "4", "--num-classes", "4",
          "--num-predicates", "4", "--feature-dim", "8", "--min-objects", "3",
          "--max-objects", "5", "--seed", "11"]
@@ -161,7 +162,7 @@ def _check_no_near_ties(pred: Path) -> None:
 
 
 def regenerate() -> None:
-    """Write the golden set and the expected outputs of both modes into GOLDEN."""
+    """Write the golden set and the expected outputs of every mode into GOLDEN."""
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

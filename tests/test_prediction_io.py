@@ -28,12 +28,11 @@ from relfusion.fusion import (
     load_checkpoint,
     load_predictions,
     predict_attributes,
-    predict_image,
     save_predictions,
 )
 from relfusion.semantic import FrequencyTable
 
-from util import attributes_of, make_detection, make_record, ranking_of, tiny_vocab
+from util import attributes_of, make_detection, make_record, predict_one, ranking_of, tiny_vocab
 
 # Coordinates that json.dumps writes in a special form (signed zero, subnormal,
 # exponent, integer-valued), and 1.0, which compares equal to True.
@@ -225,7 +224,7 @@ class TestWriter:
         for n in range(3):
             dets = [make_detection(int(rng.integers(2)), b, score=float(rng.random()),
                                    feature=rng.normal(size=4)) for b in boxes[n:]]
-            predictions[f"img {n}"] = predict_image(model, make_record(detections=dets))
+            predictions[f"img {n}"] = predict_one(model, make_record(detections=dets))
         assert sum(map(len, predictions.values())) > 0
         path = tmp_path / "p.jsonl"
         save_predictions(predictions, path)
@@ -257,7 +256,7 @@ def test_predict_writes_its_rankings_without_building_triplets(tmp_path, monkeyp
     model = load_checkpoint(ckpt)
     views = [gt_substitution(r, mode)
              for r in load_dataset(data / "test.jsonl", load_vocabulary(data / "vocab.json"))]
-    triplets = {v.image_id: predict_image(model, v).triplets() for v in views}
+    triplets = {v.image_id: predict_one(model, v).triplets() for v in views}
     attributes = {v.image_id: predict_attributes(model.attribute_head, v) for v in views}
     assert sum(map(len, triplets.values())) > 0
     assert out.read_bytes() == _expected_bytes(triplets, attributes)

@@ -16,6 +16,7 @@ from relfusion.numcore import (
 from relfusion.spatial import (
     SPATIAL_DIM,
     box_deltas,
+    image_size,
     normalized_corners,
     spatial_feature,
     spatial_features,
@@ -91,15 +92,16 @@ class TestBoxDeltas:
 class TestNormalizedCorners:
     def test_full_image_box(self):
         assert np.array_equal(
-            normalized_corners(box_array([box(0, 0, 100, 50)]), 100, 50), [[0, 0, 1, 1, 1]]
+            normalized_corners(box_array([box(0, 0, 100, 50)]), image_size(100, 50)),
+            [[0, 0, 1, 1, 1]],
         )
 
     def test_quarter_box(self):
-        out = normalized_corners(box_array([box(25, 25, 75, 75)]), 100, 100)
+        out = normalized_corners(box_array([box(25, 25, 75, 75)]), image_size(100, 100))
         assert np.all(np.abs(out - [0.25, 0.25, 0.75, 0.75, 0.25]) < 1e-12)
 
     def test_zero_area_box(self):
-        out = normalized_corners(box_array([box(30, 40, 30, 40)]), 100, 200)
+        out = normalized_corners(box_array([box(30, 40, 30, 40)]), image_size(100, 200))
         assert np.array_equal(out, [[0.3, 0.2, 0.3, 0.2, 0.0]])
 
 
@@ -150,7 +152,7 @@ class TestSpatialFeatures:
             grid_or_none = grid if k % 3 == 0 else None
             subs.append(random_box(rng, hi=400.0, grid=grid_or_none))
             objs.append(random_box(rng, hi=400.0, grid=grid_or_none))
-        batch = spatial_features(box_array(subs), box_array(objs), 640, 480)
+        batch = spatial_features(box_array(subs), box_array(objs), image_size(640, 480))
         assert batch.shape == (1000, SPATIAL_DIM)
         per_pair = np.stack([spatial_feature(s, o, 640, 480) for s, o in zip(subs, objs)])
         scalar = np.stack([spatial_reference(s, o, 640, 480) for s, o in zip(subs, objs)])
@@ -161,13 +163,13 @@ class TestSpatialFeatures:
         good = box_array([box(0, 0, 10, 10), box(5, 5, 20, 20)])
         flat = box_array([box(0, 0, 10, 10), box(5, 5, 5, 20)])
         with pytest.raises(ValueError, match="zero-size"):
-            spatial_features(good, flat, 50, 50)
+            spatial_features(good, flat, image_size(50, 50))
         with pytest.raises(ValueError, match="image dimensions"):
-            spatial_features(good, good[::-1], 50, 0)
+            spatial_features(good, good[::-1], image_size(50, 0))
 
     def test_empty_batch(self):
         empty = box_array([])
-        assert spatial_features(empty, empty, 50, 50).shape == (0, SPATIAL_DIM)
+        assert spatial_features(empty, empty, image_size(50, 50)).shape == (0, SPATIAL_DIM)
 
 
 class TestSpatialLogits:

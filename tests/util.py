@@ -16,7 +16,7 @@ from relfusion.datamodel import (
     Vocabulary,
     parse_box,
 )
-from relfusion.fusion import Ranking
+from relfusion.fusion import Ranking, featurized_views, predict_image
 
 
 def box(x0, y0, x1, y1) -> Box:
@@ -249,3 +249,9 @@ def ranking_of(triplets) -> Ranking:
                 t.score) for t in triplets]
     sub, obj, predicates, scores = map(list, zip(*columns)) if columns else ([], [], [], [])
     return Ranking(detections, sub, obj, predicates, np.array(scores, dtype=float).tolist())
+
+
+def predict_one(model, record, top_n=100) -> Ranking:
+    """``predict_image`` of one record, featurized on its own."""
+    ((view, pairs, inputs),) = featurized_views(model, [record])
+    return predict_image(model, view, pairs, inputs, top_n)

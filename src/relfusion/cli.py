@@ -378,8 +378,7 @@ def cmd_ablate(args) -> int:
         with _naming(args.train_path):
             mask = parse_branches(branches)
             model, _ = train(init_fusion_model(freq, dim, vocab, rng, mask=mask), views, cfg)
-        rankings = _predict(model, test_views, args.top_n, args.test_path)
-        predictions = {image_id: r.triplets() for image_id, r in rankings.items()}
+        predictions = _predict(model, test_views, args.top_n, args.test_path)
         report = evaluate(predictions, test_set, vocab, mode=args.mode, spec=spec)
         r50, mrel, mphr, score = (
             100 * v for v in (report.recall_at[50], report.map_rel, report.map_phr, report.oi_score)

@@ -661,15 +661,16 @@ def _parse_record(raw: dict, vocab: Vocabulary, feature_dim: int | None) -> tupl
             raise DataError(f"{where} detection {i}: score {d.get('score')!r} outside [0, 1]")
         detections.append(Detection(label=label, box=box, score=score, feature=feat))
 
-    gt_boxes = []
+    gt_boxes, feats = [], list(map(dict.get, items["gt_boxes"], itertools.repeat("feature")))
+    rows = None if None in feats else _feature_rows(items["gt_boxes"], feature_dim, where)
     for i, g in enumerate(items["gt_boxes"]):
         box = parse_box(g.get("box"), f"{where} gt box {i}")
         label = g.get("label")
         if not _index(label, num_objects):
             raise DataError(f"{where} gt box {i}: label {label!r} outside vocabulary")
-        feat = None
-        if g.get("feature") is not None:
-            feat = _parse_feature(g["feature"], feature_dim, f"{where} gt box {i}")
+        if (feat := feats[i]) is not None:  # a group's row when every gt box has a feature
+            feat = rows[i] if rows is not None else _parse_feature(
+                feat, feature_dim, f"{where} gt box {i}")
             feature_dim = feat.shape[0]
         gt_boxes.append(GtObject(label=label, box=box, feature=feat))
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
@@ -38,6 +39,8 @@ from .datamodel import (
     ImageRecord,
     PredictedTriplet,
     Vocabulary,
+    _NUMBER_TYPES,
+    _indices,
     _json_scalar,
     atomic_write_text,
     box_array,
@@ -452,10 +455,11 @@ class ScoreError(DataError):
 
 
 @dataclass(frozen=True, slots=True)
-class Ranking:
-    """One image's kept triplets, best first, as columns over its view's detections."""
+class Ranking(Sequence):
+    """One image's triplets as columns over its detections; ``ranking[i]`` builds triplet i."""
 
-    detections: list[Detection]
+    boxes: list[Box]  # per detection
+    labels: list[int]  # per detection
     sub: list[int]  # subject detection index per triplet
     obj: list[int]  # object detection index per triplet
     predicates: list[int]
@@ -464,10 +468,20 @@ class Ranking:
     def __len__(self) -> int:
         return len(self.scores)
 
-    def triplets(self) -> list[PredictedTriplet]:
-        d = self.detections
-        return [PredictedTriplet(d[i].box, d[i].label, p, d[j].box, d[j].label, s)
-                for i, j, p, s in zip(self.sub, self.obj, self.predicates, self.scores)]
+    def __getitem__(self, i: int) -> PredictedTriplet:
+        s, o = self.sub[i], self.obj[i]
+        return PredictedTriplet(self.boxes[s], self.labels[s], self.predicates[i],
+                                self.boxes[o], self.labels[o], self.scores[i])
+
+    @classmethod
+    def of(cls, triplets) -> Ranking:
+        """``triplets`` if a Ranking, else the triplets as one with a detection per box field."""
+        if isinstance(triplets, Ranking):
+            return triplets
+        boxes = [b for t in triplets for b in (t.sub_box, t.obj_box)]
+        labels = [label for t in triplets for label in (t.sub_label, t.obj_label)]
+        return cls(boxes, labels, list(range(0, len(boxes), 2)), list(range(1, len(boxes), 2)),
+                   [t.predicate for t in triplets], [t.score for t in triplets])
 
 
 # The most proposal rows that predict featurizes in one pair_inputs call. A group's inputs
@@ -520,8 +534,9 @@ def predict_image(
     """
     if top_n < 0:
         raise ValueError(f"top_n must be >= 0, got {top_n}")
+    boxes, labels = [d.box for d in record.detections], [d.label for d in record.detections]
     if not len(pairs):
-        return Ranking(record.detections, [], [], [], [])
+        return Ranking(boxes, labels, [], [], [], [])
     det_scores = np.array([d.score for d in record.detections])
     det_product = det_scores[pairs[:, 0]] * det_scores[pairs[:, 1]]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -534,7 +549,7 @@ def predict_image(
         raise ScoreError(f"image {record.image_id!r}: prediction score is not finite", record.line)
     pair_idx, p = np.divmod(ranked, model.num_predicates)
     sub, obj = pairs[pair_idx].T
-    return Ranking(record.detections, sub.tolist(), obj.tolist(), (p + 1).tolist(), kept.tolist())
+    return Ranking(boxes, labels, sub.tolist(), obj.tolist(), (p + 1).tolist(), kept.tolist())
 
 
 def _stand_ins(record: ImageRecord) -> list[int | None]:
@@ -727,13 +742,12 @@ def save_predictions(
     lines = []
     for image_id, ranking in predictions.items():
         is_triplets = attributes.get(image_id) if attributes else None
-        dets = ranking.detections
         used = dict.fromkeys([k for pair in zip(ranking.sub, ranking.obj) for k in pair])
-        boxes = [dets[k].box for k in used] + [d.box for d, _, _ in is_triplets or []]
+        boxes = [ranking.boxes[k] for k in used] + [d.box for d, _, _ in is_triplets or []]
         distinct = {id(b): b for b in boxes}
         index = {key: k for k, key in enumerate(distinct)}
         # Per used detection, the text before a triplet's predicate and before its score.
-        text = {k: (index[id(dets[k].box)], _json_scalar(dets[k].label)) for k in used}
+        text = {k: (index[id(ranking.boxes[k])], _json_scalar(ranking.labels[k])) for k in used}
         heads = {k: '{"sub_box": %d, "sub_label": %s, "predicate": ' % t for k, t in text.items()}
         tails = {k: ', "obj_box": %d, "obj_label": %s, "score": ' % t for k, t in text.items()}
         items = ", ".join([f"{heads[i]}{p}{tails[j]}{s!r}}}" for i, j, p, s in zip(
@@ -759,28 +773,27 @@ def _box(value, key: str, table: list[Box]) -> Box:
                     f" {len(table)} boxes, got {value!r:.40}")
 
 
-def _score(value) -> float:
-    """A score field as a float; a DataError unless it is a finite JSON number."""
-    score = json_number(value)
-    if score is None:
-        raise DataError(f"score must be a finite number, got {value!r:.40}")
-    return score
-
-
-def _parse_triplet(item, table: list[Box]) -> PredictedTriplet:
-    """A triplet item; else a DataError for its first bad field (boxes, keys, integers, score)."""
+def _fields(item, table: list[Box], box_keys: tuple, int_keys: tuple) -> tuple[list, list, float]:
+    """An item's boxes, integers and score; else a DataError for its first bad field, in turn."""
     if type(item) is not dict:
         raise DataError("expected a JSON object")
     try:
-        sub_box = _box(item["sub_box"], "sub_box", table)
-        obj_box = _box(item["obj_box"], "obj_box", table)
-        sub, pred, obj = item["sub_label"], item["predicate"], item["obj_label"]
-        score = item["score"]
+        boxes = [_box(item[key], key, table) for key in box_keys]
+        ints, score = [item[key] for key in int_keys], item["score"]
     except KeyError as exc:
         raise DataError(f"missing key {exc}") from None
-    if not (type(sub) is int and type(pred) is int and type(obj) is int):
-        raise DataError("sub_label, predicate and obj_label must be integers")
-    return PredictedTriplet(sub_box, sub, pred, obj_box, obj, _score(score))
+    if not is_list_of(ints, int):
+        raise DataError(f"{', '.join(int_keys[:-1])} and {int_keys[-1]} must be integers")
+    if (number := json_number(score)) is None:
+        raise DataError(f"score must be a finite number, got {score!r:.40}")
+    return boxes, ints, number
+
+
+def _parse_triplet(item, table: list[Box]) -> PredictedTriplet:
+    """A triplet item; else a DataError for its first bad field."""
+    (sub_box, obj_box), (sub, pred, obj), score = _fields(
+        item, table, ("sub_box", "obj_box"), ("sub_label", "predicate", "obj_label"))
+    return PredictedTriplet(sub_box, sub, pred, obj_box, obj, score)
 
 
 def _parse_items(raw: dict, key: str, parse, image_id: str, table) -> list:
@@ -797,36 +810,53 @@ def _parse_items(raw: dict, key: str, parse, image_id: str, table) -> list:
     return parsed
 
 
-def load_predictions(
-    path: str | os.PathLike, vocab: Vocabulary | None = None
-) -> dict[str, list[PredictedTriplet]]:
-    """Read a prediction file; a malformed line or a repeated image is a DataError naming it.
+def _columns(items, table: list[Box], box_keys: tuple, int_keys: tuple) -> list[list] | None:
+    """Each key's column, scores as floats, if every item passes :func:`_fields` with index
+    boxes, checked in builtin passes; else None."""
+    try:
+        *ints, scores = [[item[key] for item in items] for key in (*box_keys, *int_keys, "score")]
+        valid = (type(items) is list and all(_indices(c, len(table)) for c in ints[:len(box_keys)])
+                 and all(is_list_of(c, int) for c in ints[len(box_keys):])
+                 and _NUMBER_TYPES.issuperset(map(type, scores))
+                 and all(map(math.isfinite, scores := list(map(float, scores)))))
+    except (KeyError, TypeError, OverflowError):  # no key, no object, an int past float range
+        return None
+    return [*ints, scores] if valid else None
 
-    Attribute output (``is_triplets``) is checked, with its labels and attributes in
-    ``vocab``'s ranges when one is given, but not returned.
-    """
+
+def _ranking(raw: dict, image_id: str, table: list[Box]) -> Ranking:
+    """A line's triplets as a Ranking, a detection per distinct (box index, label), when
+    :func:`_columns` reads them and no predicate is below 1; else parsed item by item."""
+    columns = _columns(raw.get("triplets", []), table, ("sub_box", "obj_box"),
+                       ("sub_label", "obj_label", "predicate"))
+    if columns is None or min(columns[4], default=1) < 1:
+        return Ranking.of(_parse_items(raw, "triplets", _parse_triplet, image_id, table))
+    sub_box, obj_box, sub, obj, predicates, scores = columns
+    fields, labels = sub_box + obj_box, sub + obj
+    label_of = dict(zip(fields, labels))  # if each box has one label, the boxes are the detections
+    if len(label_of) == len(table) and list(map(label_of.__getitem__, fields)) == labels:
+        return Ranking(table, [label_of[k] for k in range(len(table))], sub_box, obj_box,
+                       predicates, scores)
+    index = {key: k for k, key in enumerate(dict.fromkeys(zip(fields, labels)))}
+    ids = list(map(index.__getitem__, zip(fields, labels)))
+    return Ranking([table[k] for k, _ in index], [label for _, label in index],
+                   ids[:len(sub)], ids[len(sub):], predicates, scores)
+
+
+def load_predictions(path: str | os.PathLike,
+                     vocab: Vocabulary | None = None) -> dict[str, Ranking]:
+    """Read a prediction file, a Ranking per image; a malformed line or a repeated image is a
+    DataError naming it. Attribute output (``is_triplets``) is checked, with its labels and
+    attributes in ``vocab``'s ranges when one is given, but not returned."""
+    classes, attributes = (len(vocab.object_classes), len(vocab.attributes)) if vocab else (0, 0)
 
     def check_is_triplet(item, table: list[Box]) -> None:
-        if type(item) is not dict:
-            raise DataError("expected a JSON object")
-        try:
-            _box(item["box"], "box", table)
-            label, attribute, score = item["label"], item["attribute"], item["score"]
-        except KeyError as exc:
-            raise DataError(f"missing key {exc}") from None
-        if not (type(label) is int and type(attribute) is int):
-            raise DataError("label and attribute must be integers")
-        _score(score)
-        if vocab is None:
-            return
-        classes, attributes = len(vocab.object_classes), len(vocab.attributes)
-        if not (0 <= label < classes and 0 <= attribute < attributes):
-            raise DataError(
-                f"label {label} or attribute {attribute} outside object classes "
-                f"0..{classes - 1} and attributes 0..{attributes - 1}"
-            )
+        _, (label, attribute), _ = _fields(item, table, ("box",), ("label", "attribute"))
+        if vocab and not (0 <= label < classes and 0 <= attribute < attributes):
+            raise DataError(f"label {label} or attribute {attribute} outside object classes "
+                            f"0..{classes - 1} and attributes 0..{attributes - 1}")
 
-    def parse(raw: dict, _line: int) -> tuple[str, list[PredictedTriplet]]:
+    def parse(raw: dict, _line: int) -> tuple[str, Ranking]:
         image_id = raw.get("image_id")
         if not isinstance(image_id, str):
             raise DataError(f"image_id must be a string, got {image_id!r}")
@@ -834,8 +864,11 @@ def load_predictions(
         if type(boxes) is not list:
             raise DataError(f"image {image_id!r}: boxes must be a list")
         table = [parse_box(b, f"image {image_id!r} box {k}") for k, b in enumerate(boxes)]
-        triplets = _parse_items(raw, "triplets", _parse_triplet, image_id, table)
-        _parse_items(raw, "is_triplets", check_is_triplet, image_id, table)
-        return image_id, triplets
+        ranking = _ranking(raw, image_id, table)
+        rows = _columns(raw.get("is_triplets", []), table, ("box",), ("label", "attribute"))
+        if rows is None or vocab and not (_indices(rows[1], classes)
+                                          and _indices(rows[2], attributes)):
+            _parse_items(raw, "is_triplets", check_is_triplet, image_id, table)
+        return image_id, ranking
 
     return read_image_lines(path, parse)

@@ -25,7 +25,7 @@ import bisect
 import functools
 import itertools
 import operator
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,6 +39,7 @@ from .datamodel import (
     iou,
     union_box,
 )
+from .fusion import Ranking
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,9 @@ def triplet_match(pred: PredictedTriplet, gt: ResolvedTriplet, spec: MatchSpec) 
     )
 
 
-def _phrase_test(ranked: list[PredictedTriplet], gts: list[ResolvedTriplet], spec: MatchSpec):
+def _phrase_test(r: Ranking, gts: list[ResolvedTriplet], spec: MatchSpec):
     """Phrase mode's test of (rank, gt index): IoU of the enclosing boxes, each built once."""
-    pred_union = functools.cache(lambda i: union_box(ranked[i].sub_box, ranked[i].obj_box))
+    pred_union = functools.cache(lambda i: union_box(r.boxes[r.sub[i]], r.boxes[r.obj[i]]))
     gt_union = functools.cache(lambda g: union_box(gts[g].sub_box, gts[g].obj_box))
     return lambda i, g: iou(pred_union(i), gt_union(g)) >= spec.iou_threshold
 
@@ -95,17 +96,15 @@ def _walk(candidates: list[tuple[int, int, list[int]]], test) -> list[int]:
     return hits
 
 
-def _pair_ranks(ranked: list[PredictedTriplet]) -> list[int]:
-    """Per prediction: how many earlier ones share its localization pair."""
-    seen: dict[tuple, int] = {}
-    ranks = []
-    for t in ranked:
-        s, o = t.sub_box, t.obj_box
-        pair = (t.sub_label, s.xmin, s.ymin, s.xmax, s.ymax,
-                t.obj_label, o.xmin, o.ymin, o.xmax, o.ymax)
-        ranks.append(seen.get(pair, 0))
-        seen[pair] = ranks[-1] + 1
-    return ranks
+def _pair_ranks(ranked: Ranking) -> list[int]:
+    """Per prediction: how many earlier ones share its pair of detection (label, box) ids."""
+    ids: dict[tuple, int] = {}
+    det = [ids.setdefault((label, b.xmin, b.ymin, b.xmax, b.ymax), len(ids))
+           for b, label in zip(ranked.boxes, ranked.labels)]
+    own = len(ids) == len(det)  # each detection is its own id
+    sub, obj = (c if own else map(det.__getitem__, c) for c in (ranked.sub, ranked.obj))
+    counts = defaultdict(itertools.count)  # per pair, the pair rank of its next prediction
+    return list(map(next, map(counts.__getitem__, zip(sub, obj))))
 
 
 def _average_precision(scores: np.ndarray, hit: np.ndarray, npos: int) -> float:
@@ -132,17 +131,17 @@ def _one_pass(
 ) -> tuple[dict[int, float], dict[str, dict[int, float]]]:
     """Mean recall per k under the spec's budgets, and each box mode's AP table.
 
-    The budget rule: the graph constraint is the budget 1, an integer k per pair or
-    None (keep all) is used as is, and "free" sweeps 1..``num_predicates``, each k
-    taking its best. Budget b keeps the predictions whose pair rank is below b, so it
-    cuts an image's ranking only if a pair rank reaches b. Each image is sorted and
-    its ground truth indexed by label triple once; walks visit only the candidates,
-    the predictions whose labels have ground truth. The whole ranking is walked once
-    per box mode. One loop reads each budget's recalls: a budget that cuts nothing
-    reuses the rel walk (recall alone walks it only below ``max(ks)``), one that cuts
-    walks its first ``max(ks)`` kept predictions; a walk goes in order, so its first k
-    hits ignore what follows. The rel walks share one verdict per (prediction, gt) pair.
-    AP pools scores and hits per predicate, as matching each alone would; no budget.
+    The budget rule: the graph constraint is the budget 1, an integer k per pair or None (keep
+    all) is used as is, and "free" sweeps 1..``num_predicates``, each k taking its best. Budget
+    b keeps the predictions whose pair rank is below b, so it cuts an image's ranking only if a
+    pair rank reaches b. Each image's columns are put in score order and its ground truth
+    indexed by label triple once; walks visit only the candidates, the predictions whose labels
+    have ground truth, and a rel test builds (``preds[i]``) a candidate's triplet once. The
+    ranking is walked once per box mode. One loop reads each budget's recalls: a budget that
+    cuts nothing reuses the rel walk (recall alone walks it only below ``max(ks)``), one that
+    cuts walks its first ``max(ks)`` kept predictions; a walk goes in order, so its first k hits
+    ignore what follows. The rel walks share one verdict per (prediction, gt) pair. AP pools
+    scores and hits per predicate, as matching each alone would; no budget.
     """
     if any(k <= 0 for k in ks):
         raise ValueError("k must be positive")
@@ -155,27 +154,35 @@ def _one_pass(
             raise ValueError("k_per_pair='free' needs num_predicates")
         budgets = list(range(1, num_predicates + 1))
     npos = Counter(g.predicate for gts in ground_truth.values() for g in gts)
-    pooled: list[PredictedTriplet] = []  # every image's ranking, in turn
-    pooled_hits: dict[str, list[int]] = {mode: [] for mode in box_modes}  # indices in pooled
+    predicates, scores = [], []  # every image's ranked columns, in turn; hits index them
+    pooled_hits: dict[str, list[int]] = {mode: [] for mode in box_modes}
     per_image: list[list[list[float]]] = [[[] for _ in ks] for _ in budgets]
-    by_score = operator.attrgetter("score")
     for image_id, gts in ground_truth.items():
-        # Stable, reversed too, so the caller-provided order breaks score ties.
-        ranked = sorted(predictions.get(image_id, []), key=by_score, reverse=True)
+        preds = predictions.get(image_id, [])
+        columns, order = Ranking.of(preds), range(len(preds))
+        if not all(map(operator.ge, columns.scores, columns.scores[1:])):  # predict's order
+            # Stable, reversed too, so the caller-provided order breaks score ties.
+            order = sorted(order, key=columns.scores.__getitem__, reverse=True)
+            columns = Ranking(columns.boxes, columns.labels, *(list(map(c.__getitem__, order)) for c
+                              in (columns.sub, columns.obj, columns.predicates, columns.scores)))
         index: dict[tuple[int, int, int], list[int]] = {}
         for g, gt in enumerate(gts):
             index.setdefault((gt.sub_label, gt.predicate, gt.obj_label), []).append(g)
-        options = [index.get((t.sub_label, t.predicate, t.obj_label)) for t in ranked]
+        labels = columns.labels.__getitem__
+        options = list(map(index.get, zip(map(labels, columns.sub), columns.predicates,
+                                          map(labels, columns.obj))))
         candidates = [(i, i, o) for i, o in enumerate(options) if o]
-        ranks = _pair_ranks(ranked) if ks and gts and budgets != [None] else []
+        ranks = _pair_ranks(columns) if ks and gts and budgets != [None] else []
         top = max(ranks, default=0)  # a budget cuts the ranking only if it is at most this
-        rel = functools.cache(lambda i, g: triplet_match(ranked[i], gts[g], spec))
+        ranked = functools.cache(lambda i: preds[order[i]])  # a rel candidate's triplet
+        rel = functools.cache(lambda i, g: triplet_match(ranked(i), gts[g], spec))
         walks: dict[str, list[int]] = {}
         for mode in box_modes:
-            test = rel if mode == "rel" else _phrase_test(ranked, gts, spec)
+            test = rel if mode == "rel" else _phrase_test(columns, gts, spec)
             walks[mode] = _walk(candidates, test)
-            pooled_hits[mode] += [len(pooled) + pos for pos in walks[mode]]
-        pooled += ranked
+            pooled_hits[mode] += [len(scores) + pos for pos in walks[mode]]
+        predicates += columns.predicates
+        scores += columns.scores
         if not (gts and ks):
             continue
         for recalls, b in zip(per_image, budgets):
@@ -190,12 +197,11 @@ def _one_pass(
             for out, k in zip(recalls, ks):
                 out.append(bisect.bisect_left(hits, k) / len(gts))
     means = [[_mean(r) for r in recalls] for recalls in per_image]
-    predicates = np.array([t.predicate for t in pooled], dtype=np.int64)
-    scores = np.array([t.score for t in pooled], dtype=float)
-    rows = {p: predicates == p for p in npos}
+    pooled, scores = np.array(predicates, dtype=np.int64), np.array(scores, dtype=float)
+    rows = {p: pooled == p for p in npos}
     tables = {}
     for mode, hit_rows in pooled_hits.items():
-        hit = np.zeros(len(pooled), dtype=bool)
+        hit = np.zeros(len(scores), dtype=bool)
         hit[hit_rows] = True
         tables[mode] = {p: _average_precision(scores[r], hit[r], npos[p]) for p, r in rows.items()}
     return {k: max(m[i] for m in means) for i, k in enumerate(ks)}, tables
@@ -334,14 +340,15 @@ def evaluate(
         raise DataError(f"predictions reference unknown image ids: {sorted(unknown)[:5]}")
     classes, num_predicates = len(vocab.object_classes), vocab.num_predicates
     for image_id, triplets in predictions.items():
-        for i, t in enumerate(triplets):
-            if not (0 <= t.sub_label < classes and 0 <= t.obj_label < classes
-                    and 1 <= t.predicate <= num_predicates):
-                raise DataError(
-                    f"image {image_id!r} triplet {i}: labels ({t.sub_label}, {t.predicate}, "
-                    f"{t.obj_label}) outside object classes 0..{classes - 1} and "
-                    f"predicates 1..{num_predicates}"
-                )
+        r = Ranking.of(triplets)
+        if r.predicates and not (0 <= min(r.labels) <= max(r.labels) < classes
+                                 and 1 <= min(r.predicates) <= max(r.predicates) <= num_predicates):
+            for i, t in enumerate(triplets):  # walked only to name the first bad triplet
+                if not (0 <= t.sub_label < classes and 0 <= t.obj_label < classes
+                        and 1 <= t.predicate <= num_predicates):
+                    raise DataError(f"image {image_id!r} triplet {i}: labels ({t.sub_label}, "
+                                    f"{t.predicate}, {t.obj_label}) outside object classes "
+                                    f"0..{classes - 1} and predicates 1..{num_predicates}")
 
     ground_truth = {r.image_id: r.resolved_triplets() for r in dataset}
 

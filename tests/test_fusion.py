@@ -325,12 +325,12 @@ class TestTrainConfig:
 
 class TestPredictImage:
     def test_no_detections_empty(self):
-        assert predict_one(_toy_model(), make_record()).triplets() == []
+        assert list(predict_one(_toy_model(), make_record())) == []
 
     def test_sorted_and_tie_broken(self):
         model = _toy_model()
         record = _toy_record()
-        preds = predict_one(model, record, top_n=50).triplets()
+        preds = list(predict_one(model, record, top_n=50))
         scores = [p.score for p in preds]
         assert scores == sorted(scores, reverse=True)
         assert all(0.0 <= s <= 1.0 for s in scores)
@@ -338,7 +338,7 @@ class TestPredictImage:
     def test_matches_bruteforce_enumeration(self):
         model = _toy_model(seed=6)
         record = _toy_record(n=2, seed=6)
-        preds = predict_one(model, record, top_n=1000).triplets()
+        preds = list(predict_one(model, record, top_n=1000))
         # brute force: enumerate every (ordered pair, predicate) candidate
         expected = []
         for pair_idx, (i, j) in enumerate(pair_proposals(record)):
@@ -361,12 +361,13 @@ class TestPredictImage:
     def test_ranking_columns_index_the_views_detections(self):
         record = _toy_record(seed=6)
         ranking = predict_one(_toy_model(seed=6), record, top_n=7)
-        assert ranking.detections is record.detections and len(ranking) == 7
+        assert [(id(b), label) for b, label in zip(ranking.boxes, ranking.labels)] == [
+            (id(d.box), d.label) for d in record.detections] and len(ranking) == 7
         for column, kind in ((ranking.sub, int), (ranking.obj, int), (ranking.predicates, int),
                              (ranking.scores, float)):
             assert type(column) is list and [type(v) for v in column] == [kind] * 7
         dets = record.detections
-        assert [(t.sub_box, t.predicate, t.obj_box, t.score) for t in ranking.triplets()] == [
+        assert [(t.sub_box, t.predicate, t.obj_box, t.score) for t in ranking] == [
             (dets[i].box, p, dets[j].box, s)
             for i, j, p, s in zip(ranking.sub, ranking.obj, ranking.predicates, ranking.scores)]
 
@@ -378,7 +379,7 @@ class TestPredictImage:
     def test_negative_top_n_rejected_and_zero_allowed(self):
         model = _toy_model()
         record = _toy_record()
-        assert predict_one(model, record, top_n=0).triplets() == []
+        assert list(predict_one(model, record, top_n=0)) == []
         with pytest.raises(ValueError, match="top_n"):
             predict_one(model, record, top_n=-1)
         with pytest.raises(ValueError, match="top_n"):
@@ -395,7 +396,7 @@ class TestPredictImage:
             Detection(d.label, d.box, 0.5 if k % 2 else 0.9, d.feature)
             for k, d in enumerate(record.detections)
         ]
-        preds = predict_one(model, record, top_n=1000).triplets()
+        preds = list(predict_one(model, record, top_n=1000))
         assert len({p.score for p in preds}) == 3
         pairs = pair_proposals(record)
         expected = sorted(
@@ -707,8 +708,8 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_checkpoint(model, path)
         again = load_checkpoint(path)
-        a = predict_one(model, record).triplets()
-        b = predict_one(again, record).triplets()
+        a = list(predict_one(model, record))
+        b = list(predict_one(again, record))
         assert [(p.score, p.predicate) for p in a] == [(q.score, q.predicate) for q in b]
 
     def test_resave_is_byte_identical(self, tmp_path):

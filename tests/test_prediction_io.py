@@ -232,13 +232,13 @@ class TestWriter:
         assert list(loaded) == list(predictions)
         for image_id, ranking in predictions.items():
             assert [_fields(t) for t in loaded[image_id]] == [
-                _fields(t) for t in ranking.triplets()]
+                _fields(t) for t in ranking]
 
 
 @pytest.mark.parametrize("mode", ["sgdet", "sgcls"])
 def test_predict_writes_its_rankings_without_building_triplets(tmp_path, monkeypatch, mode):
     """``predict`` builds no PredictedTriplet, and its file is ``json.dumps`` of the rows of
-    the triplets that ``Ranking.triplets`` gives: the bytes a triplet-list writer wrote."""
+    the triplets that its Rankings give: the bytes a triplet-list writer wrote."""
     data, ckpt, out = tmp_path / "data", tmp_path / "m.json", tmp_path / "p.jsonl"
     assert main(["gen-synth", "--out", str(data), "--num-images", "12",
                  "--num-test-images", "4", "--seed", "5"]) == 0
@@ -256,7 +256,7 @@ def test_predict_writes_its_rankings_without_building_triplets(tmp_path, monkeyp
     model = load_checkpoint(ckpt)
     views = [gt_substitution(r, mode)
              for r in load_dataset(data / "test.jsonl", load_vocabulary(data / "vocab.json"))]
-    triplets = {v.image_id: predict_one(model, v).triplets() for v in views}
+    triplets = {v.image_id: list(predict_one(model, v)) for v in views}
     attributes = {v.image_id: predict_attributes(model.attribute_head, v) for v in views}
     assert sum(map(len, triplets.values())) > 0
     assert out.read_bytes() == _expected_bytes(triplets, attributes)

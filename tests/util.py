@@ -236,19 +236,20 @@ def attributes_of(rows: list[dict]) -> dict:
 def ranking_of(triplets) -> Ranking:
     """The Ranking that ``save_predictions`` writes as these triplets: one detection per
     distinct (Box object, label), in order of first use; scores as Python floats."""
-    detections, index = [], {}
+    boxes, labels, index = [], [], {}
 
     def det(b: Box, label) -> int:
         key = (id(b), type(label), label)  # True and 1 stay apart
         if key not in index:
-            index[key] = len(detections)
-            detections.append(make_detection(label, b))
+            index[key] = len(boxes)
+            boxes.append(b)
+            labels.append(label)
         return index[key]
 
     columns = [(det(t.sub_box, t.sub_label), det(t.obj_box, t.obj_label), t.predicate,
                 t.score) for t in triplets]
     sub, obj, predicates, scores = map(list, zip(*columns)) if columns else ([], [], [], [])
-    return Ranking(detections, sub, obj, predicates, np.array(scores, dtype=float).tolist())
+    return Ranking(boxes, labels, sub, obj, predicates, np.array(scores, dtype=float).tolist())
 
 
 def predict_one(model, record, top_n=100) -> Ranking:

@@ -37,6 +37,7 @@ import operator
 import os
 import re
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NoReturn
 
@@ -97,14 +98,20 @@ class Box:
 
 
 def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes; 0 for disjoint or zero-area."""
-    ix = min(a.xmax, b.xmax) - max(a.xmin, b.xmin)
-    iy = min(a.ymax, b.ymax) - max(a.ymin, b.ymin)
+    """Intersection over union of two boxes; 0 for disjoint or zero-area.
+
+    ``y if y < x else x`` is ``min(x, y)`` and ``y if y > x else x`` is ``max(x, y)``,
+    the sign of a zero included, without the builtin calls: eval runs this per test.
+    """
+    ax0, ay0, ax1, ay1 = a.xmin, a.ymin, a.xmax, a.ymax
+    bx0, by0, bx1, by1 = b.xmin, b.ymin, b.xmax, b.ymax
+    ix = (bx1 if bx1 < ax1 else ax1) - (bx0 if bx0 > ax0 else ax0)
+    iy = (by1 if by1 < ay1 else ay1) - (by0 if by0 > ay0 else ay0)
     if ix <= 0.0 or iy <= 0.0:
         return 0.0
     inter = ix * iy
     # Each area is width * height, written out on the corners.
-    union = (a.xmax - a.xmin) * (a.ymax - a.ymin) + (b.xmax - b.xmin) * (b.ymax - b.ymin) - inter
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
     if union <= 0.0:
         return 0.0
     return inter / union
@@ -134,12 +141,12 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def union_box(a: Box, b: Box) -> Box:
-    """Smallest axis-aligned box containing both inputs."""
+    """Smallest axis-aligned box containing both inputs; min and max written as in :func:`iou`."""
     return Box(
-        min(a.xmin, b.xmin),
-        min(a.ymin, b.ymin),
-        max(a.xmax, b.xmax),
-        max(a.ymax, b.ymax),
+        b.xmin if b.xmin < a.xmin else a.xmin,
+        b.ymin if b.ymin < a.ymin else a.ymin,
+        b.xmax if b.xmax > a.xmax else a.xmax,
+        b.ymax if b.ymax > a.ymax else a.ymax,
     )
 
 
@@ -222,6 +229,36 @@ class PredictedTriplet:
         _set(self, "obj_box", obj_box)
         _set(self, "obj_label", obj_label)
         _set(self, "score", score)
+
+
+@dataclass(frozen=True, slots=True)
+class Ranking(Sequence):
+    """One image's triplets as columns over its detections; ``ranking[i]`` builds triplet i."""
+
+    boxes: list[Box]  # per detection
+    labels: list[int]  # per detection
+    sub: list[int]  # subject detection index per triplet
+    obj: list[int]  # object detection index per triplet
+    predicates: list[int]
+    scores: list[float]
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __getitem__(self, i: int) -> PredictedTriplet:
+        s, o = self.sub[i], self.obj[i]
+        return PredictedTriplet(self.boxes[s], self.labels[s], self.predicates[i],
+                                self.boxes[o], self.labels[o], self.scores[i])
+
+    @classmethod
+    def of(cls, triplets) -> Ranking:
+        """``triplets`` if a Ranking, else the triplets as one with a detection per box field."""
+        if isinstance(triplets, Ranking):
+            return triplets
+        boxes = [b for t in triplets for b in (t.sub_box, t.obj_box)]
+        labels = [label for t in triplets for label in (t.sub_label, t.obj_label)]
+        return cls(boxes, labels, list(range(0, len(boxes), 2)), list(range(1, len(boxes), 2)),
+                   [t.predicate for t in triplets], [t.score for t in triplets])
 
 
 @dataclass(frozen=True)
@@ -661,16 +698,15 @@ def _parse_record(raw: dict, vocab: Vocabulary, feature_dim: int | None) -> tupl
             raise DataError(f"{where} detection {i}: score {d.get('score')!r} outside [0, 1]")
         detections.append(Detection(label=label, box=box, score=score, feature=feat))
 
-    gt_boxes, feats = [], list(map(dict.get, items["gt_boxes"], itertools.repeat("feature")))
-    rows = None if None in feats else _feature_rows(items["gt_boxes"], feature_dim, where)
+    gt_boxes = []
     for i, g in enumerate(items["gt_boxes"]):
         box = parse_box(g.get("box"), f"{where} gt box {i}")
         label = g.get("label")
         if not _index(label, num_objects):
             raise DataError(f"{where} gt box {i}: label {label!r} outside vocabulary")
-        if (feat := feats[i]) is not None:  # a group's row when every gt box has a feature
-            feat = rows[i] if rows is not None else _parse_feature(
-                feat, feature_dim, f"{where} gt box {i}")
+        feat = None
+        if g.get("feature") is not None:
+            feat = _parse_feature(g["feature"], feature_dim, f"{where} gt box {i}")
             feature_dim = feat.shape[0]
         gt_boxes.append(GtObject(label=label, box=box, feature=feat))
 

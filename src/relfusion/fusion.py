@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Sequence
 from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
@@ -38,6 +37,7 @@ from .datamodel import (
     Detection,
     ImageRecord,
     PredictedTriplet,
+    Ranking,
     Vocabulary,
     _NUMBER_TYPES,
     _indices,
@@ -454,36 +454,6 @@ class ScoreError(DataError):
     """A predicted score is not finite: the nets overflowed on an image."""
 
 
-@dataclass(frozen=True, slots=True)
-class Ranking(Sequence):
-    """One image's triplets as columns over its detections; ``ranking[i]`` builds triplet i."""
-
-    boxes: list[Box]  # per detection
-    labels: list[int]  # per detection
-    sub: list[int]  # subject detection index per triplet
-    obj: list[int]  # object detection index per triplet
-    predicates: list[int]
-    scores: list[float]
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-    def __getitem__(self, i: int) -> PredictedTriplet:
-        s, o = self.sub[i], self.obj[i]
-        return PredictedTriplet(self.boxes[s], self.labels[s], self.predicates[i],
-                                self.boxes[o], self.labels[o], self.scores[i])
-
-    @classmethod
-    def of(cls, triplets) -> Ranking:
-        """``triplets`` if a Ranking, else the triplets as one with a detection per box field."""
-        if isinstance(triplets, Ranking):
-            return triplets
-        boxes = [b for t in triplets for b in (t.sub_box, t.obj_box)]
-        labels = [label for t in triplets for label in (t.sub_label, t.obj_label)]
-        return cls(boxes, labels, list(range(0, len(boxes), 2)), list(range(1, len(boxes), 2)),
-                   [t.predicate for t in triplets], [t.score for t in triplets])
-
-
 # The most proposal rows that predict featurizes in one pair_inputs call. A group's inputs
 # stay allocated while its views run their forward passes, so the cap bounds that memory on
 # any test set. It is small because big groups cost page faults: with six 462-pair views in
@@ -833,10 +803,6 @@ def _ranking(raw: dict, image_id: str, table: list[Box]) -> Ranking:
         return Ranking.of(_parse_items(raw, "triplets", _parse_triplet, image_id, table))
     sub_box, obj_box, sub, obj, predicates, scores = columns
     fields, labels = sub_box + obj_box, sub + obj
-    label_of = dict(zip(fields, labels))  # if each box has one label, the boxes are the detections
-    if len(label_of) == len(table) and list(map(label_of.__getitem__, fields)) == labels:
-        return Ranking(table, [label_of[k] for k in range(len(table))], sub_box, obj_box,
-                       predicates, scores)
     index = {key: k for k, key in enumerate(dict.fromkeys(zip(fields, labels)))}
     ids = list(map(index.__getitem__, zip(fields, labels)))
     return Ranking([table[k] for k, _ in index], [label for _, label in index],

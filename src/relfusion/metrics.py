@@ -34,12 +34,12 @@ from .datamodel import (
     DataError,
     ImageRecord,
     PredictedTriplet,
+    Ranking,
     ResolvedTriplet,
     Vocabulary,
     iou,
     union_box,
 )
-from .fusion import Ranking
 
 
 @dataclass(frozen=True)
@@ -101,10 +101,9 @@ def _pair_ranks(ranked: Ranking) -> list[int]:
     ids: dict[tuple, int] = {}
     det = [ids.setdefault((label, b.xmin, b.ymin, b.xmax, b.ymax), len(ids))
            for b, label in zip(ranked.boxes, ranked.labels)]
-    own = len(ids) == len(det)  # each detection is its own id
-    sub, obj = (c if own else map(det.__getitem__, c) for c in (ranked.sub, ranked.obj))
+    pairs = zip(map(det.__getitem__, ranked.sub), map(det.__getitem__, ranked.obj))
     counts = defaultdict(itertools.count)  # per pair, the pair rank of its next prediction
-    return list(map(next, map(counts.__getitem__, zip(sub, obj))))
+    return list(map(next, map(counts.__getitem__, pairs)))
 
 
 def _average_precision(scores: np.ndarray, hit: np.ndarray, npos: int) -> float:
@@ -159,12 +158,11 @@ def _one_pass(
     per_image: list[list[list[float]]] = [[[] for _ in ks] for _ in budgets]
     for image_id, gts in ground_truth.items():
         preds = predictions.get(image_id, [])
-        columns, order = Ranking.of(preds), range(len(preds))
-        if not all(map(operator.ge, columns.scores, columns.scores[1:])):  # predict's order
-            # Stable, reversed too, so the caller-provided order breaks score ties.
-            order = sorted(order, key=columns.scores.__getitem__, reverse=True)
-            columns = Ranking(columns.boxes, columns.labels, *(list(map(c.__getitem__, order)) for c
-                              in (columns.sub, columns.obj, columns.predicates, columns.scores)))
+        r = Ranking.of(preds)
+        # Stable, reversed too, so the caller-provided order breaks score ties.
+        order = sorted(range(len(r)), key=r.scores.__getitem__, reverse=True)
+        columns = Ranking(r.boxes, r.labels, *(list(map(c.__getitem__, order))
+                                               for c in (r.sub, r.obj, r.predicates, r.scores)))
         index: dict[tuple[int, int, int], list[int]] = {}
         for g, gt in enumerate(gts):
             index.setdefault((gt.sub_label, gt.predicate, gt.obj_label), []).append(g)

@@ -135,6 +135,23 @@ class TestUnionBox:
             assert u.xmin <= min(a.xmin, b.xmin) and u.xmax >= max(a.xmax, b.xmax)
             assert area(u) >= max(area(a), area(b))
 
+    def test_union_and_iou_have_the_bits_of_builtin_min_and_max(self):
+        # Ties and signed zeros too: each picks the operand that min or max picks.
+        sides = [(lo, hi) for lo in (-0.0, 0.0, 1.0) for hi in (-0.0, 0.0, 2.0) if lo <= hi]
+        boxes = [Box(x0, y0, x1, y1) for x0, x1 in sides for y0, y1 in sides]
+        boxes += [random_box(np.random.default_rng(6), hi=3.0) for _ in range(30)]
+        for a in boxes:
+            for b in boxes:
+                low, high = (min(a.xmin, b.xmin), min(a.ymin, b.ymin)), (max(a.xmax, b.xmax),
+                                                                         max(a.ymax, b.ymax))
+                assert [v.hex() for v in union_box(a, b).to_list()] == [
+                    v.hex() for v in (*low, *high)]
+                ix = min(a.xmax, b.xmax) - max(a.xmin, b.xmin)
+                iy = min(a.ymax, b.ymax) - max(a.ymin, b.ymin)
+                union = area(a) + area(b) - ix * iy
+                want = ix * iy / union if ix > 0.0 and iy > 0.0 and union > 0.0 else 0.0
+                assert iou(a, b).hex() == want.hex()
+
 
 def _value_objects():
     """One instance of each value type, with the repr that it prints."""

@@ -207,30 +207,6 @@ def test_damaged_gt_box_feature_gets_the_per_item_message(tmp_path, damage):
     assert str(loaded.value) == f"{path}:1: {alone.value}"
 
 
-@pytest.mark.parametrize("encode", [list_form, array_json], ids=["list", "encoded"])
-def test_gt_box_features_are_parsed_as_one_group(tmp_path, monkeypatch, encode):
-    """When every gt box carries a feature they are read as one group, to the same bits; a
-    line where one gt box has none parses the others one at a time."""
-    rng = np.random.default_rng(2)
-    gts = [GtObject(i % 4, make_detection().box, rng.normal(size=5)) for i in range(4)]
-    path, partial = tmp_path / "d.jsonl", tmp_path / "p.jsonl"
-    save_dataset([make_record(gt=gts)], path)
-    line = rewrite_features(json.loads(path.read_text()), encode)
-    path.write_text(json.dumps(line) + "\n")
-    del line["gt_boxes"][1]["feature"]
-    partial.write_text(json.dumps(line) + "\n")
-    (back,) = load_dataset(partial, tiny_vocab())
-    assert [g.feature is None or g.feature.tobytes() for g in back.gt_boxes] == [
-        gts[0].feature.tobytes(), True, gts[2].feature.tobytes(), gts[3].feature.tobytes()]
-
-    def per_item(*args):
-        raise AssertionError("a feature of a valid gt group was parsed on its own")
-
-    monkeypatch.setattr("relfusion.datamodel._parse_feature", per_item)
-    (back,) = load_dataset(path, tiny_vocab())
-    assert [g.feature.tobytes() for g in back.gt_boxes] == [g.feature.tobytes() for g in gts]
-
-
 def test_damaged_gt_box_feature_message(tmp_path):
     rng = np.random.default_rng(3)
     gts = [GtObject(i % 4, make_detection().box, rng.normal(size=5)) for i in range(4)]

@@ -10,17 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relfusion import fusion
+from relfusion import datamodel, fusion
 from relfusion.cli import main
 from relfusion.datamodel import (
     Box,
     DataError,
     PredictedTriplet,
+    Ranking,
     ResolvedTriplet,
     load_dataset,
     load_vocabulary,
 )
-from relfusion.fusion import Ranking, load_predictions, save_predictions
+from relfusion.fusion import load_predictions, save_predictions
 from relfusion.metrics import (
     MatchSpec,
     average_precision,
@@ -194,7 +195,8 @@ def test_eval_builds_a_triplet_only_per_candidate(tmp_path, monkeypatch, budget)
         raise AssertionError("predict built a PredictedTriplet")
 
     with monkeypatch.context() as patch:
-        patch.setattr(fusion, "PredictedTriplet", refuse)
+        for module in (datamodel, fusion):  # a Ranking's items; the loader's list-form lines
+            patch.setattr(module, "PredictedTriplet", refuse)
         assert main(["predict", "--test", str(data / "test.jsonl"), *files,
                      "--checkpoint", str(ckpt), "--out", str(preds)]) == 0
     vocab = load_vocabulary(data / "vocab.json")
@@ -205,7 +207,8 @@ def test_eval_builds_a_triplet_only_per_candidate(tmp_path, monkeypatch, budget)
                      for image_id, ranking in loaded.items() for t in ranking)
     assert 0 < candidates < sum(map(len, loaded.values()))
     with monkeypatch.context() as patch:
-        patch.setattr(fusion, "PredictedTriplet", counting)
+        for module in (datamodel, fusion):
+            patch.setattr(module, "PredictedTriplet", counting)
         assert main(["eval", "--test", str(data / "test.jsonl"), *files, *budget,
                      "--predictions", str(preds), "--out", str(tmp_path / "r.json")]) == 0
     assert 0 < len(built) <= candidates

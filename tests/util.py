@@ -12,11 +12,12 @@ from relfusion.datamodel import (
     Detection,
     ImageRecord,
     PredictedTriplet,
+    Ranking,
     ResolvedTriplet,
     Vocabulary,
     parse_box,
 )
-from relfusion.fusion import Ranking, featurized_views, predict_image
+from relfusion.fusion import featurized_views, predict_image
 
 
 def box(x0, y0, x1, y1) -> Box:

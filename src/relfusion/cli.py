@@ -276,8 +276,8 @@ def _training_setup(args, vocab):
 def _predict(model, views, top_n: int, path) -> dict:
     """Each view's Ranking, by image id; a DataError names ``path``, the views' file."""
     with _naming(path):
-        return {view.image_id: predict_image(model, view, pairs, inputs, top_n)
-                for view, pairs, inputs in featurized_views(model, views)}
+        return {view.image_id: predict_image(model, view, pairs, logits, top_n)
+                for view, pairs, logits in featurized_views(model, views)}
 
 
 def _check_output(path) -> None:

@@ -17,13 +17,17 @@ summation order of the fused logits and the order of
 Featurization spans images: :func:`pair_inputs` stacks the inputs of
 many images' pairs in one pass, which training makes once over all its
 examples and prediction once per group of views
-(:func:`featurized_views`). Matching, sampling, forward passes and
-ranking stay per image, since a matrix product may round a row
-differently when other rows join it.
+(:func:`featurized_views`). Prediction's forward pass runs once per run
+of views with the same proposal count, on inputs shaped (views, rows, ·):
+numpy's stacked matmul makes the same BLAS call per view that the view's
+own 2-D product makes, so every view keeps its bits. Only a flattened
+(rows, ·) product over several views may round a row differently, so
+none is made. Matching, sampling and ranking stay per image.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -281,13 +285,16 @@ def pair_inputs(model: FusionModel, records: list[ImageRecord], pairs) -> PairIn
 
 
 def batch_logits(model: FusionModel, inputs: PairInputs) -> tuple[np.ndarray, list]:
-    """Fused logits for a batch of pairs plus (net, cache) of each enabled net."""
+    """Fused logits for a batch of pairs plus (net, cache) of each enabled net.
+
+    The inputs are (N, ·) or stacked (..., N, ·); the logits are (..., N, P+1).
+    """
     vectors: list[np.ndarray] = []
     caches: list = []
     for branch in enabled_branches(model.mask):
         out = None
         for net, names in branch.terms:
-            term = np.concatenate([inputs.arrays[name] for name in names], axis=1)
+            term = np.concatenate([inputs.arrays[name] for name in names], axis=-1)
             if net is not None:
                 mlp = getattr(model, net)
                 term, cache = forward(mlp, term)
@@ -296,7 +303,7 @@ def batch_logits(model: FusionModel, inputs: PairInputs) -> tuple[np.ndarray, li
         vectors.append(out)
     # Right fold so that peeling branches off the front of the canonical
     # order splits the sum without any re-rounding.
-    logits = np.zeros((len(inputs), model.num_predicates + 1))
+    logits = np.zeros(vectors[0].shape[:-1] + (model.num_predicates + 1,))
     for out in reversed(vectors):
         np.add(out, logits, out=logits)
     return logits, caches
@@ -459,14 +466,25 @@ class ScoreError(DataError):
 # any test set. It is small because big groups cost page faults: with six 462-pair views in
 # one group, the spo head's (462, 256) hidden arrays were paged in afresh for every view.
 PREDICT_GROUP_ROWS = 2**9
+# The most proposal rows of one stacked forward pass in predict, so that the spo head's
+# stacked hidden arrays are no larger than one view of this many rows allocates on its own.
+# Stacks of three 156-row views made score-dense's predict slower, and so did groups capped
+# at this size, so the two caps differ.
+PREDICT_STACK_ROWS = 2**8
 
 
 def featurized_views(model: FusionModel, views: list[ImageRecord]):
-    """Yield each view with its proposals, an (N, 2) array, and their PairInputs, in order.
+    """Yield each view with its proposals, an (N, 2) array, and their (N, P+1) fused logits.
 
     Consecutive views are featurized together, one :func:`pair_inputs`
     call per group of at most PREDICT_GROUP_ROWS proposal rows; a view with
-    more is a group of its own. A view without proposals gets None inputs.
+    more is a group of its own. Within a group, each run of consecutive
+    views with the same proposal count N, at most PREDICT_STACK_ROWS rows
+    in all, is one :func:`batch_logits` call on inputs stacked (views, N, ·);
+    a view with more rows is a run of its own. A stacked matmul makes one
+    BLAS call per view, so each view's logits are the bits of its own
+    forward pass. A view without proposals gets None logits. Views come out
+    in order.
     """
 
     def featurize(group):
@@ -474,10 +492,22 @@ def featurized_views(model: FusionModel, views: list[ImageRecord]):
         if any(len(pairs) for _, pairs in group):
             inputs = pair_inputs(model, [view for view, _ in group], [p for _, p in group])
         start = 0
-        for view, pairs in group:
-            stop = start + len(pairs)
-            yield view, pairs, inputs.take(slice(start, stop)) if stop > start else None
-            start = stop
+        for n, same in itertools.groupby(group, key=lambda item: len(item[1])):
+            same = list(same)
+            if not n:
+                yield from ((view, pairs, None) for view, pairs in same)
+                continue
+            per_run = max(1, PREDICT_STACK_ROWS // n)
+            for k in range(0, len(same), per_run):
+                run = same[k : k + per_run]
+                stop = start + n * len(run)
+                stacked = PairInputs({name: arr[start:stop].reshape(len(run), n, -1)
+                                      for name, arr in inputs.arrays.items()})
+                # Overflow is no warning: predict_image reports a non-finite score.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    logits, _ = batch_logits(model, stacked)
+                yield from ((view, pairs, block) for (view, pairs), block in zip(run, logits))
+                start = stop
 
     group, rows = [], 0
     for view in views:
@@ -491,16 +521,18 @@ def featurized_views(model: FusionModel, views: list[ImageRecord]):
 
 
 def predict_image(
-    model: FusionModel, record: ImageRecord, pairs: np.ndarray, inputs: PairInputs | None,
+    model: FusionModel, record: ImageRecord, pairs: np.ndarray, logits: np.ndarray | None,
     top_n: int = 100,
 ) -> Ranking:
-    """Ranked triplets for one image from its proposals and their inputs.
+    """Ranked triplets for one image from its proposals and their fused logits.
 
-    ``pairs`` and ``inputs`` are the image's as :func:`featurized_views`
-    yields them. Every (proposal pair, real predicate) combination is
-    scored with softmax probability times both detector confidences; the
-    global top_n survive. Ties break on (pair index, predicate index). A
-    kept score that is not finite is a ScoreError, not a numpy warning.
+    ``pairs`` and ``logits`` are the image's as :func:`featurized_views`
+    yields them: the logits are the view's block of its run's stacked
+    forward pass, the bits of a forward pass of the view alone. Every
+    (proposal pair, real predicate) combination is scored with softmax
+    probability times both detector confidences; the global top_n survive.
+    Ties break on (pair index, predicate index). A kept score that is not
+    finite is a ScoreError, not a numpy warning.
     """
     if top_n < 0:
         raise ValueError(f"top_n must be >= 0, got {top_n}")
@@ -510,7 +542,6 @@ def predict_image(
     det_scores = np.array([d.score for d in record.detections])
     det_product = det_scores[pairs[:, 0]] * det_scores[pairs[:, 1]]
     with np.errstate(over="ignore", invalid="ignore"):
-        logits, _ = batch_logits(model, inputs)
         scores = (softmax(logits)[:, 1:] * det_product[:, None]).ravel()
     # A stable sort keeps tied scores in (pair, predicate) order.
     ranked = np.argsort(-scores, kind="stable")[:top_n]
@@ -615,14 +646,17 @@ def train_attribute_head(head: Mlp, dataset: list[ImageRecord], cfg: TrainConfig
 def predict_attributes(head: Mlp, record: ImageRecord) -> list[tuple[Detection, int, float]]:
     """Top attribute per detection: (detection, attribute, score); a ScoreError if not finite.
 
-    The head runs once per detection, since a batched forward may round
-    otherwise; the softmax, argmax and scores are one pass over the image.
+    The head runs once per image on the detections' features stacked
+    (detections, 1, D): numpy makes one one-row BLAS call per detection, the
+    bits of a forward pass per detection, where a flattened (detections, D)
+    product may round a row otherwise. The softmax, argmax and scores are
+    one pass over the image.
     """
     dets = record.detections
     if not dets:
         return []
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = np.concatenate([forward(head, det.feature)[0] for det in dets])
+        logits, _ = forward(head, np.stack([det.feature for det in dets])[:, None, :])
         probs = softmax(logits.reshape(len(dets), -1))
         best = probs.argmax(axis=1)
         scores = probs[np.arange(len(dets)), best] * np.array([det.score for det in dets])

@@ -80,14 +80,16 @@ def layer_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
 def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, dict]:
     """Run the affine/rectifier chain.
 
-    ``x`` is a single vector (in_dim,) or a batch (N, in_dim). Returns the
-    output plus the cache :func:`backward` reads: ``{"inputs": [...]}``, each
+    ``x`` is a single vector (in_dim,), a batch (N, in_dim) or a stack of
+    batches (..., N, in_dim); a stack makes one BLAS call per batch, so each
+    batch gets the bits it gets alone. Returns the output plus the cache
+    :func:`backward` reads (for a 2-D batch): ``{"inputs": [...]}``, each
     layer's input only (``x``, unwritten, then each hidden output, rectified in place).
     """
     single = x.ndim == 1
     h = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if h.shape[1] != mlp.in_dim:
-        raise ValueError(f"input dim {h.shape[1]} != mlp input dim {mlp.in_dim}")
+    if h.shape[-1] != mlp.in_dim:
+        raise ValueError(f"input dim {h.shape[-1]} != mlp input dim {mlp.in_dim}")
     inputs = []
     for i, layer in enumerate(mlp.layers):
         inputs.append(h)

@@ -12,6 +12,7 @@ from relfusion.fusion import (
     _attribute_examples,
     EVAL_MODES,
     BranchMask,
+    PairInputs,
     TrainConfig,
     batch_logits,
     build_training_inputs,
@@ -24,13 +25,15 @@ from relfusion.fusion import (
     pair_inputs,
     pair_logits,
     pair_proposals,
+    predict_attributes,
     predict_image,
     save_checkpoint,
     train,
     trainable_params,
 )
-from relfusion.numcore import fd_gradient, init_mlp, max_relative_error, softmax
+from relfusion.numcore import fd_gradient, forward, init_mlp, max_relative_error, softmax
 from relfusion.semantic import FrequencyTable, fit_frequency, semantic_logits
+from relfusion.spatial import SPATIAL_DIM
 from relfusion.synth import SynthConfig, generate
 from relfusion.visual import predicate_feature
 
@@ -410,6 +413,54 @@ class TestPredictImage:
         ]
 
 
+class TestStackedForward:
+    """A stacked forward pass gives each stacked batch the bits of its own forward pass."""
+
+    @staticmethod
+    def _random_biases(nets, rng):
+        for net in nets:
+            for layer in net.layers:
+                layer.bias[:] = rng.normal(size=layer.bias.shape)
+
+    def test_stacked_batch_logits_equal_per_view_calls(self):
+        rng = np.random.default_rng(33)
+        # Random view counts, rows, feature and hidden widths; one view, and one row per view.
+        shapes = [(1, 1), (1, 17), (5, 1), *zip(rng.integers(1, 6, 40), rng.integers(1, 40, 40))]
+        for views, rows in shapes:
+            dim, num_predicates = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+            hidden = tuple(int(h) for h in rng.integers(1, 70, size=2))
+            model = init_fusion_model(
+                _freq(num_predicates), dim, tiny_vocab(num_predicates=num_predicates), rng,
+                spatial_hidden=hidden, spo_hidden=hidden[::-1])
+            self._random_biases([getattr(model, net) for net in fusion.net_input_widths(dim)], rng)
+            widths = {"sem": num_predicates + 1, "spat": SPATIAL_DIM,
+                      "v_sub": dim, "v_pred": dim, "v_obj": dim}
+            arrays = {name: rng.normal(size=(views * rows, w)) for name, w in widths.items()}
+            stacked, _ = batch_logits(
+                model, PairInputs({k: a.reshape(views, rows, -1) for k, a in arrays.items()}))
+            assert stacked.shape == (views, rows, num_predicates + 1)
+            for v in range(views):
+                block = slice(v * rows, (v + 1) * rows)
+                alone, _ = batch_logits(model, PairInputs({k: a[block] for k, a in arrays.items()}))
+                assert stacked[v].tobytes() == alone.tobytes(), (views, rows, dim, hidden)
+
+    def test_stacked_attribute_head_equals_the_per_detection_forward(self):
+        rng = np.random.default_rng(34)
+        for dim, num_dets in ((1, 1), (7, 5), (64, 40), (33, 12)):
+            head = init_mlp([dim, ATTRIBUTE_HIDDEN, 5], rng)
+            self._random_biases([head], rng)
+            dets = [Detection(0, box(0, 0, 10, 10), float(s), rng.normal(size=dim))
+                    for s in rng.uniform(0.1, 1.0, num_dets)]
+            alone = np.stack([forward(head, d.feature)[0] for d in dets])
+            stacked, _ = forward(head, np.stack([d.feature for d in dets])[:, None, :])
+            assert stacked.reshape(alone.shape).tobytes() == alone.tobytes()
+            probs = softmax(alone)
+            best = probs.argmax(axis=1)
+            scores = probs[np.arange(num_dets), best] * np.array([d.score for d in dets])
+            assert predict_attributes(head, make_record(detections=dets)) == list(
+                zip(dets, best.tolist(), scores.tolist()))
+
+
 class TestGtSubstitution:
     def test_sgdet_identity(self):
         record = _toy_record()
@@ -555,25 +606,35 @@ class TestGtSubstitution:
 class TestMatchPositivePairs:
     def test_groups_split_by_the_row_cap_rank_as_one_group(self, monkeypatch):
         model = _toy_model(seed=7)
-        views = [_toy_record(n=n, seed=n) for n in (3, 1, 4, 2, 0, 5, 3)]
+        views = [_toy_record(n=n, seed=n) for n in (3, 3, 3, 1, 4, 2, 2, 0, 5, 3, 3)]
         for k, view in enumerate(views):
             view.image_id = f"img{k}"
 
         def rankings():
-            return [(v.image_id, predict_image(model, v, pairs, inputs, 9))
-                    for v, pairs, inputs in featurized_views(model, views)]
+            return [(v.image_id, predict_image(model, v, pairs, logits, 9))
+                    for v, pairs, logits in featurized_views(model, views)]
 
         whole = rankings()
-        calls = []
-        real = fusion.pair_inputs
-        monkeypatch.setattr(fusion, "pair_inputs", lambda *a: calls.append(a[1]) or real(*a))
-        monkeypatch.setattr(fusion, "PREDICT_GROUP_ROWS", 12)
+        groups, stacks = [], []
+        real_inputs, real_logits = fusion.pair_inputs, fusion.batch_logits
+        monkeypatch.setattr(fusion, "pair_inputs",
+                            lambda *a: groups.append(a[1]) or real_inputs(*a))
+        monkeypatch.setattr(fusion, "batch_logits", lambda model, inputs: stacks.append(
+            next(iter(inputs.arrays.values())).shape[:-1]) or real_logits(model, inputs))
+        monkeypatch.setattr(fusion, "PREDICT_GROUP_ROWS", 18)
+        monkeypatch.setattr(fusion, "PREDICT_STACK_ROWS", 12)
         split = rankings()
-        # Rows 6 + 0, then 12, then 2 + 0, then 20 (past the cap, so alone), then 6.
-        assert [[len(r.detections) for r in c] for c in calls] == [[3, 1], [4], [2, 0], [5], [3]]
+        # Rows 6 + 6 + 6 + 0, then 12 + 2 + 2 + 0, then 20 (past the cap, so alone), then 6 + 6.
+        assert [[len(r.detections) for r in g] for g in groups] == [
+            [3, 3, 3, 1], [4, 2, 2, 0], [5], [3, 3]]
+        # Runs of equal proposal counts, at most 12 rows each unless one view has more;
+        # views without proposals make no forward pass.
+        assert stacks == [(2, 6), (1, 6), (1, 12), (2, 2), (1, 20), (2, 6)]
+        alone = [(v.image_id, predict_one(model, v, 9)) for v in views]
         assert [i for i, _ in split] == [i for i, _ in whole] == [v.image_id for v in views]
-        for (_, a), (_, b) in zip(whole, split):
+        for (_, a), (_, b), (_, c) in zip(whole, split, alone):
             assert (a.sub, a.obj, a.predicates, a.scores) == (b.sub, b.obj, b.predicates, b.scores)
+            assert (a.sub, a.obj, a.predicates, a.scores) == (c.sub, c.obj, c.predicates, c.scores)
 
     def _record(self, sub_box):
         gt = [GtObject(label=0, box=box(0, 0, 10, 20)), GtObject(label=1, box=box(50, 0, 60, 20))]

@@ -255,5 +255,5 @@ def ranking_of(triplets) -> Ranking:
 
 def predict_one(model, record, top_n=100) -> Ranking:
     """``predict_image`` of one record, featurized on its own."""
-    ((view, pairs, inputs),) = featurized_views(model, [record])
-    return predict_image(model, view, pairs, inputs, top_n)
+    ((view, pairs, logits),) = featurized_views(model, [record])
+    return predict_image(model, view, pairs, logits, top_n)

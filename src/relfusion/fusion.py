@@ -31,7 +31,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 
@@ -124,8 +124,6 @@ class FusionModel:
     mask: BranchMask
     vocab_hash: str
     attribute_head: Mlp | None = None  # separate single-object classifier
-    # The prior's row per class pair, filled by pair_inputs; freq is frozen from then on.
-    prior_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_predicates(self) -> int:
@@ -161,10 +159,10 @@ def init_fusion_model(
     return FusionModel(freq=freq, mask=mask, vocab_hash=vocab.digest(), **nets)
 
 
-def pair_proposals(record: ImageRecord) -> list[tuple[int, int]]:
-    """All ordered index pairs over non-degenerate detections."""
+def pair_proposals(record: ImageRecord) -> np.ndarray:
+    """All ordered index pairs over non-degenerate detections, an (N, 2) array."""
     valid = [i for i, d in enumerate(record.detections) if not d.box.is_degenerate()]
-    return [(i, j) for i in valid for j in valid if i != j]
+    return np.array([(i, j) for i in valid for j in valid if i != j], dtype=np.intp).reshape(-1, 2)
 
 
 @dataclass
@@ -222,15 +220,6 @@ def enabled_branches(mask: BranchMask) -> list[Branch]:
     return [branch for branch in BRANCHES if getattr(mask, branch.name)]
 
 
-def _prior_row(model: FusionModel, sub_label: int, obj_label: int) -> np.ndarray:
-    """:func:`semantic_logits` of the class pair, computed once per model."""
-    row = model.prior_rows.get((sub_label, obj_label))
-    if row is None:
-        row = model.prior_rows[sub_label, obj_label] = semantic_logits(
-            model.freq, sub_label, obj_label)
-    return row
-
-
 def pair_inputs(model: FusionModel, records: list[ImageRecord], pairs) -> PairInputs:
     """Assemble the enabled branches' inputs for the proposals of several records.
 
@@ -239,9 +228,9 @@ def pair_inputs(model: FusionModel, records: list[ImageRecord], pairs) -> PairIn
     rows are stacked in record order. Each input is gathered by index
     arrays from one table of all the records' detections, and the spatial
     encoding is one call with each row's image size. The frequency prior
-    is looked up once per distinct class pair, in ``model.prior_rows``: a
-    pair's :func:`semantic_logits` row is computed the first time any image
-    of the model needs it.
+    is one :func:`semantic_logits` call on the distinct class pairs of all
+    the rows, computed afresh on every call, so an edit of
+    ``model.freq.counts`` reaches the next call.
     """
     index = [np.asarray(p, dtype=np.intp).reshape(-1, 2) for p in pairs]
     starts = np.cumsum([0] + [len(r.detections) for r in records])
@@ -257,7 +246,8 @@ def pair_inputs(model: FusionModel, records: list[ImageRecord], pairs) -> PairIn
         distinct: dict[tuple[int, int], int] = {}
         row = [distinct.setdefault(pair, len(distinct))
                for pair in zip(labels[sub].tolist(), labels[obj].tolist())]
-        return np.stack([_prior_row(model, s, o) for s, o in distinct])[row]
+        subs, objs = zip(*distinct)
+        return semantic_logits(model.freq, subs, objs)[row]
 
     def spatial_rows():
         sizes = np.array([image_size(r.width, r.height) for r in records])[rec]
@@ -392,7 +382,7 @@ def build_training_inputs(
     for record in dataset:
         positives, predicates = match_positive_pairs(record)
         total_positives += len(predicates)
-        proposals = np.array(pair_proposals(record), dtype=np.intp).reshape(-1, 2)
+        proposals = pair_proposals(record)
         matched = np.zeros((len(record.detections),) * 2, dtype=bool)
         matched[positives[:, 0], positives[:, 1]] = True
         unmatched = proposals[~matched[proposals[:, 0], proposals[:, 1]]]
@@ -511,7 +501,7 @@ def featurized_views(model: FusionModel, views: list[ImageRecord]):
 
     group, rows = [], 0
     for view in views:
-        pairs = np.array(pair_proposals(view), dtype=np.intp).reshape(-1, 2)
+        pairs = pair_proposals(view)
         if group and rows + len(pairs) > PREDICT_GROUP_ROWS:
             yield from featurize(group)
             group, rows = [], 0

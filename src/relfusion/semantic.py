@@ -18,14 +18,15 @@ import numpy as np
 from .datamodel import DataError, ImageRecord, Vocabulary, is_list_of, json_number
 
 
+def _smoothed(counts: np.ndarray, smoothing: float) -> np.ndarray:
+    """(counts + s) / (total + (P+1)·s) along the last axis of int64 counts."""
+    total = counts.sum(axis=-1, keepdims=True)
+    return (counts + smoothing) / (total + counts.shape[-1] * smoothing)
+
+
 @dataclass
 class FrequencyTable:
-    """Empirical predicate counts per (subject class, object class).
-
-    Frozen once fitted or loaded: a model keeps each class pair's
-    :func:`semantic_logits` row once computed (``FusionModel.prior_rows``),
-    so a later edit of ``counts`` does not reach a pair it has already seen.
-    """
+    """Empirical predicate counts per (subject class, object class)."""
 
     num_predicates: int
     smoothing: float = 1.0
@@ -35,20 +36,22 @@ class FrequencyTable:
         if not 0 < self.smoothing < math.inf:
             raise ValueError("smoothing must be finite and positive")
 
-    def probabilities(self, sub_label: int, obj_label: int) -> np.ndarray:
-        """Smoothed conditional distribution over the P+1 predicate slots."""
-        size = self.num_predicates + 1
-        counts = self.counts.get((sub_label, obj_label))
-        if counts is None:
-            counts = np.zeros(size)
-        total = counts.sum()
-        return (counts + self.smoothing) / (total + size * self.smoothing)
+    def probabilities(self, sub_labels, obj_labels) -> np.ndarray:
+        """Smoothed distribution over the P+1 predicate slots: (P+1,) for one class pair,
+        (N, P+1) for two equal-length label sequences, each row with the same bits."""
+        scalar = np.ndim(sub_labels) == np.ndim(obj_labels) == 0
+        subs, objs = ([sub_labels], [obj_labels]) if scalar else (sub_labels, obj_labels)
+        if len(subs) != len(objs):
+            raise ValueError(f"{len(subs)} subject labels but {len(objs)} object labels")
+        zeros = np.zeros(self.num_predicates + 1, dtype=np.int64)
+        rows = np.array([self.counts.get(key, zeros) for key in zip(subs, objs)], dtype=np.int64)
+        probs = _smoothed(rows.reshape(len(subs), len(zeros)), self.smoothing)
+        return probs[0] if scalar else probs
 
     def rows_defined(self) -> bool:
         """Whether :meth:`probabilities` is finite and positive on every row, unseen pairs' too."""
         rows = np.array([[0] * (self.num_predicates + 1), *self.counts.values()], dtype=np.int64)
-        total = rows.sum(axis=1, keepdims=True) + rows.shape[1] * self.smoothing
-        probs = (rows + self.smoothing) / total
+        probs = _smoothed(rows, self.smoothing)
         return bool(np.all(np.isfinite(probs) & (probs > 0.0)))
 
 
@@ -77,12 +80,13 @@ def fit_frequency(
     return table
 
 
-def semantic_logits(table: FrequencyTable, sub_label: int, obj_label: int) -> np.ndarray:
-    """Smoothed log p(predicate | sub class, obj class), length P+1.
+def semantic_logits(table: FrequencyTable, sub_labels, obj_labels) -> np.ndarray:
+    """Smoothed log p(predicate | sub class, obj class): (P+1,) for one class
+    pair, (N, P+1) for two equal-length label sequences.
 
     Unseen class pairs fall out as the uniform log 1/(P+1).
     """
-    return np.log(table.probabilities(sub_label, obj_label))
+    return np.log(table.probabilities(sub_labels, obj_labels))
 
 
 def table_to_json(table: FrequencyTable) -> dict:

@@ -139,6 +139,59 @@ class TestSemanticLogits:
         assert np.array_equal(a, b)
 
 
+class TestVectorizedPrior:
+    """Label sequences give, row for row, the bits of one call per class pair."""
+
+    @staticmethod
+    def _table(rng, size, smoothing, high):
+        """Counts for a random part of classes 0-3; class 4 is never seen."""
+        table = FrequencyTable(num_predicates=size - 1, smoothing=smoothing)
+        for key in [(s, o) for s in range(4) for o in range(4) if rng.random() < 0.6]:
+            table.counts[key] = rng.integers(0, high, size=size, dtype=np.int64)
+        return table
+
+    @staticmethod
+    def _reference(table, sub_label, obj_label):
+        """The smoothing formula on one row, written out: float zeros for an unseen pair."""
+        size = table.num_predicates + 1
+        counts = table.counts.get((sub_label, obj_label), np.zeros(size))
+        return (counts + table.smoothing) / (counts.sum() + size * table.smoothing)
+
+    # 8 and 16 are multiples of the SIMD width in float64 lanes; 2, 7 and 61 are not.
+    @pytest.mark.parametrize("size", [2, 7, 8, 16, 61])
+    @pytest.mark.parametrize("smoothing", [1e-9, 0.5, 3.7])
+    # The last bound keeps a 61-slot row's total below table_from_json's 2**63.
+    @pytest.mark.parametrize("high", [4, 10**6, 2**63 // 64])
+    def test_rows_equal_per_pair_calls(self, size, smoothing, high):
+        rng = np.random.default_rng([size, high])
+        table = self._table(rng, size, smoothing, high)
+        subs, objs = rng.integers(0, 5, size=(2, 60)).tolist()
+        assert any(key not in table.counts for key in zip(subs, objs))
+        probs = table.probabilities(subs, objs)
+        logits = semantic_logits(table, np.array(subs), tuple(objs))
+        assert probs.shape == logits.shape == (60, size)
+        for k, key in enumerate(zip(subs, objs)):
+            assert probs[k].tobytes() == table.probabilities(*key).tobytes()
+            assert probs[k].tobytes() == self._reference(table, *key).tobytes()
+            assert logits[k].tobytes() == semantic_logits(table, *key).tobytes()
+            assert logits[k].tobytes() == np.log(self._reference(table, *key)).tobytes()
+
+    def test_one_pair_shapes(self):
+        table = fit_frequency(_toy_corpus(), _vocab())
+        one = semantic_logits(table, MAN, HORSE)
+        assert one.shape == (4,)
+        assert semantic_logits(table, [MAN], [HORSE]).shape == (1, 4)
+        assert semantic_logits(table, [MAN], [HORSE])[0].tobytes() == one.tobytes()
+        assert table.probabilities([], []).shape == (0, 4)
+
+    def test_length_mismatch_raises(self):
+        table = fit_frequency(_toy_corpus(), _vocab())
+        with pytest.raises(ValueError, match="2 subject labels but 1 object labels"):
+            semantic_logits(table, [MAN, MAN], [HORSE])
+        with pytest.raises(ValueError):
+            table.probabilities([MAN], [HORSE, STREET])
+
+
 class TestSerialization:
     def test_roundtrip(self):
         table = fit_frequency(_toy_corpus(), _vocab())

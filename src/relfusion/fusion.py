@@ -44,6 +44,7 @@ from .datamodel import (
     Ranking,
     Vocabulary,
     _NUMBER_TYPES,
+    _index,
     _indices,
     _json_scalar,
     atomic_write_text,
@@ -761,7 +762,7 @@ def _box(value, key: str, table: list[Box]) -> Box:
     """A box field: a list of 4 numbers, or an index into its line's parsed ``boxes``."""
     if type(value) is list:
         return parse_box(value, key)
-    if type(value) is int and 0 <= value < len(table):
+    if _index(value, len(table)):
         return table[value]
     raise DataError(f"{key}: box must be a list of 4 numbers or an index into the line's"
                     f" {len(table)} boxes, got {value!r:.40}")

@@ -3,8 +3,8 @@
 Everything runs in float64. Layers apply ``y = x @ W.T + b`` with a rectifier
 between layers (never after the last), which is all the relationship heads need.
 Gradients are exact reverse-mode; a central finite-difference helper provides the
-independent check. The passes allocate only what they keep: the forward cache holds
-layer inputs only, and bias, rectifier, backward mask and SGD scaling run in place.
+independent check. The passes allocate only what they keep: the forward cache is the
+list of layer inputs, and bias, rectifier, backward mask and SGD scaling run in place.
 """
 
 from __future__ import annotations
@@ -77,14 +77,14 @@ def layer_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
     return z
 
 
-def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, dict]:
+def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Run the affine/rectifier chain.
 
     ``x`` is a single vector (in_dim,), a batch (N, in_dim) or a stack of
     batches (..., N, in_dim); a stack makes one BLAS call per batch, so each
     batch gets the bits it gets alone. Returns the output plus the cache
-    :func:`backward` reads (for a 2-D batch): ``{"inputs": [...]}``, each
-    layer's input only (``x``, unwritten, then each hidden output, rectified in place).
+    :func:`backward` reads (for a 2-D batch): the list of each layer's input
+    (``x``, unwritten, then each hidden output, rectified in place).
     """
     single = x.ndim == 1
     h = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -96,20 +96,22 @@ def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, dict]:
         h = layer_forward(layer, h)
         if i < len(mlp.layers) - 1:
             np.maximum(h, 0.0, out=h)
-    return (h[0] if single else h), {"inputs": inputs}
+    return (h[0] if single else h), inputs
 
 
-def backward(mlp: Mlp, cache: dict, grad_out: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def backward(mlp: Mlp, cache: list[np.ndarray],
+             grad_out: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exact reverse-mode parameter gradients of :func:`forward`: (dW, db) per layer.
 
-    Each fresh ``g @ W`` is masked in place by its cached rectified input: ``relu(z) > 0``
-    is ``z > 0`` bit for bit, NaN included. ``grad_out`` and the cache are not written."""
-    if len(cache["inputs"]) != len(mlp.layers):
+    ``cache`` is the list of layer inputs :func:`forward` returned. Each fresh ``g @ W``
+    is masked in place by its cached rectified input: ``relu(z) > 0`` is ``z > 0`` bit
+    for bit, NaN included. ``grad_out`` and the cache are not written."""
+    if len(cache) != len(mlp.layers):
         raise ValueError("cache does not match the mlp it came from")
     g = np.atleast_2d(np.asarray(grad_out, dtype=np.float64))
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(mlp.layers)
     for i in range(len(mlp.layers) - 1, -1, -1):
-        x = cache["inputs"][i]
+        x = cache[i]
         if g.shape != (x.shape[0], mlp.layers[i].out_dim):
             raise ValueError("gradient shape does not match cached activations")
         grads[i] = (g.T @ x, g.sum(axis=0))

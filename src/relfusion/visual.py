@@ -11,8 +11,6 @@ images' pairs in one call.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from .datamodel import ImageRecord
@@ -41,29 +39,20 @@ def predicate_features(
     """Row-wise :func:`predicate_feature` of the pairs (sub[k], obj[k]) of rows of ``feats``.
 
     ``feats`` stacks the records' detection features, record r's from row
-    ``starts[r]``. The records' per-pair features, keyed by their own
-    detection indices, replace the means: each pair is found by one
-    ``searchsorted`` over the sorted int64 keys ``sub * n + obj``, so no
-    table grows with the square of the n rows.
+    ``starts[r]``. The records' per-pair features replace the means. They
+    are found through one dict keyed by global detection indices
+    ``(starts[r] + i, starts[r] + j)``, which holds only the provided pairs.
     """
     out = feats[sub]
     out += feats[obj]
     out *= 0.5  # in place: 0.5 * (feats[sub] + feats[obj]) with one temporary, not three
-    keyed = [(r.pair_features, start) for r, start in zip(records, starts) if r.pair_features]
-    if not keyed:
-        return out
-    n, dim = feats.shape
-    flat = chain.from_iterable(chain.from_iterable(provided for provided, _ in keyed))
-    pairs = np.fromiter(flat, np.int64).reshape(-1, 2)
-    pairs += np.repeat([start for _, start in keyed], [len(p) for p, _ in keyed])[:, None]
-    keys = pairs[:, 0] * n + pairs[:, 1]
-    order = np.argsort(keys)
-    keys = keys[order]
-    wanted = sub.astype(np.int64) * n + obj
-    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-    hit = keys[at] == wanted
-    if hit.any():
-        values = [v for provided, _ in keyed for v in provided.values()]
+    provided = {(start + i, start + j): value
+                for r, start in zip(records, starts.tolist())
+                for (i, j), value in r.pair_features.items()}
+    found = map(provided.get, zip(sub.tolist(), obj.tolist()))
+    hits = [(k, value) for k, value in enumerate(found) if value is not None]
+    if hits:
+        rows, values = zip(*hits)
         # One concatenate of the 1-D rows: np.stack of many small arrays costs three times more.
-        out[hit] = np.concatenate([values[k] for k in order[at[hit]].tolist()]).reshape(-1, dim)
+        out[list(rows)] = np.concatenate(values).reshape(len(rows), -1)
     return out

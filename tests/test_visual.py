@@ -13,9 +13,9 @@ from relfusion.fusion import (
 from relfusion.numcore import NumericError, fd_gradient, forward, init_mlp, softmax
 from relfusion.semantic import FrequencyTable
 from relfusion.synth import SynthConfig, generate
-from relfusion.visual import predicate_feature
+from relfusion.visual import predicate_feature, predicate_features
 
-from util import make_record, tiny_vocab
+from util import make_detection, make_record, tiny_vocab
 
 
 def _visual_heads(feature_dim, num_predicates, rng, spo_hidden):
@@ -115,6 +115,60 @@ class TestPredicateFeature:
         record = make_record()
         out = predicate_feature(np.array([0.0, 2.0]), np.array([2.0, 0.0]), record, (1, 0))
         assert np.array_equal(out, [1.0, 1.0])
+
+
+def _stacked_rows(records, pairs):
+    """predicate_features over the records' stacked detections, for each record's pairs,
+    checked row by row against predicate_feature of the row's own record."""
+    starts = np.cumsum([0] + [len(r.detections) for r in records])
+    feats = np.stack([d.feature for r in records for d in r.detections])
+    sub, obj = np.array([(start + i, start + j) for p, start in zip(pairs, starts) for i, j in p]).T
+    out = predicate_features(feats, sub, obj, records, starts)
+    expected = [predicate_feature(feats[start + i], feats[start + j], r, (i, j))
+                for r, p, start in zip(records, pairs, starts) for i, j in p]
+    assert out.shape == (len(expected), feats.shape[1])
+    for row, want in zip(out, expected, strict=True):
+        assert row.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
+    return out
+
+
+class TestPredicateFeatures:
+    """Rows of many records' pairs in one call, each that of the per-pair predicate_feature."""
+
+    @staticmethod
+    def _record(rng, n, pair_features=()):
+        dets = [make_detection(feature=rng.normal(size=3), dim=3) for _ in range(n)]
+        return make_record(detections=dets,
+                           pair_features={p: rng.normal(size=3) for p in pair_features})
+
+    def test_each_row_reads_its_own_records_pair_features(self):
+        rng = np.random.default_rng(0)
+        records = [
+            self._record(rng, 3, [(0, 1), (2, 0)]),
+            self._record(rng, 2),  # no pair features
+            self._record(rng, 4, [(1, 0), (3, 2)]),  # its (0, 1) keeps the mean
+            self._record(rng, 1),
+            self._record(rng, 3, [(0, 1)]),
+        ]
+        pairs = [
+            [(0, 1), (1, 0), (2, 0), (0, 1), (1, 2)],  # (0, 1) repeats, as positives do
+            [(0, 1), (1, 0)],
+            [(0, 1), (1, 0), (3, 2), (3, 2), (2, 3)],
+            [],
+            [(1, 0), (0, 1), (0, 1)],
+        ]
+        out = _stacked_rows(records, pairs)
+        provided = [records[0].pair_features[0, 1], records[2].pair_features[1, 0]]
+        assert out[0].tobytes() == out[3].tobytes() == provided[0].tobytes()
+        assert out[7].tobytes() != provided[0].tobytes()
+        assert out[8].tobytes() == provided[1].tobytes()
+
+    def test_a_call_with_no_hit_gives_the_means(self):
+        rng = np.random.default_rng(1)
+        records = [self._record(rng, 3, [(0, 1)]), self._record(rng, 2), self._record(rng, 3)]
+        out = _stacked_rows(records, [[(1, 0), (2, 1)], [(0, 1)], [(0, 1), (0, 1), (2, 0)]])
+        feats = np.stack([d.feature for r in records for d in r.detections])
+        assert out[0].tobytes() == (0.5 * (feats[1] + feats[0])).tobytes()
 
 
 class TestAttributeHead:
